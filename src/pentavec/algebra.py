@@ -9,6 +9,10 @@ simple bivectors in five dimensions consists of wedges ``u ^ w`` with a
 shared vector w, unique up to scale, and this module recovers w from a
 spanning set.  When w has positive norm the wedges behave like spacetime
 four-vectors, with their inner product induced by ``bivector_inner``.
+
+Each law is written once, as an ``*_array`` kernel over plain arrays with
+any leading axes (vectors ``(..., 5)``, bivectors ``(..., 5, 5)``); the
+object functions are one-element calls into those kernels.
 """
 
 from __future__ import annotations
@@ -27,9 +31,10 @@ from .errors import (
     NotMaximalSpace,
     NotSimple,
     NotStandard,
+    ShapeMismatch,
     ZeroVector,
 )
-from .numerics import DEFAULT_TOL, Tolerance, as_array, max_norm, matrix_rank, null_space
+from .numerics import DEFAULT_TOL, Tolerance, as_array, matrix_rank, max_norm, raise_where, singular_rank
 
 INDEX_LABELS = (0, 1, 2, 3, 5)
 
@@ -91,8 +96,9 @@ class MetricH:
     def reference(cls) -> "MetricH":
         return cls(ETA5)
 
-    def dot(self, u, v) -> float:
-        return float(np.asarray(u) @ self.matrix @ np.asarray(v))
+    def dot(self, u, v):
+        """h(u, v); arrays ``(..., 5)`` give the values over their leading axes."""
+        return np.sum((np.asarray(u, dtype=float) @ self.matrix) * np.asarray(v, dtype=float), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -143,44 +149,113 @@ class Bivector5:
         object.__setattr__(self, "matrix", m)
 
 
+def _stack(a, trailing: tuple, what: str) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if a.shape[a.ndim - len(trailing):] != trailing:
+        raise ShapeMismatch(f"expected {what} of trailing shape {trailing}, got {a.shape}")
+    return a
+
+
+def wedge_array(u, v) -> np.ndarray:
+    """u ^ v for five-vector arrays ``(..., 5)``, giving ``(..., 5, 5)``."""
+    u = _stack(u, (5,), "five-vectors")
+    v = _stack(v, (5,), "five-vectors")
+    return u[..., :, None] * v[..., None, :] - v[..., :, None] * u[..., None, :]
+
+
 def wedge(u: FiveVector, v: FiveVector) -> Bivector5:
     """Antisymmetrized tensor product of two five-vectors."""
     if u.basis_id != v.basis_id:
         raise BasisMismatch(f"operands live in {u.basis_id!r} and {v.basis_id!r}")
-    a, b = u.components, v.components
-    return Bivector5(np.outer(a, b) - np.outer(b, a), basis_id=u.basis_id)
+    return Bivector5(wedge_array(u.components, v.components), basis_id=u.basis_id)
 
 
-def _wedge_square_dual(b: np.ndarray) -> np.ndarray:
+_EPS5_FLAT = EPS5.reshape(625, 5)
+
+
+def _wedge_square_dual(b) -> np.ndarray:
     # The antisymmetrized square of a 2-form is a 4-form; in five dimensions
     # that is captured completely by its contraction with the Levi-Civita
-    # symbol, a plain five-component vector.
-    return np.einsum("abcde,ab,cd->e", EPS5, b, b)
+    # symbol, a plain five-component vector per bivector.
+    b = _stack(b, (5, 5), "bivectors")
+    square = b[..., :, :, None, None] * b[..., None, None, :, :]
+    return square.reshape(b.shape[:-2] + (625,)) @ _EPS5_FLAT
+
+
+def is_simple_array(b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Per-bivector simplicity test b ^ b = 0 over ``(..., 5, 5)``."""
+    b = _stack(b, (5, 5), "bivectors")
+    scale = np.max(np.abs(b), axis=(-2, -1)) ** 2
+    return np.max(np.abs(_wedge_square_dual(b)), axis=-1) <= tol.bound(scale)
 
 
 def is_simple(b: Bivector5, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when b is a single wedge u ^ v, detected by b ^ b = 0."""
-    scale = max_norm(b.matrix) ** 2
-    return max_norm(_wedge_square_dual(b.matrix)) <= tol.bound(scale)
+    return bool(is_simple_array(b.matrix, tol))
 
 
-_TRIPLES = list(itertools.combinations(range(5), 3))
 _PAIRS = list(itertools.combinations(range(5), 2))
+_PAIR_ROWS, _PAIR_COLS = (np.array(idx) for idx in zip(*_PAIRS))
 
 
 def _vec_pairs(b: np.ndarray) -> np.ndarray:
-    return np.array([b[i, j] for i, j in _PAIRS])
+    """The 10 independent entries b^{ij}, i < j, of ``(..., 5, 5)``."""
+    return b[..., _PAIR_ROWS, _PAIR_COLS]
 
 
-def _wedge_with_vector_map(b: np.ndarray) -> np.ndarray:
-    """Matrix of w -> b ^ w, rows indexed by the 10 independent 3-form slots."""
-    rows = np.zeros((len(_TRIPLES), 5))
-    for r, (i, j, k) in enumerate(_TRIPLES):
+def _wedge_with_vector_tensor() -> np.ndarray:
+    """Constant (25, 50) matrix turning a bivector into the map w -> b ^ w.
+
+    ``(b.reshape(25) @ T).reshape(10, 5)`` is the matrix of w -> b ^ w,
+    with rows over the 10 independent 3-form slots ijk.
+    """
+    t = np.zeros((10, 5, 5, 5))
+    for r, (i, j, k) in enumerate(itertools.combinations(range(5), 3)):
         # (b ^ w)^{ijk} = b^{ij} w^k + b^{jk} w^i + b^{ki} w^j
-        rows[r, k] += b[i, j]
-        rows[r, i] += b[j, k]
-        rows[r, j] += b[k, i]
-    return rows
+        t[r, k, i, j] += 1.0
+        t[r, i, j, k] += 1.0
+        t[r, j, k, i] += 1.0
+    t = t.reshape(50, 25).T.copy()
+    t.setflags(write=False)
+    return t
+
+
+_WEDGE_WITH_VECTOR = _wedge_with_vector_tensor()
+
+
+def directional_vector_array(bivectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Shared directions of spanning sets ``(..., k, 5, 5)``, giving ``(..., 5)``.
+
+    Every bivector must be simple, each set must span at least four
+    dimensions, and the wedge constraints b ^ w = 0 of a set must leave a
+    one-dimensional space of common directions.  Each result is Euclidean
+    unit length with its first significant component positive.
+    """
+    b = _stack(bivectors, (5, 5), "bivector sets")
+    if b.ndim < 3:
+        raise ShapeMismatch(f"expected bivector sets (..., k, 5, 5), got {b.shape}")
+    k = b.shape[-3]
+    if k == 0:
+        raise DimensionTooSmall("need a spanning set, got no bivectors")
+    raise_where(~is_simple_array(b, tol), NotSimple, "input bivector is not simple")
+
+    span_rank = matrix_rank(_vec_pairs(b), tol)
+    raise_where(np.asarray(span_rank) < 4, DimensionTooSmall, "bivectors span fewer than four dimensions")
+
+    sets = b.shape[:-3]
+    constraints = (b.reshape(sets + (k, 25)) @ _WEDGE_WITH_VECTOR).reshape(sets + (10 * k, 5))
+    _, sigma, vt = np.linalg.svd(constraints, full_matrices=False)
+    kernel_dim = 5 - singular_rank(sigma, tol)
+    raise_where(
+        kernel_dim != 1,
+        NotMaximalSpace,
+        "common-direction space has dimension {}, expected 1",
+        kernel_dim,
+    )
+    w = vt[..., -1, :]
+    significant = np.abs(w) > 1e-8 * np.max(np.abs(w), axis=-1)[..., None]
+    lead = np.take_along_axis(w, np.argmax(significant, axis=-1)[..., None], axis=-1)
+    return np.where(lead < 0.0, -w, w)
 
 
 def directional_vector(bivectors, tol: Tolerance = DEFAULT_TOL) -> FiveVector:
@@ -195,30 +270,22 @@ def directional_vector(bivectors, tol: Tolerance = DEFAULT_TOL) -> FiveVector:
     if not bivectors:
         raise DimensionTooSmall("need a spanning set, got no bivectors")
     basis_id = bivectors[0].basis_id
-    for b in bivectors:
-        if b.basis_id != basis_id:
-            raise BasisMismatch("bivectors expressed against different bases")
-        if not is_simple(b, tol):
-            raise NotSimple("input bivector is not simple")
-
-    span = np.array([_vec_pairs(b.matrix) for b in bivectors])
-    if matrix_rank(span, tol) < 4:
-        raise DimensionTooSmall("bivectors span fewer than four dimensions")
-
-    constraints = np.vstack([_wedge_with_vector_map(b.matrix) for b in bivectors])
-    kernel = null_space(constraints, tol)
-    if len(kernel) != 1:
-        raise NotMaximalSpace(
-            f"common-direction space has dimension {len(kernel)}, expected 1"
-        )
-    w = kernel[0]
-    wmax = np.max(np.abs(w))
-    for entry in w:
-        if abs(entry) > 1e-8 * wmax:
-            if entry < 0:
-                w = -w
-            break
+    if any(b.basis_id != basis_id for b in bivectors):
+        raise BasisMismatch("bivectors expressed against different bases")
+    w = directional_vector_array(np.array([b.matrix for b in bivectors]), tol)
     return FiveVector(w, basis_id=basis_id)
+
+
+def bivector_inner_array(b1, b2, h: MetricH) -> np.ndarray:
+    """Induced inner product of bivector arrays under the five-metric h.
+
+    ``b1`` and ``b2`` broadcast against each other over their leading axes;
+    the Gram matrix of a set ``w`` of shape ``(..., k, 5, 5)`` is
+    ``bivector_inner_array(w[..., :, None, :, :], w[..., None, :, :, :], h)``.
+    """
+    b1 = _stack(b1, (5, 5), "bivectors")
+    b2 = _stack(b2, (5, 5), "bivectors")
+    return 0.5 * np.sum((h.matrix.T @ b1 @ h.matrix) * b2, axis=(-2, -1))
 
 
 def bivector_inner(b1: Bivector5, b2: Bivector5, h: MetricH) -> float:
@@ -228,7 +295,7 @@ def bivector_inner(b1: Bivector5, b2: Bivector5, h: MetricH) -> float:
     h(u, v) h(w, w) - h(u, w) h(v, w), the metric that makes a maximal
     simple-bivector space behave as a spacetime of four-vectors.
     """
-    return 0.5 * float(np.einsum("ac,bd,ab,cd->", h.matrix, h.matrix, b1.matrix, b2.matrix))
+    return float(bivector_inner_array(b1.matrix, b2.matrix, h))
 
 
 class DirectionalClass(enum.Enum):
@@ -253,15 +320,42 @@ def classify_directional(w: FiveVector, h: MetricH, tol: Tolerance = DEFAULT_TOL
     return DirectionalClass.POSITIVE if norm > 0 else DirectionalClass.NEGATIVE
 
 
+def bivector_from_four_array(u, basis) -> np.ndarray:
+    """Wedges sum_mu u^mu e_mu ^ e_5 of four-vector arrays ``(..., 4)`` in a basis."""
+    u = _stack(u, (4,), "four-vectors")
+    cols = basis.matrix
+    return wedge_array(u @ cols[:, :4].T, cols[:, 4])
+
+
 def bivector_from_four(u: FourVector, basis) -> Bivector5:
     """Embed a four-vector into the wedge space of a standard basis."""
     if u.basis_id != basis.id:
         raise BasisMismatch(f"four-vector in {u.basis_id!r}, basis is {basis.id!r}")
+    return Bivector5(bivector_from_four_array(u.components, basis), basis_id=basis.reference_id)
+
+
+def four_from_bivector_array(b, basis, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Components ``(..., 4)`` of bivectors ``(..., 5, 5)`` against e_mu ^ e_5.
+
+    One least-squares solve covers the whole batch; a bivector whose
+    residual lies outside the span raises NotInMaximalSpace.
+    """
+    if not basis.is_standard(tol):
+        raise NotStandard("basis must be standard (fifth vector along the directional vector)")
+    b = _stack(b, (5, 5), "bivectors")
     cols = basis.matrix
-    b = np.zeros((5, 5))
-    for mu in range(4):
-        b += u.components[mu] * (np.outer(cols[:, mu], cols[:, 4]) - np.outer(cols[:, 4], cols[:, mu]))
-    return Bivector5(b, basis_id=basis.reference_id)
+    span = _vec_pairs(wedge_array(cols[:, :4].T, cols[:, 4]))  # (4, 10)
+    target = _vec_pairs(b)
+    coeffs, *_ = np.linalg.lstsq(span.T, target.reshape(-1, 10).T, rcond=None)
+    coeffs = coeffs.T.reshape(b.shape[:-2] + (4,))
+    residual = np.max(np.abs(coeffs @ span - target), axis=-1)
+    raise_where(
+        residual > tol.bound(np.max(np.abs(b), axis=(-2, -1))),
+        NotInMaximalSpace,
+        "residual {:.3e} outside the wedge span",
+        residual,
+    )
+    return coeffs
 
 
 def four_from_bivector(b: Bivector5, basis, tol: Tolerance = DEFAULT_TOL) -> FourVector:
@@ -269,18 +363,6 @@ def four_from_bivector(b: Bivector5, basis, tol: Tolerance = DEFAULT_TOL) -> Fou
 
     Raises NotInMaximalSpace when b has a residual outside that span.
     """
-    if not basis.is_standard(tol):
-        raise NotStandard("basis must be standard (fifth vector along the directional vector)")
     if b.basis_id != basis.reference_id:
         raise BasisMismatch(f"bivector in {b.basis_id!r}, basis columns in {basis.reference_id!r}")
-    cols = basis.matrix
-    stack = np.zeros((len(_PAIRS), 4))
-    for mu in range(4):
-        w = np.outer(cols[:, mu], cols[:, 4]) - np.outer(cols[:, 4], cols[:, mu])
-        stack[:, mu] = _vec_pairs(w)
-    target = _vec_pairs(b.matrix)
-    coeffs, *_ = np.linalg.lstsq(stack, target, rcond=None)
-    residual = max_norm(stack @ coeffs - target)
-    if residual > tol.bound(max_norm(b.matrix)):
-        raise NotInMaximalSpace(f"residual {residual:.3e} outside the wedge span")
-    return FourVector(coeffs, basis_id=basis.id)
+    return FourVector(four_from_bivector_array(b.matrix, basis, tol), basis_id=basis.id)

@@ -12,7 +12,9 @@ data given as simple bivectors: ``orthonormal_basis_for`` requires the
 input wedges to be orthonormal and returns an orthonormal five-basis,
 unique up to an overall sign; ``regular_basis_for`` accepts any
 independent spanning set and returns a basis whose fifth vector is unit
-and orthogonal to the other four.
+and orthogonal to the other four.  Both are one-element calls into
+``orthonormal_basis_for_array`` / ``regular_basis_for_array``, which build
+a whole stack of frames from wedge quadruples ``(..., 4, 5, 5)`` at once.
 """
 
 from __future__ import annotations
@@ -23,13 +25,15 @@ import numpy as np
 
 from .algebra import (
     ETA4,
-    Bivector5,
+    ETA5,
     MetricH,
     _vec_pairs,
-    bivector_inner,
-    directional_vector,
+    bivector_inner_array,
+    directional_vector_array,
+    wedge_array,
 )
 from .errors import (
+    BasisMismatch,
     DegenerateInducedMetric,
     DimensionTooSmall,
     NoCommonDirection,
@@ -37,9 +41,10 @@ from .errors import (
     NotOrthonormalInput,
     NotSimple,
     NotStandard,
+    ShapeMismatch,
     SingularBlock,
 )
-from .numerics import DEFAULT_TOL, Tolerance, as_array, invert, max_norm
+from .numerics import DEFAULT_TOL, Tolerance, as_array, invert, max_norm, raise_where
 
 
 @dataclass(frozen=True)
@@ -69,24 +74,38 @@ class Basis5:
         return self.matrix[:, label_to_slot(label)]
 
     def is_standard(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        # Fifth column proportional to the reference directional axis.
-        col = self.matrix[:, 4]
-        return max_norm(col[:4]) <= tol.bound(max_norm(col))
+        return bool(_standard_array(self.matrix, tol))
 
 
 REFERENCE_BASIS = Basis5(np.eye(5), id="reference")
 
 
+def _standard_array(cols: np.ndarray, tol: Tolerance) -> np.ndarray:
+    # Fifth column proportional to the reference directional axis.
+    col = np.abs(cols[..., :, 4])
+    return np.max(col[..., :4], axis=-1) <= tol.bound(np.max(col, axis=-1))
+
+
+def classify_basis_array(cols, h: MetricH, tol: Tolerance = DEFAULT_TOL) -> BasisFlags:
+    """Flags of basis matrices ``(..., 5, 5)`` under the five-metric h.
+
+    The fields of the returned BasisFlags are boolean arrays over the
+    leading axes.
+    """
+    cols = np.asarray(cols, dtype=float)
+    gram = np.swapaxes(cols, -1, -2) @ h.matrix @ cols
+    bound = tol.bound(np.max(np.abs(gram), axis=(-2, -1)))
+    regular = (np.abs(gram[..., 4, 4] - 1.0) <= bound) & (np.max(np.abs(gram[..., :4, 4]), axis=-1) <= bound)
+    orthonormal = np.max(np.abs(gram - ETA5), axis=(-2, -1)) <= bound
+    return BasisFlags(standard=_standard_array(cols, tol), regular=regular, orthonormal=orthonormal)
+
+
+def _single(flags: BasisFlags) -> BasisFlags:
+    return BasisFlags(*(bool(f) for f in (flags.standard, flags.regular, flags.orthonormal)))
+
+
 def classify_basis(basis: Basis5, h: MetricH, tol: Tolerance = DEFAULT_TOL) -> BasisFlags:
-    gram = basis.matrix.T @ h.matrix @ basis.matrix
-    scale = max_norm(gram)
-    regular = (
-        abs(gram[4, 4] - 1.0) <= tol.bound(scale)
-        and max_norm(gram[:4, 4]) <= tol.bound(scale)
-    )
-    eta = np.diag([1.0, -1.0, -1.0, -1.0, 1.0])
-    orthonormal = max_norm(gram - eta) <= tol.bound(scale)
-    return BasisFlags(standard=basis.is_standard(tol), regular=regular, orthonormal=orthonormal)
+    return _single(classify_basis_array(basis.matrix, h, tol))
 
 
 def with_flags(basis: Basis5, h: MetricH, tol: Tolerance = DEFAULT_TOL) -> Basis5:
@@ -230,16 +249,90 @@ def orientation_sign(basis: Basis5, orientation: OrientationTensor = Orientation
     return int(np.sign(det)) * orientation.sign
 
 
-def _wedge_map_for(w: np.ndarray) -> np.ndarray:
-    """Matrix of u -> components of u ^ w over the 10 independent pair slots."""
-    from .algebra import _PAIRS
+def _wedge_quadruples(wedges, error) -> np.ndarray:
+    w = np.asarray(wedges, dtype=float)
+    if w.ndim < 3 or w.shape[-2:] != (5, 5):
+        raise ShapeMismatch(f"expected wedge quadruples (..., 4, 5, 5), got {w.shape}")
+    if w.shape[-3] != 4:
+        raise error(f"need exactly four bivectors, got {w.shape[-3]}")
+    return w
 
-    rows = np.zeros((len(_PAIRS), 5))
-    for r, (i, j) in enumerate(_PAIRS):
-        # (u ^ w)^{ij} = u^i w^j - u^j w^i
-        rows[r, i] += w[j]
-        rows[r, j] -= w[i]
-    return rows
+
+def _induced_gram(w: np.ndarray, h: MetricH) -> np.ndarray:
+    return bivector_inner_array(w[..., :, None, :, :], w[..., None, :, :, :], h)
+
+
+def orthonormal_basis_for_array(
+    wedges,
+    h: MetricH,
+    tol: Tolerance = DEFAULT_TOL,
+    negate_direction: bool = False,
+) -> np.ndarray:
+    """Orthonormal frames ``(..., 5, 5)`` for wedge quadruples ``(..., 4, 5, 5)``.
+
+    Each quadruple must be orthonormal under the induced inner product,
+    share one common direction w of positive norm, and consist of wedges
+    u_mu ^ w; the frame columns are e_5 = w / sqrt(h(w, w)) and
+    e_mu = sqrt(h(w, w)) times u_mu made h-orthogonal to w.  Since the map
+    u -> u ^ w has Gram matrix |w|^2 I - w w^T, the least-squares solution
+    of u ^ w = b is u = b w / |w|^2 (the kernel direction w drops out of
+    e_mu anyway).
+    """
+    w_in = _wedge_quadruples(wedges, NotOrthonormalInput)
+    gram = _induced_gram(w_in, h)
+    raise_where(
+        np.max(np.abs(gram - ETA4), axis=(-2, -1))
+        > tol.bound(np.maximum(np.max(np.abs(gram), axis=(-2, -1)), 1.0)),
+        NotOrthonormalInput,
+        "induced inner products do not match diag(+ - - -)",
+    )
+
+    try:
+        w = directional_vector_array(w_in, tol)
+    except NotSimple as exc:
+        raise NotOrthonormalInput(str(exc)) from exc
+    except (NotMaximalSpace, DimensionTooSmall) as exc:
+        raise NoCommonDirection(str(exc)) from exc
+    if negate_direction:
+        w = -w
+
+    raw = (w_in @ w[..., None, :, None])[..., 0] / np.sum(w * w, axis=-1)[..., None, None]
+    residual = np.max(np.abs(_vec_pairs(wedge_array(raw, w[..., None, :]) - w_in)), axis=-1)
+    raise_where(
+        residual > tol.bound(np.max(np.abs(w_in), axis=(-2, -1))),
+        NoCommonDirection,
+        "input bivector is not a wedge with the common direction",
+    )
+
+    h55 = h.dot(w, w)
+    raise_where(h55 <= 0.0, NoCommonDirection, "common direction has non-positive norm")
+    root = np.sqrt(h55)[..., None]
+    mixed = h.dot(raw, w[..., None, :])
+    cols = np.empty(w.shape[:-1] + (5, 5))
+    cols[..., :, :4] = np.swapaxes(
+        root[..., None] * (raw - (mixed / h55[..., None])[..., None] * w[..., None, :]), -1, -2
+    )
+    cols[..., :, 4] = w / root
+
+    raise_where(
+        ~classify_basis_array(cols, h, tol).orthonormal,
+        NotOrthonormalInput,
+        "constructed basis failed the orthonormality check",
+    )
+    return cols
+
+
+def _wedge_matrices(wedges, error) -> list:
+    wedges = list(wedges)
+    if len(wedges) != 4:
+        raise error(f"need exactly four bivectors, got {len(wedges)}")
+    if any(b.basis_id != wedges[0].basis_id for b in wedges):
+        raise BasisMismatch("bivectors expressed against different bases")
+    return [b.matrix for b in wedges]
+
+
+def _flagged(cols: np.ndarray, basis_id: str, h: MetricH, tol: Tolerance) -> Basis5:
+    return Basis5(cols, id=basis_id, flags=_single(classify_basis_array(cols, h, tol)))
 
 
 def orthonormal_basis_for(
@@ -257,46 +350,58 @@ def orthonormal_basis_for(
     a deterministic sign rule on the extracted direction
     (``negate_direction`` selects the other representative).
     """
-    wedges = list(wedges)
-    if len(wedges) != 4:
-        raise NotOrthonormalInput(f"need exactly four bivectors, got {len(wedges)}")
-    gram = np.array([[bivector_inner(a, b, h) for b in wedges] for a in wedges])
-    if max_norm(gram - ETA4) > tol.bound(max(max_norm(gram), 1.0)):
-        raise NotOrthonormalInput("induced inner products do not match diag(+ - - -)")
+    matrices = _wedge_matrices(wedges, NotOrthonormalInput)
+    cols = orthonormal_basis_for_array(matrices, h, tol, negate_direction)
+    return _flagged(cols, "orthonormal", h, tol)
 
-    try:
-        w = directional_vector(wedges, tol).components
-    except NotSimple as exc:
-        raise NotOrthonormalInput(str(exc)) from exc
-    except (NotMaximalSpace, DimensionTooSmall) as exc:
-        raise NoCommonDirection(str(exc)) from exc
-    if negate_direction:
-        w = -w
 
-    wedge_map = _wedge_map_for(w)
-    raw = np.zeros((5, 4))
-    for mu, b in enumerate(wedges):
-        target = _vec_pairs(b.matrix)
-        sol, *_ = np.linalg.lstsq(wedge_map, target, rcond=None)
-        if max_norm(wedge_map @ sol - target) > tol.bound(max_norm(b.matrix)):
-            raise NoCommonDirection("input bivector is not a wedge with the common direction")
-        raw[:, mu] = sol
+def regular_basis_for_array(
+    wedges,
+    h: MetricH,
+    tol: Tolerance = DEFAULT_TOL,
+    negate_direction: bool = False,
+) -> np.ndarray:
+    """Regular frames ``(..., 5, 5)`` for wedge quadruples ``(..., 4, 5, 5)``.
 
-    h55 = h.dot(w, w)
-    if h55 <= 0.0:
-        raise NoCommonDirection("common direction has non-positive norm")
-    root = np.sqrt(h55)
-    cols = np.zeros((5, 5))
-    for mu in range(4):
-        mixed = h.dot(raw[:, mu], w)
-        cols[:, mu] = root * (raw[:, mu] - (mixed / h55) * w)
-    cols[:, 4] = w / root
+    Each induced Gram matrix must be nondegenerate with spacetime
+    signature.  It is diagonalized as lam^T gram lam = diag(+ - - -) with
+    lam = V |D|^-1/2 (positive eigenvalue first), the rotated wedges are
+    lifted with ``orthonormal_basis_for_array``, and the four-space part is
+    mapped back with lam^-1 = |D|^1/2 V^T.  The degeneracy check bounds the
+    condition number of lam by tol.rel^-1/2, so the inverse needs no check.
+    """
+    w_in = _wedge_quadruples(wedges, DegenerateInducedMetric)
+    gram = _induced_gram(w_in, h)
+    eigs, vecs = np.linalg.eigh(gram)
+    size = np.abs(eigs)
+    raise_where(
+        np.min(size, axis=-1) <= tol.rel * np.max(size, axis=-1),
+        DegenerateInducedMetric,
+        "induced metric is numerically degenerate",
+    )
+    raise_where(
+        (np.sum(eigs > 0, axis=-1) != 1) | (np.sum(eigs < 0, axis=-1) != 3),
+        DegenerateInducedMetric,
+        "induced metric must have signature (+ - - -)",
+    )
 
-    basis = Basis5(cols, id="orthonormal")
-    flags = classify_basis(basis, h, tol)
-    if not flags.orthonormal:
-        raise NotOrthonormalInput("constructed basis failed the orthonormality check")
-    return Basis5(cols, id="orthonormal", flags=flags)
+    # Columns ordered positive first so the diagonalized gram is diag(+ - - -).
+    order = np.argsort(-eigs, axis=-1)
+    vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
+    root = np.sqrt(np.take_along_axis(size, order, axis=-1))
+    lam = vecs / root[..., None, :]
+    lam_inv = root[..., :, None] * np.swapaxes(vecs, -1, -2)
+
+    rotated = (np.swapaxes(lam, -1, -2) @ w_in.reshape(w_in.shape[:-2] + (25,))).reshape(w_in.shape)
+    cols = orthonormal_basis_for_array(rotated, h, tol, negate_direction=negate_direction)
+    cols[..., :, :4] = cols[..., :, :4] @ lam_inv
+
+    raise_where(
+        ~classify_basis_array(cols, h, tol).regular,
+        DegenerateInducedMetric,
+        "constructed basis failed the regularity check",
+    )
+    return cols
 
 
 def regular_basis_for(
@@ -309,40 +414,11 @@ def regular_basis_for(
 
     The induced inner product of the inputs may be any metric of spacetime
     signature (one positive, three negative directions); it is diagonalized
-    to orthonormal combinations, those are lifted with
-    ``orthonormal_basis_for``, and the four-space part is mapped back.  The
-    result keeps e_mu ^ e_5 = input_mu with a unit fifth vector orthogonal
-    to the first four.
+    to orthonormal combinations, those are lifted to an orthonormal frame,
+    and the four-space part is mapped back.  The result keeps
+    e_mu ^ e_5 = input_mu with a unit fifth vector orthogonal to the first
+    four.
     """
-    wedges = list(wedges)
-    if len(wedges) != 4:
-        raise DegenerateInducedMetric(f"need exactly four bivectors, got {len(wedges)}")
-    gram = np.array([[bivector_inner(a, b, h) for b in wedges] for a in wedges])
-    eigs, vecs = np.linalg.eigh(gram)
-    if np.min(np.abs(eigs)) <= tol.rel * np.max(np.abs(eigs)):
-        raise DegenerateInducedMetric("induced metric is numerically degenerate")
-    if int(np.sum(eigs > 0)) != 1 or int(np.sum(eigs < 0)) != 3:
-        raise DegenerateInducedMetric("induced metric must have signature (+ - - -)")
-
-    # Columns ordered positive first so the diagonalized gram is diag(+ - - -).
-    order = list(np.argsort(-eigs))
-    lam = np.zeros((4, 4))
-    for new, old in enumerate(order):
-        lam[:, new] = vecs[:, old] / np.sqrt(abs(eigs[old]))
-
-    rotated = []
-    for alpha in range(4):
-        combo = sum(lam[beta, alpha] * wedges[beta].matrix for beta in range(4))
-        rotated.append(Bivector5(combo, basis_id=wedges[0].basis_id))
-
-    ortho = orthonormal_basis_for(rotated, h, tol, negate_direction=negate_direction)
-    lam_inv = invert(lam, tol)
-    cols = np.zeros((5, 5))
-    cols[:, :4] = ortho.matrix[:, :4] @ lam_inv
-    cols[:, 4] = ortho.matrix[:, 4]
-
-    basis = Basis5(cols, id="regular")
-    flags = classify_basis(basis, h, tol)
-    if not flags.regular:
-        raise DegenerateInducedMetric("constructed basis failed the regularity check")
-    return Basis5(cols, id="regular", flags=flags)
+    matrices = _wedge_matrices(wedges, DegenerateInducedMetric)
+    cols = regular_basis_for_array(matrices, h, tol, negate_direction)
+    return _flagged(cols, "regular", h, tol)

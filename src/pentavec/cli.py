@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .algebra import Bivector5, FiveForm, FiveVector, FourVector, MetricH
+from .algebra import ETA5, Bivector5, FiveForm, FiveVector, FourVector, MetricH
 from .bases import REFERENCE_BASIS, classify_basis, orthonormal_basis_for, regular_basis_for
 from .errors import KindMismatch, PentavecError
 from .fileio import Record, read_record, transform_from_payload, write_record
@@ -49,7 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--scheme", choices=tuple(SCHEMES), default="central2")
     verify.add_argument("--basis", choices=("O", "P"), default=None, help="restrict frame checks")
     verify.add_argument("--format", choices=("human", "machine"), default="human")
-    verify.add_argument("--jobs", type=int, default=1, help="suites to run concurrently")
 
     transform = sub.add_parser("transform", help="apply a stored transformation to a stored object")
     transform.add_argument("input")
@@ -83,7 +82,7 @@ def _cmd_verify(args) -> int:
         scheme=args.scheme,
         basis=args.basis,
     )
-    reports = run_suites(names, options, jobs=max(1, args.jobs))
+    reports = run_suites(names, options)
     failed = False
     for report in reports:
         if args.format == "machine":
@@ -208,7 +207,7 @@ def _cmd_basis(args) -> int:
         wedge_resid = max(wedge_resid, max_norm(recon.matrix - wedges[mu].matrix))
     gram = basis.matrix.T @ h.matrix @ basis.matrix
     if args.mode == "orthonormal":
-        gram_resid = max_norm(gram - np.diag([1.0, -1.0, -1.0, -1.0, 1.0]))
+        gram_resid = max_norm(gram - ETA5)
     else:
         gram_resid = max(abs(gram[4, 4] - 1.0), float(np.max(np.abs(gram[:4, 4]))))
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ETA4, DirectionalClass, FiveVector, MetricH, classify_directional
+from .algebra import ETA4, ETA5, DirectionalClass, FiveVector, MetricH, classify_directional
 from .bases import BasisChange
 from .errors import GridMismatch, GridTooCoarse, NotDirectional, ShapeMismatch
 from .grids import FieldOnGrid, Grid, grid_gradient, scheme_width, truncation_estimate
@@ -118,7 +118,7 @@ def parallel_frame_metric(x, kappa: float) -> np.ndarray:
     kappa^2 x_alpha x_beta and the mixed entries are kappa x_alpha.
     """
     x_low = kappa * lower_four(as_array(x, shape=(4,)))
-    h = np.array(np.diag([1.0, -1.0, -1.0, -1.0, 1.0]))
+    h = np.array(ETA5)
     h[:4, :4] += np.outer(x_low, x_low)
     h[:4, 4] = x_low
     h[4, :4] = x_low
@@ -145,10 +145,19 @@ def transform_connection(g: ConnectionCoeffs, change: BasisChange, lam) -> Conne
     contracts the derivative index.
     """
     lam = as_array(lam, shape=(4, 4))
-    l = change.matrix
-    linv = invert(l)
-    out = np.einsum("ac,cdn,db,nm->abm", linv, g.values, l, lam)
-    return ConnectionCoeffs(out)
+    return ConnectionCoeffs(_transformed(g.values, change.matrix, invert(change.matrix), lam))
+
+
+def _transformed(g: np.ndarray, change: np.ndarray, linv: np.ndarray, lam: np.ndarray, dl=None):
+    """G' = L^-1 [(G Lambda) L + (dL) Lambda] over the leading axes of L.
+
+    Contracted pairwise: the derivative index first, then L on the right,
+    then L^-1 on the left as one matrix product over the (B, m) columns.
+    """
+    inner = np.einsum("cdm,...db->...cbm", g @ lam, change)
+    if dl is not None:
+        inner += dl @ lam
+    return (linv @ inner.reshape(inner.shape[:-3] + (5, 20))).reshape(inner.shape)
 
 
 def transform_connection_field(
@@ -177,11 +186,8 @@ def transform_connection_field(
         est = truncation_estimate(change_field, grid, scheme)
         if est > truncation_tol:
             raise GridTooCoarse(f"estimated truncation {est:.3e} exceeds {truncation_tol:.3e}")
-    linv = np.linalg.inv(change_field)
     dl = grid_gradient(change_field, grid, scheme)  # (..., C, B, nu)
-    conjugated = np.einsum("...ac,cdn,...db,nm->...abm", linv, g.values, change_field, lam)
-    inhomogeneous = np.einsum("...ac,...cbn,nm->...abm", linv, dl, lam)
-    return conjugated + inhomogeneous
+    return _transformed(g.values, change_field, np.linalg.inv(change_field), lam, dl)
 
 
 def transport(components, from_x, to_x, frame: str, kappa: float) -> np.ndarray:

@@ -104,18 +104,6 @@ def write_record(path, record: Record) -> None:
         fh.write(emit_record(record))
 
 
-def _parse_floats(pairs, what, count, start_line):
-    if len(pairs) != count:
-        raise ParseError(f"{what} needs {count} values, got {len(pairs)}", line=start_line)
-    out = []
-    for (line_no, col, token) in pairs:
-        try:
-            out.append(float(token))
-        except ValueError:
-            raise ParseError(f"bad number {token!r} in {what}", line=line_no, column=col) from None
-    return out
-
-
 def parse_record(text: str) -> Record:
     lines = text.splitlines()
     if not lines or lines[0].strip() != MAGIC:

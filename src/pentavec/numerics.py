@@ -43,6 +43,23 @@ def as_array(a, shape=None, dtype=float) -> np.ndarray:
     return out
 
 
+def raise_where(bad, error, message: str, *values) -> None:
+    """Raise ``error`` when any entry of the boolean array ``bad`` is set.
+
+    Array kernels check a whole batch at once and report the first failing
+    element: ``message`` is formatted with each of ``values`` taken at that
+    element, and when ``bad`` has axes the element's index is appended.
+    """
+    bad = np.asarray(bad)
+    if not bad.any():
+        return
+    index = tuple(int(i) for i in np.argwhere(bad)[0])
+    text = message.format(*(np.asarray(v)[index] for v in values))
+    if index:
+        text += f" (element {index[0] if len(index) == 1 else index})"
+    raise error(text)
+
+
 def max_norm(a) -> float:
     a = np.asarray(a)
     if a.size == 0:
@@ -74,6 +91,19 @@ def invert(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return np.linalg.inv(m)
 
 
+def singular_rank(sigma, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Count of singular values above tol.rel * sigma_max, over leading axes.
+
+    ``sigma`` holds descending singular values on its last axis, as
+    ``np.linalg.svd`` returns them; this is the one rank threshold shared by
+    ``null_space``, ``matrix_rank`` and the array kernels.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape[-1] == 0:
+        return np.zeros(sigma.shape[:-1], dtype=int)
+    return np.sum(sigma > tol.rel * sigma[..., :1], axis=-1)
+
+
 def null_space(m, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     """Orthonormal basis of the numerical kernel of ``m``.
 
@@ -85,20 +115,13 @@ def null_space(m, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     if m.ndim != 2:
         raise ShapeMismatch(f"expected a matrix, got shape {m.shape}")
     _, sigma, vt = np.linalg.svd(m)
-    ncols = m.shape[1]
-    smax = sigma[0] if sigma.size else 0.0
-    kept = []
-    for i in range(ncols):
-        s = sigma[i] if i < sigma.size else 0.0
-        if s <= tol.rel * smax:
-            kept.append(vt[i].copy())
-    return kept
+    return [vt[i].copy() for i in range(int(singular_rank(sigma, tol)), m.shape[1])]
 
 
-def matrix_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Numerical rank with the same relative threshold as null_space."""
-    m = np.asarray(m, dtype=float)
-    sigma = np.linalg.svd(m, compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    return int(np.sum(sigma > tol.rel * sigma[0]))
+def matrix_rank(m, tol: Tolerance = DEFAULT_TOL):
+    """Numerical rank with the same relative threshold as null_space.
+
+    A stack of matrices ``(..., rows, cols)`` gives an array of ranks.
+    """
+    rank = singular_rank(np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False), tol)
+    return int(rank) if rank.ndim == 0 else rank

@@ -69,11 +69,12 @@ def assemble_moment_field(theta: np.ndarray, sigma: np.ndarray, grid: Grid) -> F
         raise NotAntisymmetric("spin current must be antisymmetric in its lower indices")
 
     x_low = _lowered_coords(grid)
-    orbital = np.einsum("...a,...mb->...mab", x_low, theta) - np.einsum(
-        "...b,...ma->...mab", x_low, theta
-    )
     values = np.zeros(grid.shape + (4, 5, 5))
-    values[..., :4, :4] = orbital + sigma
+    four = values[..., :4, :4]
+    # orbital x_alpha Theta^mu_beta - x_beta Theta^mu_alpha from one outer product
+    outer = x_low[..., None, :, None] * theta[..., :, None, :]
+    np.subtract(outer, np.swapaxes(outer, -1, -2), out=four)
+    four += sigma
     values[..., 4, :4] = theta
     values[..., :4, 4] = -theta
     return FieldOnGrid(grid=grid, values=values, basis="P")
@@ -99,12 +100,16 @@ def _convert(m: FieldOnGrid, kappa: float, src: str, dst: str) -> FieldOnGrid:
         raise BasisMismatch(f"expected a {src}-frame current, got {m.basis!r}")
     if m.values.shape[4:] != (4, 5, 5):
         raise GridMismatch(f"expected current samples (4, 5, 5), got {m.values.shape[4:]}")
-    x_low = _lowered_coords(m.grid)
-    sign = -1.0 if dst == "O" else 1.0
-    change = np.zeros(m.grid.shape + (5, 5))
-    change[...] = np.eye(5)
-    change[..., 4, :4] = sign * _frame_factor(kappa) * x_low
-    out = np.einsum("...mcd,...ce,...df->...mef", m.values, change, change)
+    # The change C is the identity plus the bottom row s x_alpha, so C^T M C
+    # is M with s x_f M^mu_(C 5) added to each four-space column f, then
+    # s x_e times the updated fifth row added to each four-space row e;
+    # both steps run in place on the copy, with no full-size temporaries.
+    shift = (-1.0 if dst == "O" else 1.0) * _frame_factor(kappa) * _lowered_coords(m.grid)
+    out = m.values.copy()
+    for f in range(4):
+        out[..., f] += shift[..., None, None, f] * out[..., 4]
+    for e in range(4):
+        out[..., e, :] += shift[..., None, None, e] * out[..., 4, :]
     return FieldOnGrid(grid=m.grid, values=out, basis=dst, boundary_width=m.boundary_width)
 
 
@@ -169,16 +174,18 @@ def conservation_report(m: FieldOnGrid, kappa: float = 1.0, scheme: str = "centr
     if m.values.shape[4:] != (4, 5, 5):
         raise GridMismatch(f"expected current samples (4, 5, 5), got {m.values.shape[4:]}")
 
+    # Unit transport factor in the O frame: the frame normalization that
+    # makes the current's blocks chart-tensors absorbs kappa.
+    corrected = m.basis == "O" and kappa != 0.0
+    g = flat_coefficients(1.0).values
     div = np.zeros(m.grid.shape + (5, 5))
     for mu in range(4):
-        div += partial_derivative(m.values[..., mu, :, :], m.grid, mu, scheme)
-
-    if m.basis == "O" and kappa != 0.0:
-        # Unit transport factor: the frame normalization that makes the
-        # current's blocks chart-tensors absorbs kappa.
-        g = flat_coefficients(1.0).values
-        div -= np.einsum("cam,...mcb->...ab", g, m.values)
-        div -= np.einsum("cbm,...mac->...ab", g, m.values)
+        block = m.values[..., mu, :, :]
+        div += partial_derivative(block, m.grid, mu, scheme)
+        if corrected:
+            # - G^C_(A mu) M^mu_(C B) - G^C_(B mu) M^mu_(A C)
+            div -= g[:, :, mu].T @ block
+            div -= block @ g[:, :, mu]
 
     sel = m.grid.interior(scheme_width(scheme))
     interior = div[sel]

@@ -13,19 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import algebra, bases, clifford, connection, poincare, stress_energy
-from .algebra import (
-    ETA4,
-    ETA5,
-    Bivector5,
-    DirectionalClass,
-    FiveForm,
-    FiveVector,
-    FourVector,
-    MetricH,
-)
+from .algebra import ETA4, ETA5, DirectionalClass, FiveForm, FiveVector, MetricH
 from .bases import REFERENCE_BASIS, BasisChange
 from .errors import NotMaximalSpace, NotO32, PentavecError
 from .grids import FieldOnGrid, Grid
@@ -73,12 +63,16 @@ class SuiteOptions:
 
 def random_lorentz(rng, scale: float = 0.35) -> np.ndarray:
     """Random proper Lorentz matrix from an antisymmetric generator."""
+    from scipy.linalg import expm  # only the suites' random elements need scipy
+
     a = rng.normal(0.0, scale, (4, 4))
     return expm(ETA4 @ (a - a.T))
 
 
 def random_metric_preserving5(rng, scale: float = 0.3) -> np.ndarray:
     """Random five-metric-preserving matrix, same construction one size up."""
+    from scipy.linalg import expm
+
     a = rng.normal(0.0, scale, (5, 5))
     return expm(ETA5 @ (a - a.T))
 
@@ -98,6 +92,11 @@ def _indicator(ok: bool) -> float:
     return 0.0 if ok else 1.0
 
 
+def _relative(a, b) -> float:
+    """Max-norm distance of a and b relative to max(||a||, ||b||, 1)."""
+    return max_norm(np.asarray(a) - np.asarray(b)) / max(max_norm(a), max_norm(b), 1.0)
+
+
 # ---------------------------------------------------------------- algebra
 
 def algebra_suite(options: SuiteOptions) -> SuiteReport:
@@ -105,45 +104,30 @@ def algebra_suite(options: SuiteOptions) -> SuiteReport:
     h = MetricH.reference()
     checks = []
 
-    worst = 0.0
-    for _ in range(200):
-        u = FiveVector(rng.normal(size=5))
-        v = FiveVector(rng.normal(size=5))
-        b = algebra.wedge(u, v)
-        worst = max(worst, max_norm(b.matrix + b.matrix.T))
-    checks.append(CheckResult("wedge-antisymmetry", worst, options.gate(1e-15)))
+    pairs = rng.normal(size=(200, 2, 5))
+    b = algebra.wedge_array(pairs[:, 0], pairs[:, 1])
+    checks.append(CheckResult("wedge-antisymmetry", max_norm(b + np.swapaxes(b, -1, -2)), options.gate(1e-15)))
 
-    worst = 0.0
-    for _ in range(500):
-        u = FiveVector(rng.normal(size=5))
-        v = FiveVector(rng.normal(size=5))
-        b = algebra.wedge(u, v)
-        scale = max(max_norm(b.matrix) ** 2, 1e-300)
-        worst = max(worst, max_norm(algebra._wedge_square_dual(b.matrix)) / scale)
+    pairs = rng.normal(size=(500, 2, 5))
+    b = algebra.wedge_array(pairs[:, 0], pairs[:, 1])
+    scale = np.maximum(np.max(np.abs(b), axis=(-2, -1)) ** 2, 1e-300)
+    worst = float(np.max(np.max(np.abs(algebra._wedge_square_dual(b)), axis=-1) / scale))
     checks.append(CheckResult("wedge-square-vanishes", worst, options.gate(1e-12)))
 
-    bad = 0.0
-    for _ in range(200):
-        vecs = rng.normal(size=(4, 5))
-        b = Bivector5(
-            algebra.wedge(FiveVector(vecs[0]), FiveVector(vecs[1])).matrix
-            + algebra.wedge(FiveVector(vecs[2]), FiveVector(vecs[3])).matrix
-        )
-        dependent = np.linalg.matrix_rank(vecs) < 4
-        if algebra.is_simple(b) != dependent:
-            bad = 1.0
+    vecs = rng.normal(size=(200, 4, 5))
+    b = algebra.wedge_array(vecs[:, 0], vecs[:, 1]) + algebra.wedge_array(vecs[:, 2], vecs[:, 3])
+    dependent = np.linalg.matrix_rank(vecs) < 4
+    bad = _indicator(np.array_equal(algebra.is_simple_array(b), dependent))
     checks.append(CheckResult("simplicity-matches-rank", bad, 0.0))
 
-    worst = 0.0
-    for _ in range(1000):
-        a = random_invertible(rng, 5)
-        cols = [FiveVector(a[:, i]) for i in range(5)]
-        wedges = [algebra.wedge(cols[mu], cols[4]) for mu in range(4)]
-        found = algebra.directional_vector(wedges).components
-        target = a[:, 4]
-        cos = abs(found @ target) / (np.linalg.norm(found) * np.linalg.norm(target))
-        worst = max(worst, 1.0 - cos)
-    checks.append(CheckResult("direction-recovery", worst, options.gate(1e-9)))
+    a = np.array([random_invertible(rng, 5) for _ in range(1000)])
+    wedges = algebra.wedge_array(np.swapaxes(a[:, :, :4], 1, 2), a[:, None, :, 4])
+    found = algebra.directional_vector_array(wedges)
+    target = a[:, :, 4]
+    cos = np.abs(np.sum(found * target, axis=-1)) / (
+        np.linalg.norm(found, axis=-1) * np.linalg.norm(target, axis=-1)
+    )
+    checks.append(CheckResult("direction-recovery", float(np.max(1.0 - cos)), options.gate(1e-9)))
 
     e = np.eye(5)
     crossed = [
@@ -159,30 +143,19 @@ def algebra_suite(options: SuiteOptions) -> SuiteReport:
         rejected = True
     checks.append(CheckResult("non-maximal-rejected", _indicator(rejected), 0.0))
 
-    ref_wedges = [algebra.wedge(FiveVector(e[:, mu]), FiveVector(e[:, 4])) for mu in range(4)]
-    gram = np.array([[algebra.bivector_inner(a_, b_, h) for b_ in ref_wedges] for a_ in ref_wedges])
+    ref_wedges = algebra.wedge_array(e[:4], e[4])
+    gram = algebra.bivector_inner_array(ref_wedges[:, None], ref_wedges[None, :], h)
     checks.append(CheckResult("induced-metric-orthonormal", max_norm(gram - ETA4), options.gate(1e-12)))
 
     h_flip = MetricH(np.diag([1.0, 1.0, -1.0, -1.0, -1.0]))
-    gram_flip = np.array(
-        [[algebra.bivector_inner(a_, b_, h_flip) for b_ in ref_wedges] for a_ in ref_wedges]
-    )
+    gram_flip = algebra.bivector_inner_array(ref_wedges[:, None], ref_wedges[None, :], h_flip)
     expected = np.diag([-1.0, -1.0, 1.0, 1.0])
     checks.append(CheckResult("induced-metric-flipped-fifth", max_norm(gram_flip - expected), options.gate(1e-12)))
 
-    worst = 0.0
-    for _ in range(200):
-        u = rng.normal(size=5)
-        v = rng.normal(size=5)
-        w = rng.normal(size=5)
-        lhs = algebra.bivector_inner(
-            algebra.wedge(FiveVector(u), FiveVector(w)),
-            algebra.wedge(FiveVector(v), FiveVector(w)),
-            h,
-        )
-        rhs = h.dot(u, v) * h.dot(w, w) - h.dot(u, w) * h.dot(v, w)
-        worst = max(worst, abs(lhs - rhs))
-    checks.append(CheckResult("induced-metric-closed-form", worst, options.gate(1e-9)))
+    u, v, w = np.moveaxis(rng.normal(size=(200, 3, 5)), 1, 0)
+    lhs = algebra.bivector_inner_array(algebra.wedge_array(u, w), algebra.wedge_array(v, w), h)
+    rhs = h.dot(u, v) * h.dot(w, w) - h.dot(u, w) * h.dot(v, w)
+    checks.append(CheckResult("induced-metric-closed-form", max_norm(lhs - rhs), options.gate(1e-9)))
 
     ok = (
         algebra.classify_directional(FiveVector(e[:, 4]), h) is DirectionalClass.POSITIVE
@@ -191,13 +164,10 @@ def algebra_suite(options: SuiteOptions) -> SuiteReport:
     )
     checks.append(CheckResult("direction-classification", _indicator(ok), 0.0))
 
-    worst = 0.0
-    for _ in range(200):
-        u4 = FourVector(rng.normal(size=4), basis_id="reference")
-        b = algebra.bivector_from_four(u4, REFERENCE_BASIS)
-        back = algebra.four_from_bivector(b, REFERENCE_BASIS)
-        worst = max(worst, max_norm(back.components - u4.components))
-    checks.append(CheckResult("four-embedding-roundtrip", worst, options.gate(1e-12)))
+    u4 = rng.normal(size=(200, 4))
+    b = algebra.bivector_from_four_array(u4, REFERENCE_BASIS)
+    back = algebra.four_from_bivector_array(b, REFERENCE_BASIS)
+    checks.append(CheckResult("four-embedding-roundtrip", max_norm(back - u4), options.gate(1e-12)))
 
     return SuiteReport("algebra", tuple(checks))
 
@@ -214,16 +184,17 @@ def _random_standard_change(rng) -> BasisChange:
     return BasisChange(m)
 
 
-def _conjugated_wedges(rng, mix: np.ndarray):
-    """Wedges of a transformed felt basis: columns mixed by ``mix`` then
-    mapped through a random five-metric-preserving matrix."""
-    a5 = random_metric_preserving5(rng)
-    cols = a5 @ np.eye(5)
-    out = []
-    for alpha in range(4):
-        vec = sum(mix[beta, alpha] * cols[:, beta] for beta in range(4))
-        out.append(algebra.wedge(FiveVector(vec), FiveVector(cols[:, 4])))
-    return out
+def _conjugated_wedges(rng, mix: np.ndarray) -> np.ndarray:
+    """Wedges (4, 5, 5) of a transformed felt basis: columns mixed by ``mix``
+    then mapped through a random five-metric-preserving matrix."""
+    cols = random_metric_preserving5(rng)
+    return algebra.wedge_array((cols[:, :4] @ mix).T, cols[:, 4])
+
+
+def _frame_residual(cols: np.ndarray, wedges: np.ndarray) -> np.ndarray:
+    """Per-frame max deviation of e_mu ^ e_5 from the input wedges."""
+    recon = algebra.wedge_array(np.swapaxes(cols[..., :, :4], -1, -2), cols[..., None, :, 4])
+    return np.max(np.abs(recon - wedges), axis=(-3, -2, -1))
 
 
 def bases_suite(options: SuiteOptions) -> SuiteReport:
@@ -242,18 +213,12 @@ def bases_suite(options: SuiteOptions) -> SuiteReport:
             ok = False
     checks.append(CheckResult("standard-criterion", _indicator(ok), 0.0))
 
-    worst = 0.0
-    for _ in range(500):
-        l = _random_standard_change(rng)
-        lam = bases.induced_four_map(l)
-        changed = bases.apply_change(REFERENCE_BASIS, l)
-        for mu in range(4):
-            b = algebra.wedge(
-                FiveVector(changed.matrix[:, mu]), FiveVector(changed.matrix[:, 4])
-            )
-            coeffs = algebra.four_from_bivector(b, REFERENCE_BASIS)
-            worst = max(worst, max_norm(coeffs.components - lam[:, mu]))
-    checks.append(CheckResult("induced-map-vs-wedges", worst, options.gate(1e-9)))
+    changes = [_random_standard_change(rng) for _ in range(500)]
+    lam = np.array([bases.induced_four_map(l) for l in changes])
+    changed = np.array([bases.apply_change(REFERENCE_BASIS, l).matrix for l in changes])
+    b = algebra.wedge_array(np.swapaxes(changed[:, :, :4], 1, 2), changed[:, None, :, 4])
+    coeffs = algebra.four_from_bivector_array(b, REFERENCE_BASIS)
+    checks.append(CheckResult("induced-map-vs-wedges", max_norm(coeffs - np.swapaxes(lam, 1, 2)), options.gate(1e-9)))
 
     worst = 0.0
     for _ in range(500):
@@ -279,44 +244,33 @@ def bases_suite(options: SuiteOptions) -> SuiteReport:
     )
     checks.append(CheckResult("upm-block-actions", resid, options.gate(1e-13)))
 
-    worst = 0.0
-    for _ in range(500):
-        wedges = _conjugated_wedges(rng, random_lorentz(rng))
-        basis = bases.orthonormal_basis_for(wedges, h)
-        gram = basis.matrix.T @ h.matrix @ basis.matrix
-        worst = max(worst, max_norm(gram - ETA5))
-        for mu in range(4):
-            recon = algebra.wedge(FiveVector(basis.matrix[:, mu]), FiveVector(basis.matrix[:, 4]))
-            worst = max(worst, max_norm(recon.matrix - wedges[mu].matrix))
+    wedges = np.array([_conjugated_wedges(rng, random_lorentz(rng)) for _ in range(500)])
+    cols = bases.orthonormal_basis_for_array(wedges, h)
+    gram = np.swapaxes(cols, 1, 2) @ h.matrix @ cols
+    worst = max(max_norm(gram - ETA5), max_norm(_frame_residual(cols, wedges)))
     checks.append(CheckResult("orthonormal-construction", worst, options.gate(1e-9)))
 
-    worst = 0.0
-    for _ in range(500):
-        wedges = _conjugated_wedges(rng, random_invertible(rng, 4, cond_cap=20.0))
-        basis = bases.regular_basis_for(wedges, h)
-        gram = basis.matrix.T @ h.matrix @ basis.matrix
-        worst = max(worst, abs(gram[4, 4] - 1.0))
-        worst = max(worst, max_norm(gram[:4, 4]))
-        for mu in range(4):
-            recon = algebra.wedge(FiveVector(basis.matrix[:, mu]), FiveVector(basis.matrix[:, 4]))
-            worst = max(worst, max_norm(recon.matrix - wedges[mu].matrix))
+    wedges = np.array(
+        [_conjugated_wedges(rng, random_invertible(rng, 4, cond_cap=20.0)) for _ in range(500)]
+    )
+    cols = bases.regular_basis_for_array(wedges, h)
+    gram = np.swapaxes(cols, 1, 2) @ h.matrix @ cols
+    worst = max(
+        max_norm(gram[:, 4, 4] - 1.0), max_norm(gram[:, :4, 4]), max_norm(_frame_residual(cols, wedges))
+    )
     checks.append(CheckResult("regular-construction", worst, options.gate(1e-9)))
 
-    worst = 0.0
-    for _ in range(50):
-        wedges = _conjugated_wedges(rng, random_lorentz(rng))
-        plus = bases.orthonormal_basis_for(wedges, h)
-        minus = bases.orthonormal_basis_for(wedges, h, negate_direction=True)
-        worst = max(worst, max_norm(plus.matrix + minus.matrix))
-    checks.append(CheckResult("construction-sign-pair", worst, options.gate(1e-9)))
+    wedges = np.array([_conjugated_wedges(rng, random_lorentz(rng)) for _ in range(50)])
+    plus = bases.orthonormal_basis_for_array(wedges, h)
+    minus = bases.orthonormal_basis_for_array(wedges, h, negate_direction=True)
+    checks.append(CheckResult("construction-sign-pair", max_norm(plus + minus), options.gate(1e-9)))
 
-    worst = 0.0
-    for _ in range(50):
-        wedges = _conjugated_wedges(rng, random_lorentz(rng))
-        via_regular = bases.regular_basis_for(wedges, h)
-        direct = bases.orthonormal_basis_for(wedges, h)
-        worst = max(worst, max_norm(via_regular.matrix - direct.matrix))
-    checks.append(CheckResult("regular-reduces-to-orthonormal", worst, options.gate(1e-9)))
+    wedges = np.array([_conjugated_wedges(rng, random_lorentz(rng)) for _ in range(50)])
+    via_regular = bases.regular_basis_for_array(wedges, h)
+    direct = bases.orthonormal_basis_for_array(wedges, h)
+    checks.append(
+        CheckResult("regular-reduces-to-orthonormal", max_norm(via_regular - direct), options.gate(1e-9))
+    )
 
     flipped = np.eye(5)
     flipped[:, [0, 1]] = flipped[:, [1, 0]]
@@ -490,27 +444,25 @@ def connection_suite(options: SuiteOptions) -> SuiteReport:
     order = math.log2(orders[0] / orders[1])
     checks.append(CheckResult("transform-convergence-order", order, 1.9, mode="at-least"))
 
-    worst = 0.0
-    for _ in range(100):
-        x0 = rng.normal(size=4)
-        x1 = rng.normal(size=4)
-        v = rng.normal(size=5)
-        moved = connection.transport(v, x0, x1, "O", kappa)
-        steps = 256
-        u = v.copy()
-        delta = (x1 - x0) / steps
-        gv = flat.values
+    # Reference: RK4 of du/dt = -G(u, dx) along each straight path, all
+    # samples advanced together as one (100, 5) state.
+    draws = [(rng.normal(size=4), rng.normal(size=4), rng.normal(size=5)) for _ in range(100)]
+    x0, x1, v = (np.array(d) for d in zip(*draws))
+    moved = np.array([connection.transport(vec, a, b, "O", kappa) for a, b, vec in draws])
+    steps = 256
+    rate_matrix = -(flat.values @ ((x1 - x0) / steps)[:, None, :, None])[..., 0]  # (100, A, B)
 
-        def rate(vec):
-            return -np.einsum("abm,b,m->a", gv, vec, delta)
+    def rate(state):
+        return (rate_matrix @ state[..., None])[..., 0]
 
-        for _ in range(steps):
-            k1 = rate(u)
-            k2 = rate(u + 0.5 * k1)
-            k3 = rate(u + 0.5 * k2)
-            k4 = rate(u + k3)
-            u = u + (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        worst = max(worst, max_norm(moved - u))
+    u = v
+    for _ in range(steps):
+        k1 = rate(u)
+        k2 = rate(u + 0.5 * k1)
+        k3 = rate(u + 0.5 * k2)
+        k4 = rate(u + k3)
+        u = u + (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+    worst = max_norm(moved - u)
     checks.append(CheckResult("transport-matches-integration", worst, options.gate(1e-9)))
 
     t_span = 2.5
@@ -584,12 +536,14 @@ def poincare_suite(options: SuiteOptions) -> SuiteReport:
         t2 = random_poincare(rng)
         x = rng.normal(size=4)
         combined = t1.compose(t2)
-        worst = max(worst, max_norm(combined.apply(x) - t1.apply(t2.apply(x))))
+        worst = max(worst, _relative(combined.apply(x), t1.apply(t2.apply(x))))
         rep = poincare.homogeneous_rep(combined, kappa)
         worst = max(
             worst,
-            max_norm(rep - poincare.homogeneous_rep(t2, kappa) @ poincare.homogeneous_rep(t1, kappa)),
+            _relative(rep, poincare.homogeneous_rep(t2, kappa) @ poincare.homogeneous_rep(t1, kappa)),
         )
+    # Relative measures: the compared values reach O(10-100), so an absolute
+    # 1e-12 gate would be crossed by round-off on a few percent of seeds.
     checks.append(CheckResult("composition-group", worst, options.gate(1e-12)))
 
     worst = 0.0
@@ -602,8 +556,8 @@ def poincare_suite(options: SuiteOptions) -> SuiteReport:
         direct_v = poincare.transform_parallel(v, t1.compose(t2), kappa)
         chained_w = poincare.transform_parallel(poincare.transform_parallel(w, t2, kappa), t1, kappa)
         direct_w = poincare.transform_parallel(w, t1.compose(t2), kappa)
-        worst = max(worst, max_norm(chained_v.components - direct_v.components))
-        worst = max(worst, max_norm(chained_w.components - direct_w.components))
+        worst = max(worst, _relative(chained_v.components, direct_v.components))
+        worst = max(worst, _relative(chained_w.components, direct_w.components))
     checks.append(CheckResult("parallel-law-group", worst, options.gate(1e-12)))
 
     worst = 0.0
@@ -746,11 +700,5 @@ def run_suite(name: str, options: SuiteOptions) -> SuiteReport:
     return _SUITES[name](options)
 
 
-def run_suites(names, options: SuiteOptions, jobs: int = 1) -> list[SuiteReport]:
-    names = list(names)
-    if jobs > 1 and len(names) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda n: run_suite(n, options), names))
+def run_suites(names, options: SuiteOptions) -> list[SuiteReport]:
     return [run_suite(name, options) for name in names]
