@@ -42,6 +42,15 @@ ETA5 = as_array(np.diag([1.0, -1.0, -1.0, -1.0, 1.0]))
 ETA4 = as_array(np.diag([1.0, -1.0, -1.0, -1.0]))
 
 
+def lower_array(x) -> np.ndarray:
+    """Lower the last index of four-vectors ``(..., 4)``: x_a = eta_ab x^b.
+
+    The metric is diagonal, so this is a sign flip on the spatial slots and
+    exact in floating point.  It is also raising, since ETA4 is its own inverse.
+    """
+    return np.asarray(x, dtype=float) * np.diagonal(ETA4)
+
+
 def label_to_slot(label: int) -> int:
     if label not in INDEX_LABELS:
         raise ValueError(f"index label must be one of {INDEX_LABELS}, got {label}")

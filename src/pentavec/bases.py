@@ -108,20 +108,6 @@ def classify_basis(basis: Basis5, h: MetricH, tol: Tolerance = DEFAULT_TOL) -> B
     return _single(classify_basis_array(basis.matrix, h, tol))
 
 
-def with_flags(basis: Basis5, h: MetricH, tol: Tolerance = DEFAULT_TOL) -> Basis5:
-    return Basis5(
-        basis.matrix,
-        id=basis.id,
-        reference_id=basis.reference_id,
-        flags=classify_basis(basis, h, tol),
-    )
-
-
-def is_regular(basis: Basis5, h: MetricH, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Unit fifth vector, h-orthogonal to the first four."""
-    return classify_basis(basis, h, tol).regular
-
-
 @dataclass(frozen=True)
 class BasisChange:
     """Invertible matrix L with new basis vectors e'_A = e_B L^B_A."""

@@ -17,19 +17,20 @@ import sys
 
 import numpy as np
 
-from .algebra import ETA5, Bivector5, FiveForm, FiveVector, FourVector, MetricH
+from .algebra import ETA5, Bivector5, FiveVector, FourVector, MetricH
 from .bases import REFERENCE_BASIS, classify_basis, orthonormal_basis_for, regular_basis_for
 from .errors import KindMismatch, PentavecError
 from .fileio import Record, read_record, transform_from_payload, write_record
 from .grids import FieldOnGrid, SCHEMES
-from .numerics import invert, max_norm
+from .numerics import max_norm
 from .poincare import (
     GeneratorTensor,
     ParamTensor,
+    conjugate_array,
+    transform_form_array,
     transform_generator_tensor,
-    transform_orthonormal,
     transform_param_tensor,
-    transform_parallel,
+    transform_vector_array,
 )
 from .stress_energy import transform_moment_field
 from .suites import SUITE_NAMES, SuiteOptions, run_suites
@@ -122,23 +123,14 @@ def _kappa_for(record: Record, override: float | None) -> float:
 
 def _transform_record(record: Record, t, basis_override, kappa_override) -> Record:
     kappa = _kappa_for(record, kappa_override)
-    if record.kind in ("five_vector", "five_form"):
+    if record.kind in ("five_vector", "five_form", "five_vector_field"):
         frame = _frame_for(record, basis_override)
-        obj = (FiveVector if record.kind == "five_vector" else FiveForm)(record.payload)
-        moved = transform_orthonormal(obj, t) if frame == "O" else transform_parallel(obj, t, kappa)
-        return Record(record.kind, moved.components, basis=frame, kappa=record.kappa)
-    if record.kind == "five_vector_field":
-        frame = _frame_for(record, basis_override)
-        out = np.empty_like(record.payload)
-        out[..., :4] = np.einsum("ab,...b->...a", t.lam, record.payload[..., :4])
-        if frame == "O":
-            out[..., 4] = record.payload[..., 4]
+        shift = t.shift(kappa if frame == "P" else 0.0)
+        if record.kind == "five_form":
+            moved = transform_form_array(record.payload, t.lam_inv, shift)
         else:
-            a_low = algebra.ETA4 @ t.a
-            out[..., 4] = record.payload[..., 4] - kappa * np.einsum(
-                "a,...a->...", a_low, out[..., :4]
-            )
-        return Record(record.kind, out, basis=frame, kappa=record.kappa, grid=record.grid)
+            moved = transform_vector_array(record.payload, t.lam, shift)
+        return Record(record.kind, moved, basis=frame, kappa=record.kappa, grid=record.grid)
     if record.kind == "param_tensor":
         moved = transform_param_tensor(ParamTensor(record.payload), t)
         return Record(record.kind, moved.matrix, kappa=record.kappa)
@@ -146,7 +138,7 @@ def _transform_record(record: Record, t, basis_override, kappa_override) -> Reco
         moved = transform_generator_tensor(GeneratorTensor(record.payload), t)
         return Record(record.kind, moved.matrix, kappa=record.kappa)
     if record.kind == "theta_field":
-        moved = np.einsum("mn,...nb,bt->...mt", t.lam, record.payload, invert(t.lam))
+        moved = conjugate_array(record.payload, t.lam, t.lam_inv)
         return Record(record.kind, moved, basis=record.basis, kappa=record.kappa, grid=record.grid)
     if record.kind == "moment_field":
         if record.basis != "P":
@@ -167,7 +159,8 @@ def _cmd_transform(args) -> int:
             f"transform file must hold a poincare_transform, got {t_record.kind!r}"
         )
     t = transform_from_payload(t_record.payload)
-    out = _transform_record(record, t, args.basis, args.kappa)
+    with np.errstate(all="ignore"):  # an overflow is reported once, as NotFinite
+        out = _transform_record(record, t, args.basis, args.kappa)
     write_record(args.output, out)
     print(f"wrote {args.output}")
     return 0

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ETA4, ETA5
+from .algebra import ETA5
 from .errors import InvalidGammaSet, NotO32
 from .numerics import DEFAULT_TOL, Tolerance, max_norm
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ETA4, ETA5, DirectionalClass, FiveVector, MetricH, classify_directional
+from .algebra import ETA4, ETA5, DirectionalClass, FiveVector, MetricH, classify_directional, lower_array
 from .bases import BasisChange
 from .errors import GridMismatch, GridTooCoarse, NotDirectional, ShapeMismatch
 from .grids import FieldOnGrid, Grid, grid_gradient, scheme_width, truncation_estimate
@@ -94,11 +94,6 @@ def transport_compatibility(g: ConnectionCoeffs, four: FourConnection) -> Compat
     )
 
 
-def lower_four(x) -> np.ndarray:
-    """Lower a four-coordinate index with diag(+ - - -)."""
-    return ETA4 @ np.asarray(x, dtype=float)
-
-
 def parallel_frame_change(x, kappa: float) -> BasisChange:
     """Change from the orthonormal frame to the parallel frame at x.
 
@@ -107,7 +102,7 @@ def parallel_frame_change(x, kappa: float) -> BasisChange:
     """
     x = as_array(x, shape=(4,))
     m = np.eye(5)
-    m[4, :4] = kappa * lower_four(x)
+    m[4, :4] = kappa * lower_array(x)
     return BasisChange(m)
 
 
@@ -117,7 +112,7 @@ def parallel_frame_metric(x, kappa: float) -> np.ndarray:
     Equals N^T eta5 N for the frame change N; the four-block picks up
     kappa^2 x_alpha x_beta and the mixed entries are kappa x_alpha.
     """
-    x_low = kappa * lower_four(as_array(x, shape=(4,)))
+    x_low = kappa * lower_array(as_array(x, shape=(4,)))
     h = np.array(ETA5)
     h[:4, :4] += np.outer(x_low, x_low)
     h[:4, 4] = x_low
@@ -134,7 +129,7 @@ def coordinates_from_parallel_metric(h: np.ndarray, kappa: float) -> np.ndarray:
     if kappa == 0.0:
         raise ZeroDivisionError("kappa = 0 carries no coordinate information")
     h = as_array(h, shape=(5, 5))
-    return (ETA4 @ h[:4, 4]) / kappa
+    return lower_array(h[:4, 4]) / kappa
 
 
 def transform_connection(g: ConnectionCoeffs, change: BasisChange, lam) -> ConnectionCoeffs:

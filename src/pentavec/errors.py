@@ -85,6 +85,14 @@ class KindMismatch(PentavecError):
     pass
 
 
+class NotFinite(PentavecError, ValueError):
+    """An array that must hold finite numbers holds an inf or a nan."""
+
+
+class NotLorentz(PentavecError, ValueError):
+    """A matrix meant as a Lorentz transformation does not preserve diag(+ - - -)."""
+
+
 class ParseError(PentavecError):
     """Raised on malformed input files; carries the offending location."""
 

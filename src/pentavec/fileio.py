@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KindMismatch, ParseError
+from .errors import KindMismatch, NotFinite, ParseError
 from .grids import Grid
 from .poincare import PoincareTransform
 
@@ -70,6 +70,8 @@ class Record:
             raise KindMismatch(
                 f"kind {self.kind!r} expects payload shape {expected}, got {payload.shape}"
             )
+        if not np.all(np.isfinite(payload)):
+            raise NotFinite(f"kind {self.kind!r} payload holds a non-finite value")
         if self.basis is not None and self.basis not in BASIS_FLAGS:
             raise KindMismatch(f"basis flag must be one of {BASIS_FLAGS}, got {self.basis!r}")
         payload = payload.copy()

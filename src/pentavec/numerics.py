@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch, SingularMatrix
+from .errors import NotFinite, ShapeMismatch, SingularMatrix
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ def as_array(a, shape=None, dtype=float) -> np.ndarray:
     if shape is not None and out.shape != tuple(shape):
         raise ShapeMismatch(f"expected shape {tuple(shape)}, got {out.shape}")
     if not np.all(np.isfinite(out)):
-        raise ValueError("array contains non-finite entries")
+        raise NotFinite("array contains non-finite entries")
     out.setflags(write=False)
     return out
 
@@ -96,7 +96,7 @@ def singular_rank(sigma, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     ``sigma`` holds descending singular values on its last axis, as
     ``np.linalg.svd`` returns them; this is the one rank threshold shared by
-    ``null_space``, ``matrix_rank`` and the array kernels.
+    ``matrix_rank`` and the array kernels.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape[-1] == 0:
@@ -104,22 +104,8 @@ def singular_rank(sigma, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return np.sum(sigma > tol.rel * sigma[..., :1], axis=-1)
 
 
-def null_space(m, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of the numerical kernel of ``m``.
-
-    Singular directions with sigma <= tol.rel * sigma_max are kept, so the
-    returned vectors satisfy ||m v|| <= tol.rel * ||m|| in the 2-norm.
-    Returns an empty list for numerically full column rank.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise ShapeMismatch(f"expected a matrix, got shape {m.shape}")
-    _, sigma, vt = np.linalg.svd(m)
-    return [vt[i].copy() for i in range(int(singular_rank(sigma, tol)), m.shape[1])]
-
-
 def matrix_rank(m, tol: Tolerance = DEFAULT_TOL):
-    """Numerical rank with the same relative threshold as null_space.
+    """Numerical rank, thresholded by ``singular_rank``.
 
     A stack of matrices ``(..., rows, cols)`` gives an array of ranks.
     """

@@ -15,60 +15,99 @@ parallel-frame change matrix; this is what turns chart-dependent
 coordinate data into five-tensor components.  ``ParamTensor`` and
 ``GeneratorTensor`` package the parameters of a finite respectively
 infinitesimal transformation as five-tensors of that kind.
+
+Each component law is written once over plain arrays with any leading
+axes: ``transform_vector_array``, ``transform_form_array`` (both frames:
+the orthonormal law is the parallel one at zero shift) and
+``conjugate_array``; the object functions are one-element calls into them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import ETA4, FiveForm, FiveVector
-from .errors import NotAntisymmetric, ShapeMismatch
-from .numerics import DEFAULT_TOL, Tolerance, as_array, invert, max_norm
+from .algebra import ETA4, FiveForm, FiveVector, lower_array
+from .errors import NotAntisymmetric, NotLorentz, ShapeMismatch
+from .numerics import DEFAULT_TOL, Tolerance, as_array, max_norm, raise_where
 
-def _check_lorentz(lam: np.ndarray, tol: Tolerance) -> None:
-    resid = max_norm(lam.T @ ETA4 @ lam - ETA4)
-    if resid > tol.bound(max_norm(lam) ** 2):
-        raise ValueError(f"matrix does not preserve the four-metric (residual {resid:.3e})")
+
+def _lorentz_inverse(lam: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Inverse of each matrix of ``lam`` (..., 4, 4), checked to be Lorentz.
+
+    The closed form eta lam^T eta is exact only up to the Lorentz residual,
+    which the routes that invert ``homogeneous_rep`` numerically would see.
+    """
+    resid = np.max(np.abs(np.swapaxes(lam, -1, -2) @ ETA4 @ lam - ETA4), axis=(-2, -1))
+    bound = tol.bound(np.max(np.abs(lam), axis=(-2, -1)) ** 2)
+    message = "matrix does not preserve the four-metric (residual {:.3e} > bound {:.3e})"
+    raise_where(resid > bound, NotLorentz, message, resid, bound)
+    return as_array(np.linalg.inv(lam))
 
 
 @dataclass(frozen=True)
 class PoincareTransform:
-    """Chart map x' = lam x + a with lam preserving diag(+ - - -)."""
+    """Chart map x' = lam x + a with lam preserving diag(+ - - -).
+
+    ``lam`` (..., 4, 4) and ``a`` (..., 4) may carry leading axes, a batch
+    of transformations; ``lam_inv`` is worked out once, on construction.
+    """
 
     lam: np.ndarray
     a: np.ndarray
+    lam_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lam = as_array(self.lam, shape=(4, 4))
-        a = as_array(self.a, shape=(4,))
-        _check_lorentz(lam, DEFAULT_TOL)
+        lam, a = as_array(self.lam), as_array(self.a)
+        if lam.shape[-2:] != (4, 4) or a.shape != lam.shape[:-1]:
+            raise ShapeMismatch(f"expected lam (..., 4, 4) and a (..., 4), got {lam.shape} and {a.shape}")
+        object.__setattr__(self, "lam_inv", _lorentz_inverse(lam))
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "a", a)
 
     def apply(self, x) -> np.ndarray:
-        return self.lam @ np.asarray(x, dtype=float) + self.a
+        return (self.lam @ np.asarray(x, dtype=float)[..., None])[..., 0] + self.a
 
     def compose(self, other: "PoincareTransform") -> "PoincareTransform":
         """self after other: (self.compose(other)).apply == self.apply(other.apply(.))."""
-        return PoincareTransform(self.lam @ other.lam, self.lam @ other.a + self.a)
+        return PoincareTransform(self.lam @ other.lam, self.apply(other.a))
 
     def inverse(self) -> "PoincareTransform":
-        lam_inv = invert(self.lam)
-        return PoincareTransform(lam_inv, -(lam_inv @ self.a))
+        return PoincareTransform(self.lam_inv, -(self.lam_inv @ self.a[..., None])[..., 0])
+
+    def shift(self, kappa: float) -> np.ndarray:
+        """kappa a_alpha, the translation as the parallel-frame laws see it."""
+        return kappa * lower_array(self.a)
 
     @classmethod
     def identity(cls) -> "PoincareTransform":
         return cls(np.eye(4), np.zeros(4))
 
 
-def compose(t1: PoincareTransform, t2: PoincareTransform) -> PoincareTransform:
-    return t1.compose(t2)
+def transform_vector_array(v, lam, shift) -> np.ndarray:
+    """Five-vector law: v'^alpha = Lambda^alpha_beta v^beta, v'^5 = v^5 - shift_alpha v'^alpha.
+
+    ``v`` is (..., 5); ``lam`` (..., 4, 4) and ``shift`` (..., 4) broadcast
+    against its leading axes.  The parallel-frame law takes shift = kappa
+    a_alpha (``PoincareTransform.shift``), the orthonormal law zero shift.
+    """
+    v = np.asarray(v, dtype=float)
+    four = (lam @ v[..., :4, None])[..., 0]
+    fifth = v[..., 4] - np.sum(shift * four, axis=-1)
+    return np.concatenate([four, fifth[..., None]], axis=-1)
 
 
-def _lower(x) -> np.ndarray:
-    return ETA4 @ np.asarray(x, dtype=float)
+def transform_form_array(w, lam_inv, shift) -> np.ndarray:
+    """Five-form law: w'_alpha = w_beta (Lambda^-1)^beta_alpha + shift_alpha w_5, w'_5 = w_5."""
+    w = np.asarray(w, dtype=float)
+    four = (w[..., None, :4] @ lam_inv)[..., 0, :] + shift * w[..., 4:]
+    return np.concatenate([four, np.broadcast_to(w[..., 4:], four.shape[:-1] + (1,))], axis=-1)
+
+
+def conjugate_array(x, lam, lam_inv) -> np.ndarray:
+    """Lambda X Lambda^-1 for ``(..., 4, 4)`` blocks X of mixed index type."""
+    return lam @ np.asarray(x, dtype=float) @ lam_inv
 
 
 def homogeneous_rep(t: PoincareTransform, kappa: float = 1.0) -> np.ndarray:
@@ -77,32 +116,22 @@ def homogeneous_rep(t: PoincareTransform, kappa: float = 1.0) -> np.ndarray:
     Quintuples (x_alpha, 1/kappa) transform as x'_A = x_B L^B_A.  The same
     matrix is the parallel-frame change for t, so covariant five-vector
     components transform with it too.  Composition reverses order:
-    rep(t1 compose t2) = rep(t2) @ rep(t1).
+    rep(t1 compose t2) = rep(t2) @ rep(t1).  A batched t gives (..., 5, 5).
     """
-    m = np.zeros((5, 5))
-    m[:4, :4] = invert(t.lam)
-    m[4, :4] = kappa * _lower(t.a)
-    m[4, 4] = 1.0
+    m = np.zeros(t.a.shape[:-1] + (5, 5))
+    m[..., :4, :4] = t.lam_inv
+    m[..., 4, :4] = t.shift(kappa)
+    m[..., 4, 4] = 1.0
     return m
 
 
 def transform_orthonormal(obj, t: PoincareTransform):
-    """Component law in the orthonormal frame.
+    """Component law in the orthonormal frame: the parallel law at kappa = 0.
 
     Vectors: v'^alpha = Lambda^alpha_beta v^beta, fifth untouched.  Forms
     contract with the inverse, fifth untouched.
     """
-    if isinstance(obj, FiveVector):
-        out = np.empty(5)
-        out[:4] = t.lam @ obj.components[:4]
-        out[4] = obj.components[4]
-        return FiveVector(out, basis_id=obj.basis_id)
-    if isinstance(obj, FiveForm):
-        out = np.empty(5)
-        out[:4] = obj.components[:4] @ invert(t.lam)
-        out[4] = obj.components[4]
-        return FiveForm(out, basis_id=obj.basis_id)
-    raise ShapeMismatch(f"expected FiveVector or FiveForm, got {type(obj).__name__}")
+    return transform_parallel(obj, t, 0.0)
 
 
 def transform_parallel(obj, t: PoincareTransform, kappa: float = 1.0):
@@ -113,34 +142,18 @@ def transform_parallel(obj, t: PoincareTransform, kappa: float = 1.0):
     w'_alpha picks up kappa a_alpha w_5.  At a = 0 this reduces to the
     orthonormal law.
     """
-    a_low = _lower(t.a)
     if isinstance(obj, FiveVector):
-        out = np.empty(5)
-        out[:4] = t.lam @ obj.components[:4]
-        out[4] = obj.components[4] - kappa * float(a_low @ out[:4])
-        return FiveVector(out, basis_id=obj.basis_id)
+        return FiveVector(transform_vector_array(obj.components, t.lam, t.shift(kappa)), basis_id=obj.basis_id)
     if isinstance(obj, FiveForm):
-        out = np.empty(5)
-        out[:4] = obj.components[:4] @ invert(t.lam) + kappa * a_low * obj.components[4]
-        out[4] = obj.components[4]
-        return FiveForm(out, basis_id=obj.basis_id)
+        return FiveForm(transform_form_array(obj.components, t.lam_inv, t.shift(kappa)), basis_id=obj.basis_id)
     raise ShapeMismatch(f"expected FiveVector or FiveForm, got {type(obj).__name__}")
 
 
 @dataclass(frozen=True)
-class LorentzChart:
+class LorentzChart(PoincareTransform):
     """Inertial chart reached from the reference chart by x = lam x_ref + a."""
 
-    lam: np.ndarray
-    a: np.ndarray
     kappa: float = 1.0
-
-    def __post_init__(self):
-        lam = as_array(self.lam, shape=(4, 4))
-        a = as_array(self.a, shape=(4,))
-        _check_lorentz(lam, DEFAULT_TOL)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "a", a)
 
     @classmethod
     def reference(cls, kappa: float = 1.0) -> "LorentzChart":
@@ -149,9 +162,7 @@ class LorentzChart:
 
 def chart_relation(c1: LorentzChart, c2: LorentzChart) -> PoincareTransform:
     """Transformation carrying chart-1 coordinates to chart-2 coordinates."""
-    lam1_inv = invert(c1.lam)
-    lam = c2.lam @ lam1_inv
-    return PoincareTransform(lam, c2.a - lam @ c1.a)
+    return c2.compose(c1.inverse())
 
 
 @dataclass(frozen=True)
@@ -177,7 +188,7 @@ def coordinate_form(chart: LorentzChart, x) -> CoordinateForm:
     chart-invariant completion exists; the components are still returned
     but are chart-dependent in that degenerate case.
     """
-    x_low = _lower(as_array(x, shape=(4,)))
+    x_low = lower_array(as_array(x, shape=(4,)))
     p_dual = np.append(x_low, 1.0)
     factor = 1.0 if chart.kappa != 0.0 else 0.0
     o_dual = np.append(x_low - factor * x_low, 1.0)
@@ -240,10 +251,9 @@ def transform_param_tensor(pt: ParamTensor, t: PoincareTransform) -> ParamTensor
     which is exactly conjugation of the 5x5 block matrix by the
     homogeneous representation of t.
     """
-    lam_inv = invert(t.lam)
-    a_low = _lower(t.a)
-    matrix4 = t.lam @ pt.matrix_block @ lam_inv
-    shift = pt.shift @ lam_inv + a_low - a_low @ matrix4
+    a_low = lower_array(t.a)
+    matrix4 = conjugate_array(pt.matrix_block, t.lam, t.lam_inv)
+    shift = pt.shift @ t.lam_inv + a_low - a_low @ matrix4
     return build_param_tensor(matrix4, shift)
 
 
@@ -288,7 +298,7 @@ def transform_generator_tensor(gt: GeneratorTensor, t: PoincareTransform) -> Gen
     omega' = Lambda omega Lambda^T
     b'^mu  = Lambda^mu_nu (b^nu - a_alpha Lambda^alpha_beta omega^(nu beta))
     """
-    a_low = _lower(t.a)
+    a_low = lower_array(t.a)
     omega = t.lam @ gt.omega @ t.lam.T
     inner = gt.translation - gt.omega @ (t.lam.T @ a_low)
     return build_generator_tensor(omega, t.lam @ inner)

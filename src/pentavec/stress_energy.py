@@ -31,16 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ETA4
+from .algebra import lower_array
 from .connection import flat_coefficients
 from .errors import BasisMismatch, GridMismatch, NotAntisymmetric
 from .grids import FieldOnGrid, Grid, partial_derivative, scheme_width
 from .numerics import max_norm
-from .poincare import PoincareTransform
-
-
-def _lowered_coords(grid: Grid) -> np.ndarray:
-    return np.einsum("ab,...b->...a", ETA4, grid.coords())
+from .poincare import PoincareTransform, conjugate_array
 
 
 def _frame_factor(kappa: float) -> float:
@@ -68,7 +64,7 @@ def assemble_moment_field(theta: np.ndarray, sigma: np.ndarray, grid: Grid) -> F
     if max_norm(anti) > 1e-12 * max(max_norm(sigma), 1.0):
         raise NotAntisymmetric("spin current must be antisymmetric in its lower indices")
 
-    x_low = _lowered_coords(grid)
+    x_low = lower_array(grid.coords())
     values = np.zeros(grid.shape + (4, 5, 5))
     four = values[..., :4, :4]
     # orbital x_alpha Theta^mu_beta - x_beta Theta^mu_alpha from one outer product
@@ -104,7 +100,7 @@ def _convert(m: FieldOnGrid, kappa: float, src: str, dst: str) -> FieldOnGrid:
     # is M with s x_f M^mu_(C 5) added to each four-space column f, then
     # s x_e times the updated fifth row added to each four-space row e;
     # both steps run in place on the copy, with no full-size temporaries.
-    shift = (-1.0 if dst == "O" else 1.0) * _frame_factor(kappa) * _lowered_coords(m.grid)
+    shift = (-1.0 if dst == "O" else 1.0) * _frame_factor(kappa) * lower_array(m.grid.coords())
     out = m.values.copy()
     for f in range(4):
         out[..., f] += shift[..., None, None, f] * out[..., 4]
@@ -124,17 +120,14 @@ def transform_moment_field(m: FieldOnGrid, t: PoincareTransform, kappa: float = 
     """
     if m.basis != "P":
         raise BasisMismatch(f"expected a P-frame current, got {m.basis!r}")
-    lam = t.lam
-    lam_inv = np.linalg.inv(lam)
-    a_low = ETA4 @ t.a
-    theta = m.values[..., 4, :4]
-    four = m.values[..., :4, :4]
-    theta_new = np.einsum("mn,...nb,bt->...mt", lam, theta, lam_inv)
-    four_new = np.einsum("mn,...nst,sa,tb->...mab", lam, four, lam_inv, lam_inv)
-    four_new += _frame_factor(kappa) * (
-        np.einsum("a,...mb->...mab", a_low, theta_new)
-        - np.einsum("b,...ma->...mab", a_low, theta_new)
-    )
+    theta_new = conjugate_array(m.values[..., 4, :4], t.lam, t.lam_inv)
+    # The two lower indices of the four-block go as (Lambda^-1)^T F Lambda^-1,
+    # then the upper index mu is mixed by Lambda: pairwise products only.
+    lowered = np.swapaxes(t.lam_inv, -1, -2) @ m.values[..., :4, :4] @ t.lam_inv
+    four_new = np.einsum("mn,...nab->...mab", t.lam, lowered)
+    # a_alpha Theta'^mu_beta - a_beta Theta'^mu_alpha from one outer product
+    outer = lower_array(t.a)[:, None] * theta_new[..., None, :]
+    four_new += _frame_factor(kappa) * (outer - np.swapaxes(outer, -1, -2))
     values = np.zeros_like(m.values)
     values[..., :4, :4] = four_new
     values[..., 4, :4] = theta_new
@@ -217,7 +210,7 @@ def plane_wave_stress_samples(k, grid: Grid, amplitude: float = 1.0) -> tuple[np
     k = np.asarray(k, dtype=float)
     if k.shape != (4,):
         raise GridMismatch(f"expected a four-component wave vector, got {k.shape}")
-    k_low = ETA4 @ k
+    k_low = lower_array(k)
     null_resid = abs(float(k @ k_low))
     if null_resid > 1e-9 * max(float(k @ k), 1.0):
         raise ValueError(f"wave vector must be null, k.k = {float(k @ k_low):.3e}")

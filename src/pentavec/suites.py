@@ -92,9 +92,26 @@ def _indicator(ok: bool) -> float:
     return 0.0 if ok else 1.0
 
 
-def _relative(a, b) -> float:
-    """Max-norm distance of a and b relative to max(||a||, ||b||, 1)."""
-    return max_norm(np.asarray(a) - np.asarray(b)) / max(max_norm(a), max_norm(b), 1.0)
+def _transform_pairs(rng, n: int, *sizes):
+    """n samples of (t1, t2, one normal draw per size), stacked per slot.
+
+    The draws run sample by sample, as a loop would make them; t1 and t2
+    come back as batched transforms.
+    """
+    samples = [(random_poincare(rng), random_poincare(rng), *(rng.normal(size=s) for s in sizes)) for _ in range(n)]
+    t1, t2, *rest = zip(*samples)
+    pairs = [poincare.PoincareTransform(np.array([t.lam for t in ts]), np.array([t.a for t in ts])) for ts in (t1, t2)]
+    return (*pairs, *(np.array(slot) for slot in rest))
+
+
+def _relative(a, b, ndim: int) -> float:
+    """Worst max-norm distance of a and b relative to max(||a||, ||b||, 1).
+
+    Each sample, the block of the last ``ndim`` axes, is measured on its own.
+    """
+    axes = tuple(range(-ndim, 0))
+    scale = np.maximum(np.maximum(np.max(np.abs(a), axis=axes), np.max(np.abs(b), axis=axes)), 1.0)
+    return float(np.max(np.max(np.abs(a - b), axis=axes) / scale))
 
 
 # ---------------------------------------------------------------- algebra
@@ -416,7 +433,7 @@ def connection_suite(options: SuiteOptions) -> SuiteReport:
 
     grid = Grid(origin=(-0.5,) * 4, spacing=(1.0 / 6.0,) * 4, shape=(7, 7, 7, 7))
     coords = grid.coords()
-    x_low = np.einsum("ab,...b->...a", ETA4, coords)
+    x_low = algebra.lower_array(coords)
     n_field = np.zeros(grid.shape + (5, 5))
     n_field[...] = np.eye(5)
     n_field[..., 4, :4] = kappa * x_low
@@ -530,34 +547,25 @@ def poincare_suite(options: SuiteOptions) -> SuiteReport:
     kappa = options.kappa
     checks = []
 
-    worst = 0.0
-    for _ in range(500):
-        t1 = random_poincare(rng)
-        t2 = random_poincare(rng)
-        x = rng.normal(size=4)
-        combined = t1.compose(t2)
-        worst = max(worst, _relative(combined.apply(x), t1.apply(t2.apply(x))))
-        rep = poincare.homogeneous_rep(combined, kappa)
-        worst = max(
-            worst,
-            _relative(rep, poincare.homogeneous_rep(t2, kappa) @ poincare.homogeneous_rep(t1, kappa)),
-        )
+    t1, t2, x = _transform_pairs(rng, 500, 4)
+    combined = t1.compose(t2)
+    rep = poincare.homogeneous_rep(combined, kappa)
+    worst = max(
+        _relative(combined.apply(x), t1.apply(t2.apply(x)), 1),
+        _relative(rep, poincare.homogeneous_rep(t2, kappa) @ poincare.homogeneous_rep(t1, kappa), 2),
+    )
     # Relative measures: the compared values reach O(10-100), so an absolute
     # 1e-12 gate would be crossed by round-off on a few percent of seeds.
     checks.append(CheckResult("composition-group", worst, options.gate(1e-12)))
 
-    worst = 0.0
-    for _ in range(500):
-        t1 = random_poincare(rng)
-        t2 = random_poincare(rng)
-        v = FiveVector(rng.normal(size=5))
-        w = FiveForm(rng.normal(size=5))
-        chained_v = poincare.transform_parallel(poincare.transform_parallel(v, t2, kappa), t1, kappa)
-        direct_v = poincare.transform_parallel(v, t1.compose(t2), kappa)
-        chained_w = poincare.transform_parallel(poincare.transform_parallel(w, t2, kappa), t1, kappa)
-        direct_w = poincare.transform_parallel(w, t1.compose(t2), kappa)
-        worst = max(worst, _relative(chained_v.components, direct_v.components))
-        worst = max(worst, _relative(chained_w.components, direct_w.components))
+    t1, t2, v, w = _transform_pairs(rng, 500, 5, 5)
+    t12 = t1.compose(t2)
+    s1, s2, s12 = t1.shift(kappa), t2.shift(kappa), t12.shift(kappa)
+    vector, form = poincare.transform_vector_array, poincare.transform_form_array
+    worst = max(
+        _relative(vector(vector(v, t2.lam, s2), t1.lam, s1), vector(v, t12.lam, s12), 1),
+        _relative(form(form(w, t2.lam_inv, s2), t1.lam_inv, s1), form(w, t12.lam_inv, s12), 1),
+    )
     checks.append(CheckResult("parallel-law-group", worst, options.gate(1e-12)))
 
     worst = 0.0
@@ -622,9 +630,9 @@ def poincare_suite(options: SuiteOptions) -> SuiteReport:
     for _ in range(300):
         t = random_poincare(rng)
         x = rng.normal(size=4)
-        quintuple = np.append(ETA4 @ x, 1.0 / (kappa if kappa != 0.0 else 1.0))
+        quintuple = np.append(algebra.lower_array(x), 1.0 / (kappa if kappa != 0.0 else 1.0))
         moved = quintuple @ poincare.homogeneous_rep(t, kappa if kappa != 0.0 else 1.0)
-        expected = np.append(ETA4 @ t.apply(x), quintuple[4])
+        expected = np.append(algebra.lower_array(t.apply(x)), quintuple[4])
         worst = max(worst, max_norm(moved - expected))
     checks.append(CheckResult("homogeneous-rep-coordinates", worst, options.gate(1e-12)))
 

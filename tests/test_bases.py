@@ -21,7 +21,6 @@ from pentavec.bases import (
     compose_upm,
     decompose_upm,
     induced_four_map,
-    is_regular,
     is_standard_change,
     m_transformation,
     orientation_sign,
@@ -29,7 +28,6 @@ from pentavec.bases import (
     p_transformation,
     regular_basis_for,
     u_transformation,
-    with_flags,
 )
 from pentavec.errors import (
     DegenerateInducedMetric,
@@ -62,10 +60,7 @@ def random_lorentz(rng, scale=0.35):
 def test_reference_basis_flags():
     flags = classify_basis(REFERENCE_BASIS, H)
     assert flags.standard and flags.regular and flags.orthonormal
-    assert is_regular(REFERENCE_BASIS, H)
     assert REFERENCE_BASIS.vector(5) @ E[:, 4] == 1.0
-    tagged = with_flags(REFERENCE_BASIS, H)
-    assert tagged.flags == flags
 
 
 def test_standard_change_criterion():

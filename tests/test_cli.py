@@ -102,6 +102,36 @@ def test_transform_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_transform_non_lorentz_exits_2(tmp_path, capsys):
+    write_record(tmp_path / "v.pvec", Record("five_vector", np.arange(5.0), basis="O"))
+    payload = np.concatenate([2.0 * np.eye(4).ravel(), np.zeros(4)])
+    write_record(tmp_path / "t.pvec", Record("poincare_transform", payload))
+    code = main([
+        "transform", str(tmp_path / "v.pvec"), str(tmp_path / "t.pvec"),
+        "-o", str(tmp_path / "out.pvec"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "residual 3.000e+00 > bound" in err
+
+
+def test_transform_overflow_exits_2(tmp_path, capsys):
+    write_record(tmp_path / "v.pvec", Record("five_vector", [1e308, 1e308, 0.0, 0.0, 0.0], basis="O"))
+    boost = np.eye(4)
+    boost[0, 0] = boost[1, 1] = np.cosh(1.0)
+    boost[0, 1] = boost[1, 0] = np.sinh(1.0)
+    write_transform(tmp_path / "t.pvec", PoincareTransform(boost, np.zeros(4)))
+    code = main([
+        "transform", str(tmp_path / "v.pvec"), str(tmp_path / "t.pvec"),
+        "-o", str(tmp_path / "out.pvec"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "non-finite" in err
+    assert not (tmp_path / "out.pvec").exists()
+
+
 def test_transform_moment_field(tmp_path, capsys):
     from pentavec.stress_energy import assemble_moment_field, constant_stress_samples
 

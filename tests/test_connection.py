@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pentavec.algebra import ETA4, ETA5, MetricH
+from pentavec.algebra import ETA4, ETA5, MetricH, lower_array
 from pentavec.bases import Basis5, BasisChange, classify_basis
 from pentavec.connection import (
     ConnectionCoeffs,
@@ -9,7 +9,6 @@ from pentavec.connection import (
     covariant_derivative,
     coordinates_from_parallel_metric,
     flat_coefficients,
-    lower_four,
     metric_derivative_report,
     metric_transport_identity_residual,
     parallel_frame_change,
@@ -59,7 +58,7 @@ def test_parallel_frame_change_matrix():
     x = np.array([2.0, 1.0, -1.0, 3.0])
     assert np.array_equal(parallel_frame_change(x, 0.0).matrix, np.eye(5))
     n = parallel_frame_change(x, KAPPA).matrix
-    assert np.array_equal(n[4, :4], KAPPA * lower_four(x))
+    assert np.array_equal(n[4, :4], KAPPA * lower_array(x))
     assert np.array_equal(n[:4, :], np.eye(5)[:4, :])
 
 
@@ -197,7 +196,7 @@ def test_transport_shifts_only_the_fifth_component():
     a, b = rng.normal(size=(2, 4))
     ut = transport(u, a, b, "O", KAPPA)
     assert np.allclose(ut[:4], u[:4], atol=1e-14)
-    shift = KAPPA * lower_four(b - a) @ u[:4]
+    shift = KAPPA * lower_array(b - a) @ u[:4]
     assert ut[4] == pytest.approx(u[4] + shift, abs=1e-12)
     # the five-metric pairing is deliberately not preserved: its covariant
     # derivative has the nonzero mixed row checked elsewhere

@@ -6,6 +6,9 @@ holding one bad element must raise the error class of the single call and
 name that element's index.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 from pentavec import suites
 from pentavec.algebra import (
     Bivector5,
+    FiveForm,
     FiveVector,
     FourVector,
     MetricH,
@@ -41,10 +45,26 @@ from pentavec.bases import (
     regular_basis_for,
     regular_basis_for_array,
 )
+from pentavec.cli import main
 from pentavec.connection import ConnectionCoeffs, flat_coefficients, transform_connection_field
-from pentavec.errors import DegenerateInducedMetric, NotOrthonormalInput, NotSimple
+from pentavec.errors import DegenerateInducedMetric, NotLorentz, NotOrthonormalInput, NotSimple
+from pentavec.fileio import Record, read_record, transform_to_payload, write_record
 from pentavec.grids import FieldOnGrid, Grid, grid_gradient
-from pentavec.stress_energy import assemble_moment_field, moment_to_orthonormal, moment_to_parallel
+from pentavec.poincare import (
+    PoincareTransform,
+    conjugate_array,
+    homogeneous_rep,
+    transform_form_array,
+    transform_orthonormal,
+    transform_parallel,
+    transform_vector_array,
+)
+from pentavec.stress_energy import (
+    assemble_moment_field,
+    moment_to_orthonormal,
+    moment_to_parallel,
+    transform_moment_field,
+)
 
 H = MetricH.reference()
 LEADING = st.sampled_from([(), (3,), (2, 3)])
@@ -239,6 +259,101 @@ def test_flat_transform_to_parallel_frame_vanishes():
     n_field[..., 4, :4] = grid.coords() * np.array([1.0, -1.0, -1.0, -1.0])
     got = transform_connection_field(flat_coefficients(1.0), n_field, np.eye(4), grid)
     assert np.max(np.abs(got[grid.interior(1)])) <= 1e-12
+
+
+def poincare_batch(rng, shape):
+    """Random transforms on the leading axes ``shape``, batched and one by one."""
+    singles = {idx: suites.random_poincare(rng) for idx in each(shape)}
+    lam = np.empty(shape + (4, 4))
+    a = np.empty(shape + (4,))
+    for idx, t in singles.items():
+        lam[idx], a[idx] = t.lam, t.a
+    return PoincareTransform(lam, a), singles
+
+
+@PROPERTY
+@given(SEEDS, LEADING, st.sampled_from([0.0, 0.5, 1.0, -1.0]))
+def test_poincare_kernels_match_single_calls(seed, shape, kappa):
+    rng = np.random.default_rng(seed)
+    t, singles = poincare_batch(rng, shape)
+    v, w, x = rng.normal(size=(3,) + shape + (5,))
+    theta = rng.normal(size=shape + (4, 4))
+    got = {
+        ("vector", "O"): transform_vector_array(v, t.lam, t.shift(0.0)),
+        ("vector", "P"): transform_vector_array(v, t.lam, t.shift(kappa)),
+        ("form", "O"): transform_form_array(w, t.lam_inv, t.shift(0.0)),
+        ("form", "P"): transform_form_array(w, t.lam_inv, t.shift(kappa)),
+    }
+    conjugated = conjugate_array(theta, t.lam, t.lam_inv)
+    rep = homogeneous_rep(t, kappa)
+    applied = t.apply(x[..., :4])
+    inverse = t.inverse()
+    for idx, one in singles.items():
+        for (kind, frame), out in got.items():
+            obj = FiveVector(v[idx]) if kind == "vector" else FiveForm(w[idx])
+            single = transform_orthonormal(obj, one) if frame == "O" else transform_parallel(obj, one, kappa)
+            assert_allclose(out[idx], single.components, **CLOSE)
+        assert_allclose(conjugated[idx], one.lam @ theta[idx] @ np.linalg.inv(one.lam), **CLOSE)
+        assert_allclose(rep[idx], homogeneous_rep(one, kappa), **CLOSE)
+        assert_allclose(applied[idx], one.apply(x[idx][:4]), **CLOSE)
+        assert_allclose(inverse.lam[idx], one.inverse().lam, **CLOSE)
+        assert_allclose(inverse.a[idx], one.inverse().a, **CLOSE)
+
+
+def test_one_non_lorentz_element_is_named():
+    t, _ = poincare_batch(np.random.default_rng(3), (2, 3))
+    lam = t.lam.copy()
+    lam[1, 2] *= 2.0
+    with pytest.raises(NotLorentz) as error:
+        PoincareTransform(lam, t.a)
+    assert str(error.value).endswith("(element (1, 2))")
+    assert "residual" in str(error.value) and "bound" in str(error.value)
+
+
+def run_transform(tmp: Path, record: Record, t: PoincareTransform) -> Record:
+    write_record(tmp / "in.pvec", record)
+    write_record(tmp / "t.pvec", Record("poincare_transform", transform_to_payload(t)))
+    assert main(["transform", str(tmp / "in.pvec"), str(tmp / "t.pvec"), "-o", str(tmp / "out.pvec")]) == 0
+    return read_record(tmp / "out.pvec")
+
+
+@PROPERTY
+@given(SEEDS, st.sampled_from(["O", "P"]), st.sampled_from([0.5, 1.0, 2.0]))
+def test_cli_field_laws_match_per_sample_calls(seed, frame, kappa):
+    rng = np.random.default_rng(seed)
+    grid = Grid(origin=(0.0,) * 4, spacing=(0.5,) * 4, shape=(2, 3, 1, 2))
+    t = suites.random_poincare(rng)
+    vectors = rng.normal(size=grid.shape + (5,))
+    theta = rng.normal(size=grid.shape + (4, 4))
+    with tempfile.TemporaryDirectory() as tmp:
+        moved_v = run_transform(Path(tmp), Record("five_vector_field", vectors, basis=frame, kappa=kappa, grid=grid), t)
+        moved_theta = run_transform(Path(tmp), Record("theta_field", theta, grid=grid), t)
+    assert (moved_v.basis, moved_v.kappa, moved_v.grid) == (frame, kappa, grid)
+    lam_inv = np.linalg.inv(t.lam)
+    for idx in each(grid.shape):
+        v = FiveVector(vectors[idx])
+        single = transform_orthonormal(v, t) if frame == "O" else transform_parallel(v, t, kappa)
+        assert_allclose(moved_v.payload[idx], single.components, **CLOSE)
+        assert_allclose(moved_theta.payload[idx], t.lam @ theta[idx] @ lam_inv, **CLOSE)
+
+
+@PROPERTY
+@given(SEEDS, st.sampled_from([0.0, 0.5, 1.0, -1.0]))
+def test_moment_field_law_matches_einsum(seed, kappa):
+    m = wave_current(seed)
+    t = suites.random_poincare(np.random.default_rng(seed))
+    got = transform_moment_field(m, t, kappa).values
+    # the law as one 4-operand contraction, plus the translation terms
+    lam, lam_inv = t.lam, np.linalg.inv(t.lam)
+    a_low = t.a * np.array([1.0, -1.0, -1.0, -1.0])
+    theta = np.einsum("mn,...nb,bt->...mt", lam, m.values[..., 4, :4], lam_inv)
+    four = np.einsum("mn,...nst,sa,tb->...mab", lam, m.values[..., :4, :4], lam_inv, lam_inv)
+    if kappa != 0.0:
+        four += np.einsum("a,...mb->...mab", a_low, theta) - np.einsum("b,...ma->...mab", a_low, theta)
+    assert_allclose(got[..., :4, :4], four, **CLOSE)
+    assert_allclose(got[..., 4, :4], theta, **CLOSE)
+    assert_allclose(got[..., :4, 4], -theta, **CLOSE)
+    assert np.all(got[..., 4, 4] == 0.0)
 
 
 @pytest.mark.parametrize("seed", [19, 248019633])

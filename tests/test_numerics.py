@@ -10,7 +10,6 @@ from pentavec.numerics import (
     invert,
     matrix_rank,
     max_norm,
-    null_space,
 )
 
 
@@ -73,20 +72,6 @@ def test_invert_rejects_singular():
         invert(m)
     with pytest.raises(ShapeMismatch):
         invert(np.ones((2, 3)))
-
-
-def test_null_space_full_rank_empty():
-    assert null_space(np.eye(4)) == []
-
-
-def test_null_space_of_rank3_matrix():
-    # rank-3 5x5 built from 3 outer products: kernel must be 2-dimensional
-    rng = np.random.default_rng(7)
-    m = sum(np.outer(rng.normal(size=5), rng.normal(size=5)) for _ in range(3))
-    kernel = null_space(m)
-    assert len(kernel) == 2
-    for v in kernel:
-        assert np.linalg.norm(m @ v) < 1e-9 * np.linalg.norm(m)
 
 
 def test_matrix_rank_thresholded():
