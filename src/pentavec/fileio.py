@@ -13,6 +13,7 @@ header lines describing their sample grid, and any kind may carry a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,9 @@ KINDS = {
 
 _LABELS = {"five": "0 1 2 3 5", "four": "0 1 2 3"}
 BASIS_FLAGS = ("O", "P", "regular")
+VALUES_PER_LINE = 8
+# Payload lines formatted by one ``%`` operation; bounds the temporary tuple.
+LINES_PER_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -95,10 +99,23 @@ def emit_record(record: Record) -> str:
         lines.append("spacing " + " ".join(_fmt(v) for v in record.grid.spacing))
         lines.append("shape " + " ".join(str(n) for n in record.grid.shape))
     lines.append("data")
-    flat = record.payload.ravel()
-    for start in range(0, flat.size, 8):
-        lines.append(" ".join(_fmt(v) for v in flat[start : start + 8]))
+    lines.extend(_payload_blocks(record.payload.ravel().tolist()))
     return "\n".join(lines) + "\n"
+
+
+def _payload_blocks(values: list) -> list:
+    """Format ``values`` with ``%.17g``, eight to a line, one block of lines per string."""
+    row = " ".join(["%.17g"] * VALUES_PER_LINE)
+    step = VALUES_PER_LINE * LINES_PER_BLOCK
+    blocks = []
+    for start in range(0, len(values), step):
+        chunk = values[start : start + step]
+        full, rest = divmod(len(chunk), VALUES_PER_LINE)
+        rows = [row] * full
+        if rest:
+            rows.append(" ".join(["%.17g"] * rest))
+        blocks.append("\n".join(rows) % tuple(chunk))
+    return blocks
 
 
 def write_record(path, record: Record) -> None:
@@ -183,8 +200,41 @@ def parse_record(text: str) -> Record:
     for key, (line_no, _) in header.items():
         raise ParseError(f"unknown header key {key!r}", line=line_no)
 
+    expected = (grid.shape + shape) if needs_grid else shape
+    count = math.prod(expected)
+    data = lines[data_line:]
+    values = _bulk_payload("\n".join(data), count)
+    if values is None:
+        values = _scan_payload(data, data_line, kind, count)
+    return Record(kind=kind, payload=values.reshape(expected), basis=basis, kappa=kappa, grid=grid)
+
+
+def _bulk_payload(body: str, count: int) -> np.ndarray | None:
+    """The payload read in one pass, or None when the per-token scan must run.
+
+    Tokens are converted by ``float`` itself, so the accepted set is its
+    own.  A comment line's first token starts with ``#``, which ``float``
+    rejects, so sections with comments go to the scan as well.
+    """
+    words = body.split()
+    if len(words) != count:
+        return None
+    try:
+        values = np.fromiter(map(float, words), dtype=float, count=count)
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _scan_payload(data: list, data_line: int, kind: str, count: int) -> np.ndarray:
+    """Token-by-token read of the lines after the ``data`` sentinel at ``data_line``.
+
+    Skips blank and ``#`` lines, and raises ``ParseError`` at the first
+    fault: a wrong count at the last token, else the first bad or
+    non-finite token at its line and column.
+    """
     tokens = []
-    for idx, raw in enumerate(lines[data_line:], start=data_line + 1):
+    for idx, raw in enumerate(data, start=data_line + 1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -194,10 +244,6 @@ def parse_record(text: str) -> Record:
             tokens.append((idx, col, token))
             col += len(token)
 
-    expected = (grid.shape + shape) if needs_grid else shape
-    count = int(np.prod(expected)) if expected else 1
-    if needs_grid:
-        count = int(np.prod(grid.shape)) * (int(np.prod(shape)) if shape else 1)
     if len(tokens) != count:
         raise ParseError(
             f"payload for {kind!r} needs {count} values, got {len(tokens)}",
@@ -211,13 +257,21 @@ def parse_record(text: str) -> Record:
             raise ParseError(f"bad number {token!r} at sample {i}", line=line_no, column=col) from None
         if not np.isfinite(values[i]):
             raise ParseError(f"sample {i} is not finite", line=line_no, column=col)
-
-    return Record(kind=kind, payload=values.reshape(expected), basis=basis, kappa=kappa, grid=grid)
+    return values
 
 
 def read_record(path) -> Record:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_record(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # "x" stands for the bad byte, so a line break just before it starts its line
+        before = (raw[: exc.start].decode("utf-8") + "x").splitlines()
+        raise ParseError(
+            f"byte 0x{raw[exc.start]:02x} is not UTF-8 text", line=len(before), column=len(before[-1])
+        ) from None
+    return parse_record(text)
 
 
 def transform_to_payload(t: PoincareTransform) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 
 from pentavec.algebra import FiveVector, wedge
 from pentavec.cli import main
-from pentavec.fileio import Record, read_record, transform_to_payload, write_record
+from pentavec.fileio import Record, emit_record, read_record, transform_to_payload, write_record
 from pentavec.grids import Grid
 from pentavec.poincare import PoincareTransform, transform_parallel
 
@@ -155,6 +155,43 @@ def test_transform_moment_field(tmp_path, capsys):
     ]) == 0
     back = read_record(tmp_path / "m3.pvec")
     assert np.max(np.abs(back.payload - current.values)) <= 1e-9
+
+
+def malformed_records():
+    """A broken record per case, with a fragment of the one error line it must give."""
+    grid = Grid(origin=(0.0,) * 4, spacing=(0.5,) * 4, shape=(1, 1, 1, 40))
+    payload = np.arange(200.0).reshape(grid.shape + (5,)) / 7.0
+    text = emit_record(Record("five_vector_field", payload, basis="O", grid=grid))
+    lines = text.splitlines(keepends=True)  # data sentinel on line 8, sample 8k+j on line 9+k
+
+    def with_line(no, change):
+        return "".join(lines[: no - 1] + [change(lines[no - 1])] + lines[no:])
+
+    scalar = emit_record(Record("scalar_field", np.zeros(grid.shape), grid=grid))
+    wrapped = scalar[: scalar.index("data\n") + 5].replace("shape 1 1 1 40", "shape 4294967296 4294967296 1 1")
+    non_utf8 = with_line(20, lambda line: "\xff" + line).encode("latin-1")
+    deep_bad = with_line(27, lambda line: " ".join(["x" if k == 1 else t for k, t in enumerate(line.split(" "))]))
+    return [
+        pytest.param(wrapped.encode(), "needs 18446744073709551616 values, got 0 (line 7)", id="shape-wraparound"),
+        pytest.param(non_utf8, "byte 0xff is not UTF-8 text (line 20, column 1)", id="non-utf8"),
+        pytest.param(deep_bad.encode(), "bad number 'x' at sample 145 (line 27, column", id="deep-bad-token"),
+        pytest.param(text[: len(text) // 2].encode(), "needs 200 values, got", id="truncated"),
+    ]
+
+
+@pytest.mark.parametrize("data, fragment", malformed_records())
+def test_transform_malformed_record_exits_2(tmp_path, capsys, data, fragment):
+    (tmp_path / "in.pvec").write_bytes(data)
+    write_transform(tmp_path / "t.pvec", PoincareTransform.identity())
+    code = main([
+        "transform", str(tmp_path / "in.pvec"), str(tmp_path / "t.pvec"),
+        "-o", str(tmp_path / "out.pvec"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
+    assert fragment in err
+    assert not (tmp_path / "out.pvec").exists()
 
 
 def reference_wedge_payload():

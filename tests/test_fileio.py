@@ -1,9 +1,16 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from pentavec.errors import KindMismatch, ParseError
 from pentavec.fileio import (
     KINDS,
+    LINES_PER_BLOCK,
+    VALUES_PER_LINE,
     Record,
     emit_record,
     parse_record,
@@ -63,6 +70,16 @@ def test_file_round_trip(tmp_path):
     back = read_record(path)
     assert np.array_equal(back.payload, rec.payload)
     assert back.grid == rec.grid
+
+
+def test_read_record_rejects_non_utf8(tmp_path):
+    text = emit_record(Record(kind="five_vector", payload=np.arange(5.0)))
+    path = tmp_path / "latin1.pvec"
+    path.write_bytes(text.replace("3 4", "3 \xe9 4").encode("latin-1"))
+    with pytest.raises(ParseError) as info:
+        read_record(path)
+    assert "0xe9" in str(info.value)
+    assert (info.value.line, info.value.column) == (5, 9)
 
 
 def test_comments_and_blank_lines_ignored():
@@ -149,6 +166,12 @@ def test_parse_error_grid_headers():
     err = parse_error_for(good.replace("shape 2 1 2 1", "shape 2 1 2 x"))
     assert "bad shape" in str(err)
 
+    # 2**32 * 2**32 samples wraps to 0 in int64; an empty payload must not pass
+    data_line = good.splitlines().index("data") + 1
+    empty = good[: good.index("data\n") + 5].replace("shape 2 1 2 1", "shape 4294967296 4294967296 1 1")
+    err = parse_error_for(empty)
+    assert "needs 18446744073709551616 values, got 0" in str(err) and err.line == data_line
+
     vec = emit_record(Record(kind="five_vector", payload=np.arange(5.0)))
     err = parse_error_for(vec.replace("data", "shape 1 1 1 1\ndata", 1))
     assert "carries no grid" in str(err)
@@ -178,3 +201,154 @@ def test_transform_payload_round_trip():
     assert np.array_equal(again.lam, t.lam) and np.array_equal(again.a, t.a)
     with pytest.raises(KindMismatch):
         transform_from_payload(np.zeros(19))
+
+
+# ------------------------------------------------------------ properties
+
+BLOCK = VALUES_PER_LINE * LINES_PER_BLOCK
+TRICKY_VALUES = [
+    -0.0,
+    5e-324,
+    2.2250738585072009e-308,
+    1e-310,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    0.1,
+    1.0 / 3.0,
+]
+# The explain phase traces every line of a failing example, which makes a
+# failure on these payloads of ~10^4-10^5 values take minutes to report.
+PROPERTY = settings(max_examples=25, deadline=None, phases=[p for p in Phase if p is not Phase.explain])
+# Fewer examples where each one runs the per-token scan over a whole block or more.
+SCANNED = settings(PROPERTY, max_examples=10)
+
+
+def sample_counts(per_sample, multi_block):
+    """Grid sample counts giving a payload a little over one block, or else
+    a short one or one just around one or two blocks."""
+    if multi_block:
+        return st.integers(BLOCK // per_sample + 1, (BLOCK + 4096) // per_sample)
+    near = sorted({max(1, k * BLOCK // per_sample + d) for k in (1, 2) for d in (-1, 0, 1, 2)})
+    return st.one_of(st.integers(1, 12), st.sampled_from(near))
+
+
+@st.composite
+def records(draw, kinds=tuple(KINDS), multi_block=False):
+    kind = draw(st.sampled_from(kinds))
+    shape, _, needs_grid = KINDS[kind]
+    grid = None
+    if needs_grid:
+        counts = [1, 1, 1, 1]
+        counts[draw(st.integers(0, 3))] = draw(sample_counts(math.prod(shape), multi_block))
+        grid = Grid(origin=(0.0, 0.1, -0.5, 1.0 / 3.0), spacing=(0.25, 0.5, 1.0, 0.7), shape=counts)
+    payload_shape = (grid.shape + shape) if needs_grid else shape
+    size = math.prod(payload_shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    payload = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+    for index, value in draw(st.lists(st.tuples(st.integers(0, size - 1), st.sampled_from(TRICKY_VALUES)), max_size=8)):
+        payload[index] = value
+    basis = draw(st.sampled_from([None, "O", "P", "regular"]))
+    kappa = draw(st.none() | st.floats(allow_nan=False, allow_infinity=False))
+    return Record(kind=kind, payload=payload.reshape(payload_shape), basis=basis, kappa=kappa, grid=grid)
+
+
+def payload_tokens(text):
+    """(line, column, token) of every payload token, found by regex, both numbered from 1."""
+    lines = text.splitlines()
+    first = lines.index("data") + 1
+    return [
+        (no, m.start() + 1, m.group())
+        for no, line in enumerate(lines[first:], start=first + 1)
+        for m in re.finditer(r"\S+", line)
+    ]
+
+
+def replace_token(text, where, new):
+    """``text`` with the token at ``where`` = (line, column, token) replaced by ``new``."""
+    line, col, token = where
+    lines = text.split("\n")
+    raw = lines[line - 1]
+    lines[line - 1] = raw[: col - 1] + new + raw[col - 1 + len(token) :]
+    return "\n".join(lines)
+
+
+def outcome(text):
+    """The payload bits of a parse, or the message and location of its ParseError."""
+    try:
+        return parse_record(text).payload.tobytes()
+    except ParseError as err:
+        return str(err), err.line, err.column
+
+
+@PROPERTY
+@given(records())
+def test_emit_parse_emit_is_byte_identical_property(rec):
+    text = emit_record(rec)
+    back = parse_record(text)
+    assert back.payload.tobytes() == rec.payload.tobytes()  # bit-equal, -0.0 included
+    assert (back.kind, back.basis, back.kappa, back.grid) == (rec.kind, rec.basis, rec.kappa, rec.grid)
+    assert emit_record(back) == text
+    flat = rec.payload.ravel()
+    rows = [flat[i : i + VALUES_PER_LINE] for i in range(0, flat.size, VALUES_PER_LINE)]
+    assert text.split("data\n", 1)[1] == "".join(" ".join("%.17g" % v for v in row) + "\n" for row in rows)
+
+
+multi_block = records(kinds=("scalar_field", "five_vector_field", "moment_field"), multi_block=True)
+
+
+@SCANNED
+@given(multi_block, st.data(), st.sampled_from(["x", "nan", "inf"]))
+def test_bad_token_is_located_in_a_multi_block_payload(rec, data, bad):
+    text = emit_record(rec)
+    tokens = payload_tokens(text)
+    index = data.draw(st.integers(0, len(tokens) - 1))
+    line, col, _ = tokens[index]
+    err = parse_error_for(replace_token(text, tokens[index], bad))
+    message = f"bad number 'x' at sample {index}" if bad == "x" else f"sample {index} is not finite"
+    assert str(err) == f"{message} (line {line}, column {col})"
+    assert (err.line, err.column) == (line, col)
+
+
+@SCANNED
+@given(multi_block, st.data(), st.booleans())
+def test_one_token_too_many_or_too_few_is_located(rec, data, add):
+    text = emit_record(rec)
+    tokens = payload_tokens(text)
+    where = tokens[data.draw(st.integers(0, len(tokens) - 1))]
+    bad = replace_token(text, where, where[2] + " 1" if add else "")
+    count = rec.payload.size
+    err = parse_error_for(bad)
+    last_line = payload_tokens(bad)[-1][0]
+    assert str(err) == f"payload for {rec.kind!r} needs {count} values, got {count + (1 if add else -1)} (line {last_line})"
+    assert (err.line, err.column) == (last_line, None)
+
+
+@SCANNED
+@given(records(kinds=("five_vector_field", "theta_field")), st.data())
+def test_comment_line_between_data_lines_changes_nothing(rec, data):
+    lines = emit_record(rec).splitlines()
+    first = lines.index("data") + 1
+    at = data.draw(st.integers(first, len(lines)))
+    lines.insert(at, data.draw(st.sampled_from(["# note", "   # indented note", "#"])))
+    assert parse_record("\n".join(lines) + "\n").payload.tobytes() == rec.payload.tobytes()
+
+
+ODD_TOKENS = ["1_0", "\u0661", "+.5", "-0", "0x10", "1e999", "Infinity", "-nan", "1,0", "--1", "1e", "."]
+token_text = (
+    st.sampled_from(ODD_TOKENS)
+    | st.floats().map(repr)
+    | st.text(st.sampled_from("0123456789._eE+-n\u0663"), min_size=1, max_size=5)
+)
+
+
+@PROPERTY
+@given(st.lists(token_text, min_size=5, max_size=5), st.sets(st.integers(1, 4)))
+def test_bulk_read_accepts_exactly_what_the_scan_accepts(tokens, breaks):
+    """A trailing comment line sends the payload through the per-token scan."""
+    head = emit_record(Record(kind="five_vector", payload=np.zeros(5))).split("data\n")[0]
+    body = tokens[0] + "".join(("\n" if i in breaks else " ") + t for i, t in enumerate(tokens) if i)
+    text = head + "data\n" + body + "\n"
+    got = outcome(text)
+    assert got == outcome(text + "# end\n")
+    if isinstance(got, bytes):
+        assert got == np.array([float(token) for token in tokens]).tobytes()
