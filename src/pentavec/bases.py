@@ -19,7 +19,7 @@ a whole stack of frames from wedge quadruples ``(..., 4, 5, 5)`` at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,8 +43,9 @@ from .errors import (
     NotStandard,
     ShapeMismatch,
     SingularBlock,
+    SingularMatrix,
 )
-from .numerics import DEFAULT_TOL, Tolerance, as_array, invert, max_norm, raise_where
+from .numerics import DEFAULT_TOL, Tolerance, as_array, invert, raise_where
 
 
 @dataclass(frozen=True)
@@ -86,18 +87,47 @@ def _standard_array(cols: np.ndarray, tol: Tolerance) -> np.ndarray:
     return np.max(col[..., :4], axis=-1) <= tol.bound(np.max(col, axis=-1))
 
 
+@dataclass(frozen=True)
+class FrameResiduals:
+    """Max-norm residuals of frames, arrays over the leading axes.
+
+    ``regular``: h(e_5, e_5) = 1 and h(e_mu, e_5) = 0; ``orthonormal``: Gram
+    matrix = diag(+ - - - +); ``scale``: the largest Gram entry; ``wedge``:
+    e_mu ^ e_5 = the input wedges (zero when none are given).
+    """
+
+    regular: np.ndarray
+    orthonormal: np.ndarray
+    scale: np.ndarray
+    wedge: np.ndarray
+
+
+def frame_residuals(cols, h: MetricH, wedges=None) -> FrameResiduals:
+    """Gram and wedge residuals of frames ``cols`` against wedges ``(..., 4, 5, 5)``."""
+    cols = np.asarray(cols, dtype=float)
+    gram = np.swapaxes(cols, -1, -2) @ h.matrix @ cols
+    wedge = 0.0
+    if wedges is not None:
+        recon = wedge_array(np.swapaxes(cols[..., :, :4], -1, -2), cols[..., None, :, 4])
+        wedge = np.max(np.abs(recon - wedges), axis=(-3, -2, -1))
+    return FrameResiduals(
+        regular=np.maximum(np.abs(gram[..., 4, 4] - 1.0), np.max(np.abs(gram[..., :4, 4]), axis=-1)),
+        orthonormal=np.max(np.abs(gram - ETA5), axis=(-2, -1)),
+        scale=np.max(np.abs(gram), axis=(-2, -1)),
+        wedge=wedge,
+    )
+
+
 def classify_basis_array(cols, h: MetricH, tol: Tolerance = DEFAULT_TOL) -> BasisFlags:
     """Flags of basis matrices ``(..., 5, 5)`` under the five-metric h.
 
     The fields of the returned BasisFlags are boolean arrays over the
-    leading axes.
+    leading axes: the ``frame_residuals`` thresholded at tol.bound(scale).
     """
     cols = np.asarray(cols, dtype=float)
-    gram = np.swapaxes(cols, -1, -2) @ h.matrix @ cols
-    bound = tol.bound(np.max(np.abs(gram), axis=(-2, -1)))
-    regular = (np.abs(gram[..., 4, 4] - 1.0) <= bound) & (np.max(np.abs(gram[..., :4, 4]), axis=-1) <= bound)
-    orthonormal = np.max(np.abs(gram - ETA5), axis=(-2, -1)) <= bound
-    return BasisFlags(standard=_standard_array(cols, tol), regular=regular, orthonormal=orthonormal)
+    r = frame_residuals(cols, h)
+    bound = tol.bound(r.scale)
+    return BasisFlags(_standard_array(cols, tol), r.regular <= bound, r.orthonormal <= bound)
 
 
 def _single(flags: BasisFlags) -> BasisFlags:
@@ -110,31 +140,36 @@ def classify_basis(basis: Basis5, h: MetricH, tol: Tolerance = DEFAULT_TOL) -> B
 
 @dataclass(frozen=True)
 class BasisChange:
-    """Invertible matrix L with new basis vectors e'_A = e_B L^B_A."""
+    """Invertible matrices L (..., 5, 5) with new basis vectors e'_A = e_B L^B_A.
+
+    ``inv`` is worked out once, on construction, by the checked ``invert``.
+    """
 
     matrix: np.ndarray
+    inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = as_array(self.matrix, shape=(5, 5))
-        invert(m)
+        m = as_array(self.matrix, shape=(..., 5, 5))
+        object.__setattr__(self, "inv", as_array(invert(m)))
         object.__setattr__(self, "matrix", m)
 
     def inverse(self) -> "BasisChange":
-        return BasisChange(invert(self.matrix))
+        return BasisChange(self.inv)
 
 
 def apply_change(basis: Basis5, change: BasisChange, new_id: str = "changed") -> Basis5:
     return Basis5(basis.matrix @ change.matrix, id=new_id, reference_id=basis.reference_id)
 
 
-def is_standard_change(change: BasisChange, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_standard_change(change: BasisChange, tol: Tolerance = DEFAULT_TOL):
     """True when the change maps standard bases to standard bases.
 
     The criterion is a vanishing upper-right block: the new fifth vector
-    may pick up no component along the first four.
+    may pick up no component along the first four.  A batch gives a
+    boolean array over its leading axes.
     """
     m = change.matrix
-    return max_norm(m[:4, 4]) <= tol.bound(max_norm(m))
+    return np.max(np.abs(m[..., :4, 4]), axis=-1) <= tol.bound(np.max(np.abs(m), axis=(-2, -1)))
 
 
 def induced_four_map(change: BasisChange, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -143,47 +178,48 @@ def induced_four_map(change: BasisChange, tol: Tolerance = DEFAULT_TOL) -> np.nd
     The wedges transform with the four-block of L scaled by the fifth
     diagonal entry: Lambda^nu_mu = L^5_5 L^nu_mu.
     """
-    if not is_standard_change(change, tol):
-        raise NotStandard("only standard changes act on the wedge four-space")
+    message = "only standard changes act on the wedge four-space"
+    raise_where(~is_standard_change(change, tol), NotStandard, message)
     m = change.matrix
-    return m[4, 4] * m[:4, :4]
+    return m[..., 4, 4, None, None] * m[..., :4, :4]
 
 
 @dataclass(frozen=True)
 class UPMDecomposition:
-    """Factors of a standard change L = U(a) P(p) M(t)."""
+    """Factors of standard changes L = U(a) P(p) M(t): a (...), p (..., 4), t (..., 4, 4)."""
 
-    a: float
+    a: np.ndarray
     p: np.ndarray
     t: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "p", as_array(self.p, shape=(4,)))
-        object.__setattr__(self, "t", as_array(self.t, shape=(4, 4)))
+        shape = np.shape(self.a)
+        object.__setattr__(self, "p", as_array(self.p, shape=shape + (4,)))
+        object.__setattr__(self, "t", as_array(self.t, shape=shape + (4, 4)))
 
 
-def u_transformation(a: float) -> BasisChange:
+def u_transformation(a) -> BasisChange:
     """Scale the fifth vector by a and the other four by 1/a."""
-    if a == 0.0:
-        raise SingularBlock("scaling factor must be nonzero")
-    m = np.eye(5) / a
-    m[4, 4] = a
+    a = as_array(a)
+    raise_where(a == 0.0, SingularBlock, "scaling factor must be nonzero")
+    m = np.eye(5) / a[..., None, None]
+    m[..., 4, 4] = a
     return BasisChange(m)
 
 
 def p_transformation(p) -> BasisChange:
     """Shear each of the first four vectors by a multiple of the fifth."""
-    p = as_array(p, shape=(4,))
-    m = np.eye(5)
-    m[4, :4] = p
+    p = as_array(p, shape=(..., 4))
+    m = np.broadcast_to(np.eye(5), p.shape[:-1] + (5, 5)).copy()
+    m[..., 4, :4] = p
     return BasisChange(m)
 
 
 def m_transformation(t) -> BasisChange:
     """Map the first four vectors among themselves, fifth untouched."""
-    t = as_array(t, shape=(4, 4))
-    m = np.eye(5)
-    m[:4, :4] = t
+    t = as_array(t, shape=(..., 4, 4))
+    m = np.broadcast_to(np.eye(5), t.shape[:-2] + (5, 5)).copy()
+    m[..., :4, :4] = t
     return BasisChange(m)
 
 
@@ -193,16 +229,16 @@ def decompose_upm(change: BasisChange, tol: Tolerance = DEFAULT_TOL) -> UPMDecom
     Reading the blocks of the product U P M gives a = L^5_5, t = a times
     the four-block, and p from the bottom row against t.
     """
-    if not is_standard_change(change, tol):
-        raise NotStandard("only standard changes admit the U P M factorization")
+    message = "only standard changes admit the U P M factorization"
+    raise_where(~is_standard_change(change, tol), NotStandard, message)
     m = change.matrix
-    a = float(m[4, 4])
-    t = a * m[:4, :4]
+    a = m[..., 4, 4]
+    t = a[..., None, None] * m[..., :4, :4]
     try:
         t_inv = invert(t, tol)
-    except Exception as exc:
-        raise SingularBlock("four-block of the change is singular") from exc
-    p = (m[4, :4] @ t_inv) / a
+    except SingularMatrix as exc:
+        raise SingularBlock(f"four-block of the change is singular: {exc}") from exc
+    p = (m[..., 4, None, :4] @ t_inv)[..., 0, :] / a[..., None]
     return UPMDecomposition(a=a, p=p, t=t)
 
 
@@ -236,7 +272,7 @@ def orientation_sign(basis: Basis5, orientation: OrientationTensor = Orientation
 
 
 def _wedge_quadruples(wedges, error) -> np.ndarray:
-    w = np.asarray(wedges, dtype=float)
+    w = np.ascontiguousarray(wedges, dtype=float)  # results must not depend on the layout
     if w.ndim < 3 or w.shape[-2:] != (5, 5):
         raise ShapeMismatch(f"expected wedge quadruples (..., 4, 5, 5), got {w.shape}")
     if w.shape[-3] != 4:

@@ -17,12 +17,11 @@ import sys
 
 import numpy as np
 
-from .algebra import ETA5, Bivector5, FiveVector, FourVector, MetricH
-from .bases import REFERENCE_BASIS, classify_basis, orthonormal_basis_for, regular_basis_for
+from .algebra import Bivector5, FourVector, MetricH
+from .bases import REFERENCE_BASIS, frame_residuals, orthonormal_basis_for, regular_basis_for
 from .errors import KindMismatch, PentavecError
 from .fileio import Record, read_record, transform_from_payload, write_record
 from .grids import FieldOnGrid, SCHEMES
-from .numerics import max_norm
 from .poincare import (
     GeneratorTensor,
     ParamTensor,
@@ -44,7 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run self-check suites")
     verify.add_argument("suite", nargs="?", default="all", choices=("all",) + SUITE_NAMES)
     verify.add_argument("--seed", type=int, default=42)
-    verify.add_argument("--tol", type=float, default=None, help="override every residual gate")
     verify.add_argument("--kappa", type=float, default=1.0)
     verify.add_argument("--grid", type=int, default=17, metavar="N", help="base grid resolution")
     verify.add_argument("--scheme", choices=tuple(SCHEMES), default="central2")
@@ -77,7 +75,6 @@ def _cmd_verify(args) -> int:
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     options = SuiteOptions(
         seed=args.seed,
-        tol=args.tol,
         kappa=args.kappa,
         grid_n=args.grid,
         scheme=args.scheme,
@@ -170,14 +167,9 @@ def _cmd_transform(args) -> int:
 
 def _wedges_from_record(record: Record) -> list:
     if record.kind == "four_basis_bivectors":
-        return [Bivector5(record.payload[i]) for i in range(4)]
+        return [Bivector5(m) for m in record.payload]
     if record.kind == "four_basis_components":
-        return [
-            algebra.bivector_from_four(
-                FourVector(record.payload[i], basis_id="reference"), REFERENCE_BASIS
-            )
-            for i in range(4)
-        ]
+        return [algebra.bivector_from_four(FourVector(u), REFERENCE_BASIS) for u in record.payload]
     raise KindMismatch(
         "basis construction needs four_basis_bivectors or four_basis_components, "
         f"got {record.kind!r}"
@@ -191,18 +183,9 @@ def _cmd_basis(args) -> int:
     build = orthonormal_basis_for if args.mode == "orthonormal" else regular_basis_for
     basis = build(wedges, h, negate_direction=args.negate_direction)
 
-    flags = classify_basis(basis, h)
-    wedge_resid = 0.0
-    for mu in range(4):
-        recon = algebra.wedge(
-            FiveVector(basis.matrix[:, mu]), FiveVector(basis.matrix[:, 4])
-        )
-        wedge_resid = max(wedge_resid, max_norm(recon.matrix - wedges[mu].matrix))
-    gram = basis.matrix.T @ h.matrix @ basis.matrix
-    if args.mode == "orthonormal":
-        gram_resid = max_norm(gram - ETA5)
-    else:
-        gram_resid = max(abs(gram[4, 4] - 1.0), float(np.max(np.abs(gram[:4, 4]))))
+    flags = basis.flags
+    resid = frame_residuals(basis.matrix, h, np.array([w.matrix for w in wedges]))
+    gram_resid = resid.orthonormal if args.mode == "orthonormal" else resid.regular
 
     flag = "O" if args.mode == "orthonormal" else "regular"
     write_record(args.output, Record("basis", basis.matrix, basis=flag))
@@ -213,7 +196,7 @@ def _cmd_basis(args) -> int:
         )
     )
     print(f"gram residual: {gram_resid:.3g}")
-    print(f"wedge residual: {wedge_resid:.3g}")
+    print(f"wedge residual: {resid.wedge:.3g}")
     print(f"wrote {args.output}")
     return 0
 

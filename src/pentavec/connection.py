@@ -30,7 +30,7 @@ from .algebra import ETA4, ETA5, DirectionalClass, FiveVector, MetricH, classify
 from .bases import BasisChange
 from .errors import GridMismatch, GridTooCoarse, NotDirectional, ShapeMismatch
 from .grids import FieldOnGrid, Grid, grid_gradient, scheme_width, truncation_estimate
-from .numerics import DEFAULT_TOL, Tolerance, as_array, invert, max_norm
+from .numerics import DEFAULT_TOL, Tolerance, as_array, max_norm
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,7 @@ def flat_coefficients(kappa: float) -> ConnectionCoeffs:
     the degenerate case where the frame is globally parallel.
     """
     g = np.zeros((5, 5, 4))
-    for beta in range(4):
-        for mu in range(4):
-            g[4, beta, mu] = -kappa * ETA4[beta, mu]
+    g[4, :4, :] = -kappa * ETA4
     return ConnectionCoeffs(g)
 
 
@@ -95,41 +93,41 @@ def transport_compatibility(g: ConnectionCoeffs, four: FourConnection) -> Compat
 
 
 def parallel_frame_change(x, kappa: float) -> BasisChange:
-    """Change from the orthonormal frame to the parallel frame at x.
+    """Change from the orthonormal frame to the parallel frame at points x (..., 4).
 
     The matrix is the identity except for the bottom row, which holds the
     lowered coordinates scaled by kappa: p_alpha = e_alpha + kappa x_alpha e_5.
     """
-    x = as_array(x, shape=(4,))
-    m = np.eye(5)
-    m[4, :4] = kappa * lower_array(x)
+    x = as_array(x, shape=(..., 4))
+    m = np.broadcast_to(np.eye(5), x.shape[:-1] + (5, 5)).copy()
+    m[..., 4, :4] = kappa * lower_array(x)
     return BasisChange(m)
 
 
 def parallel_frame_metric(x, kappa: float) -> np.ndarray:
-    """Five-metric components in the parallel frame at x.
+    """Five-metric components in the parallel frame at points x (..., 4).
 
     Equals N^T eta5 N for the frame change N; the four-block picks up
     kappa^2 x_alpha x_beta and the mixed entries are kappa x_alpha.
     """
-    x_low = kappa * lower_array(as_array(x, shape=(4,)))
-    h = np.array(ETA5)
-    h[:4, :4] += np.outer(x_low, x_low)
-    h[:4, 4] = x_low
-    h[4, :4] = x_low
+    x_low = kappa * lower_array(as_array(x, shape=(..., 4)))
+    h = np.broadcast_to(ETA5, x_low.shape[:-1] + (5, 5)).copy()
+    h[..., :4, :4] += x_low[..., :, None] * x_low[..., None, :]
+    h[..., :4, 4] = x_low
+    h[..., 4, :4] = x_low
     return h
 
 
 def coordinates_from_parallel_metric(h: np.ndarray, kappa: float) -> np.ndarray:
-    """Recover chart coordinates from parallel-frame metric components.
+    """Recover chart coordinates from parallel-frame metric components (..., 5, 5).
 
     The mixed entries h_(alpha 5) equal kappa x_alpha, so for kappa != 0
     the chart point can be read off the metric samples alone.
     """
     if kappa == 0.0:
         raise ZeroDivisionError("kappa = 0 carries no coordinate information")
-    h = as_array(h, shape=(5, 5))
-    return lower_array(h[:4, 4]) / kappa
+    h = as_array(h, shape=(..., 5, 5))
+    return lower_array(h[..., :4, 4]) / kappa
 
 
 def transform_connection(g: ConnectionCoeffs, change: BasisChange, lam) -> ConnectionCoeffs:
@@ -140,7 +138,7 @@ def transform_connection(g: ConnectionCoeffs, change: BasisChange, lam) -> Conne
     contracts the derivative index.
     """
     lam = as_array(lam, shape=(4, 4))
-    return ConnectionCoeffs(_transformed(g.values, change.matrix, invert(change.matrix), lam))
+    return ConnectionCoeffs(_transformed(g.values, change.matrix, change.inv, lam))
 
 
 def _transformed(g: np.ndarray, change: np.ndarray, linv: np.ndarray, lam: np.ndarray, dl=None):
@@ -186,22 +184,21 @@ def transform_connection_field(
 
 
 def transport(components, from_x, to_x, frame: str, kappa: float) -> np.ndarray:
-    """Parallel-transport five-vector components between chart points.
+    """Parallel-transport five-vector components (..., 5) between chart points (..., 4).
 
     Components are read and returned in the stated frame ("O" or "P") at
     the start and end points.  Parallel-frame components are transport
     invariants, so the path between the points never enters (flat
-    spacetime has no holonomy).
+    spacetime has no holonomy).  In the orthonormal frame the move is
+    N(to) N(from)^-1, which is the parallel-frame change at to - from.
     """
-    components = as_array(components, shape=(5,))
+    components = as_array(components, shape=(..., 5))
     if frame not in ("O", "P"):
         raise ValueError(f"frame must be 'O' or 'P', got {frame!r}")
     if frame == "P":
         return components.copy()
-    n_from = parallel_frame_change(from_x, kappa).matrix
-    n_to = parallel_frame_change(to_x, kappa).matrix
-    invariant = np.linalg.solve(n_from, components)
-    return n_to @ invariant
+    step = as_array(to_x, shape=(..., 4)) - as_array(from_x, shape=(..., 4))
+    return (parallel_frame_change(step, kappa).matrix @ components[..., None])[..., 0]
 
 
 def covariant_derivative(field: FieldOnGrid, g, scheme: str = "central2") -> FieldOnGrid:

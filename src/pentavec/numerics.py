@@ -33,10 +33,17 @@ DEFAULT_TOL = Tolerance()
 
 
 def as_array(a, shape=None, dtype=float) -> np.ndarray:
-    """Copy ``a`` into a read-only float array, checking shape and finiteness."""
+    """Copy ``a`` into a read-only float array, checking shape and finiteness.
+
+    A ``shape`` that starts with ``...``, such as ``(..., 4)``, fixes the
+    trailing axes and admits any leading ones.
+    """
     out = np.array(a, dtype=dtype)
-    if shape is not None and out.shape != tuple(shape):
-        raise ShapeMismatch(f"expected shape {tuple(shape)}, got {out.shape}")
+    want = out.shape if shape is None else tuple(shape)
+    if want[:1] == (...,):
+        want = out.shape[: max(out.ndim - len(want) + 1, 0)] + want[1:]
+    if out.shape != want:
+        raise ShapeMismatch(f"expected shape {want}, got {out.shape}")
     if not np.all(np.isfinite(out)):
         raise NotFinite("array contains non-finite entries")
     out.setflags(write=False)
@@ -77,17 +84,17 @@ def approx_eq(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def invert(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Inverse of a square matrix, rejecting near-singular input.
+    """Inverse of each square matrix of ``m`` (..., n, n), rejecting near-singular input.
 
     The condition estimate is sigma_max / sigma_min; anything above
-    1 / tol.rel raises SingularMatrix.
+    1 / tol.rel raises SingularMatrix, naming the first such element.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"expected a square matrix, got {m.shape}")
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ShapeMismatch(f"expected square matrices (..., n, n), got {m.shape}")
     sigma = np.linalg.svd(m, compute_uv=False)
-    if sigma[-1] <= 0.0 or sigma[0] / sigma[-1] > 1.0 / tol.rel:
-        raise SingularMatrix(f"condition estimate exceeds {1.0 / tol.rel:g}")
+    bad = (sigma[..., -1] <= 0.0) | (sigma[..., 0] * tol.rel > sigma[..., -1])
+    raise_where(bad, SingularMatrix, f"condition estimate exceeds {1.0 / tol.rel:g}")
     return np.linalg.inv(m)
 
 

@@ -20,6 +20,7 @@ Each component law is written once over plain arrays with any leading
 axes: ``transform_vector_array``, ``transform_form_array`` (both frames:
 the orthonormal law is the parallel one at zero shift) and
 ``conjugate_array``; the object functions are one-element calls into them.
+The tensor laws and ``coordinate_form`` take the same leading axes.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .algebra import ETA4, FiveForm, FiveVector, lower_array
 from .errors import NotAntisymmetric, NotLorentz, ShapeMismatch
-from .numerics import DEFAULT_TOL, Tolerance, as_array, max_norm, raise_where
+from .numerics import DEFAULT_TOL, Tolerance, as_array, raise_where
 
 
 def _lorentz_inverse(lam: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -167,7 +168,7 @@ def chart_relation(c1: LorentzChart, c2: LorentzChart) -> PoincareTransform:
 
 @dataclass(frozen=True)
 class CoordinateForm:
-    """Components of the covariant coordinate form at one sample point.
+    """Components of the covariant coordinate form at sample points, (..., 5) each.
 
     ``p_dual`` are the parallel-frame dual components (x_alpha, 1), and
     ``o_dual`` the orthonormal-frame ones.  The fifth frame vector is
@@ -181,17 +182,18 @@ class CoordinateForm:
 
 
 def coordinate_form(chart: LorentzChart, x) -> CoordinateForm:
-    """Chart-covariant completion of the coordinate functions at x.
+    """Chart-covariant completion of the coordinate functions at points x (..., 4).
 
     ``x`` is the sample point in the chart's own coordinates.  For
     kappa = 0 the parallel and orthonormal frames coincide and no
     chart-invariant completion exists; the components are still returned
     but are chart-dependent in that degenerate case.
     """
-    x_low = lower_array(as_array(x, shape=(4,)))
-    p_dual = np.append(x_low, 1.0)
+    x_low = lower_array(as_array(x, shape=(..., 4)))
+    one = np.ones(x_low.shape[:-1] + (1,))
     factor = 1.0 if chart.kappa != 0.0 else 0.0
-    o_dual = np.append(x_low - factor * x_low, 1.0)
+    p_dual = np.concatenate([x_low, one], axis=-1)
+    o_dual = np.concatenate([x_low - factor * x_low, one], axis=-1)
     return CoordinateForm(p_dual=p_dual, o_dual=o_dual)
 
 
@@ -210,7 +212,7 @@ def coordinate_form_derivative(chart: LorentzChart, x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ParamTensor:
-    """Finite-transformation parameters packaged as a (1,1) five-tensor.
+    """Finite-transformation parameters packaged as (1,1) five-tensors (..., 5, 5).
 
     Blocks: the 4x4 matrix parameter, a shift row, a zero column, and a
     unit corner.  Under a chart change the matrix block conjugates and the
@@ -220,25 +222,26 @@ class ParamTensor:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_array(self.matrix, shape=(5, 5))
-        if max_norm(m[:4, 4]) != 0.0 or m[4, 4] != 1.0:
-            raise ShapeMismatch("parameter tensor needs a zero fifth column and unit corner")
+        m = as_array(self.matrix, shape=(..., 5, 5))
+        bad = np.any(m[..., :4, 4] != 0.0, axis=-1) | (m[..., 4, 4] != 1.0)
+        raise_where(bad, ShapeMismatch, "parameter tensor needs a zero fifth column and unit corner")
         object.__setattr__(self, "matrix", m)
 
     @property
     def matrix_block(self) -> np.ndarray:
-        return self.matrix[:4, :4]
+        return self.matrix[..., :4, :4]
 
     @property
     def shift(self) -> np.ndarray:
-        return self.matrix[4, :4]
+        return self.matrix[..., 4, :4]
 
 
 def build_param_tensor(matrix4, shift) -> ParamTensor:
-    m = np.zeros((5, 5))
-    m[:4, :4] = as_array(matrix4, shape=(4, 4))
-    m[4, :4] = as_array(shift, shape=(4,))
-    m[4, 4] = 1.0
+    matrix4 = as_array(matrix4, shape=(..., 4, 4))
+    m = np.zeros(matrix4.shape[:-2] + (5, 5))
+    m[..., :4, :4] = matrix4
+    m[..., 4, :4] = as_array(shift, shape=matrix4.shape[:-2] + (4,))
+    m[..., 4, 4] = 1.0
     return ParamTensor(m)
 
 
@@ -253,13 +256,13 @@ def transform_param_tensor(pt: ParamTensor, t: PoincareTransform) -> ParamTensor
     """
     a_low = lower_array(t.a)
     matrix4 = conjugate_array(pt.matrix_block, t.lam, t.lam_inv)
-    shift = pt.shift @ t.lam_inv + a_low - a_low @ matrix4
+    shift = (pt.shift[..., None, :] @ t.lam_inv)[..., 0, :] + a_low - (a_low[..., None, :] @ matrix4)[..., 0, :]
     return build_param_tensor(matrix4, shift)
 
 
 @dataclass(frozen=True)
 class GeneratorTensor:
-    """Infinitesimal-transformation parameters as an antisymmetric five-tensor.
+    """Infinitesimal-transformation parameters as antisymmetric five-tensors (..., 5, 5).
 
     The four-block holds the rotation generator omega^(mu nu) and the
     fifth row/column the translation generator b^mu.
@@ -268,27 +271,28 @@ class GeneratorTensor:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_array(self.matrix, shape=(5, 5))
-        if max_norm(m + m.T) > 1e-12 * max(max_norm(m), 1.0):
-            raise NotAntisymmetric("generator tensor must be antisymmetric")
+        m = as_array(self.matrix, shape=(..., 5, 5))
+        asym = np.max(np.abs(m + np.swapaxes(m, -1, -2)), axis=(-2, -1))
+        bound = 1e-12 * np.maximum(np.max(np.abs(m), axis=(-2, -1)), 1.0)
+        raise_where(asym > bound, NotAntisymmetric, "generator tensor must be antisymmetric")
         object.__setattr__(self, "matrix", m)
 
     @property
     def omega(self) -> np.ndarray:
-        return self.matrix[:4, :4]
+        return self.matrix[..., :4, :4]
 
     @property
     def translation(self) -> np.ndarray:
-        return self.matrix[:4, 4]
+        return self.matrix[..., :4, 4]
 
 
 def build_generator_tensor(omega, b) -> GeneratorTensor:
-    omega = as_array(omega, shape=(4, 4))
-    b = as_array(b, shape=(4,))
-    m = np.zeros((5, 5))
-    m[:4, :4] = omega
-    m[:4, 4] = b
-    m[4, :4] = -b
+    omega = as_array(omega, shape=(..., 4, 4))
+    b = as_array(b, shape=omega.shape[:-2] + (4,))
+    m = np.zeros(omega.shape[:-2] + (5, 5))
+    m[..., :4, :4] = omega
+    m[..., :4, 4] = b
+    m[..., 4, :4] = -b
     return GeneratorTensor(m)
 
 
@@ -298,7 +302,7 @@ def transform_generator_tensor(gt: GeneratorTensor, t: PoincareTransform) -> Gen
     omega' = Lambda omega Lambda^T
     b'^mu  = Lambda^mu_nu (b^nu - a_alpha Lambda^alpha_beta omega^(nu beta))
     """
-    a_low = lower_array(t.a)
-    omega = t.lam @ gt.omega @ t.lam.T
-    inner = gt.translation - gt.omega @ (t.lam.T @ a_low)
-    return build_generator_tensor(omega, t.lam @ inner)
+    lam_t = np.swapaxes(t.lam, -1, -2)
+    omega = t.lam @ gt.omega @ lam_t
+    inner = gt.translation - (gt.omega @ (lam_t @ lower_array(t.a)[..., None]))[..., 0]
+    return build_generator_tensor(omega, (t.lam @ inner[..., None])[..., 0])

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from pentavec import suites
 from pentavec.algebra import FiveVector, wedge
 from pentavec.cli import main
 from pentavec.fileio import Record, emit_record, read_record, transform_to_payload, write_record
@@ -32,10 +33,30 @@ def test_verify_unknown_suite_exits_via_argparse():
     assert info.value.code == 2
 
 
-def test_verify_impossible_tolerance_fails(capsys):
-    assert main(["verify", "algebra", "--tol", "1e-30"]) == 1
+def test_verify_failing_check_exits_1(capsys, monkeypatch):
+    failing = suites.SuiteReport("algebra", (suites.CheckResult("forced", 1.0, 0.0),))
+    monkeypatch.setitem(suites._SUITES, "algebra", lambda options: failing)
+    assert main(["verify", "algebra"]) == 1
     out = capsys.readouterr().out
     assert "overall: FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "args, fragment",
+    [
+        pytest.param(["algebra", "--seed", "-1"], "seed must be non-negative, got -1", id="negative-seed"),
+        pytest.param(["connection", "--grid", "1"], "grid resolution must be between 2 and", id="grid-1"),
+        pytest.param(["conservation", "--grid", "100000"], "got 100000", id="grid-100000"),
+        pytest.param(["poincare", "--kappa", "inf"], "kappa must be finite, got inf", id="kappa-inf"),
+    ],
+)
+def test_verify_bad_arguments_exit_2(capsys, args, fragment):
+    assert main(["verify", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
+    assert fragment in err
 
 
 def write_transform(path, t):

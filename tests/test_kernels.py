@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from pentavec import suites
 from pentavec.algebra import (
+    ETA5,
     Bivector5,
     FiveForm,
     FiveVector,
@@ -38,24 +39,58 @@ from pentavec.algebra import (
 from pentavec.bases import (
     REFERENCE_BASIS,
     Basis5,
+    BasisChange,
     classify_basis,
     classify_basis_array,
+    compose_upm,
+    decompose_upm,
+    induced_four_map,
+    is_standard_change,
+    m_transformation,
     orthonormal_basis_for,
     orthonormal_basis_for_array,
+    p_transformation,
     regular_basis_for,
     regular_basis_for_array,
+    u_transformation,
 )
 from pentavec.cli import main
-from pentavec.connection import ConnectionCoeffs, flat_coefficients, transform_connection_field
-from pentavec.errors import DegenerateInducedMetric, NotLorentz, NotOrthonormalInput, NotSimple
+from pentavec.connection import (
+    ConnectionCoeffs,
+    coordinates_from_parallel_metric,
+    flat_coefficients,
+    parallel_frame_change,
+    parallel_frame_metric,
+    transform_connection_field,
+    transport,
+)
+from pentavec.errors import (
+    DegenerateInducedMetric,
+    NotAntisymmetric,
+    NotFinite,
+    NotLorentz,
+    NotOrthonormalInput,
+    NotSimple,
+    NotStandard,
+    ShapeMismatch,
+    SingularMatrix,
+)
 from pentavec.fileio import Record, read_record, transform_to_payload, write_record
 from pentavec.grids import FieldOnGrid, Grid, grid_gradient
 from pentavec.poincare import (
+    GeneratorTensor,
+    LorentzChart,
+    ParamTensor,
     PoincareTransform,
+    build_generator_tensor,
+    build_param_tensor,
     conjugate_array,
+    coordinate_form,
     homogeneous_rep,
     transform_form_array,
+    transform_generator_tensor,
     transform_orthonormal,
+    transform_param_tensor,
     transform_parallel,
     transform_vector_array,
 )
@@ -361,3 +396,186 @@ def test_poincare_suite_passes_at_former_round_off_seeds(seed):
     # these seeds crossed the former absolute 1e-12 group-law gates
     report = suites.poincare_suite(suites.SuiteOptions(seed=seed))
     assert report.passed, [(c.name, c.value) for c in report.checks if not c.passed]
+
+
+# ------------------------------------------------ frame changes and tensors
+
+
+def standard_changes(rng, shape):
+    """Random standard changes (..., 5, 5): a well-conditioned four-block and 0.3 <= |L^5_5| <= 3."""
+    m = np.zeros(shape + (5, 5))
+    for idx in each(shape):
+        m[idx][:4, :4] = suites.random_invertible(rng, 4)
+    m[..., 4, :4] = rng.normal(size=shape + (4,))
+    m[..., 4, 4] = rng.choice([-1.0, 1.0], size=shape) * rng.uniform(0.3, 3.0, size=shape)
+    return m
+
+
+def relative(a, b):
+    """Worst per-element max-norm distance relative to max(||a||, ||b||, 1)."""
+    scale = np.maximum(np.maximum(np.max(np.abs(a), axis=(-2, -1)), np.max(np.abs(b), axis=(-2, -1))), 1.0)
+    return float(np.max(np.max(np.abs(a - b), axis=(-2, -1)) / scale))
+
+
+@PROPERTY
+@given(SEEDS, LEADING)
+def test_frame_changes_match_single_calls(seed, shape):
+    rng = np.random.default_rng(seed)
+    m = standard_changes(rng, shape)
+    change = BasisChange(m)
+    d = decompose_upm(change)
+    got = {
+        "inverse": change.inverse().matrix,
+        "induced": induced_four_map(change),
+        "u": u_transformation(d.a).matrix,
+        "p": p_transformation(d.p).matrix,
+        "m": m_transformation(d.t).matrix,
+        "composed": compose_upm(d).matrix,
+    }
+    assert np.all(is_standard_change(change))
+    for idx in each(shape):
+        one = BasisChange(m[idx])
+        single = decompose_upm(one)
+        assert is_standard_change(one)
+        assert_allclose(got["inverse"][idx], one.inverse().matrix, **CLOSE)
+        assert_allclose(got["induced"][idx], induced_four_map(one), **CLOSE)
+        assert_allclose((d.a[idx], *d.p[idx]), (single.a, *single.p), **CLOSE)
+        assert_allclose(d.t[idx], single.t, **CLOSE)
+        assert_allclose(got["u"][idx], u_transformation(single.a).matrix, **CLOSE)
+        assert_allclose(got["p"][idx], p_transformation(single.p).matrix, **CLOSE)
+        assert_allclose(got["m"][idx], m_transformation(single.t).matrix, **CLOSE)
+        assert_allclose(got["composed"][idx], compose_upm(single).matrix, **CLOSE)
+
+
+@PROPERTY
+@given(SEEDS, LEADING)
+def test_upm_factors_compose_back_to_the_change(seed, shape):
+    m = standard_changes(np.random.default_rng(seed), shape)
+    d = decompose_upm(BasisChange(m))
+    factors = (u_transformation(d.a), p_transformation(d.p), m_transformation(d.t))
+    assert all(np.all(is_standard_change(f)) for f in factors)
+    assert relative(factors[0].matrix @ factors[1].matrix @ factors[2].matrix, m) <= 1e-12
+    assert relative(compose_upm(d).matrix, m) <= 1e-12
+    assert relative(d.t, induced_four_map(BasisChange(m))) <= 1e-12
+
+
+@PROPERTY
+@given(SEEDS, LEADING, st.sampled_from([0.0, 0.5, 1.0, 2.0, -1.0]))
+def test_parallel_frame_and_transport_match_single_calls(seed, shape, kappa):
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(size=(2,) + shape + (4,))
+    v = rng.normal(size=shape + (5,))
+    n = parallel_frame_change(x, kappa).matrix
+    metric = parallel_frame_metric(x, kappa)
+    moved = transport(v, x, y, "O", kappa)
+    for idx in each(shape):
+        n_x, n_y = parallel_frame_change(x[idx], kappa).matrix, parallel_frame_change(y[idx], kappa).matrix
+        assert_allclose(n[idx], n_x, **CLOSE)
+        assert_allclose(metric[idx], parallel_frame_metric(x[idx], kappa), **CLOSE)
+        assert_allclose(metric[idx], n_x.T @ ETA5 @ n_x, rtol=1e-12, atol=1e-12 * np.max(np.abs(metric[idx])))
+        assert_allclose(moved[idx], transport(v[idx], x[idx], y[idx], "O", kappa), **CLOSE)
+        # the closed form N(y - x) against N(y) N(x)^-1
+        route = n_y @ np.linalg.solve(n_x, v[idx])
+        assert_allclose(moved[idx], route, rtol=1e-12, atol=1e-12 * np.max(np.abs(route)))
+        if kappa != 0.0:
+            back = coordinates_from_parallel_metric(metric[idx], kappa)
+            assert_allclose(coordinates_from_parallel_metric(metric, kappa)[idx], back, **CLOSE)
+            assert_allclose(back, x[idx], **CLOSE)
+    assert_array_equal(transport(v, x, y, "P", kappa), v)
+
+
+@PROPERTY
+@given(SEEDS, LEADING, st.sampled_from([0.0, 0.5, 1.0, -1.0]))
+def test_tensor_laws_and_coordinate_form_match_single_calls(seed, shape, kappa):
+    rng = np.random.default_rng(seed)
+    t, singles = poincare_batch(rng, shape)
+    pt = build_param_tensor(rng.normal(size=shape + (4, 4)), rng.normal(size=shape + (4,)))
+    omega = rng.normal(size=shape + (4, 4))
+    gt = build_generator_tensor(omega - np.swapaxes(omega, -1, -2), rng.normal(size=shape + (4,)))
+    x = rng.normal(size=shape + (4,))
+    moved_pt = transform_param_tensor(pt, t).matrix
+    moved_gt = transform_generator_tensor(gt, t).matrix
+    form = coordinate_form(LorentzChart(t.lam, t.a, kappa), x)
+    for idx, one in singles.items():
+        single_pt = ParamTensor(pt.matrix[idx])
+        assert_allclose(pt.matrix_block[idx], single_pt.matrix_block, **CLOSE)
+        assert_allclose(moved_pt[idx], transform_param_tensor(single_pt, one).matrix, **CLOSE)
+        assert_allclose(moved_gt[idx], transform_generator_tensor(GeneratorTensor(gt.matrix[idx]), one).matrix, **CLOSE)
+        single = coordinate_form(LorentzChart(one.lam, one.a, kappa), x[idx])
+        assert_allclose(form.p_dual[idx], single.p_dual, **CLOSE)
+        assert_allclose(form.o_dual[idx], single.o_dual, **CLOSE)
+
+
+@PROPERTY
+@given(SEEDS, LEADING, st.sampled_from([0.5, 1.0, 2.0, -1.0]))
+def test_group_laws_of_rep_and_tensors(seed, shape, kappa):
+    rng = np.random.default_rng(seed)
+    (t1, _), (t2, _) = poincare_batch(rng, shape), poincare_batch(rng, shape)
+    t12 = t1.compose(t2)
+    pt = build_param_tensor(rng.normal(size=shape + (4, 4)), rng.normal(size=shape + (4,)))
+    omega = rng.normal(size=shape + (4, 4))
+    gt = build_generator_tensor(omega - np.swapaxes(omega, -1, -2), rng.normal(size=shape + (4,)))
+    rep = homogeneous_rep(t12, kappa)
+    assert relative(rep, homogeneous_rep(t2, kappa) @ homogeneous_rep(t1, kappa)) <= 1e-12
+    twice = transform_param_tensor(transform_param_tensor(pt, t2), t1).matrix
+    assert relative(twice, transform_param_tensor(pt, t12).matrix) <= 1e-12
+    twice = transform_generator_tensor(transform_generator_tensor(gt, t2), t1).matrix
+    assert relative(twice, transform_generator_tensor(gt, t12).matrix) <= 1e-12
+    # the tensor laws are conjugations by the homogeneous representation
+    rep1 = homogeneous_rep(t1, 1.0)
+    assert relative(transform_param_tensor(pt, t1).matrix, np.linalg.solve(rep1, pt.matrix @ rep1)) <= 1e-12
+
+
+def bad_stack(kind):
+    """A (2, 3) batch whose element (1, 2) is broken in the named way."""
+    rng = np.random.default_rng(5)
+    if kind == "generator":
+        omega = rng.normal(size=(2, 3, 4, 4))
+        m = build_generator_tensor(omega - np.swapaxes(omega, -1, -2), rng.normal(size=(2, 3, 4))).matrix.copy()
+        m[1, 2, 0, 1] += 1.0
+        return m
+    m = standard_changes(rng, (2, 3))
+    if kind == "singular":
+        m[1, 2, :, 0] = m[1, 2, :, 1]
+    else:  # the new fifth vector leaks into the four-space
+        m[1, 2, 0, 4] = 0.5
+    return m
+
+
+@pytest.mark.parametrize(
+    "build, kind, error",
+    [
+        (BasisChange, "singular", SingularMatrix),
+        (lambda m: induced_four_map(BasisChange(m)), "leaky", NotStandard),
+        (lambda m: decompose_upm(BasisChange(m)), "leaky", NotStandard),
+        (GeneratorTensor, "generator", NotAntisymmetric),
+    ],
+)
+def test_one_bad_change_or_generator_is_named(build, kind, error):
+    stack = bad_stack(kind)
+    with pytest.raises(error) as batch_error:
+        build(stack)
+    with pytest.raises(error):
+        build(stack[1, 2])
+    build(stack[0])  # the untouched row passes
+    assert str(batch_error.value).endswith("(element (1, 2))")
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: BasisChange(np.eye(4)), ShapeMismatch),
+        (lambda: BasisChange(np.full((3, 5, 5), np.nan)), NotFinite),
+        (lambda: parallel_frame_change(np.zeros((3, 5)), 1.0), ShapeMismatch),
+        (lambda: parallel_frame_metric([0.0, np.inf, 0.0, 0.0], 1.0), NotFinite),
+        (lambda: transport(np.zeros((3, 4)), np.zeros(4), np.zeros(4), "O", 1.0), ShapeMismatch),
+        (lambda: transport(np.zeros(5), np.zeros(4), np.zeros(3), "O", 1.0), ShapeMismatch),
+        (lambda: p_transformation(np.zeros((2, 5))), ShapeMismatch),
+        (lambda: build_param_tensor(np.eye(4), np.zeros((2, 4))), ShapeMismatch),
+        (lambda: build_generator_tensor(np.zeros((2, 4, 4)), np.zeros(4)), ShapeMismatch),
+        (lambda: coordinate_form(LorentzChart.reference(), np.zeros((2, 3))), ShapeMismatch),
+    ],
+)
+def test_malformed_batched_input_raises_the_input_errors(call, error):
+    with pytest.raises(error):
+        call()
