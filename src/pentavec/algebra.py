@@ -26,11 +26,13 @@ import numpy as np
 from .errors import (
     BasisMismatch,
     DimensionTooSmall,
+    InvalidMetric,
     NotAntisymmetric,
     NotInMaximalSpace,
     NotMaximalSpace,
     NotSimple,
     NotStandard,
+    OutOfRange,
     ShapeMismatch,
     ZeroVector,
 )
@@ -53,13 +55,13 @@ def lower_array(x) -> np.ndarray:
 
 def label_to_slot(label: int) -> int:
     if label not in INDEX_LABELS:
-        raise ValueError(f"index label must be one of {INDEX_LABELS}, got {label}")
+        raise OutOfRange(f"index label must be one of {INDEX_LABELS}, got {label}")
     return 4 if label == 5 else label
 
 
 def slot_to_label(slot: int) -> int:
     if not 0 <= slot <= 4:
-        raise ValueError(f"slot must be 0..4, got {slot}")
+        raise OutOfRange(f"slot must be 0..4, got {slot}")
     return INDEX_LABELS[slot]
 
 
@@ -93,12 +95,12 @@ class MetricH:
     def __post_init__(self):
         m = as_array(self.matrix, shape=(5, 5))
         if max_norm(m - m.T) > 1e-12 * max(max_norm(m), 1.0):
-            raise ValueError("metric matrix must be symmetric")
+            raise InvalidMetric("metric matrix must be symmetric")
         eigs = np.linalg.eigvalsh(m)
         if np.min(np.abs(eigs)) <= 1e-12 * np.max(np.abs(eigs)):
-            raise ValueError("metric matrix is degenerate")
+            raise InvalidMetric("metric matrix is degenerate")
         if int(np.sum(eigs > 0)) != 2 or int(np.sum(eigs < 0)) != 3:
-            raise ValueError("metric signature must have two positive and three negative directions")
+            raise InvalidMetric("metric signature must have two positive and three negative directions")
         object.__setattr__(self, "matrix", m)
 
     @classmethod

@@ -41,6 +41,7 @@ from .errors import (
     NotOrthonormalInput,
     NotSimple,
     NotStandard,
+    OutOfRange,
     ShapeMismatch,
     SingularBlock,
     SingularMatrix,
@@ -255,7 +256,7 @@ class OrientationTensor:
 
     def __post_init__(self):
         if self.sign not in (-1, 1):
-            raise ValueError("orientation sign must be +1 or -1")
+            raise OutOfRange("orientation sign must be +1 or -1")
 
     def array(self) -> np.ndarray:
         from .algebra import EPS5

@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import ETA5
 from .errors import InvalidGammaSet, NotO32
-from .numerics import DEFAULT_TOL, Tolerance, max_norm
+from .numerics import DEFAULT_TOL, Tolerance, raise_where
 
 _SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -49,30 +49,33 @@ def _chirality(gammas: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GammaSet:
-    """Five matrices indexed by the labels (0, 1, 2, 3, 5)."""
+    """Five matrices indexed by the labels (0, 1, 2, 3, 5), over leading axes (..., 5, 4, 4)."""
 
     matrices: np.ndarray
 
     def __post_init__(self):
         m = np.array(self.matrices, dtype=complex)
-        if m.shape != (5, 4, 4):
-            raise InvalidGammaSet(f"expected shape (5, 4, 4), got {m.shape}")
+        if m.shape[-3:] != (5, 4, 4):
+            raise InvalidGammaSet(f"expected shape (..., 5, 4, 4), got {m.shape}")
         if not np.all(np.isfinite(m.view(float))):
             raise InvalidGammaSet("matrices contain non-finite entries")
         m.setflags(write=False)
         object.__setattr__(self, "matrices", m)
 
 
-def anticommutation_residual(gs: GammaSet) -> float:
-    """Max-norm deviation from G_A G_B + G_B G_A = -2 eta_AB I."""
-    g = gs.matrices
-    worst = 0.0
-    eye = np.eye(4, dtype=complex)
-    for a in range(5):
-        for b in range(a, 5):
-            resid = g[a] @ g[b] + g[b] @ g[a] + 2.0 * ETA5[a, b] * eye
-            worst = max(worst, float(np.max(np.abs(resid))))
-    return worst
+def anticommutators(matrices: np.ndarray) -> np.ndarray:
+    """All products G_A G_B + G_B G_A of a set (..., k, n, n), as (..., k, k, n, n)."""
+    prod = matrices[..., :, None, :, :] @ matrices[..., None, :, :, :]
+    return prod + np.swapaxes(prod, -3, -4)
+
+
+def anticommutation_residual(gs: GammaSet):
+    """Max-norm deviation from G_A G_B + G_B G_A = -2 eta_AB I, one per set.
+
+    A batch gives an array over its leading axes.
+    """
+    resid = anticommutators(gs.matrices) + 2.0 * ETA5[:, :, None, None] * np.eye(4)
+    return np.max(np.abs(resid), axis=(-4, -3, -2, -1))
 
 
 def standard_gamma_set() -> GammaSet:
@@ -103,38 +106,41 @@ def standard_gamma_set() -> GammaSet:
 
 
 def dirac_from_gamma_set(gs: GammaSet, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Spacetime Dirac matrices recovered from a gamma set.
+    """Spacetime Dirac matrices (..., 4, 4, 4) recovered from a gamma set.
 
     Computes gamma_mu = (i/2)(G_mu G_5 - G_5 G_mu) after checking that the
-    input satisfies the five-dimensional anticommutation relations.
+    input satisfies the five-dimensional anticommutation relations; a batch
+    names its first failing set.
     """
     resid = anticommutation_residual(gs)
-    if resid > tol.bound(max_norm(np.abs(gs.matrices))):
-        raise InvalidGammaSet(f"anticommutation residual {resid:.3e}")
     g = gs.matrices
-    out = np.zeros((4, 4, 4), dtype=complex)
-    for mu in range(4):
-        out[mu] = 0.5j * (g[mu] @ g[4] - g[4] @ g[mu])
+    bound = tol.bound(np.max(np.abs(g), axis=(-3, -2, -1)))
+    raise_where(resid > bound, InvalidGammaSet, "anticommutation residual {:.3e}", resid)
+    out = 0.5j * (g[..., :4, :, :] @ g[..., 4:, :, :] - g[..., 4:, :, :] @ g[..., :4, :, :])
     out.setflags(write=False)
     return out
 
 
-def is_metric_preserving(o: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when o^T eta5 o = eta5."""
+def is_metric_preserving(o: np.ndarray, tol: Tolerance = DEFAULT_TOL):
+    """True when o^T eta5 o = eta5; a batch (..., 5, 5) gives a boolean array."""
     o = np.asarray(o, dtype=float)
-    if o.shape != (5, 5):
+    if o.shape[-2:] != (5, 5):
         return False
-    return max_norm(o.T @ ETA5 @ o - ETA5) <= tol.bound(max_norm(o) ** 2)
+    resid = np.max(np.abs(np.swapaxes(o, -1, -2) @ ETA5 @ o - ETA5), axis=(-2, -1))
+    return resid <= tol.bound(np.max(np.abs(o), axis=(-2, -1)) ** 2)
 
 
 def apply_metric_preserving(gs: GammaSet, o: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> GammaSet:
     """Mix a gamma set along its label index: G'_A = o^B_A G_B.
 
     Requires o to preserve the five-metric, which is exactly the condition
-    for the mixed set to satisfy the same anticommutation relations.
+    for the mixed set to satisfy the same anticommutation relations.  The
+    leading axes of ``gs`` and ``o`` (..., 5, 5) broadcast; a batch names
+    its first non-preserving map.
     """
     o = np.asarray(o, dtype=float)
-    if not is_metric_preserving(o, tol):
-        raise NotO32("matrix does not preserve the five-metric")
-    mixed = np.einsum("ba,bij->aij", o, gs.matrices)
-    return GammaSet(mixed)
+    message = "matrix does not preserve the five-metric"
+    raise_where(np.logical_not(is_metric_preserving(o, tol)), NotO32, message)
+    g = gs.matrices
+    mixed = np.swapaxes(o, -1, -2) @ g.reshape(g.shape[:-2] + (16,))
+    return GammaSet(mixed.reshape(mixed.shape[:-1] + (4, 4)))

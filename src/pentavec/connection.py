@@ -28,7 +28,7 @@ import numpy as np
 
 from .algebra import ETA4, ETA5, DirectionalClass, FiveVector, MetricH, classify_directional, lower_array
 from .bases import BasisChange
-from .errors import GridMismatch, GridTooCoarse, NotDirectional, ShapeMismatch
+from .errors import DegenerateKappa, GridMismatch, GridTooCoarse, NotDirectional, OutOfRange, ShapeMismatch
 from .grids import FieldOnGrid, Grid, grid_gradient, scheme_width, truncation_estimate
 from .numerics import DEFAULT_TOL, Tolerance, as_array, max_norm
 
@@ -125,7 +125,7 @@ def coordinates_from_parallel_metric(h: np.ndarray, kappa: float) -> np.ndarray:
     the chart point can be read off the metric samples alone.
     """
     if kappa == 0.0:
-        raise ZeroDivisionError("kappa = 0 carries no coordinate information")
+        raise DegenerateKappa("kappa = 0 carries no coordinate information")
     h = as_array(h, shape=(..., 5, 5))
     return lower_array(h[..., :4, 4]) / kappa
 
@@ -194,7 +194,7 @@ def transport(components, from_x, to_x, frame: str, kappa: float) -> np.ndarray:
     """
     components = as_array(components, shape=(..., 5))
     if frame not in ("O", "P"):
-        raise ValueError(f"frame must be 'O' or 'P', got {frame!r}")
+        raise OutOfRange(f"frame must be 'O' or 'P', got {frame!r}")
     if frame == "P":
         return components.copy()
     step = as_array(to_x, shape=(..., 4)) - as_array(from_x, shape=(..., 4))

@@ -93,6 +93,24 @@ class NotLorentz(PentavecError, ValueError):
     """A matrix meant as a Lorentz transformation does not preserve diag(+ - - -)."""
 
 
+class OutOfRange(PentavecError, ValueError):
+    """An argument outside the set of values it may take: an index label or
+    slot, a frame or scheme name, an orientation sign, a tolerance."""
+
+
+class InvalidMetric(PentavecError, ValueError):
+    """A matrix meant as the five-metric is not symmetric, is degenerate or
+    has the wrong signature."""
+
+
+class NotNull(PentavecError, ValueError):
+    """A wave vector that must be null is not."""
+
+
+class DegenerateKappa(PentavecError, ZeroDivisionError):
+    """The operation divides by the transport constant, and kappa is 0."""
+
+
 class ParseError(PentavecError):
     """Raised on malformed input files; carries the offending location."""
 

@@ -18,14 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, GridTooCoarse
+from .errors import GridMismatch, GridTooCoarse, NotFinite, OutOfRange
 
 SCHEMES = {"central2": 1, "central4": 2}
 
 
 def scheme_width(scheme: str) -> int:
     if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of {sorted(SCHEMES)}")
+        raise OutOfRange(f"unknown scheme {scheme!r}, expected one of {sorted(SCHEMES)}")
     return SCHEMES[scheme]
 
 
@@ -99,7 +99,7 @@ class FieldOnGrid:
                 f"value axes {v.shape[:4]} do not match grid shape {self.grid.shape}"
             )
         if not np.all(np.isfinite(v)):
-            raise ValueError("field contains non-finite samples")
+            raise NotFinite("field contains non-finite samples")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotFinite, ShapeMismatch, SingularMatrix
+from .errors import NotFinite, OutOfRange, ShapeMismatch, SingularMatrix
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class Tolerance:
 
     def __post_init__(self):
         if not (self.rel > 0.0 and self.abs > 0.0):
-            raise ValueError("tolerance components must be positive")
+            raise OutOfRange("tolerance components must be positive")
 
     def bound(self, scale: float) -> float:
         return self.abs + self.rel * scale
@@ -96,6 +96,46 @@ def invert(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     bad = (sigma[..., -1] <= 0.0) | (sigma[..., 0] * tol.rel > sigma[..., -1])
     raise_where(bad, SingularMatrix, f"condition estimate exceeds {1.0 / tol.rel:g}")
     return np.linalg.inv(m)
+
+
+# Numerator coefficients b_0 .. b_13 of the [13/13] Pade approximant of exp,
+# and the 1-norm up to which it meets double precision without scaling
+# (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005, Table 2.3).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
+    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential of each square matrix of ``a`` (..., n, n).
+
+    Pade [13/13] with scaling and squaring (Higham 2005).  Each element is
+    scaled by its own power of two, chosen from its 1-norm, and squared back
+    only that many times, so a stack gives the same numbers as its elements
+    taken one at a time.
+    """
+    a = as_array(a)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ShapeMismatch(f"expected square matrices (..., n, n), got {a.shape}")
+    norm = np.max(np.sum(np.abs(a), axis=-2), axis=-1)
+    with np.errstate(divide="ignore"):
+        squarings = np.maximum(np.ceil(np.log2(norm / _THETA13)), 0.0).astype(int)
+    a = a / np.exp2(squarings)[..., None, None]
+    b = _PADE13
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(int(squarings.max(initial=0))):
+        more = squarings > k
+        r[more] = r[more] @ r[more]
+    return r
 
 
 def singular_rank(sigma, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .algebra import lower_array
 from .connection import flat_coefficients
-from .errors import BasisMismatch, GridMismatch, NotAntisymmetric
+from .errors import BasisMismatch, GridMismatch, NotAntisymmetric, NotNull
 from .grids import FieldOnGrid, Grid, partial_derivative, scheme_width
 from .numerics import max_norm
 from .poincare import PoincareTransform, conjugate_array
@@ -213,7 +213,7 @@ def plane_wave_stress_samples(k, grid: Grid, amplitude: float = 1.0) -> tuple[np
     k_low = lower_array(k)
     null_resid = abs(float(k @ k_low))
     if null_resid > 1e-9 * max(float(k @ k), 1.0):
-        raise ValueError(f"wave vector must be null, k.k = {float(k @ k_low):.3e}")
+        raise NotNull(f"wave vector must be null, k.k = {float(k @ k_low):.3e}")
     phase = np.einsum("...a,a->...", grid.coords(), k_low)
     envelope = (amplitude * np.sin(phase)) ** 2
     theta = np.einsum("...,m,a->...ma", envelope, k, k_low)

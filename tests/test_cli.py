@@ -1,4 +1,6 @@
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -61,6 +63,21 @@ def test_verify_bad_arguments_exit_2(capsys, args, fragment):
 
 def write_transform(path, t):
     write_record(path, Record("poincare_transform", transform_to_payload(t)))
+
+
+def test_verify_imports_no_scipy():
+    # the runtime depends on numpy alone; the test extra installs scipy, so
+    # a fresh interpreter shows whether a suite still reaches for it
+    code = (
+        "import sys\n"
+        "from pentavec.cli import main\n"
+        "main(['verify', 'all', '--grid', '5', '--format', 'machine'])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("algebra.") and lines[-1] == "[]", proc.stdout
 
 
 def test_transform_vector_round_trip(tmp_path, capsys):

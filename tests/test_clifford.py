@@ -5,6 +5,7 @@ from pentavec.algebra import ETA4, ETA5
 from pentavec.clifford import (
     GammaSet,
     anticommutation_residual,
+    anticommutators,
     apply_metric_preserving,
     dirac_from_gamma_set,
     dirac_gammas,
@@ -112,3 +113,50 @@ def test_reduction_transforms_as_four_vector():
         got = dirac_from_gamma_set(mixed)
         expected = np.einsum("nm,nij->mij", lam, base)
         assert np.allclose(got, expected, atol=1e-11)
+
+
+def metric_preserving_batch(rng, shape):
+    return np.array([random_metric_preserving5(rng) for _ in range(int(np.prod(shape)))]).reshape(shape + (5, 5))
+
+
+def test_batched_calls_match_single_calls():
+    gs = standard_gamma_set()
+    o = metric_preserving_batch(np.random.default_rng(23), (2, 3))
+    mixed = apply_metric_preserving(gs, o)
+    assert mixed.matrices.shape == (2, 3, 5, 4, 4)
+    assert is_metric_preserving(o).shape == (2, 3) and np.all(is_metric_preserving(o))
+    residuals = anticommutation_residual(mixed)
+    reduced = dirac_from_gamma_set(mixed)
+    for idx in np.ndindex(2, 3):
+        one = apply_metric_preserving(gs, o[idx])
+        assert np.array_equal(mixed.matrices[idx], one.matrices)
+        assert residuals[idx] == anticommutation_residual(one)
+        assert np.array_equal(reduced[idx], dirac_from_gamma_set(one))
+    # a batch of sets mixed again by a batch of maps of the same shape
+    again = apply_metric_preserving(mixed, o)
+    one = apply_metric_preserving(GammaSet(mixed.matrices[1, 2]), o[1, 2])
+    assert np.array_equal(again.matrices[1, 2], one.matrices)
+
+
+def test_anticommutators_give_the_dirac_relations():
+    anti = anticommutators(dirac_gammas())
+    assert np.array_equal(anti, 2.0 * ETA4[:, :, None, None] * np.eye(4))
+
+
+def test_one_bad_map_or_set_is_named():
+    gs = standard_gamma_set()
+    o = metric_preserving_batch(np.random.default_rng(24), (2, 3))
+    o[1, 2] = np.diag([2.0, 1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(NotO32) as batch_error:
+        apply_metric_preserving(gs, o)
+    assert str(batch_error.value).endswith("(element (1, 2))")
+    assert not is_metric_preserving(o)[1, 2]
+
+    sets = np.broadcast_to(gs.matrices, (2, 3, 5, 4, 4)).copy()
+    sets[1, 2] = np.eye(4)
+    with pytest.raises(InvalidGammaSet) as batch_error:
+        dirac_from_gamma_set(GammaSet(sets))
+    with pytest.raises(InvalidGammaSet):
+        dirac_from_gamma_set(GammaSet(sets[1, 2]))
+    dirac_from_gamma_set(GammaSet(sets[0]))  # the untouched row passes
+    assert str(batch_error.value).endswith("(element (1, 2))")

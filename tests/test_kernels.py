@@ -14,9 +14,11 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm as scipy_expm
 
 from pentavec import suites
 from pentavec.algebra import (
+    ETA4,
     ETA5,
     Bivector5,
     FiveForm,
@@ -77,6 +79,7 @@ from pentavec.errors import (
 )
 from pentavec.fileio import Record, read_record, transform_to_payload, write_record
 from pentavec.grids import FieldOnGrid, Grid, grid_gradient
+from pentavec.numerics import expm
 from pentavec.poincare import (
     GeneratorTensor,
     LorentzChart,
@@ -579,3 +582,63 @@ def test_one_bad_change_or_generator_is_named(build, kind, error):
 def test_malformed_batched_input_raises_the_input_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+# ------------------------------------------------ exponential and random draws
+
+
+def generators(rng, eta, norms):
+    """eta (a - a^T) for normal draws a, scaled to the given 1-norms (...)."""
+    a = rng.normal(size=np.shape(norms) + eta.shape)
+    g = eta @ (a - np.swapaxes(a, -1, -2))
+    return g * (norms / np.max(np.sum(np.abs(g), axis=-2), axis=-1))[..., None, None]
+
+
+@PROPERTY
+@given(SEEDS, LEADING, st.sampled_from(["eta4", "eta5"]))
+def test_expm_matches_scipy_and_preserves_eta(seed, shape, which):
+    rng = np.random.default_rng(seed)
+    eta = ETA4 if which == "eta4" else ETA5
+    # 1-norms from 1e-3 to 12: no squaring up to theta_13 = 5.37, two at 12
+    g = generators(rng, eta, 10.0 ** rng.uniform(-3.0, np.log10(12.0), shape))
+    got = expm(g)
+    want = scipy_expm(g)
+    size = np.max(np.abs(want), axis=(-2, -1))
+    assert np.all(np.max(np.abs(got - want), axis=(-2, -1)) <= 1e-11 * size)
+    drift = np.max(np.abs(np.swapaxes(got, -1, -2) @ eta @ got - eta), axis=(-2, -1))
+    assert np.all(drift <= 1e-13 * np.max(np.abs(got), axis=(-2, -1)) ** 2)
+
+
+@PROPERTY
+@given(SEEDS)
+def test_expm_scales_each_element_on_its_own(seed):
+    rng = np.random.default_rng(seed)
+    # 0, 3, 0, 1, 2 and 0 squarings, side by side in a random order
+    norms = rng.permutation([1e-3, 40.0, 0.5, 6.0, 11.9, 1e-8])
+    g = generators(rng, ETA5, norms)
+    stacked = expm(g)
+    for i in range(len(norms)):
+        assert_array_equal(stacked[i], expm(g[i]))
+
+
+def invertible_loop(rng, count, n, cond_cap):
+    """One candidate at a time, tested by np.linalg.cond: the reference for the stacked draw."""
+    out = []
+    while len(out) < count:
+        m = rng.normal(0.0, 1.0, (n, n))
+        if np.linalg.cond(m) < cond_cap:
+            out.append(m)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42, 1234])
+@pytest.mark.parametrize("n, cond_cap", [(5, 50.0), (5, 20.0), (4, 20.0)])
+def test_stacked_invertible_draws_replay_the_loop(seed, n, cond_cap):
+    loop_rng = np.random.default_rng(seed)
+    stack_rng = np.random.default_rng(seed)
+    single_rng = np.random.default_rng(seed)
+    want = invertible_loop(loop_rng, 300, n, cond_cap)
+    assert_array_equal(suites.random_invertible_stack(stack_rng, 300, n, cond_cap), want)
+    assert_array_equal([suites.random_invertible(single_rng, n, cond_cap) for _ in range(300)], want)
+    assert stack_rng.bit_generator.state == loop_rng.bit_generator.state
+    assert single_rng.bit_generator.state == loop_rng.bit_generator.state
