@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ETA4, ETA5, DirectionalClass, FiveVector, MetricH, classify_directional, lower_array
-from .bases import BasisChange
+from .bases import BasisChange, p_transformation
 from .errors import DegenerateKappa, GridMismatch, GridTooCoarse, NotDirectional, OutOfRange, ShapeMismatch
 from .grids import FieldOnGrid, Grid, grid_gradient, scheme_width, truncation_estimate
 from .numerics import DEFAULT_TOL, Tolerance, as_array, max_norm
@@ -65,6 +65,17 @@ def flat_coefficients(kappa: float) -> ConnectionCoeffs:
     return ConnectionCoeffs(g)
 
 
+def normalized_kappa(kappa: float) -> float:
+    """The transport constant in the rescaled frame: 1.0, or 0.0 at kappa = 0.
+
+    The rescaled frame scales the fifth vector by S(kappa) = diag(1, 1, 1, 1, kappa):
+    S^-1 N(x; kappa) S = N(x; 1) for the parallel-frame change N, and S carries
+    ``flat_coefficients(kappa)`` to ``flat_coefficients(1)``.  The moment current and
+    coordinate form live there.  At kappa = 0, S is singular and the frames coincide.
+    """
+    return 0.0 if kappa == 0.0 else 1.0
+
+
 @dataclass(frozen=True)
 class CompatibilityReport:
     """Residuals of the standard-frame transport constraints.
@@ -95,13 +106,10 @@ def transport_compatibility(g: ConnectionCoeffs, four: FourConnection) -> Compat
 def parallel_frame_change(x, kappa: float) -> BasisChange:
     """Change from the orthonormal frame to the parallel frame at points x (..., 4).
 
-    The matrix is the identity except for the bottom row, which holds the
-    lowered coordinates scaled by kappa: p_alpha = e_alpha + kappa x_alpha e_5.
+    The P transformation by the lowered coordinates scaled by kappa:
+    p_alpha = e_alpha + kappa x_alpha e_5.
     """
-    x = as_array(x, shape=(..., 4))
-    m = np.broadcast_to(np.eye(5), x.shape[:-1] + (5, 5)).copy()
-    m[..., 4, :4] = kappa * lower_array(x)
-    return BasisChange(m)
+    return p_transformation(kappa * lower_array(as_array(x, shape=(..., 4))))
 
 
 def parallel_frame_metric(x, kappa: float) -> np.ndarray:
@@ -202,7 +210,7 @@ def transport(components, from_x, to_x, frame: str, kappa: float) -> np.ndarray:
 
 
 def covariant_derivative(field: FieldOnGrid, g, scheme: str = "central2") -> FieldOnGrid:
-    """Transport-corrected derivative of a five-vector field.
+    """Covariant derivative of a five-vector field, transport terms included.
 
     Output components are ``D[..., A, mu] = d_mu u^A + G^A_(B mu) u^B``.
     ``g`` may be constant coefficients or a per-sample array of them.

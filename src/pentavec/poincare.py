@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import ETA4, FiveForm, FiveVector, lower_array
+from .connection import normalized_kappa
 from .errors import NotAntisymmetric, NotLorentz, ShapeMismatch
 from .numerics import DEFAULT_TOL, Tolerance, as_array, raise_where
 
@@ -171,10 +172,10 @@ class CoordinateForm:
     """Components of the covariant coordinate form at sample points, (..., 5) each.
 
     ``p_dual`` are the parallel-frame dual components (x_alpha, 1), and
-    ``o_dual`` the orthonormal-frame ones.  The fifth frame vector is
-    scaled so the transport constant drops out of these components; with
-    that convention the form is the same geometric object in every chart,
-    which shows up as o_dual = (0, 0, 0, 0, 1) independent of the point.
+    ``o_dual`` = N^-T p_dual the orthonormal-frame ones, N the parallel-frame
+    change in the rescaled frame (``connection.normalized_kappa``).  There
+    the form is one geometric object in every chart and o_dual is
+    (0, 0, 0, 0, 1) at every point; at kappa = 0, o_dual = p_dual.
     """
 
     p_dual: np.ndarray
@@ -190,10 +191,8 @@ def coordinate_form(chart: LorentzChart, x) -> CoordinateForm:
     but are chart-dependent in that degenerate case.
     """
     x_low = lower_array(as_array(x, shape=(..., 4)))
-    one = np.ones(x_low.shape[:-1] + (1,))
-    factor = 1.0 if chart.kappa != 0.0 else 0.0
-    p_dual = np.concatenate([x_low, one], axis=-1)
-    o_dual = np.concatenate([x_low - factor * x_low, one], axis=-1)
+    p_dual = np.concatenate([x_low, np.ones(x_low.shape[:-1] + (1,))], axis=-1)
+    o_dual = transform_form_array(p_dual, np.eye(4), -normalized_kappa(chart.kappa) * x_low)
     return CoordinateForm(p_dual=p_dual, o_dual=o_dual)
 
 

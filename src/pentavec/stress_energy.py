@@ -19,10 +19,10 @@ Sample arrays carry grid axes first: Theta is ``(..., 4, 4)`` indexed
 [mu][alpha] (upper index first), Sigma ``(..., 4, 4, 4)`` indexed
 [mu][alpha][beta], and the assembled current ``(..., 4, 5, 5)``.
 
-The transport constant enters only through the frame normalization: for
-any nonzero kappa the fifth frame vector is rescaled to absorb it, so the
-formulas here carry unit factors, while kappa = 0 degenerates the two
-frames into one and the five-tensor packaging loses its invariance.
+The transport constant enters only through the rescaled frame: every kappa
+becomes ``connection.normalized_kappa(kappa)``, 1 for any nonzero kappa.
+At kappa = 0 the two frames coincide and the five-tensor packaging loses
+its invariance.
 """
 
 from __future__ import annotations
@@ -32,19 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import lower_array
-from .connection import flat_coefficients
+from .connection import flat_coefficients, normalized_kappa
 from .errors import BasisMismatch, GridMismatch, NotAntisymmetric, NotNull
 from .grids import FieldOnGrid, Grid, partial_derivative, scheme_width
 from .numerics import max_norm
-from .poincare import PoincareTransform, conjugate_array
-
-
-def _frame_factor(kappa: float) -> float:
-    # The moment machinery works in the frame normalization where the
-    # fifth vector absorbs the transport constant, so any nonzero kappa
-    # contributes a unit factor; kappa = 0 is the degenerate case where
-    # the parallel and orthonormal frames coincide.
-    return 0.0 if kappa == 0.0 else 1.0
+from .poincare import PoincareTransform, homogeneous_rep
 
 
 def assemble_moment_field(theta: np.ndarray, sigma: np.ndarray, grid: Grid) -> FieldOnGrid:
@@ -79,10 +71,9 @@ def assemble_moment_field(theta: np.ndarray, sigma: np.ndarray, grid: Grid) -> F
 def moment_to_orthonormal(m: FieldOnGrid, kappa: float = 1.0) -> FieldOnGrid:
     """Re-express the current in the orthonormal dual basis.
 
-    The fifth dual form changes by -kappa x_alpha times the four-forms, so
-    the mixed blocks survive unchanged while the four-block drops its
-    orbital part; at the standard normalization kappa = 1 it becomes the
-    spin current alone.
+    The fifth dual form changes by -normalized_kappa(kappa) x_alpha times the
+    four-forms: the mixed blocks survive, and the four-block drops its orbital
+    part to leave the spin current alone (at kappa = 0 nothing changes).
     """
     return _convert(m, kappa, "P", "O")
 
@@ -100,7 +91,7 @@ def _convert(m: FieldOnGrid, kappa: float, src: str, dst: str) -> FieldOnGrid:
     # is M with s x_f M^mu_(C 5) added to each four-space column f, then
     # s x_e times the updated fifth row added to each four-space row e;
     # both steps run in place on the copy, with no full-size temporaries.
-    shift = (-1.0 if dst == "O" else 1.0) * _frame_factor(kappa) * lower_array(m.grid.coords())
+    shift = (-1.0 if dst == "O" else 1.0) * normalized_kappa(kappa) * lower_array(m.grid.coords())
     out = m.values.copy()
     for f in range(4):
         out[..., f] += shift[..., None, None, f] * out[..., 4]
@@ -110,28 +101,18 @@ def _convert(m: FieldOnGrid, kappa: float, src: str, dst: str) -> FieldOnGrid:
 
 
 def transform_moment_field(m: FieldOnGrid, t: PoincareTransform, kappa: float = 1.0) -> FieldOnGrid:
-    """Blockwise chart-change law for a parallel-frame current field.
+    """Chart-change law for a parallel-frame current field: Lambda^mu_nu rep^T M^nu rep.
 
-    Theta' = Lambda Theta Lambda^-1 on the mixed blocks, and the
-    four-block picks up translation terms a_alpha Theta'_beta -
-    a_beta Theta'_alpha on top of its Lambda conjugation.  Samples stay at
-    the same physical points; their coordinates in the new chart are
-    t applied to the old grid coordinates.
+    ``rep`` is ``homogeneous_rep`` in the rescaled frame.  The mixed blocks
+    become Theta' = Lambda Theta Lambda^-1, and the four-block picks up
+    a_alpha Theta'_beta - a_beta Theta'_alpha on top of its Lambda
+    conjugation.  Samples stay at the same physical points; their
+    coordinates in the new chart are t applied to the old grid coordinates.
     """
     if m.basis != "P":
         raise BasisMismatch(f"expected a P-frame current, got {m.basis!r}")
-    theta_new = conjugate_array(m.values[..., 4, :4], t.lam, t.lam_inv)
-    # The two lower indices of the four-block go as (Lambda^-1)^T F Lambda^-1,
-    # then the upper index mu is mixed by Lambda: pairwise products only.
-    lowered = np.swapaxes(t.lam_inv, -1, -2) @ m.values[..., :4, :4] @ t.lam_inv
-    four_new = np.einsum("mn,...nab->...mab", t.lam, lowered)
-    # a_alpha Theta'^mu_beta - a_beta Theta'^mu_alpha from one outer product
-    outer = lower_array(t.a)[:, None] * theta_new[..., None, :]
-    four_new += _frame_factor(kappa) * (outer - np.swapaxes(outer, -1, -2))
-    values = np.zeros_like(m.values)
-    values[..., :4, :4] = four_new
-    values[..., 4, :4] = theta_new
-    values[..., :4, 4] = -theta_new
+    rep = homogeneous_rep(t, normalized_kappa(kappa))
+    values = np.einsum("mn,...nab->...mab", t.lam, np.swapaxes(rep, -1, -2) @ m.values @ rep)
     return FieldOnGrid(grid=m.grid, values=values, basis="P", boundary_width=m.boundary_width)
 
 
@@ -158,24 +139,21 @@ def conservation_report(m: FieldOnGrid, kappa: float = 1.0, scheme: str = "centr
 
     In the parallel frame the transport coefficients vanish and the
     divergence is the plain derivative sum.  In the orthonormal frame the
-    flat coefficients contribute the correction terms that trade the
-    orbital moment for the stress-energy blocks; with kappa = 0 the two
-    frames coincide and both reduce to the plain divergence.
+    flat coefficients at ``normalized_kappa(kappa)`` contribute the terms
+    that trade the orbital moment for the stress-energy blocks; at kappa = 0
+    they vanish and both frames reduce to the plain divergence.
     """
     if m.basis not in ("O", "P"):
         raise BasisMismatch(f"current must be in the 'O' or 'P' frame, got {m.basis!r}")
     if m.values.shape[4:] != (4, 5, 5):
         raise GridMismatch(f"expected current samples (4, 5, 5), got {m.values.shape[4:]}")
 
-    # Unit transport factor in the O frame: the frame normalization that
-    # makes the current's blocks chart-tensors absorbs kappa.
-    corrected = m.basis == "O" and kappa != 0.0
-    g = flat_coefficients(1.0).values
+    g = flat_coefficients(normalized_kappa(kappa)).values
     div = np.zeros(m.grid.shape + (5, 5))
     for mu in range(4):
         block = m.values[..., mu, :, :]
         div += partial_derivative(block, m.grid, mu, scheme)
-        if corrected:
+        if m.basis == "O":
             # - G^C_(A mu) M^mu_(C B) - G^C_(B mu) M^mu_(A C)
             div -= g[:, :, mu].T @ block
             div -= block @ g[:, :, mu]

@@ -18,7 +18,7 @@ from . import algebra, bases, clifford, connection, poincare, stress_energy
 from .algebra import ETA4, ETA5, Bivector5, DirectionalClass, FiveVector, MetricH
 from .bases import REFERENCE_BASIS, BasisChange
 from .errors import NotMaximalSpace, NotO32, PentavecError
-from .grids import FieldOnGrid, Grid
+from .grids import FieldOnGrid, Grid, scheme_width
 from .numerics import expm, max_norm
 
 SUITE_NAMES = ("algebra", "bases", "clifford", "connection", "poincare", "conservation")
@@ -434,10 +434,19 @@ def connection_suite(options: SuiteOptions) -> SuiteReport:
         worst = max(worst, max_norm(connection.coordinates_from_parallel_metric(metric, kappa) - x))
     checks.append(CheckResult("parallel-frame-metric", worst, 1e-12))
 
+    if kappa != 0.0:
+        # S(kappa) as plain arrays: BasisChange rejects its condition number at tiny kappa
+        s, s_inv = np.diag([1.0, 1.0, 1.0, 1.0, kappa]), np.diag([1.0, 1.0, 1.0, 1.0, 1.0 / kappa])
+        unit = connection.normalized_kappa(kappa)
+        frames = _relative(s_inv @ n @ s, connection.parallel_frame_change(x, unit).matrix, 2)
+        rescaled = np.einsum("ac,cbm,bd->adm", s_inv, flat.values, s)
+        worst = max(frames, max_norm(rescaled - connection.flat_coefficients(unit).values))
+        checks.append(CheckResult("kappa-normalization", worst, 1e-14))
+
     grid = Grid(origin=(-0.5,) * 4, spacing=(1.0 / 6.0,) * 4, shape=(7, 7, 7, 7))
     n_field = connection.parallel_frame_change(grid.coords(), kappa).matrix
     transformed = connection.transform_connection_field(flat, n_field, np.eye(4), grid, scheme)
-    sel = grid.interior(1 if scheme == "central2" else 2)
+    sel = grid.interior(scheme_width(scheme))
     checks.append(CheckResult("parallel-coefficients-vanish", max_norm(transformed[sel]), 1e-12))
 
     n = options.grid_n
@@ -453,7 +462,7 @@ def connection_suite(options: SuiteOptions) -> SuiteReport:
         linv = np.linalg.inv(change)
         exact = np.einsum("...ac,cdn,...db->...abn", linv, flat.values, change)
         exact = exact + np.einsum("...ac,...cbn->...abn", linv, d_change)
-        sel = g.interior(1 if scheme == "central2" else 2)
+        sel = g.interior(scheme_width(scheme))
         orders.append(max_norm((fd - exact)[sel]))
     order = math.log2(orders[0] / orders[1])
     checks.append(CheckResult("transform-convergence-order", order, 1.9, mode="at-least"))
@@ -575,14 +584,18 @@ def poincare_suite(options: SuiteOptions) -> SuiteReport:
     form2 = poincare.coordinate_form(c2, t.apply(x1))
     moved = poincare.transform_form_array(form1.p_dual, t.lam_inv, t.shift(1.0))
     checks.append(CheckResult("coordinate-form-invariance", max_norm(moved - form2.p_dual), 1e-9))
-    if kappa != 0.0:
-        # the degenerate kappa = 0 branch has chart-dependent components
-        exact = max_norm(form1.o_dual - np.array([0.0, 0, 0, 0, 1.0]))
-        checks.append(CheckResult("coordinate-form-orthonormal-components", exact, 0.0))
+    # o = N^-T p, and N is unit triangular, so the solve is exact
+    unit = connection.normalized_kappa(kappa)
+    n_t = np.swapaxes(connection.parallel_frame_change(x1, unit).matrix, -1, -2)
+    exact = max_norm(form1.o_dual - np.linalg.solve(n_t, form1.p_dual[..., None])[..., 0])
+    checks.append(CheckResult("coordinate-form-orthonormal-components", exact, 0.0))
 
-    unit = connection.flat_coefficients(1.0).values
-    o_route = -unit[4, :, :].T  # rows mu, columns A: w_(A;mu) = -G^5_(A mu) for the fifth dual form
-    p_route = poincare.coordinate_form_derivative(poincare.LorentzChart.reference(kappa), np.zeros(4))
+    # rows mu: w_(A;mu) = d_mu o_A - G^C_(A mu) o_C at the origin; o is affine, so
+    # d_mu o = o(e_mu) - o(0) exactly, and eye(5, 4) lists e_0 .. e_3, then the origin
+    reference = poincare.LorentzChart.reference(kappa)
+    o = poincare.coordinate_form(reference, np.eye(5, 4)).o_dual
+    o_route = o[:4] - o[4] - np.einsum("cam,c->ma", connection.flat_coefficients(unit).values, o[4])
+    p_route = poincare.coordinate_form_derivative(reference, np.zeros(4))
     checks.append(CheckResult("coordinate-form-derivative-routes", max_norm(o_route - p_route), 1e-15))
 
     gen, a, matrix4, shift = _draw(

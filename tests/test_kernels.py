@@ -394,6 +394,17 @@ def test_moment_field_law_matches_einsum(seed, kappa):
     assert np.all(got[..., 4, 4] == 0.0)
 
 
+@PROPERTY
+@given(SEEDS, st.sampled_from([0.0, 0.3, 0.5, 1.0, 2.0, -1.0]))
+def test_moment_field_law_is_a_group_action(seed, kappa):
+    m = wave_current(seed)
+    rng = np.random.default_rng(seed)
+    t1, t2 = suites.random_poincare(rng), suites.random_poincare(rng)
+    once = transform_moment_field(m, t1.compose(t2), kappa).values
+    twice = transform_moment_field(transform_moment_field(m, t2, kappa), t1, kappa).values
+    assert relative(once, twice) <= 1e-12
+
+
 @pytest.mark.parametrize("seed", [19, 248019633])
 def test_poincare_suite_passes_at_former_round_off_seeds(seed):
     # these seeds crossed the former absolute 1e-12 group-law gates
