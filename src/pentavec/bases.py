@@ -37,6 +37,7 @@ from .errors import (
     DegenerateInducedMetric,
     DimensionTooSmall,
     NoCommonDirection,
+    NotFinite,
     NotMaximalSpace,
     NotOrthonormalInput,
     NotSimple,
@@ -282,7 +283,10 @@ def _wedge_quadruples(wedges, error) -> np.ndarray:
 
 
 def _induced_gram(w: np.ndarray, h: MetricH) -> np.ndarray:
-    return bivector_inner_array(w[..., :, None, :, :], w[..., None, :, :, :], h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = bivector_inner_array(w[..., :, None, :, :], w[..., None, :, :, :], h)
+    raise_where(~np.isfinite(gram).all(axis=(-2, -1)), NotFinite, "induced inner products overflow")
+    return gram
 
 
 def orthonormal_basis_for_array(

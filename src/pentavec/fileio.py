@@ -176,24 +176,18 @@ def parse_record(text: str) -> Record:
 
     grid = None
     if needs_grid:
-        for key in ("origin", "spacing", "shape"):
+        geometry = {}
+        for key, number in (("origin", float), ("spacing", float), ("shape", int)):
             if key not in header:
                 raise ParseError(f"field kind {kind!r} needs a {key!r} header", line=data_line)
-        origin_line, origin_raw = header.pop("origin")
-        spacing_line, spacing_raw = header.pop("spacing")
-        shape_line, shape_raw = header.pop("shape")
-        try:
-            origin = tuple(float(v) for v in origin_raw.split())
-            spacing = tuple(float(v) for v in spacing_raw.split())
-        except ValueError:
-            raise ParseError("bad grid geometry value", line=origin_line) from None
-        try:
-            counts = tuple(int(v) for v in shape_raw.split())
-        except ValueError:
-            raise ParseError(f"bad shape value in {shape_raw!r}", line=shape_line) from None
-        if not (len(origin) == len(spacing) == len(counts) == 4):
-            raise ParseError("grid headers need four values each", line=spacing_line)
-        grid = Grid(origin=origin, spacing=spacing, shape=counts)
+            line_no, raw = header.pop(key)
+            try:
+                geometry[key] = tuple(number(v) for v in raw.split())
+            except ValueError:
+                raise ParseError(f"bad {key} value in {raw!r}", line=line_no) from None
+            if len(geometry[key]) != 4:
+                raise ParseError(f"{key!r} needs four values, got {len(geometry[key])}", line=line_no)
+        grid = Grid(**geometry)
     elif any(key in header for key in ("origin", "spacing", "shape")):
         raise ParseError(f"kind {kind!r} carries no grid", line=data_line)
 

@@ -43,6 +43,8 @@ class Grid:
         shape = tuple(int(n) for n in self.shape)
         if not (len(origin) == len(spacing) == len(shape) == 4):
             raise GridMismatch("grids carry exactly four axes")
+        if not all(np.isfinite(origin + spacing)):
+            raise NotFinite("grid origin and spacing must be finite")
         if any(s <= 0.0 for s in spacing):
             raise GridMismatch("spacings must be positive")
         if any(n < 1 for n in shape):

@@ -214,7 +214,45 @@ def malformed_records():
         pytest.param(non_utf8, "byte 0xff is not UTF-8 text (line 20, column 1)", id="non-utf8"),
         pytest.param(deep_bad.encode(), "bad number 'x' at sample 145 (line 27, column", id="deep-bad-token"),
         pytest.param(text[: len(text) // 2].encode(), "needs 200 values, got", id="truncated"),
+        *header_cases(),
     ]
+
+
+# bad values for each header line of a field record, each with a fragment of its error line
+BAD_HEADERS = [
+    ("kind", "nonsense", "unknown kind 'nonsense' (line 2)"),
+    ("labels", "0 1 2 3", "expects labels '0 1 2 3 5' (line 3)"),
+    ("basis", "Q", "basis flag must be one of ('O', 'P', 'regular') (line 4)"),
+    ("kappa", "x", "bad kappa value 'x' (line 5)"),
+    ("kappa", "nan", "kappa must be finite (line 5)"),
+    ("origin", "0 0 x 0", "bad origin value in '0 0 x 0' (line 6)"),
+    ("origin", "0 0 0", "'origin' needs four values, got 3 (line 6)"),
+    ("origin", "0 inf 0 0", "grid origin and spacing must be finite"),
+    ("spacing", "0.5 0.5 x 0.5", "bad spacing value in '0.5 0.5 x 0.5' (line 7)"),
+    ("spacing", "0.5 0.5 0.5 0.5 0.5", "'spacing' needs four values, got 5 (line 7)"),
+    ("spacing", "0.5 nan 0.5 0.5", "grid origin and spacing must be finite"),
+    ("spacing", "0.5 0 0.5 0.5", "spacings must be positive"),
+    ("shape", "1 1 2 2.0", "bad shape value in '1 1 2 2.0' (line 8)"),
+    ("shape", "1 1 2", "'shape' needs four values, got 3 (line 8)"),
+    ("shape", "1 1 0 2", "each axis needs at least one sample"),
+]
+
+
+def header_cases():
+    """Each header line given a bad value, then each given twice."""
+    grid = Grid(origin=(0.0,) * 4, spacing=(0.5,) * 4, shape=(1, 1, 2, 2))
+    text = emit_record(Record("five_vector_field", np.ones(grid.shape + (5,)), basis="O", kappa=0.5, grid=grid))
+    lines = text.splitlines(keepends=True)
+    keys = [line.split()[0] for line in lines[1:8]]  # kind, labels, basis, kappa, origin, spacing, shape
+    cases = []
+    for key, value, fragment in BAD_HEADERS:
+        changed = [f"{key} {value}\n" if line.split()[0] == key else line for line in lines]
+        cases.append(pytest.param("".join(changed).encode(), fragment, id=f"bad-{key}-{value.replace(' ', '_')}"))
+    for no, key in enumerate(keys, start=2):
+        repeated = lines[:no] + [lines[no - 1]] + lines[no:]
+        fragment = f"duplicate header key {key!r} (line {no + 1})"
+        cases.append(pytest.param("".join(repeated).encode(), fragment, id=f"duplicate-{key}"))
+    return cases
 
 
 @pytest.mark.parametrize("data, fragment", malformed_records())
@@ -308,3 +346,49 @@ def test_basis_rejects_wrong_kind(tmp_path, capsys):
     ])
     assert code == 2
     assert "four_basis" in capsys.readouterr().err
+
+
+def basis_inputs():
+    """Bad inputs to ``basis``: record text, mode, and a fragment of the one error line."""
+    ref = reference_wedge_payload()
+    crossed = ref.copy()
+    crossed[3] = wedge(FiveVector(np.eye(5)[:, 0]), FiveVector(np.eye(5)[:, 1])).matrix
+    four = emit_record(Record("four_basis_bivectors", ref))
+    three = four[: four.index("data\n") + 5] + " ".join("%.17g" % v for v in ref[:3].ravel()) + "\n"
+    return [
+        pytest.param(emit_record(Record("five_vector", np.arange(5.0))), "orthonormal", "got 'five_vector'", id="wrong-kind"),
+        pytest.param(three, "regular", "needs 100 values, got 75", id="three-wedges"),
+        pytest.param(
+            emit_record(Record("four_basis_bivectors", 2.0 * ref)),
+            "orthonormal",
+            "induced inner products do not match diag(+ - - -)",
+            id="non-orthonormal",
+        ),
+        pytest.param(emit_record(Record("four_basis_bivectors", crossed)), "regular", "common-direction", id="crossed"),
+        pytest.param(
+            emit_record(Record("four_basis_bivectors", np.zeros((4, 5, 5)))),
+            "regular",
+            "numerically degenerate",
+            id="zero-wedges",
+        ),
+        pytest.param(
+            emit_record(Record("four_basis_bivectors", 1e300 * ref)),
+            "regular",
+            "induced inner products overflow",
+            id="overflow",
+        ),
+    ]
+
+
+# a numpy warning would print lines of its own to stderr
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("text, mode, fragment", basis_inputs())
+def test_basis_bad_input_exits_2(tmp_path, capsys, text, mode, fragment):
+    (tmp_path / "w.pvec").write_text(text)
+    assert main(["basis", str(tmp_path / "w.pvec"), "-o", str(tmp_path / "b.pvec"), "--mode", mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
+    assert fragment in err
+    assert not (tmp_path / "b.pvec").exists()

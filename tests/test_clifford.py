@@ -115,13 +115,9 @@ def test_reduction_transforms_as_four_vector():
         assert np.allclose(got, expected, atol=1e-11)
 
 
-def metric_preserving_batch(rng, shape):
-    return np.array([random_metric_preserving5(rng) for _ in range(int(np.prod(shape)))]).reshape(shape + (5, 5))
-
-
 def test_batched_calls_match_single_calls():
     gs = standard_gamma_set()
-    o = metric_preserving_batch(np.random.default_rng(23), (2, 3))
+    o = random_metric_preserving5(np.random.default_rng(23), (2, 3))
     mixed = apply_metric_preserving(gs, o)
     assert mixed.matrices.shape == (2, 3, 5, 4, 4)
     assert is_metric_preserving(o).shape == (2, 3) and np.all(is_metric_preserving(o))
@@ -145,7 +141,7 @@ def test_anticommutators_give_the_dirac_relations():
 
 def test_one_bad_map_or_set_is_named():
     gs = standard_gamma_set()
-    o = metric_preserving_batch(np.random.default_rng(24), (2, 3))
+    o = random_metric_preserving5(np.random.default_rng(24), (2, 3))
     o[1, 2] = np.diag([2.0, 1.0, 1.0, 1.0, 1.0])
     with pytest.raises(NotO32) as batch_error:
         apply_metric_preserving(gs, o)

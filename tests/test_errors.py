@@ -38,6 +38,12 @@ ASYMMETRIC = np.diag([1.0, 1.0, -1.0, -1.0, -1.0]) + np.triu(np.ones((5, 5)), 1)
         (lambda: transport(np.zeros(5), np.zeros(4), np.ones(4), "Q", 1.0), OutOfRange, ValueError),
         (lambda: scheme_width("upwind"), OutOfRange, ValueError),
         (lambda: FieldOnGrid(LINE, np.full((4, 1, 1, 1), np.nan)), NotFinite, ValueError),
+        pytest.param(
+            lambda: Grid(origin=(0.0,) * 4, spacing=(0.5, np.inf, 0.5, 0.5), shape=(2,) * 4),
+            NotFinite,
+            ValueError,
+            id="grid-NotFinite-ValueError",
+        ),
         (lambda: Tolerance(rel=0.0), OutOfRange, ValueError),
         (lambda: plane_wave_stress_samples([1.0, 0.0, 0.0, 0.0], WAVE), NotNull, ValueError),
     ],
