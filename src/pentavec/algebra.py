@@ -36,7 +36,7 @@ from .errors import (
     ShapeMismatch,
     ZeroVector,
 )
-from .numerics import DEFAULT_TOL, Tolerance, as_array, matrix_rank, max_norm, raise_where, singular_rank
+from .numerics import ABS_TOL, as_array, bound, matrix_rank, max_norm, raise_where, singular_rank
 
 INDEX_LABELS = (0, 1, 2, 3, 5)
 
@@ -193,16 +193,16 @@ def _wedge_square_dual(b) -> np.ndarray:
     return square.reshape(b.shape[:-2] + (625,)) @ _EPS5_FLAT
 
 
-def is_simple_array(b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def is_simple_array(b) -> np.ndarray:
     """Per-bivector simplicity test b ^ b = 0 over ``(..., 5, 5)``."""
     b = _stack(b, (5, 5), "bivectors")
     scale = np.max(np.abs(b), axis=(-2, -1)) ** 2
-    return np.max(np.abs(_wedge_square_dual(b)), axis=-1) <= tol.bound(scale)
+    return np.max(np.abs(_wedge_square_dual(b)), axis=-1) <= bound(scale)
 
 
-def is_simple(b: Bivector5, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_simple(b: Bivector5) -> bool:
     """True when b is a single wedge u ^ v, detected by b ^ b = 0."""
-    return bool(is_simple_array(b.matrix, tol))
+    return bool(is_simple_array(b.matrix))
 
 
 _PAIRS = list(itertools.combinations(range(5), 2))
@@ -234,7 +234,7 @@ def _wedge_with_vector_tensor() -> np.ndarray:
 _WEDGE_WITH_VECTOR = _wedge_with_vector_tensor()
 
 
-def directional_vector_array(bivectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def directional_vector_array(bivectors) -> np.ndarray:
     """Shared directions of spanning sets ``(..., k, 5, 5)``, giving ``(..., 5)``.
 
     Every bivector must be simple, each set must span at least four
@@ -248,15 +248,15 @@ def directional_vector_array(bivectors, tol: Tolerance = DEFAULT_TOL) -> np.ndar
     k = b.shape[-3]
     if k == 0:
         raise DimensionTooSmall("need a spanning set, got no bivectors")
-    raise_where(~is_simple_array(b, tol), NotSimple, "input bivector is not simple")
+    raise_where(~is_simple_array(b), NotSimple, "input bivector is not simple")
 
-    span_rank = matrix_rank(_vec_pairs(b), tol)
+    span_rank = matrix_rank(_vec_pairs(b))
     raise_where(np.asarray(span_rank) < 4, DimensionTooSmall, "bivectors span fewer than four dimensions")
 
     sets = b.shape[:-3]
     constraints = (b.reshape(sets + (k, 25)) @ _WEDGE_WITH_VECTOR).reshape(sets + (10 * k, 5))
     _, sigma, vt = np.linalg.svd(constraints, full_matrices=False)
-    kernel_dim = 5 - singular_rank(sigma, tol)
+    kernel_dim = 5 - singular_rank(sigma)
     raise_where(
         kernel_dim != 1,
         NotMaximalSpace,
@@ -269,7 +269,7 @@ def directional_vector_array(bivectors, tol: Tolerance = DEFAULT_TOL) -> np.ndar
     return np.where(lead < 0.0, -w, w)
 
 
-def directional_vector(bivectors, tol: Tolerance = DEFAULT_TOL) -> FiveVector:
+def directional_vector(bivectors) -> FiveVector:
     """Shared direction w of a spanning set of a maximal simple-bivector space.
 
     Every input must be simple, the inputs must span at least four
@@ -283,7 +283,7 @@ def directional_vector(bivectors, tol: Tolerance = DEFAULT_TOL) -> FiveVector:
     basis_id = bivectors[0].basis_id
     if any(b.basis_id != basis_id for b in bivectors):
         raise BasisMismatch("bivectors expressed against different bases")
-    w = directional_vector_array(np.array([b.matrix for b in bivectors]), tol)
+    w = directional_vector_array(np.array([b.matrix for b in bivectors]))
     return FiveVector(w, basis_id=basis_id)
 
 
@@ -315,17 +315,17 @@ class DirectionalClass(enum.Enum):
     NEGATIVE = "negative"
 
 
-def classify_directional(w: FiveVector, h: MetricH, tol: Tolerance = DEFAULT_TOL) -> DirectionalClass:
+def classify_directional(w: FiveVector, h: MetricH) -> DirectionalClass:
     """Sign class of h(w, w), with a tolerance band around zero.
 
     Positive norm gives a Lorentzian wedge space, negative norm flips two
     metric signs, and a null direction degenerates the induced metric.
     """
     wmax = max_norm(w.components)
-    if wmax <= tol.abs:
+    if wmax <= ABS_TOL:
         raise ZeroVector("cannot classify the zero vector")
     norm = h.dot(w.components, w.components)
-    band = tol.bound(max_norm(h.matrix) * wmax * wmax)
+    band = bound(max_norm(h.matrix) * wmax * wmax)
     if abs(norm) <= band:
         return DirectionalClass.NULL
     return DirectionalClass.POSITIVE if norm > 0 else DirectionalClass.NEGATIVE
@@ -345,13 +345,13 @@ def bivector_from_four(u: FourVector, basis) -> Bivector5:
     return Bivector5(bivector_from_four_array(u.components, basis), basis_id=basis.reference_id)
 
 
-def four_from_bivector_array(b, basis, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def four_from_bivector_array(b, basis) -> np.ndarray:
     """Components ``(..., 4)`` of bivectors ``(..., 5, 5)`` against e_mu ^ e_5.
 
     One least-squares solve covers the whole batch; a bivector whose
     residual lies outside the span raises NotInMaximalSpace.
     """
-    if not basis.is_standard(tol):
+    if not basis.is_standard():
         raise NotStandard("basis must be standard (fifth vector along the directional vector)")
     b = _stack(b, (5, 5), "bivectors")
     cols = basis.matrix
@@ -361,7 +361,7 @@ def four_from_bivector_array(b, basis, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     coeffs = coeffs.T.reshape(b.shape[:-2] + (4,))
     residual = np.max(np.abs(coeffs @ span - target), axis=-1)
     raise_where(
-        residual > tol.bound(np.max(np.abs(b), axis=(-2, -1))),
+        residual > bound(np.max(np.abs(b), axis=(-2, -1))),
         NotInMaximalSpace,
         "residual {:.3e} outside the wedge span",
         residual,
@@ -369,11 +369,11 @@ def four_from_bivector_array(b, basis, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     return coeffs
 
 
-def four_from_bivector(b: Bivector5, basis, tol: Tolerance = DEFAULT_TOL) -> FourVector:
+def four_from_bivector(b: Bivector5, basis) -> FourVector:
     """Components of b against the wedge basis e_mu ^ e_5 of a standard basis.
 
     Raises NotInMaximalSpace when b has a residual outside that span.
     """
     if b.basis_id != basis.reference_id:
         raise BasisMismatch(f"bivector in {b.basis_id!r}, basis columns in {basis.reference_id!r}")
-    return FourVector(four_from_bivector_array(b.matrix, basis, tol), basis_id=basis.id)
+    return FourVector(four_from_bivector_array(b.matrix, basis), basis_id=basis.id)

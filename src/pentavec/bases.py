@@ -47,7 +47,7 @@ from .errors import (
     SingularBlock,
     SingularMatrix,
 )
-from .numerics import DEFAULT_TOL, Tolerance, as_array, invert, raise_where
+from .numerics import REL_TOL, as_array, bound, invert, raise_where
 
 
 @dataclass(frozen=True)
@@ -76,17 +76,17 @@ class Basis5:
 
         return self.matrix[:, label_to_slot(label)]
 
-    def is_standard(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return bool(_standard_array(self.matrix, tol))
+    def is_standard(self) -> bool:
+        return bool(_standard_array(self.matrix))
 
 
 REFERENCE_BASIS = Basis5(np.eye(5), id="reference")
 
 
-def _standard_array(cols: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _standard_array(cols: np.ndarray) -> np.ndarray:
     # Fifth column proportional to the reference directional axis.
     col = np.abs(cols[..., :, 4])
-    return np.max(col[..., :4], axis=-1) <= tol.bound(np.max(col, axis=-1))
+    return np.max(col[..., :4], axis=-1) <= bound(np.max(col, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -120,24 +120,24 @@ def frame_residuals(cols, h: MetricH, wedges=None) -> FrameResiduals:
     )
 
 
-def classify_basis_array(cols, h: MetricH, tol: Tolerance = DEFAULT_TOL) -> BasisFlags:
+def classify_basis_array(cols, h: MetricH) -> BasisFlags:
     """Flags of basis matrices ``(..., 5, 5)`` under the five-metric h.
 
     The fields of the returned BasisFlags are boolean arrays over the
-    leading axes: the ``frame_residuals`` thresholded at tol.bound(scale).
+    leading axes: the ``frame_residuals`` thresholded at bound(scale).
     """
     cols = np.asarray(cols, dtype=float)
     r = frame_residuals(cols, h)
-    bound = tol.bound(r.scale)
-    return BasisFlags(_standard_array(cols, tol), r.regular <= bound, r.orthonormal <= bound)
+    limit = bound(r.scale)
+    return BasisFlags(_standard_array(cols), r.regular <= limit, r.orthonormal <= limit)
 
 
 def _single(flags: BasisFlags) -> BasisFlags:
     return BasisFlags(*(bool(f) for f in (flags.standard, flags.regular, flags.orthonormal)))
 
 
-def classify_basis(basis: Basis5, h: MetricH, tol: Tolerance = DEFAULT_TOL) -> BasisFlags:
-    return _single(classify_basis_array(basis.matrix, h, tol))
+def classify_basis(basis: Basis5, h: MetricH) -> BasisFlags:
+    return _single(classify_basis_array(basis.matrix, h))
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ def apply_change(basis: Basis5, change: BasisChange, new_id: str = "changed") ->
     return Basis5(basis.matrix @ change.matrix, id=new_id, reference_id=basis.reference_id)
 
 
-def is_standard_change(change: BasisChange, tol: Tolerance = DEFAULT_TOL):
+def is_standard_change(change: BasisChange):
     """True when the change maps standard bases to standard bases.
 
     The criterion is a vanishing upper-right block: the new fifth vector
@@ -171,17 +171,17 @@ def is_standard_change(change: BasisChange, tol: Tolerance = DEFAULT_TOL):
     boolean array over its leading axes.
     """
     m = change.matrix
-    return np.max(np.abs(m[..., :4, 4]), axis=-1) <= tol.bound(np.max(np.abs(m), axis=(-2, -1)))
+    return np.max(np.abs(m[..., :4, 4]), axis=-1) <= bound(np.max(np.abs(m), axis=(-2, -1)))
 
 
-def induced_four_map(change: BasisChange, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def induced_four_map(change: BasisChange) -> np.ndarray:
     """Map induced on wedge four-vectors by a standard basis change.
 
     The wedges transform with the four-block of L scaled by the fifth
     diagonal entry: Lambda^nu_mu = L^5_5 L^nu_mu.
     """
     message = "only standard changes act on the wedge four-space"
-    raise_where(~is_standard_change(change, tol), NotStandard, message)
+    raise_where(~is_standard_change(change), NotStandard, message)
     m = change.matrix
     return m[..., 4, 4, None, None] * m[..., :4, :4]
 
@@ -225,19 +225,19 @@ def m_transformation(t) -> BasisChange:
     return BasisChange(m)
 
 
-def decompose_upm(change: BasisChange, tol: Tolerance = DEFAULT_TOL) -> UPMDecomposition:
+def decompose_upm(change: BasisChange) -> UPMDecomposition:
     """Unique factorization of a standard change into U(a) P(p) M(t).
 
     Reading the blocks of the product U P M gives a = L^5_5, t = a times
     the four-block, and p from the bottom row against t.
     """
     message = "only standard changes admit the U P M factorization"
-    raise_where(~is_standard_change(change, tol), NotStandard, message)
+    raise_where(~is_standard_change(change), NotStandard, message)
     m = change.matrix
     a = m[..., 4, 4]
     t = a[..., None, None] * m[..., :4, :4]
     try:
-        t_inv = invert(t, tol)
+        t_inv = invert(t)
     except SingularMatrix as exc:
         raise SingularBlock(f"four-block of the change is singular: {exc}") from exc
     p = (m[..., 4, None, :4] @ t_inv)[..., 0, :] / a[..., None]
@@ -292,7 +292,6 @@ def _induced_gram(w: np.ndarray, h: MetricH) -> np.ndarray:
 def orthonormal_basis_for_array(
     wedges,
     h: MetricH,
-    tol: Tolerance = DEFAULT_TOL,
     negate_direction: bool = False,
 ) -> np.ndarray:
     """Orthonormal frames ``(..., 5, 5)`` for wedge quadruples ``(..., 4, 5, 5)``.
@@ -309,13 +308,13 @@ def orthonormal_basis_for_array(
     gram = _induced_gram(w_in, h)
     raise_where(
         np.max(np.abs(gram - ETA4), axis=(-2, -1))
-        > tol.bound(np.maximum(np.max(np.abs(gram), axis=(-2, -1)), 1.0)),
+        > bound(np.maximum(np.max(np.abs(gram), axis=(-2, -1)), 1.0)),
         NotOrthonormalInput,
         "induced inner products do not match diag(+ - - -)",
     )
 
     try:
-        w = directional_vector_array(w_in, tol)
+        w = directional_vector_array(w_in)
     except NotSimple as exc:
         raise NotOrthonormalInput(str(exc)) from exc
     except (NotMaximalSpace, DimensionTooSmall) as exc:
@@ -326,7 +325,7 @@ def orthonormal_basis_for_array(
     raw = (w_in @ w[..., None, :, None])[..., 0] / np.sum(w * w, axis=-1)[..., None, None]
     residual = np.max(np.abs(_vec_pairs(wedge_array(raw, w[..., None, :]) - w_in)), axis=-1)
     raise_where(
-        residual > tol.bound(np.max(np.abs(w_in), axis=(-2, -1))),
+        residual > bound(np.max(np.abs(w_in), axis=(-2, -1))),
         NoCommonDirection,
         "input bivector is not a wedge with the common direction",
     )
@@ -342,7 +341,7 @@ def orthonormal_basis_for_array(
     cols[..., :, 4] = w / root
 
     raise_where(
-        ~classify_basis_array(cols, h, tol).orthonormal,
+        ~classify_basis_array(cols, h).orthonormal,
         NotOrthonormalInput,
         "constructed basis failed the orthonormality check",
     )
@@ -358,14 +357,13 @@ def _wedge_matrices(wedges, error) -> list:
     return [b.matrix for b in wedges]
 
 
-def _flagged(cols: np.ndarray, basis_id: str, h: MetricH, tol: Tolerance) -> Basis5:
-    return Basis5(cols, id=basis_id, flags=_single(classify_basis_array(cols, h, tol)))
+def _flagged(cols: np.ndarray, basis_id: str, h: MetricH) -> Basis5:
+    return Basis5(cols, id=basis_id, flags=_single(classify_basis_array(cols, h)))
 
 
 def orthonormal_basis_for(
     wedges,
     h: MetricH,
-    tol: Tolerance = DEFAULT_TOL,
     negate_direction: bool = False,
 ) -> Basis5:
     """Orthonormal five-basis whose wedge four-basis reproduces the input.
@@ -378,14 +376,13 @@ def orthonormal_basis_for(
     (``negate_direction`` selects the other representative).
     """
     matrices = _wedge_matrices(wedges, NotOrthonormalInput)
-    cols = orthonormal_basis_for_array(matrices, h, tol, negate_direction)
-    return _flagged(cols, "orthonormal", h, tol)
+    cols = orthonormal_basis_for_array(matrices, h, negate_direction)
+    return _flagged(cols, "orthonormal", h)
 
 
 def regular_basis_for_array(
     wedges,
     h: MetricH,
-    tol: Tolerance = DEFAULT_TOL,
     negate_direction: bool = False,
 ) -> np.ndarray:
     """Regular frames ``(..., 5, 5)`` for wedge quadruples ``(..., 4, 5, 5)``.
@@ -395,14 +392,14 @@ def regular_basis_for_array(
     lam = V |D|^-1/2 (positive eigenvalue first), the rotated wedges are
     lifted with ``orthonormal_basis_for_array``, and the four-space part is
     mapped back with lam^-1 = |D|^1/2 V^T.  The degeneracy check bounds the
-    condition number of lam by tol.rel^-1/2, so the inverse needs no check.
+    condition number of lam by REL_TOL^-1/2, so the inverse needs no check.
     """
     w_in = _wedge_quadruples(wedges, DegenerateInducedMetric)
     gram = _induced_gram(w_in, h)
     eigs, vecs = np.linalg.eigh(gram)
     size = np.abs(eigs)
     raise_where(
-        np.min(size, axis=-1) <= tol.rel * np.max(size, axis=-1),
+        np.min(size, axis=-1) <= REL_TOL * np.max(size, axis=-1),
         DegenerateInducedMetric,
         "induced metric is numerically degenerate",
     )
@@ -420,11 +417,11 @@ def regular_basis_for_array(
     lam_inv = root[..., :, None] * np.swapaxes(vecs, -1, -2)
 
     rotated = (np.swapaxes(lam, -1, -2) @ w_in.reshape(w_in.shape[:-2] + (25,))).reshape(w_in.shape)
-    cols = orthonormal_basis_for_array(rotated, h, tol, negate_direction=negate_direction)
+    cols = orthonormal_basis_for_array(rotated, h, negate_direction=negate_direction)
     cols[..., :, :4] = cols[..., :, :4] @ lam_inv
 
     raise_where(
-        ~classify_basis_array(cols, h, tol).regular,
+        ~classify_basis_array(cols, h).regular,
         DegenerateInducedMetric,
         "constructed basis failed the regularity check",
     )
@@ -434,7 +431,6 @@ def regular_basis_for_array(
 def regular_basis_for(
     wedges,
     h: MetricH,
-    tol: Tolerance = DEFAULT_TOL,
     negate_direction: bool = False,
 ) -> Basis5:
     """Regular five-basis reproducing four independent input wedges.
@@ -447,5 +443,5 @@ def regular_basis_for(
     four.
     """
     matrices = _wedge_matrices(wedges, DegenerateInducedMetric)
-    cols = regular_basis_for_array(matrices, h, tol, negate_direction)
-    return _flagged(cols, "regular", h, tol)
+    cols = regular_basis_for_array(matrices, h, negate_direction)
+    return _flagged(cols, "regular", h)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import ETA5
 from .errors import InvalidGammaSet, NotO32
-from .numerics import DEFAULT_TOL, Tolerance, raise_where
+from .numerics import bound, raise_where
 
 _SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -105,7 +105,7 @@ def standard_gamma_set() -> GammaSet:
     raise InvalidGammaSet("phase search failed")  # unreachable for the Dirac seed
 
 
-def dirac_from_gamma_set(gs: GammaSet, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def dirac_from_gamma_set(gs: GammaSet) -> np.ndarray:
     """Spacetime Dirac matrices (..., 4, 4, 4) recovered from a gamma set.
 
     Computes gamma_mu = (i/2)(G_mu G_5 - G_5 G_mu) after checking that the
@@ -114,23 +114,23 @@ def dirac_from_gamma_set(gs: GammaSet, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     """
     resid = anticommutation_residual(gs)
     g = gs.matrices
-    bound = tol.bound(np.max(np.abs(g), axis=(-3, -2, -1)))
-    raise_where(resid > bound, InvalidGammaSet, "anticommutation residual {:.3e}", resid)
+    limit = bound(np.max(np.abs(g), axis=(-3, -2, -1)))
+    raise_where(resid > limit, InvalidGammaSet, "anticommutation residual {:.3e}", resid)
     out = 0.5j * (g[..., :4, :, :] @ g[..., 4:, :, :] - g[..., 4:, :, :] @ g[..., :4, :, :])
     out.setflags(write=False)
     return out
 
 
-def is_metric_preserving(o: np.ndarray, tol: Tolerance = DEFAULT_TOL):
+def is_metric_preserving(o: np.ndarray):
     """True when o^T eta5 o = eta5; a batch (..., 5, 5) gives a boolean array."""
     o = np.asarray(o, dtype=float)
     if o.shape[-2:] != (5, 5):
         return False
     resid = np.max(np.abs(np.swapaxes(o, -1, -2) @ ETA5 @ o - ETA5), axis=(-2, -1))
-    return resid <= tol.bound(np.max(np.abs(o), axis=(-2, -1)) ** 2)
+    return resid <= bound(np.max(np.abs(o), axis=(-2, -1)) ** 2)
 
 
-def apply_metric_preserving(gs: GammaSet, o: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> GammaSet:
+def apply_metric_preserving(gs: GammaSet, o: np.ndarray) -> GammaSet:
     """Mix a gamma set along its label index: G'_A = o^B_A G_B.
 
     Requires o to preserve the five-metric, which is exactly the condition
@@ -140,7 +140,7 @@ def apply_metric_preserving(gs: GammaSet, o: np.ndarray, tol: Tolerance = DEFAUL
     """
     o = np.asarray(o, dtype=float)
     message = "matrix does not preserve the five-metric"
-    raise_where(np.logical_not(is_metric_preserving(o, tol)), NotO32, message)
+    raise_where(np.logical_not(is_metric_preserving(o)), NotO32, message)
     g = gs.matrices
     mixed = np.swapaxes(o, -1, -2) @ g.reshape(g.shape[:-2] + (16,))
     return GammaSet(mixed.reshape(mixed.shape[:-1] + (4, 4)))

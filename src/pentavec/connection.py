@@ -30,7 +30,7 @@ from .algebra import ETA4, ETA5, DirectionalClass, FiveVector, MetricH, classify
 from .bases import BasisChange, p_transformation
 from .errors import DegenerateKappa, GridMismatch, GridTooCoarse, NotDirectional, OutOfRange, ShapeMismatch
 from .grids import FieldOnGrid, Grid, grid_gradient, scheme_width, truncation_estimate
-from .numerics import DEFAULT_TOL, Tolerance, as_array, max_norm
+from .numerics import as_array, bound, max_norm
 
 
 @dataclass(frozen=True)
@@ -89,9 +89,8 @@ class CompatibilityReport:
     standard_residual: float
     relation_residual: float
 
-    def passed(self, tol: Tolerance = DEFAULT_TOL, scale: float = 1.0) -> bool:
-        bound = tol.bound(scale)
-        return self.standard_residual <= bound and self.relation_residual <= bound
+    def passed(self) -> bool:
+        return self.standard_residual <= bound(1.0) and self.relation_residual <= bound(1.0)
 
 
 def transport_compatibility(g: ConnectionCoeffs, four: FourConnection) -> CompatibilityReport:
@@ -251,8 +250,8 @@ class MetricDerivativeReport:
     def worst(self) -> float:
         return max(self.fifth_residual, self.mixed_residual, self.block_residual)
 
-    def passed(self, tol: Tolerance = DEFAULT_TOL, scale: float = 1.0) -> bool:
-        return self.worst() <= tol.bound(scale)
+    def passed(self) -> bool:
+        return self.worst() <= bound(1.0)
 
 
 def metric_derivative_report(
@@ -332,7 +331,7 @@ def metric_transport_identity_residual(
     """
     u_four = as_array(u_four, shape=(4,))
     e = as_array(e, shape=(5,))
-    if classify_directional(FiveVector(e), h, DEFAULT_TOL) is not DirectionalClass.POSITIVE:
+    if classify_directional(FiveVector(e), h) is not DirectionalClass.POSITIVE:
         raise NotDirectional("e must lie along a positive-norm directional vector")
     if v_field.grid != w_field.grid:
         raise GridMismatch("v and w live on different grids")

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KindMismatch, NotFinite, ParseError
-from .grids import Grid
+from .errors import GridMismatch, KindMismatch, NotFinite, ParseError
+from .grids import Grid, grid_field
 from .poincare import PoincareTransform
 
 MAGIC = "pentavec 1"
@@ -177,16 +177,16 @@ def parse_record(text: str) -> Record:
     grid = None
     if needs_grid:
         geometry = {}
-        for key, number in (("origin", float), ("spacing", float), ("shape", int)):
+        for key in ("origin", "spacing", "shape"):
             if key not in header:
                 raise ParseError(f"field kind {kind!r} needs a {key!r} header", line=data_line)
             line_no, raw = header.pop(key)
             try:
-                geometry[key] = tuple(number(v) for v in raw.split())
+                geometry[key] = grid_field(key, raw.split())
+            except (GridMismatch, NotFinite) as exc:
+                raise ParseError(str(exc), line=line_no) from None
             except ValueError:
                 raise ParseError(f"bad {key} value in {raw!r}", line=line_no) from None
-            if len(geometry[key]) != 4:
-                raise ParseError(f"{key!r} needs four values, got {len(geometry[key])}", line=line_no)
         grid = Grid(**geometry)
     elif any(key in header for key in ("origin", "spacing", "shape")):
         raise ParseError(f"kind {kind!r} carries no grid", line=data_line)

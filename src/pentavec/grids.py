@@ -29,6 +29,24 @@ def scheme_width(scheme: str) -> int:
     return SCHEMES[scheme]
 
 
+def grid_field(name: str, values) -> tuple:
+    """``values`` checked as the ``origin``, ``spacing`` or ``shape`` of a Grid.
+
+    A value that does not convert raises ValueError; a wrong count or an
+    inadmissible value raises GridMismatch or NotFinite.
+    """
+    values = tuple(int(v) if name == "shape" else float(v) for v in values)
+    if len(values) != 4:
+        raise GridMismatch(f"{name!r} needs four values, got {len(values)}")
+    if name != "shape" and not all(np.isfinite(values)):
+        raise NotFinite(f"grid {name} must be finite")
+    if name == "spacing" and any(s <= 0.0 for s in values):
+        raise GridMismatch("spacings must be positive")
+    if name == "shape" and any(n < 1 for n in values):
+        raise GridMismatch("each axis needs at least one sample")
+    return values
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform rectangular grid: origin, spacing, and sample counts per axis."""
@@ -38,20 +56,8 @@ class Grid:
     shape: tuple
 
     def __post_init__(self):
-        origin = tuple(float(v) for v in self.origin)
-        spacing = tuple(float(v) for v in self.spacing)
-        shape = tuple(int(n) for n in self.shape)
-        if not (len(origin) == len(spacing) == len(shape) == 4):
-            raise GridMismatch("grids carry exactly four axes")
-        if not all(np.isfinite(origin + spacing)):
-            raise NotFinite("grid origin and spacing must be finite")
-        if any(s <= 0.0 for s in spacing):
-            raise GridMismatch("spacings must be positive")
-        if any(n < 1 for n in shape):
-            raise GridMismatch("each axis needs at least one sample")
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "shape", shape)
+        for name in ("origin", "spacing", "shape"):
+            object.__setattr__(self, name, grid_field(name, getattr(self, name)))
 
     def axis_coords(self, axis: int) -> np.ndarray:
         return self.origin[axis] + self.spacing[axis] * np.arange(self.shape[axis])

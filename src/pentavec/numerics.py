@@ -2,34 +2,23 @@
 
 Everything here works on plain float64 numpy arrays, treats inputs as
 immutable values, and returns freshly allocated results.  Comparisons use
-the elementwise max-abs norm throughout.
+the elementwise max-abs norm throughout, and the approximate checks of the
+kernels count a residual r as zero when |r| <= ``bound(scale)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import NotFinite, OutOfRange, ShapeMismatch, SingularMatrix
+from .errors import NotFinite, ShapeMismatch, SingularMatrix
+
+REL_TOL = 1e-9
+ABS_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Relative/absolute tolerance pair used by all approximate checks."""
-
-    rel: float = 1e-9
-    abs: float = 1e-12
-
-    def __post_init__(self):
-        if not (self.rel > 0.0 and self.abs > 0.0):
-            raise OutOfRange("tolerance components must be positive")
-
-    def bound(self, scale: float) -> float:
-        return self.abs + self.rel * scale
-
-
-DEFAULT_TOL = Tolerance()
+def bound(scale):
+    """The zero threshold for a residual of magnitude ``scale``: ABS_TOL + REL_TOL * scale."""
+    return ABS_TOL + REL_TOL * scale
 
 
 def as_array(a, shape=None, dtype=float) -> np.ndarray:
@@ -74,27 +63,18 @@ def max_norm(a) -> float:
     return float(np.max(np.abs(a)))
 
 
-def approx_eq(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Max-norm closeness: ||a - b|| <= abs + rel * max(||a||, ||b||)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"operand shapes differ: {a.shape} vs {b.shape}")
-    return max_norm(a - b) <= tol.bound(max(max_norm(a), max_norm(b)))
-
-
-def invert(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def invert(m) -> np.ndarray:
     """Inverse of each square matrix of ``m`` (..., n, n), rejecting near-singular input.
 
     The condition estimate is sigma_max / sigma_min; anything above
-    1 / tol.rel raises SingularMatrix, naming the first such element.
+    1 / REL_TOL raises SingularMatrix, naming the first such element.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ShapeMismatch(f"expected square matrices (..., n, n), got {m.shape}")
     sigma = np.linalg.svd(m, compute_uv=False)
-    bad = (sigma[..., -1] <= 0.0) | (sigma[..., 0] * tol.rel > sigma[..., -1])
-    raise_where(bad, SingularMatrix, f"condition estimate exceeds {1.0 / tol.rel:g}")
+    bad = (sigma[..., -1] <= 0.0) | (sigma[..., 0] * REL_TOL > sigma[..., -1])
+    raise_where(bad, SingularMatrix, f"condition estimate exceeds {1.0 / REL_TOL:g}")
     return np.linalg.inv(m)
 
 
@@ -138,8 +118,8 @@ def expm(a) -> np.ndarray:
     return r
 
 
-def singular_rank(sigma, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Count of singular values above tol.rel * sigma_max, over leading axes.
+def singular_rank(sigma) -> np.ndarray:
+    """Count of singular values above REL_TOL * sigma_max, over leading axes.
 
     ``sigma`` holds descending singular values on its last axis, as
     ``np.linalg.svd`` returns them; this is the one rank threshold shared by
@@ -148,13 +128,13 @@ def singular_rank(sigma, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape[-1] == 0:
         return np.zeros(sigma.shape[:-1], dtype=int)
-    return np.sum(sigma > tol.rel * sigma[..., :1], axis=-1)
+    return np.sum(sigma > REL_TOL * sigma[..., :1], axis=-1)
 
 
-def matrix_rank(m, tol: Tolerance = DEFAULT_TOL):
+def matrix_rank(m):
     """Numerical rank, thresholded by ``singular_rank``.
 
     A stack of matrices ``(..., rows, cols)`` gives an array of ranks.
     """
-    rank = singular_rank(np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False), tol)
+    rank = singular_rank(np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False))
     return int(rank) if rank.ndim == 0 else rank

@@ -32,19 +32,19 @@ import numpy as np
 from .algebra import ETA4, FiveForm, FiveVector, lower_array
 from .connection import normalized_kappa
 from .errors import NotAntisymmetric, NotLorentz, ShapeMismatch
-from .numerics import DEFAULT_TOL, Tolerance, as_array, raise_where
+from .numerics import as_array, bound, raise_where
 
 
-def _lorentz_inverse(lam: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def _lorentz_inverse(lam: np.ndarray) -> np.ndarray:
     """Inverse of each matrix of ``lam`` (..., 4, 4), checked to be Lorentz.
 
     The closed form eta lam^T eta is exact only up to the Lorentz residual,
     which the routes that invert ``homogeneous_rep`` numerically would see.
     """
     resid = np.max(np.abs(np.swapaxes(lam, -1, -2) @ ETA4 @ lam - ETA4), axis=(-2, -1))
-    bound = tol.bound(np.max(np.abs(lam), axis=(-2, -1)) ** 2)
+    limit = bound(np.max(np.abs(lam), axis=(-2, -1)) ** 2)
     message = "matrix does not preserve the four-metric (residual {:.3e} > bound {:.3e})"
-    raise_where(resid > bound, NotLorentz, message, resid, bound)
+    raise_where(resid > limit, NotLorentz, message, resid, limit)
     return as_array(np.linalg.inv(lam))
 
 
@@ -272,8 +272,8 @@ class GeneratorTensor:
     def __post_init__(self):
         m = as_array(self.matrix, shape=(..., 5, 5))
         asym = np.max(np.abs(m + np.swapaxes(m, -1, -2)), axis=(-2, -1))
-        bound = 1e-12 * np.maximum(np.max(np.abs(m), axis=(-2, -1)), 1.0)
-        raise_where(asym > bound, NotAntisymmetric, "generator tensor must be antisymmetric")
+        limit = 1e-12 * np.maximum(np.max(np.abs(m), axis=(-2, -1)), 1.0)
+        raise_where(asym > limit, NotAntisymmetric, "generator tensor must be antisymmetric")
         object.__setattr__(self, "matrix", m)
 
     @property

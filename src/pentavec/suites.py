@@ -616,8 +616,13 @@ def conservation_suite(options: SuiteOptions) -> SuiteReport:
     # the residual is exactly zero; wider stencils leave bare rounding.
     exact_gate = 0.0 if scheme == "central2" else 1e-14
     for frame in frames:
-        report = stress_energy.conservation_report(_in_frame(current, frame, kappa), kappa, scheme)
+        framed = _in_frame(current, frame, kappa)
+        report = stress_energy.conservation_report(framed, kappa, scheme)
         checks.append(CheckResult(f"constant-stress-exact-{frame}", report.worst(), exact_gate))
+        if frame == "O" and kappa != 0.0:
+            # the O frame drops the orbital part exactly, leaving the spin current
+            spin = max_norm(framed.values[..., :4, :4] - sigma)
+            checks.append(CheckResult("constant-stress-spin-block-O", spin, 0.0))
 
     # one P-frame current per resolution; the O current is its frame change
     residuals = {frame: [] for frame in frames}

@@ -227,14 +227,14 @@ BAD_HEADERS = [
     ("kappa", "nan", "kappa must be finite (line 5)"),
     ("origin", "0 0 x 0", "bad origin value in '0 0 x 0' (line 6)"),
     ("origin", "0 0 0", "'origin' needs four values, got 3 (line 6)"),
-    ("origin", "0 inf 0 0", "grid origin and spacing must be finite"),
+    ("origin", "0 inf 0 0", "grid origin must be finite (line 6)"),
     ("spacing", "0.5 0.5 x 0.5", "bad spacing value in '0.5 0.5 x 0.5' (line 7)"),
     ("spacing", "0.5 0.5 0.5 0.5 0.5", "'spacing' needs four values, got 5 (line 7)"),
-    ("spacing", "0.5 nan 0.5 0.5", "grid origin and spacing must be finite"),
-    ("spacing", "0.5 0 0.5 0.5", "spacings must be positive"),
+    ("spacing", "0.5 nan 0.5 0.5", "grid spacing must be finite (line 7)"),
+    ("spacing", "0.5 0 0.5 0.5", "spacings must be positive (line 7)"),
     ("shape", "1 1 2 2.0", "bad shape value in '1 1 2 2.0' (line 8)"),
     ("shape", "1 1 2", "'shape' needs four values, got 3 (line 8)"),
-    ("shape", "1 1 0 2", "each axis needs at least one sample"),
+    ("shape", "1 1 0 2", "each axis needs at least one sample (line 8)"),
 ]
 
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from pentavec.algebra import is_simple_array, wedge_array
 from pentavec.errors import ShapeMismatch, SingularMatrix
 from pentavec.numerics import (
-    DEFAULT_TOL,
-    Tolerance,
-    approx_eq,
+    ABS_TOL,
+    REL_TOL,
     as_array,
+    bound,
     invert,
     matrix_rank,
     max_norm,
@@ -14,15 +15,10 @@ from pentavec.numerics import (
 
 
 def test_tolerance_bound_combines_abs_and_rel():
-    tol = Tolerance(rel=1e-6, abs=1e-9)
-    assert tol.bound(0.0) == 1e-9
-    assert tol.bound(2.0) == pytest.approx(1e-9 + 2e-6)
-
-
-@pytest.mark.parametrize("rel,abs_", [(0.0, 1e-12), (1e-9, 0.0), (-1.0, 1.0)])
-def test_tolerance_rejects_nonpositive_parts(rel, abs_):
-    with pytest.raises(ValueError):
-        Tolerance(rel=rel, abs=abs_)
+    assert (REL_TOL, ABS_TOL) == (1e-9, 1e-12)
+    assert bound(0.0) == 1e-12
+    assert bound(2.0) == pytest.approx(1e-12 + 2e-9)
+    assert np.array_equal(bound(np.array([0.0, 2.0])), [bound(0.0), bound(2.0)])
 
 
 def test_as_array_checks_shape_and_finiteness():
@@ -43,13 +39,6 @@ def test_as_array_copies_input():
 
 def test_max_norm_empty_is_zero():
     assert max_norm(np.zeros((0, 3))) == 0.0
-
-
-def test_approx_eq_uses_max_norm():
-    assert approx_eq([1.0, 2.0], [1.0, 2.0 + 1e-13])
-    assert not approx_eq([1.0, 2.0], [1.0, 2.1])
-    with pytest.raises(ShapeMismatch):
-        approx_eq([1.0], [1.0, 2.0])
 
 
 def test_invert_round_trip_identity():
@@ -79,5 +68,23 @@ def test_matrix_rank_thresholded():
     assert matrix_rank(np.zeros((3, 3))) == 0
     m = np.diag([1.0, 1e-3, 1e-15])
     assert matrix_rank(m) == 2
-    assert matrix_rank(m, Tolerance(rel=1e-18, abs=1e-30)) == 3
-    assert DEFAULT_TOL.rel == 1e-9
+
+
+# The thresholds sit at REL_TOL: each pair straddles it by one percent or more.
+def test_invert_condition_cap_is_one_over_rel_tol():
+    invert(np.diag([1.0, 1.0 / 0.99e9]))
+    with pytest.raises(SingularMatrix, match="exceeds 1e[+]09"):
+        invert(np.diag([1.0, 1.0 / 1.01e9]))
+
+
+def test_matrix_rank_threshold_is_rel_tol():
+    assert matrix_rank(np.diag([1.0, 2e-9])) == 2
+    assert matrix_rank(np.diag([1.0, 5e-10])) == 1
+
+
+def test_simplicity_threshold_is_rel_tol():
+    e = np.eye(5)
+    e01 = wedge_array(e[0], e[1])
+    e23 = wedge_array(e[2], e[3])
+    assert is_simple_array(e01 + 1e-10 * e23)
+    assert not is_simple_array(e01 + 1e-4 * e23)
