@@ -5,7 +5,9 @@ directional vector of the wedge space (here the reference fifth axis).
 Changes between standard bases are exactly those with a vanishing
 top-right column block, and they factor uniquely into a scaling of the
 fifth vector (U), a shear adding multiples of the fifth vector to the
-first four (P), and a pure four-space map (M).
+first four (P), and a pure four-space map (M).  A change is a plain
+array L (..., 5, 5) with new basis vectors e'_A = e_B L^B_A; it is
+inverted, with the checked ``invert``, only where an inverse is formed.
 
 The two constructors at the bottom build five-bases out of four-vector
 data given as simple bivectors: ``orthonormal_basis_for`` requires the
@@ -19,17 +21,19 @@ a whole stack of frames from wedge quadruples ``(..., 4, 5, 5)`` at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import (
+    EPS5,
     ETA4,
     ETA5,
     MetricH,
     _vec_pairs,
     bivector_inner_array,
     directional_vector_array,
+    label_to_slot,
     wedge_array,
 )
 from .errors import (
@@ -72,8 +76,6 @@ class Basis5:
         object.__setattr__(self, "matrix", m)
 
     def vector(self, label: int) -> np.ndarray:
-        from .algebra import label_to_slot
-
         return self.matrix[:, label_to_slot(label)]
 
     def is_standard(self) -> bool:
@@ -140,49 +142,31 @@ def classify_basis(basis: Basis5, h: MetricH) -> BasisFlags:
     return _single(classify_basis_array(basis.matrix, h))
 
 
-@dataclass(frozen=True)
-class BasisChange:
-    """Invertible matrices L (..., 5, 5) with new basis vectors e'_A = e_B L^B_A.
-
-    ``inv`` is worked out once, on construction, by the checked ``invert``.
-    """
-
-    matrix: np.ndarray
-    inv: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        m = as_array(self.matrix, shape=(..., 5, 5))
-        object.__setattr__(self, "inv", as_array(invert(m)))
-        object.__setattr__(self, "matrix", m)
-
-    def inverse(self) -> "BasisChange":
-        return BasisChange(self.inv)
+def apply_change(basis: Basis5, change, new_id: str = "changed") -> Basis5:
+    """The basis with vectors e'_A = e_B L^B_A for a change L (5, 5); a singular L raises."""
+    return Basis5(basis.matrix @ as_array(change, shape=(5, 5)), id=new_id, reference_id=basis.reference_id)
 
 
-def apply_change(basis: Basis5, change: BasisChange, new_id: str = "changed") -> Basis5:
-    return Basis5(basis.matrix @ change.matrix, id=new_id, reference_id=basis.reference_id)
-
-
-def is_standard_change(change: BasisChange):
-    """True when the change maps standard bases to standard bases.
+def is_standard_change(change):
+    """True when the changes L (..., 5, 5) map standard bases to standard bases.
 
     The criterion is a vanishing upper-right block: the new fifth vector
     may pick up no component along the first four.  A batch gives a
     boolean array over its leading axes.
     """
-    m = change.matrix
+    m = as_array(change, shape=(..., 5, 5))
     return np.max(np.abs(m[..., :4, 4]), axis=-1) <= bound(np.max(np.abs(m), axis=(-2, -1)))
 
 
-def induced_four_map(change: BasisChange) -> np.ndarray:
+def induced_four_map(change) -> np.ndarray:
     """Map induced on wedge four-vectors by a standard basis change.
 
     The wedges transform with the four-block of L scaled by the fifth
     diagonal entry: Lambda^nu_mu = L^5_5 L^nu_mu.
     """
     message = "only standard changes act on the wedge four-space"
-    raise_where(~is_standard_change(change), NotStandard, message)
-    m = change.matrix
+    m = as_array(change, shape=(..., 5, 5))
+    raise_where(~is_standard_change(m), NotStandard, message)
     return m[..., 4, 4, None, None] * m[..., :4, :4]
 
 
@@ -200,40 +184,40 @@ class UPMDecomposition:
         object.__setattr__(self, "t", as_array(self.t, shape=shape + (4, 4)))
 
 
-def u_transformation(a) -> BasisChange:
+def u_transformation(a) -> np.ndarray:
     """Scale the fifth vector by a and the other four by 1/a."""
     a = as_array(a)
     raise_where(a == 0.0, SingularBlock, "scaling factor must be nonzero")
     m = np.eye(5) / a[..., None, None]
     m[..., 4, 4] = a
-    return BasisChange(m)
+    return m
 
 
-def p_transformation(p) -> BasisChange:
+def p_transformation(p) -> np.ndarray:
     """Shear each of the first four vectors by a multiple of the fifth."""
     p = as_array(p, shape=(..., 4))
     m = np.broadcast_to(np.eye(5), p.shape[:-1] + (5, 5)).copy()
     m[..., 4, :4] = p
-    return BasisChange(m)
+    return m
 
 
-def m_transformation(t) -> BasisChange:
+def m_transformation(t) -> np.ndarray:
     """Map the first four vectors among themselves, fifth untouched."""
     t = as_array(t, shape=(..., 4, 4))
     m = np.broadcast_to(np.eye(5), t.shape[:-2] + (5, 5)).copy()
     m[..., :4, :4] = t
-    return BasisChange(m)
+    return m
 
 
-def decompose_upm(change: BasisChange) -> UPMDecomposition:
+def decompose_upm(change) -> UPMDecomposition:
     """Unique factorization of a standard change into U(a) P(p) M(t).
 
     Reading the blocks of the product U P M gives a = L^5_5, t = a times
     the four-block, and p from the bottom row against t.
     """
     message = "only standard changes admit the U P M factorization"
-    raise_where(~is_standard_change(change), NotStandard, message)
-    m = change.matrix
+    m = as_array(change, shape=(..., 5, 5))
+    raise_where(~is_standard_change(m), NotStandard, message)
     a = m[..., 4, 4]
     t = a[..., None, None] * m[..., :4, :4]
     try:
@@ -244,9 +228,8 @@ def decompose_upm(change: BasisChange) -> UPMDecomposition:
     return UPMDecomposition(a=a, p=p, t=t)
 
 
-def compose_upm(d: UPMDecomposition) -> BasisChange:
-    prod = u_transformation(d.a).matrix @ p_transformation(d.p).matrix @ m_transformation(d.t).matrix
-    return BasisChange(prod)
+def compose_upm(d: UPMDecomposition) -> np.ndarray:
+    return u_transformation(d.a) @ p_transformation(d.p) @ m_transformation(d.t)
 
 
 @dataclass(frozen=True)
@@ -260,8 +243,6 @@ class OrientationTensor:
             raise OutOfRange("orientation sign must be +1 or -1")
 
     def array(self) -> np.ndarray:
-        from .algebra import EPS5
-
         return self.sign * EPS5
 
 

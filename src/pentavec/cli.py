@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .algebra import Bivector5, FourVector, MetricH
+from .algebra import Bivector5, FourVector, MetricH, bivector_from_four
 from .bases import REFERENCE_BASIS, frame_residuals, orthonormal_basis_for, regular_basis_for
 from .errors import KindMismatch, PentavecError
 from .fileio import Record, read_record, transform_from_payload, write_record
@@ -33,7 +33,6 @@ from .poincare import (
 )
 from .stress_energy import transform_moment_field
 from .suites import SUITE_NAMES, SuiteOptions, run_suites
-from . import algebra
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -169,7 +168,7 @@ def _wedges_from_record(record: Record) -> list:
     if record.kind == "four_basis_bivectors":
         return [Bivector5(m) for m in record.payload]
     if record.kind == "four_basis_components":
-        return [algebra.bivector_from_four(FourVector(u), REFERENCE_BASIS) for u in record.payload]
+        return [bivector_from_four(FourVector(u), REFERENCE_BASIS) for u in record.payload]
     raise KindMismatch(
         "basis construction needs four_basis_bivectors or four_basis_components, "
         f"got {record.kind!r}"

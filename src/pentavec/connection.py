@@ -27,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ETA4, ETA5, DirectionalClass, FiveVector, MetricH, classify_directional, lower_array
-from .bases import BasisChange, p_transformation
+from .bases import p_transformation
 from .errors import DegenerateKappa, GridMismatch, GridTooCoarse, NotDirectional, OutOfRange, ShapeMismatch
 from .grids import FieldOnGrid, Grid, grid_gradient, scheme_width, truncation_estimate
-from .numerics import as_array, bound, max_norm
+from .numerics import as_array, bound, invert, max_norm
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ def transport_compatibility(g: ConnectionCoeffs, four: FourConnection) -> Compat
     )
 
 
-def parallel_frame_change(x, kappa: float) -> BasisChange:
+def parallel_frame_change(x, kappa: float) -> np.ndarray:
     """Change from the orthonormal frame to the parallel frame at points x (..., 4).
 
     The P transformation by the lowered coordinates scaled by kappa:
@@ -137,15 +137,16 @@ def coordinates_from_parallel_metric(h: np.ndarray, kappa: float) -> np.ndarray:
     return lower_array(h[..., :4, 4]) / kappa
 
 
-def transform_connection(g: ConnectionCoeffs, change: BasisChange, lam) -> ConnectionCoeffs:
-    """Coefficients after a position-independent frame change.
+def transform_connection(g: ConnectionCoeffs, change, lam) -> ConnectionCoeffs:
+    """Coefficients after a position-independent frame change L (5, 5).
 
     With dL = 0 only the conjugation term survives.  ``lam`` is the
     Jacobian of the old chart coordinates with respect to the new ones; it
-    contracts the derivative index.
+    contracts the derivative index.  A singular L raises SingularMatrix.
     """
+    change = as_array(change, shape=(5, 5))
     lam = as_array(lam, shape=(4, 4))
-    return ConnectionCoeffs(_transformed(g.values, change.matrix, change.inv, lam))
+    return ConnectionCoeffs(_transformed(g.values, change, invert(change), lam))
 
 
 def _transformed(g: np.ndarray, change: np.ndarray, linv: np.ndarray, lam: np.ndarray, dl=None):
@@ -173,8 +174,8 @@ def transform_connection_field(
     ``change_field`` holds L at every sample, shape ``grid.shape + (5, 5)``.
     The derivative of L is taken with the requested difference scheme, so
     the result is exact only up to the scheme's truncation error; passing
-    ``truncation_tol`` adds a stencil-comparison estimate of that error and
-    raises GridTooCoarse when it is larger.
+    ``truncation_tol`` adds ``truncation_estimate``, the second-order
+    stencil's error, and raises GridTooCoarse when it is larger.
     """
     lam = as_array(lam, shape=(4, 4))
     change_field = np.asarray(change_field, dtype=float)
@@ -183,7 +184,7 @@ def transform_connection_field(
             f"change field shape {change_field.shape} does not match grid {grid.shape} + (5, 5)"
         )
     if truncation_tol is not None:
-        est = truncation_estimate(change_field, grid, scheme)
+        est = truncation_estimate(change_field, grid)
         if est > truncation_tol:
             raise GridTooCoarse(f"estimated truncation {est:.3e} exceeds {truncation_tol:.3e}")
     dl = grid_gradient(change_field, grid, scheme)  # (..., C, B, nu)
@@ -205,7 +206,7 @@ def transport(components, from_x, to_x, frame: str, kappa: float) -> np.ndarray:
     if frame == "P":
         return components.copy()
     step = as_array(to_x, shape=(..., 4)) - as_array(from_x, shape=(..., 4))
-    return (parallel_frame_change(step, kappa).matrix @ components[..., None])[..., 0]
+    return (parallel_frame_change(step, kappa) @ components[..., None])[..., 0]
 
 
 def covariant_derivative(field: FieldOnGrid, g, scheme: str = "central2") -> FieldOnGrid:

@@ -157,12 +157,13 @@ def grid_gradient(values: np.ndarray, grid: Grid, scheme: str = "central2") -> n
     return np.stack(parts, axis=-1)
 
 
-def truncation_estimate(values: np.ndarray, grid: Grid, scheme: str = "central2") -> float:
-    """Rough finite-difference truncation bound for these samples.
+def truncation_estimate(values: np.ndarray, grid: Grid) -> float:
+    """Rough bound on the second-order stencil's truncation error for these samples.
 
     Compares the second- and fourth-order derivatives where the grid is
     fine enough; the difference is dominated by the second-order stencil's
-    truncation term.  Returns 0.0 when no axis can support the comparison.
+    truncation term, whatever scheme the caller differentiates with.
+    Returns 0.0 when no axis can support the comparison.
     """
     worst = 0.0
     for axis in range(4):

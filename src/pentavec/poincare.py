@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import ETA4, FiveForm, FiveVector, lower_array
+from .bases import m_transformation, p_transformation
 from .connection import normalized_kappa
 from .errors import NotAntisymmetric, NotLorentz, ShapeMismatch
 from .numerics import as_array, bound, raise_where
@@ -115,16 +116,13 @@ def conjugate_array(x, lam, lam_inv) -> np.ndarray:
 def homogeneous_rep(t: PoincareTransform, kappa: float = 1.0) -> np.ndarray:
     """5x5 matrix carrying covariant coordinate quintuples, acting on rows.
 
-    Quintuples (x_alpha, 1/kappa) transform as x'_A = x_B L^B_A.  The same
-    matrix is the parallel-frame change for t, so covariant five-vector
-    components transform with it too.  Composition reverses order:
+    Quintuples (x_alpha, 1/kappa) transform as x'_A = x_B L^B_A, with
+    L = M(Lambda^-1) P(kappa a_alpha).  The same matrix is the parallel-frame
+    change for t, so covariant five-vector components transform with it
+    too.  Composition reverses order:
     rep(t1 compose t2) = rep(t2) @ rep(t1).  A batched t gives (..., 5, 5).
     """
-    m = np.zeros(t.a.shape[:-1] + (5, 5))
-    m[..., :4, :4] = t.lam_inv
-    m[..., 4, :4] = t.shift(kappa)
-    m[..., 4, 4] = 1.0
-    return m
+    return m_transformation(t.lam_inv) @ p_transformation(t.shift(kappa))
 
 
 def transform_orthonormal(obj, t: PoincareTransform):

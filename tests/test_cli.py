@@ -61,6 +61,18 @@ def test_verify_bad_arguments_exit_2(capsys, args, fragment):
     assert fragment in err
 
 
+def test_verify_connection_reports_every_check_at_large_kappa(capsys):
+    # N(x; kappa) has condition number ~kappa^2 |x|^2, but it is unit
+    # triangular, so no check may stop on a condition estimate.
+    assert main(["verify", "connection", "--format", "machine"]) == 0
+    names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert main(["verify", "connection", "--kappa=1e4", "--format", "machine"]) in (0, 1)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert [line.split()[0] for line in captured.out.splitlines()] == names
+    assert len(names) == 11
+
+
 def write_transform(path, t):
     write_record(path, Record("poincare_transform", transform_to_payload(t)))
 

@@ -41,7 +41,7 @@ from pentavec.algebra import (
 from pentavec.bases import (
     REFERENCE_BASIS,
     Basis5,
-    BasisChange,
+    apply_change,
     classify_basis,
     classify_basis_array,
     compose_upm,
@@ -63,6 +63,7 @@ from pentavec.connection import (
     flat_coefficients,
     parallel_frame_change,
     parallel_frame_metric,
+    transform_connection,
     transform_connection_field,
     transport,
 )
@@ -79,7 +80,7 @@ from pentavec.errors import (
 )
 from pentavec.fileio import Record, read_record, transform_to_payload, write_record
 from pentavec.grids import FieldOnGrid, Grid, grid_gradient
-from pentavec.numerics import expm
+from pentavec.numerics import expm, invert
 from pentavec.poincare import (
     GeneratorTensor,
     LorentzChart,
@@ -432,41 +433,40 @@ def relative(a, b):
 def test_frame_changes_match_single_calls(seed, shape):
     rng = np.random.default_rng(seed)
     m = standard_changes(rng, shape)
-    change = BasisChange(m)
-    d = decompose_upm(change)
+    d = decompose_upm(m)
     got = {
-        "inverse": change.inverse().matrix,
-        "induced": induced_four_map(change),
-        "u": u_transformation(d.a).matrix,
-        "p": p_transformation(d.p).matrix,
-        "m": m_transformation(d.t).matrix,
-        "composed": compose_upm(d).matrix,
+        "inverse": invert(m),
+        "induced": induced_four_map(m),
+        "u": u_transformation(d.a),
+        "p": p_transformation(d.p),
+        "m": m_transformation(d.t),
+        "composed": compose_upm(d),
     }
-    assert np.all(is_standard_change(change))
+    assert np.all(is_standard_change(m))
     for idx in each(shape):
-        one = BasisChange(m[idx])
+        one = m[idx]
         single = decompose_upm(one)
         assert is_standard_change(one)
-        assert_allclose(got["inverse"][idx], one.inverse().matrix, **CLOSE)
+        assert_allclose(got["inverse"][idx], invert(one), **CLOSE)
         assert_allclose(got["induced"][idx], induced_four_map(one), **CLOSE)
         assert_allclose((d.a[idx], *d.p[idx]), (single.a, *single.p), **CLOSE)
         assert_allclose(d.t[idx], single.t, **CLOSE)
-        assert_allclose(got["u"][idx], u_transformation(single.a).matrix, **CLOSE)
-        assert_allclose(got["p"][idx], p_transformation(single.p).matrix, **CLOSE)
-        assert_allclose(got["m"][idx], m_transformation(single.t).matrix, **CLOSE)
-        assert_allclose(got["composed"][idx], compose_upm(single).matrix, **CLOSE)
+        assert_allclose(got["u"][idx], u_transformation(single.a), **CLOSE)
+        assert_allclose(got["p"][idx], p_transformation(single.p), **CLOSE)
+        assert_allclose(got["m"][idx], m_transformation(single.t), **CLOSE)
+        assert_allclose(got["composed"][idx], compose_upm(single), **CLOSE)
 
 
 @PROPERTY
 @given(SEEDS, LEADING)
 def test_upm_factors_compose_back_to_the_change(seed, shape):
     m = standard_changes(np.random.default_rng(seed), shape)
-    d = decompose_upm(BasisChange(m))
+    d = decompose_upm(m)
     factors = (u_transformation(d.a), p_transformation(d.p), m_transformation(d.t))
     assert all(np.all(is_standard_change(f)) for f in factors)
-    assert relative(factors[0].matrix @ factors[1].matrix @ factors[2].matrix, m) <= 1e-12
-    assert relative(compose_upm(d).matrix, m) <= 1e-12
-    assert relative(d.t, induced_four_map(BasisChange(m))) <= 1e-12
+    assert relative(factors[0] @ factors[1] @ factors[2], m) <= 1e-12
+    assert relative(compose_upm(d), m) <= 1e-12
+    assert relative(d.t, induced_four_map(m)) <= 1e-12
 
 
 @PROPERTY
@@ -475,11 +475,11 @@ def test_parallel_frame_and_transport_match_single_calls(seed, shape, kappa):
     rng = np.random.default_rng(seed)
     x, y = rng.normal(size=(2,) + shape + (4,))
     v = rng.normal(size=shape + (5,))
-    n = parallel_frame_change(x, kappa).matrix
+    n = parallel_frame_change(x, kappa)
     metric = parallel_frame_metric(x, kappa)
     moved = transport(v, x, y, "O", kappa)
     for idx in each(shape):
-        n_x, n_y = parallel_frame_change(x[idx], kappa).matrix, parallel_frame_change(y[idx], kappa).matrix
+        n_x, n_y = parallel_frame_change(x[idx], kappa), parallel_frame_change(y[idx], kappa)
         assert_allclose(n[idx], n_x, **CLOSE)
         assert_allclose(metric[idx], parallel_frame_metric(x[idx], kappa), **CLOSE)
         assert_allclose(metric[idx], n_x.T @ ETA5 @ n_x, rtol=1e-12, atol=1e-12 * np.max(np.abs(metric[idx])))
@@ -555,9 +555,9 @@ def bad_stack(kind):
 @pytest.mark.parametrize(
     "build, kind, error",
     [
-        (BasisChange, "singular", SingularMatrix),
-        (lambda m: induced_four_map(BasisChange(m)), "leaky", NotStandard),
-        (lambda m: decompose_upm(BasisChange(m)), "leaky", NotStandard),
+        (invert, "singular", SingularMatrix),
+        (lambda m: induced_four_map(m), "leaky", NotStandard),
+        (lambda m: decompose_upm(m), "leaky", NotStandard),
         (GeneratorTensor, "generator", NotAntisymmetric),
     ],
 )
@@ -574,8 +574,12 @@ def test_one_bad_change_or_generator_is_named(build, kind, error):
 @pytest.mark.parametrize(
     "call, error",
     [
-        (lambda: BasisChange(np.eye(4)), ShapeMismatch),
-        (lambda: BasisChange(np.full((3, 5, 5), np.nan)), NotFinite),
+        (lambda: is_standard_change(np.eye(4)), ShapeMismatch),
+        (lambda: induced_four_map(np.eye(4)), ShapeMismatch),
+        (lambda: is_standard_change(np.full((3, 5, 5), np.nan)), NotFinite),
+        (lambda: induced_four_map(np.full((3, 5, 5), np.nan)), NotFinite),
+        (lambda: apply_change(REFERENCE_BASIS, bad_stack("singular")[1, 2]), SingularMatrix),
+        (lambda: transform_connection(flat_coefficients(1.0), bad_stack("singular")[1, 2], np.eye(4)), SingularMatrix),
         (lambda: parallel_frame_change(np.zeros((3, 5)), 1.0), ShapeMismatch),
         (lambda: parallel_frame_metric([0.0, np.inf, 0.0, 0.0], 1.0), NotFinite),
         (lambda: transport(np.zeros((3, 4)), np.zeros(4), np.zeros(4), "O", 1.0), ShapeMismatch),
@@ -589,6 +593,17 @@ def test_one_bad_change_or_generator_is_named(build, kind, error):
 def test_malformed_batched_input_raises_the_input_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_parallel_frame_transport_round_trips_at_large_kappa_x():
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-1.0, 1.0, size=(50, 4)) * np.logspace(0, 6, 50)[:, None]
+    x[-1] = 1e6  # N(x) is unit triangular, with condition number 4e12 here
+    n, n_back = parallel_frame_change(x, 1.0), parallel_frame_change(-x, 1.0)
+    assert_array_equal(n @ n_back, np.broadcast_to(np.eye(5), n.shape))
+    v = rng.normal(size=(50, 5))
+    back = transport(transport(v, np.zeros(4), x, "O", 1.0), x, np.zeros(4), "O", 1.0)
+    assert_allclose(back, v, rtol=1e-9, atol=1e-9 * np.max(np.abs(v)))
 
 
 # ------------------------------------------------ exponential and random draws
