@@ -36,7 +36,10 @@ from .errors import (
     ShapeMismatch,
     ZeroVector,
 )
-from .numerics import ABS_TOL, as_array, bound, matrix_rank, max_norm, raise_where, singular_rank
+from .numerics import (
+    ABS_TOL, INPUT_TOL, as_array, bound, input_bound,
+    matrix_rank, max_norm, raise_where, singular_rank,
+)
 
 INDEX_LABELS = (0, 1, 2, 3, 5)
 
@@ -94,10 +97,10 @@ class MetricH:
 
     def __post_init__(self):
         m = as_array(self.matrix, shape=(5, 5))
-        if max_norm(m - m.T) > 1e-12 * max(max_norm(m), 1.0):
+        if max_norm(m - m.T) > input_bound(m):
             raise InvalidMetric("metric matrix must be symmetric")
         eigs = np.linalg.eigvalsh(m)
-        if np.min(np.abs(eigs)) <= 1e-12 * np.max(np.abs(eigs)):
+        if np.min(np.abs(eigs)) <= INPUT_TOL * np.max(np.abs(eigs)):
             raise InvalidMetric("metric matrix is degenerate")
         if int(np.sum(eigs > 0)) != 2 or int(np.sum(eigs < 0)) != 3:
             raise InvalidMetric("metric signature must have two positive and three negative directions")
@@ -155,7 +158,7 @@ class Bivector5:
 
     def __post_init__(self):
         m = as_array(self.matrix, shape=(5, 5))
-        if max_norm(m + m.T) > 1e-12 * max(max_norm(m), 1.0):
+        if max_norm(m + m.T) > input_bound(m):
             raise NotAntisymmetric("bivector matrix must be antisymmetric")
         object.__setattr__(self, "matrix", m)
 

@@ -28,9 +28,12 @@ import numpy as np
 
 from .algebra import ETA4, ETA5, DirectionalClass, FiveVector, MetricH, classify_directional, lower_array
 from .bases import p_transformation
-from .errors import DegenerateKappa, GridMismatch, GridTooCoarse, NotDirectional, OutOfRange, ShapeMismatch
+from .errors import (
+    DegenerateKappa, GridMismatch, GridTooCoarse, NotDirectional, NotFinite,
+    OutOfRange, ShapeMismatch, SingularMatrix,
+)
 from .grids import FieldOnGrid, Grid, grid_gradient, scheme_width, truncation_estimate
-from .numerics import as_array, bound, invert, max_norm
+from .numerics import as_array, bound, invert, max_norm, raise_where
 
 
 @dataclass(frozen=True)
@@ -175,7 +178,8 @@ def transform_connection_field(
     The derivative of L is taken with the requested difference scheme, so
     the result is exact only up to the scheme's truncation error; passing
     ``truncation_tol`` adds ``truncation_estimate``, the second-order
-    stencil's error, and raises GridTooCoarse when it is larger.
+    stencil's error, and raises GridTooCoarse when it is larger.  A
+    non-finite or singular sample of L raises NotFinite or SingularMatrix.
     """
     lam = as_array(lam, shape=(4, 4))
     change_field = np.asarray(change_field, dtype=float)
@@ -183,12 +187,20 @@ def transform_connection_field(
         raise GridMismatch(
             f"change field shape {change_field.shape} does not match grid {grid.shape} + (5, 5)"
         )
+    finite = np.isfinite(change_field).all(axis=(-2, -1))
+    raise_where(~finite, NotFinite, "change field holds a non-finite sample")
     if truncation_tol is not None:
         est = truncation_estimate(change_field, grid)
         if est > truncation_tol:
             raise GridTooCoarse(f"estimated truncation {est:.3e} exceeds {truncation_tol:.3e}")
+    try:
+        linv = np.linalg.inv(change_field)
+    except np.linalg.LinAlgError:
+        # inv and det factor alike, so a sample that inv finds singular has det exactly 0
+        raise_where(np.linalg.det(change_field) == 0.0, SingularMatrix, "change field holds a singular sample")
+        raise
     dl = grid_gradient(change_field, grid, scheme)  # (..., C, B, nu)
-    return _transformed(g.values, change_field, np.linalg.inv(change_field), lam, dl)
+    return _transformed(g.values, change_field, linv, lam, dl)
 
 
 def transport(components, from_x, to_x, frame: str, kappa: float) -> np.ndarray:

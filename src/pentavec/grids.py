@@ -20,13 +20,20 @@ import numpy as np
 
 from .errors import GridMismatch, GridTooCoarse, NotFinite, OutOfRange
 
-SCHEMES = {"central2": 1, "central4": 2}
+# Each scheme is (denominator, central row, one-sided rows) of integer weights
+# over denominator * spacing (Fornberg, Math. Comp. 51, 1988).  The central row
+# spans samples -w .. w; one-sided row i gives sample i from samples 0, 1, ...
+# and, reversed and negated, sample -1 - i from samples -1, -2, ...
+SCHEMES = {
+    "central2": (2.0, (-1, 0, 1), ((-3, 4, -1),)),
+    "central4": (12.0, (1, -8, 0, 8, -1), ((-25, 48, -36, 16, -3), (-3, -10, 18, -6, 1))),
+}
 
 
 def scheme_width(scheme: str) -> int:
     if scheme not in SCHEMES:
         raise OutOfRange(f"unknown scheme {scheme!r}, expected one of {sorted(SCHEMES)}")
-    return SCHEMES[scheme]
+    return len(SCHEMES[scheme][2])
 
 
 def grid_field(name: str, values) -> tuple:
@@ -116,18 +123,23 @@ class FieldOnGrid:
         return self.values[self.grid.interior(self.boundary_width)] if self.boundary_width else self.values
 
 
+def _weighted_sum(out: np.ndarray, row, samples) -> None:
+    """out = sum of weight * sample over the nonzero weights of ``row``, in row order."""
+    terms = [(w, s) for w, s in zip(row, samples) if w]
+    np.multiply(terms[0][1], terms[0][0], out=out)
+    for w, s in terms[1:]:
+        out += w * s
+
+
 def _derive_along_first(v: np.ndarray, h: float, scheme: str) -> np.ndarray:
+    denominator, central, sided = SCHEMES[scheme]
+    n, width = len(v), len(sided)
     out = np.empty_like(v)
-    if scheme == "central2":
-        out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-        out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-        out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    else:
-        out[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
-        out[0] = (-25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]) / (12.0 * h)
-        out[1] = (-3.0 * v[0] - 10.0 * v[1] + 18.0 * v[2] - 6.0 * v[3] + v[4]) / (12.0 * h)
-        out[-1] = (25.0 * v[-1] - 48.0 * v[-2] + 36.0 * v[-3] - 16.0 * v[-4] + 3.0 * v[-5]) / (12.0 * h)
-        out[-2] = (3.0 * v[-1] + 10.0 * v[-2] - 18.0 * v[-3] + 6.0 * v[-4] - v[-5]) / (12.0 * h)
+    _weighted_sum(out[width : n - width], central, [v[k : n - 2 * width + k] for k in range(2 * width + 1)])
+    for i, row in enumerate(sided):
+        _weighted_sum(out[i, ...], row, v)
+        _weighted_sum(out[n - 1 - i, ...], [-w for w in row], v[::-1])
+    out /= denominator * h
     return out
 
 

@@ -14,11 +14,20 @@ from .errors import NotFinite, ShapeMismatch, SingularMatrix
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
+# Input checks: a (anti)symmetry residual of m is zero up to INPUT_TOL * max(|m|, 1)
+# (``input_bound``), and a wave vector k is null when |k.k| <= NULL_TOL * max(k^T k, 1).
+INPUT_TOL = 1e-12
+NULL_TOL = 1e-9
 
 
 def bound(scale):
     """The zero threshold for a residual of magnitude ``scale``: ABS_TOL + REL_TOL * scale."""
     return ABS_TOL + REL_TOL * scale
+
+
+def input_bound(m, axis=None):
+    """The input-check threshold INPUT_TOL * max(|m|, 1), the max over ``axis`` (all axes by default)."""
+    return INPUT_TOL * np.maximum(np.max(np.abs(m), axis=axis), 1.0)
 
 
 def as_array(a, shape=None, dtype=float) -> np.ndarray:

@@ -33,7 +33,7 @@ from .algebra import ETA4, FiveForm, FiveVector, lower_array
 from .bases import m_transformation, p_transformation
 from .connection import normalized_kappa
 from .errors import NotAntisymmetric, NotLorentz, ShapeMismatch
-from .numerics import as_array, bound, raise_where
+from .numerics import as_array, bound, input_bound, raise_where
 
 
 def _lorentz_inverse(lam: np.ndarray) -> np.ndarray:
@@ -270,7 +270,7 @@ class GeneratorTensor:
     def __post_init__(self):
         m = as_array(self.matrix, shape=(..., 5, 5))
         asym = np.max(np.abs(m + np.swapaxes(m, -1, -2)), axis=(-2, -1))
-        limit = 1e-12 * np.maximum(np.max(np.abs(m), axis=(-2, -1)), 1.0)
+        limit = input_bound(m, axis=(-2, -1))
         raise_where(asym > limit, NotAntisymmetric, "generator tensor must be antisymmetric")
         object.__setattr__(self, "matrix", m)
 

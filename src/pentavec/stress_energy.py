@@ -35,7 +35,7 @@ from .algebra import lower_array
 from .connection import flat_coefficients, normalized_kappa
 from .errors import BasisMismatch, GridMismatch, NotAntisymmetric, NotNull
 from .grids import FieldOnGrid, Grid, partial_derivative, scheme_width
-from .numerics import max_norm
+from .numerics import NULL_TOL, input_bound, max_norm
 from .poincare import PoincareTransform, homogeneous_rep
 
 
@@ -53,7 +53,7 @@ def assemble_moment_field(theta: np.ndarray, sigma: np.ndarray, grid: Grid) -> F
     if sigma.shape != grid.shape + (4, 4, 4):
         raise GridMismatch(f"sigma shape {sigma.shape} does not match grid {grid.shape} + (4, 4, 4)")
     anti = sigma + np.swapaxes(sigma, -1, -2)
-    if max_norm(anti) > 1e-12 * max(max_norm(sigma), 1.0):
+    if max_norm(anti) > input_bound(sigma):
         raise NotAntisymmetric("spin current must be antisymmetric in its lower indices")
 
     x_low = lower_array(grid.coords())
@@ -190,7 +190,7 @@ def plane_wave_stress_samples(k, grid: Grid, amplitude: float = 1.0) -> tuple[np
         raise GridMismatch(f"expected a four-component wave vector, got {k.shape}")
     k_low = lower_array(k)
     null_resid = abs(float(k @ k_low))
-    if null_resid > 1e-9 * max(float(k @ k), 1.0):
+    if null_resid > NULL_TOL * max(float(k @ k), 1.0):
         raise NotNull(f"wave vector must be null, k.k = {float(k @ k_low):.3e}")
     phase = np.einsum("...a,a->...", grid.coords(), k_low)
     envelope = (amplitude * np.sin(phase)) ** 2

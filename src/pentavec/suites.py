@@ -1,10 +1,13 @@
 """Self-checking suites behind ``pentavec verify``.
 
-Each suite re-derives a family of guarantees with seeded random data and
-reports one gated measurement per check.  Gates are chosen to hold with
-wide margin on healthy builds; most checks measure a max residual (mode
-"at-most"), while convergence checks measure an order and pass when it is
-at least the gate (mode "at-least").
+Each suite ``*_suite(options, rng)`` re-derives a family of guarantees from
+random draws of ``rng`` and yields one gated ``CheckResult`` per check.
+``run_suite`` seeds ``rng`` at ``options.seed`` plus the suite's place in
+``SUITE_NAMES`` and collects the checks into a ``SuiteReport``.  Most checks
+pass when a max residual is at most the gate (mode "at-most").  Gates that
+follow a rule are named once: ``EXACT`` for indicator and exact checks, and
+``ORDER_GATE`` for the convergence orders of ``_order`` (mode "at-least").
+Every other gate is a literal on the line that names its check.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from .bases import REFERENCE_BASIS
 from .errors import NotMaximalSpace, NotO32, PentavecError
 from .grids import FieldOnGrid, Grid, scheme_width
 from .numerics import expm, invert, max_norm
-
-SUITE_NAMES = ("algebra", "bases", "clifford", "connection", "poincare", "conservation")
 
 
 @dataclass(frozen=True)
@@ -108,8 +109,26 @@ def random_poincare(rng, size: tuple = ()) -> poincare.PoincareTransform:
     return poincare.PoincareTransform(random_lorentz(rng, size), rng.normal(0.0, 1.0, size + (4,)))
 
 
+EXACT = 0.0
+ORDER_GATE = 1.9
+
+
 def _indicator(ok: bool) -> float:
     return 0.0 if ok else 1.0
+
+
+def _rejects(error, call, *args) -> float:
+    """0.0 when ``call(*args)`` raises ``error``, 1.0 when it returns."""
+    try:
+        call(*args)
+    except error:
+        return 0.0
+    return 1.0
+
+
+def _order(name: str, residuals) -> CheckResult:
+    """Observed order log2(r_N / r_2N-1) from the residuals at resolutions N and 2N - 1."""
+    return CheckResult(name, math.log2(residuals[0] / residuals[1]), ORDER_GATE, mode="at-least")
 
 
 def _relative(a, b, ndim: int) -> float:
@@ -124,26 +143,24 @@ def _relative(a, b, ndim: int) -> float:
 
 # ---------------------------------------------------------------- algebra
 
-def algebra_suite(options: SuiteOptions) -> SuiteReport:
-    rng = np.random.default_rng(options.seed)
+def algebra_suite(options: SuiteOptions, rng):
     h = MetricH.reference()
-    checks = []
 
     pairs = rng.normal(size=(200, 2, 5))
     b = algebra.wedge_array(pairs[:, 0], pairs[:, 1])
-    checks.append(CheckResult("wedge-antisymmetry", max_norm(b + np.swapaxes(b, -1, -2)), 1e-15))
+    yield CheckResult("wedge-antisymmetry", max_norm(b + np.swapaxes(b, -1, -2)), 1e-15)
 
     pairs = rng.normal(size=(500, 2, 5))
     b = algebra.wedge_array(pairs[:, 0], pairs[:, 1])
     scale = np.maximum(np.max(np.abs(b), axis=(-2, -1)) ** 2, 1e-300)
     worst = float(np.max(np.max(np.abs(algebra._wedge_square_dual(b)), axis=-1) / scale))
-    checks.append(CheckResult("wedge-square-vanishes", worst, 1e-12))
+    yield CheckResult("wedge-square-vanishes", worst, 1e-12)
 
     vecs = rng.normal(size=(200, 4, 5))
     b = algebra.wedge_array(vecs[:, 0], vecs[:, 1]) + algebra.wedge_array(vecs[:, 2], vecs[:, 3])
     dependent = np.linalg.matrix_rank(vecs) < 4
     bad = _indicator(np.array_equal(algebra.is_simple_array(b), dependent))
-    checks.append(CheckResult("simplicity-matches-rank", bad, 0.0))
+    yield CheckResult("simplicity-matches-rank", bad, EXACT)
 
     a = random_invertible(rng, 5, size=(1000,))
     wedges = algebra.wedge_array(np.swapaxes(a[:, :, :4], 1, 2), a[:, None, :, 4])
@@ -152,44 +169,37 @@ def algebra_suite(options: SuiteOptions) -> SuiteReport:
     cos = np.abs(np.sum(found * target, axis=-1)) / (
         np.linalg.norm(found, axis=-1) * np.linalg.norm(target, axis=-1)
     )
-    checks.append(CheckResult("direction-recovery", float(np.max(1.0 - cos)), 1e-9))
+    yield CheckResult("direction-recovery", float(np.max(1.0 - cos)), 1e-9)
 
     e = np.eye(5)
     crossed = [Bivector5(b) for b in algebra.wedge_array(e[[0, 2, 0, 1]], e[[1, 3, 2, 3]])]
-    try:
-        algebra.directional_vector(crossed)
-        rejected = False
-    except NotMaximalSpace:
-        rejected = True
-    checks.append(CheckResult("non-maximal-rejected", _indicator(rejected), 0.0))
+    yield CheckResult("non-maximal-rejected", _rejects(NotMaximalSpace, algebra.directional_vector, crossed), EXACT)
 
     ref_wedges = algebra.wedge_array(e[:4], e[4])
     gram = algebra.bivector_inner_array(ref_wedges[:, None], ref_wedges[None, :], h)
-    checks.append(CheckResult("induced-metric-orthonormal", max_norm(gram - ETA4), 1e-12))
+    yield CheckResult("induced-metric-orthonormal", max_norm(gram - ETA4), 1e-12)
 
     h_flip = MetricH(np.diag([1.0, 1.0, -1.0, -1.0, -1.0]))
     gram_flip = algebra.bivector_inner_array(ref_wedges[:, None], ref_wedges[None, :], h_flip)
     expected = np.diag([-1.0, -1.0, 1.0, 1.0])
-    checks.append(CheckResult("induced-metric-flipped-fifth", max_norm(gram_flip - expected), 1e-12))
+    yield CheckResult("induced-metric-flipped-fifth", max_norm(gram_flip - expected), 1e-12)
 
     u, v, w = np.moveaxis(rng.normal(size=(200, 3, 5)), 1, 0)
     lhs = algebra.bivector_inner_array(algebra.wedge_array(u, w), algebra.wedge_array(v, w), h)
     rhs = h.dot(u, v) * h.dot(w, w) - h.dot(u, w) * h.dot(v, w)
-    checks.append(CheckResult("induced-metric-closed-form", max_norm(lhs - rhs), 1e-9))
+    yield CheckResult("induced-metric-closed-form", max_norm(lhs - rhs), 1e-9)
 
     ok = (
         algebra.classify_directional(FiveVector(e[:, 4]), h) is DirectionalClass.POSITIVE
         and algebra.classify_directional(FiveVector(e[:, 1]), h) is DirectionalClass.NEGATIVE
         and algebra.classify_directional(FiveVector(e[:, 1] + e[:, 4]), h) is DirectionalClass.NULL
     )
-    checks.append(CheckResult("direction-classification", _indicator(ok), 0.0))
+    yield CheckResult("direction-classification", _indicator(ok), EXACT)
 
     u4 = rng.normal(size=(200, 4))
     b = algebra.bivector_from_four_array(u4, REFERENCE_BASIS)
     back = algebra.four_from_bivector_array(b, REFERENCE_BASIS)
-    checks.append(CheckResult("four-embedding-roundtrip", max_norm(back - u4), 1e-12))
-
-    return SuiteReport("algebra", tuple(checks))
+    yield CheckResult("four-embedding-roundtrip", max_norm(back - u4), 1e-12)
 
 
 # ------------------------------------------------------------------ bases
@@ -215,33 +225,31 @@ def _conjugated_wedges(rng, n: int, regular: bool = False) -> np.ndarray:
     return algebra.wedge_array(np.swapaxes(mixed, -1, -2), cols[..., None, :, 4])
 
 
-def bases_suite(options: SuiteOptions) -> SuiteReport:
-    rng = np.random.default_rng(options.seed + 1)
+def bases_suite(options: SuiteOptions, rng):
     h = MetricH.reference()
-    checks = []
 
     l = _standard_changes(rng, 100)
     leaky = l.copy()
     leaky[:, 1, 4] = 0.5
     ok = np.all(bases.is_standard_change(l)) and not np.any(bases.is_standard_change(leaky))
-    checks.append(CheckResult("standard-criterion", _indicator(ok), 0.0))
+    yield CheckResult("standard-criterion", _indicator(ok), EXACT)
 
     l = _standard_changes(rng, 500)
     lam = bases.induced_four_map(l)
     # the reference basis is the identity, so the changed frame's columns are L's
     b = algebra.wedge_array(np.swapaxes(l[:, :, :4], 1, 2), l[:, None, :, 4])
     coeffs = algebra.four_from_bivector_array(b, REFERENCE_BASIS)
-    checks.append(CheckResult("induced-map-vs-wedges", max_norm(coeffs - np.swapaxes(lam, 1, 2)), 1e-9))
+    yield CheckResult("induced-map-vs-wedges", max_norm(coeffs - np.swapaxes(lam, 1, 2)), 1e-9)
 
     l = _standard_changes(rng, 500)
     linv = invert(l)
     worst = max(max_norm(linv[:, :4, 4]), max_norm(l[:, 4, 4] * linv[:, 4, 4] - 1.0))
-    checks.append(CheckResult("standard-inverse-identities", worst, 1e-10))
+    yield CheckResult("standard-inverse-identities", worst, 1e-10)
 
     l = _standard_changes(rng, 500)
     d = bases.decompose_upm(l)
     worst = max(max_norm(bases.compose_upm(d) - l), max_norm(d.t - bases.induced_four_map(l)))
-    checks.append(CheckResult("upm-roundtrip", worst, 1e-12))
+    yield CheckResult("upm-roundtrip", worst, 1e-12)
 
     t = random_invertible(rng, 4)
     resid = max(
@@ -249,25 +257,25 @@ def bases_suite(options: SuiteOptions) -> SuiteReport:
         max_norm(bases.induced_four_map(bases.p_transformation([0.2, -1.0, 0.4, 2.0])) - np.eye(4)),
         max_norm(bases.induced_four_map(bases.m_transformation(t)) - t),
     )
-    checks.append(CheckResult("upm-block-actions", resid, 1e-13))
+    yield CheckResult("upm-block-actions", resid, 1e-13)
 
     wedges = _conjugated_wedges(rng, 500)
     r = bases.frame_residuals(bases.orthonormal_basis_for_array(wedges, h), h, wedges)
-    checks.append(CheckResult("orthonormal-construction", max_norm(np.maximum(r.orthonormal, r.wedge)), 1e-9))
+    yield CheckResult("orthonormal-construction", max_norm(np.maximum(r.orthonormal, r.wedge)), 1e-9)
 
     wedges = _conjugated_wedges(rng, 500, regular=True)
     r = bases.frame_residuals(bases.regular_basis_for_array(wedges, h), h, wedges)
-    checks.append(CheckResult("regular-construction", max_norm(np.maximum(r.regular, r.wedge)), 1e-9))
+    yield CheckResult("regular-construction", max_norm(np.maximum(r.regular, r.wedge)), 1e-9)
 
     wedges = _conjugated_wedges(rng, 50)
     plus = bases.orthonormal_basis_for_array(wedges, h)
     minus = bases.orthonormal_basis_for_array(wedges, h, negate_direction=True)
-    checks.append(CheckResult("construction-sign-pair", max_norm(plus + minus), 1e-9))
+    yield CheckResult("construction-sign-pair", max_norm(plus + minus), 1e-9)
 
     wedges = _conjugated_wedges(rng, 50)
     via_regular = bases.regular_basis_for_array(wedges, h)
     direct = bases.orthonormal_basis_for_array(wedges, h)
-    checks.append(CheckResult("regular-reduces-to-orthonormal", max_norm(via_regular - direct), 1e-9))
+    yield CheckResult("regular-reduces-to-orthonormal", max_norm(via_regular - direct), 1e-9)
 
     flipped = np.eye(5)
     flipped[:, [0, 1]] = flipped[:, [1, 0]]
@@ -276,45 +284,35 @@ def bases_suite(options: SuiteOptions) -> SuiteReport:
         and bases.orientation_sign(bases.Basis5(-np.eye(5))) == -1
         and bases.orientation_sign(bases.Basis5(flipped)) == -1
     )
-    checks.append(CheckResult("orientation-signs", _indicator(ok), 0.0))
-
-    return SuiteReport("bases", tuple(checks))
+    yield CheckResult("orientation-signs", _indicator(ok), EXACT)
 
 
 # --------------------------------------------------------------- clifford
 
-def clifford_suite(options: SuiteOptions) -> SuiteReport:
-    rng = np.random.default_rng(options.seed + 2)
-    checks = []
+def clifford_suite(options: SuiteOptions, rng):
     gs = clifford.standard_gamma_set()
 
-    checks.append(CheckResult("anticommutation-exact", clifford.anticommutation_residual(gs), 0.0))
+    yield CheckResult("anticommutation-exact", clifford.anticommutation_residual(gs), EXACT)
 
     gammas = clifford.dirac_from_gamma_set(gs)
-    checks.append(CheckResult("dirac-reduction", max_norm(np.abs(gammas - clifford.dirac_gammas())), 1e-12))
+    yield CheckResult("dirac-reduction", max_norm(np.abs(gammas - clifford.dirac_gammas())), 1e-12)
 
     resid = clifford.anticommutators(gammas) - 2.0 * ETA4[:, :, None, None] * np.eye(4)
-    checks.append(CheckResult("dirac-anticommutation", max_norm(resid), 1e-12))
+    yield CheckResult("dirac-anticommutation", max_norm(resid), 1e-12)
 
     o = random_metric_preserving5(rng, (200,))
     closure = clifford.anticommutation_residual(clifford.apply_metric_preserving(gs, o))
-    checks.append(CheckResult("metric-preserving-closure", max_norm(closure), 1e-11))
+    yield CheckResult("metric-preserving-closure", max_norm(closure), 1e-11)
 
-    try:
-        clifford.apply_metric_preserving(gs, np.diag([2.0, 1.0, 1.0, 1.0, 1.0]))
-        rejected = False
-    except NotO32:
-        rejected = True
-    checks.append(CheckResult("non-preserving-rejected", _indicator(rejected), 0.0))
+    rejected = _rejects(NotO32, clifford.apply_metric_preserving, gs, np.diag([2.0, 1.0, 1.0, 1.0, 1.0]))
+    yield CheckResult("non-preserving-rejected", rejected, EXACT)
 
     lam = random_lorentz(rng, (100,))
     o = np.tile(np.eye(5), (100, 1, 1))
     o[:, :4, :4] = lam
     reduced = clifford.dirac_from_gamma_set(clifford.apply_metric_preserving(gs, o))
     expected = np.einsum("snm,nij->smij", lam, gammas)
-    checks.append(CheckResult("reduction-transforms-as-vector", max_norm(reduced - expected), 1e-11))
-
-    return SuiteReport("clifford", tuple(checks))
+    yield CheckResult("reduction-transforms-as-vector", max_norm(reduced - expected), 1e-11)
 
 
 # ------------------------------------------------------------- connection
@@ -368,16 +366,14 @@ def _nonlinear_change_field(grid: Grid, kappa: float):
     return change, d_change
 
 
-def connection_suite(options: SuiteOptions) -> SuiteReport:
-    rng = np.random.default_rng(options.seed + 3)
+def connection_suite(options: SuiteOptions, rng):
     kappa = options.kappa
     scheme = options.scheme
-    checks = []
 
     flat = connection.flat_coefficients(kappa)
     report = connection.transport_compatibility(flat, connection.FourConnection(np.zeros((4, 4, 4))))
     worst = max(report.standard_residual, report.relation_residual)
-    checks.append(CheckResult("flat-standard-compatibility", worst, 1e-15))
+    yield CheckResult("flat-standard-compatibility", worst, 1e-15)
 
     x = rng.normal(size=(200, 4))
     n = connection.parallel_frame_change(x, kappa)
@@ -385,7 +381,7 @@ def connection_suite(options: SuiteOptions) -> SuiteReport:
     worst = max_norm(np.swapaxes(n, 1, 2) @ ETA5 @ n - metric)
     if kappa != 0.0:
         worst = max(worst, max_norm(connection.coordinates_from_parallel_metric(metric, kappa) - x))
-    checks.append(CheckResult("parallel-frame-metric", worst, 1e-12))
+    yield CheckResult("parallel-frame-metric", worst, 1e-12)
 
     if kappa != 0.0:
         s, s_inv = np.diag([1.0, 1.0, 1.0, 1.0, kappa]), np.diag([1.0, 1.0, 1.0, 1.0, 1.0 / kappa])
@@ -393,13 +389,13 @@ def connection_suite(options: SuiteOptions) -> SuiteReport:
         frames = _relative(s_inv @ n @ s, connection.parallel_frame_change(x, unit), 2)
         rescaled = np.einsum("ac,cbm,bd->adm", s_inv, flat.values, s)
         worst = max(frames, max_norm(rescaled - connection.flat_coefficients(unit).values))
-        checks.append(CheckResult("kappa-normalization", worst, 1e-14))
+        yield CheckResult("kappa-normalization", worst, 1e-14)
 
     grid = Grid(origin=(-0.5,) * 4, spacing=(1.0 / 6.0,) * 4, shape=(7, 7, 7, 7))
     n_field = connection.parallel_frame_change(grid.coords(), kappa)
     transformed = connection.transform_connection_field(flat, n_field, np.eye(4), grid, scheme)
     sel = grid.interior(scheme_width(scheme))
-    checks.append(CheckResult("parallel-coefficients-vanish", max_norm(transformed[sel]), 1e-12))
+    yield CheckResult("parallel-coefficients-vanish", max_norm(transformed[sel]), 1e-12)
 
     n = options.grid_n
     orders = []
@@ -416,8 +412,7 @@ def connection_suite(options: SuiteOptions) -> SuiteReport:
         exact = exact + np.einsum("...ac,...cbn->...abn", linv, d_change)
         sel = g.interior(scheme_width(scheme))
         orders.append(max_norm((fd - exact)[sel]))
-    order = math.log2(orders[0] / orders[1])
-    checks.append(CheckResult("transform-convergence-order", order, 1.9, mode="at-least"))
+    yield _order("transform-convergence-order", orders)
 
     # Reference: RK4 of du/dt = -G(u, dx) along each straight path, all
     # samples advanced together as one (100, 5) state.
@@ -438,22 +433,22 @@ def connection_suite(options: SuiteOptions) -> SuiteReport:
         k4 = rate(u + k3)
         u = u + (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
     worst = max_norm(moved - u)
-    checks.append(CheckResult("transport-matches-integration", worst, 1e-9))
+    yield CheckResult("transport-matches-integration", worst, 1e-9)
 
     t_span = 2.5
     moved = connection.transport(np.array([1.0, 0, 0, 0, 0]), np.zeros(4), np.array([t_span, 0, 0, 0]), "O", kappa)
     expected = np.array([1.0, 0, 0, 0, kappa * t_span])
-    checks.append(CheckResult("transport-time-axis", max_norm(moved - expected), 1e-12))
+    yield CheckResult("transport-time-axis", max_norm(moved - expected), 1e-12)
 
     grid_small = Grid(origin=(-0.5,) * 4, spacing=(0.25,) * 4, shape=(5, 5, 5, 5))
     report = connection.metric_derivative_report(flat, ETA5, kappa, ETA4, grid_small, scheme)
-    checks.append(CheckResult("metric-identities-orthonormal", report.worst(), 1e-12))
+    yield CheckResult("metric-identities-orthonormal", report.worst(), 1e-12)
 
     coords_small = grid_small.coords()
     h_samples = connection.parallel_frame_metric(coords_small, kappa)
     zero = connection.ConnectionCoeffs(np.zeros((5, 5, 4)))
     report = connection.metric_derivative_report(zero, h_samples, kappa, ETA4, grid_small, scheme)
-    checks.append(CheckResult("metric-identities-parallel", report.worst(), 1e-10))
+    yield CheckResult("metric-identities-parallel", report.worst(), 1e-10)
 
     worst = 0.0
     for _ in range(5):
@@ -479,24 +474,20 @@ def connection_suite(options: SuiteOptions) -> SuiteReport:
             kappa,
         )
         worst = max(worst, resid)
-    checks.append(CheckResult("abstract-metric-identity", worst, 1e-9))
+    yield CheckResult("abstract-metric-identity", worst, 1e-9)
 
     const = rng.normal(size=5)
     u_vals = np.einsum("...ab,b->...a", n_field, const)
     u_field = FieldOnGrid(grid=grid, values=u_vals, basis="O")
     deriv = connection.covariant_derivative(u_field, flat, scheme)
     worst = max_norm(deriv.values[grid.interior(deriv.boundary_width)])
-    checks.append(CheckResult("parallel-constant-derivative", worst, 1e-12))
-
-    return SuiteReport("connection", tuple(checks))
+    yield CheckResult("parallel-constant-derivative", worst, 1e-12)
 
 
 # --------------------------------------------------------------- poincare
 
-def poincare_suite(options: SuiteOptions) -> SuiteReport:
-    rng = np.random.default_rng(options.seed + 4)
+def poincare_suite(options: SuiteOptions, rng):
     kappa = options.kappa
-    checks = []
 
     t1, t2 = random_poincare(rng, (500,)), random_poincare(rng, (500,))
     x = rng.normal(size=(500, 4))
@@ -508,7 +499,7 @@ def poincare_suite(options: SuiteOptions) -> SuiteReport:
     )
     # Relative measures: the compared values reach O(10-100), so an absolute
     # 1e-12 gate would be crossed by round-off on a few percent of seeds.
-    checks.append(CheckResult("composition-group", worst, 1e-12))
+    yield CheckResult("composition-group", worst, 1e-12)
 
     t1, t2 = random_poincare(rng, (500,)), random_poincare(rng, (500,))
     v, w = rng.normal(size=(2, 500, 5))
@@ -519,7 +510,7 @@ def poincare_suite(options: SuiteOptions) -> SuiteReport:
         _relative(vector(vector(v, t2.lam, s2), t1.lam, s1), vector(v, t12.lam, s12), 1),
         _relative(form(form(w, t2.lam_inv, s2), t1.lam_inv, s1), form(w, t12.lam_inv, s12), 1),
     )
-    checks.append(CheckResult("parallel-law-group", worst, 1e-12))
+    yield CheckResult("parallel-law-group", worst, 1e-12)
 
     t = random_poincare(rng, (200,))
     x, v = rng.normal(size=(200, 4)), rng.normal(size=(200, 5))
@@ -529,7 +520,7 @@ def poincare_suite(options: SuiteOptions) -> SuiteReport:
     v_o_new = np.concatenate([(t.lam @ v_o[:, :4, None])[..., 0], v_o[:, 4:]], axis=-1)
     via_frames = np.linalg.solve(n_to, v_o_new[..., None])[..., 0]
     direct = poincare.transform_vector_array(v, t.lam, t.shift(kappa))
-    checks.append(CheckResult("parallel-law-vs-frames", max_norm(via_frames - direct), 1e-11))
+    yield CheckResult("parallel-law-vs-frames", max_norm(via_frames - direct), 1e-11)
 
     c1 = poincare.LorentzChart(random_lorentz(rng, (100,)), rng.normal(size=(100, 4)), kappa)
     c2 = poincare.LorentzChart(random_lorentz(rng, (100,)), rng.normal(size=(100, 4)), kappa)
@@ -538,12 +529,12 @@ def poincare_suite(options: SuiteOptions) -> SuiteReport:
     form1 = poincare.coordinate_form(c1, x1)
     form2 = poincare.coordinate_form(c2, t.apply(x1))
     moved = poincare.transform_form_array(form1.p_dual, t.lam_inv, t.shift(1.0))
-    checks.append(CheckResult("coordinate-form-invariance", max_norm(moved - form2.p_dual), 1e-9))
+    yield CheckResult("coordinate-form-invariance", max_norm(moved - form2.p_dual), 1e-9)
     # o = N^-T p, and N is unit triangular, so the solve is exact
     unit = connection.normalized_kappa(kappa)
     n_t = np.swapaxes(connection.parallel_frame_change(x1, unit), -1, -2)
     exact = max_norm(form1.o_dual - np.linalg.solve(n_t, form1.p_dual[..., None])[..., 0])
-    checks.append(CheckResult("coordinate-form-orthonormal-components", exact, 0.0))
+    yield CheckResult("coordinate-form-orthonormal-components", exact, EXACT)
 
     # rows mu: w_(A;mu) = d_mu o_A - G^C_(A mu) o_C at the origin; o is affine, so
     # d_mu o = o(e_mu) - o(0) exactly, and eye(5, 4) lists e_0 .. e_3, then the origin
@@ -551,7 +542,7 @@ def poincare_suite(options: SuiteOptions) -> SuiteReport:
     o = poincare.coordinate_form(reference, np.eye(5, 4)).o_dual
     o_route = o[:4] - o[4] - np.einsum("cam,c->ma", connection.flat_coefficients(unit).values, o[4])
     p_route = poincare.coordinate_form_derivative(reference, np.zeros(4))
-    checks.append(CheckResult("coordinate-form-derivative-routes", max_norm(o_route - p_route), 1e-15))
+    yield CheckResult("coordinate-form-derivative-routes", max_norm(o_route - p_route), 1e-15)
 
     # The tensor routes and the coordinates below are measured relative to
     # their magnitudes, which reach O(100): round-off alone crosses an
@@ -561,7 +552,7 @@ def poincare_suite(options: SuiteOptions) -> SuiteReport:
     rep = poincare.homogeneous_rep(t, 1.0)
     route = np.linalg.solve(rep, pt.matrix @ rep)
     worst = _relative(poincare.transform_param_tensor(pt, t).matrix, route, 2)
-    checks.append(CheckResult("param-tensor-two-routes", worst, 1e-12))
+    yield CheckResult("param-tensor-two-routes", worst, 1e-12)
 
     t = random_poincare(rng, (300,))
     omega = rng.normal(size=(300, 4, 4))
@@ -569,7 +560,7 @@ def poincare_suite(options: SuiteOptions) -> SuiteReport:
     rep_inv = np.linalg.inv(poincare.homogeneous_rep(t, 1.0))
     route = rep_inv @ gt.matrix @ np.swapaxes(rep_inv, 1, 2)
     worst = _relative(poincare.transform_generator_tensor(gt, t).matrix, route, 2)
-    checks.append(CheckResult("generator-tensor-two-routes", worst, 1e-12))
+    yield CheckResult("generator-tensor-two-routes", worst, 1e-12)
 
     t = random_poincare(rng, (300,))
     x = rng.normal(size=(300, 4))
@@ -577,9 +568,7 @@ def poincare_suite(options: SuiteOptions) -> SuiteReport:
     quintuple = np.concatenate([algebra.lower_array(x), np.full((300, 1), 1.0 / k)], axis=-1)
     moved = (quintuple[:, None, :] @ poincare.homogeneous_rep(t, k))[:, 0]
     expected = np.concatenate([algebra.lower_array(t.apply(x)), quintuple[:, 4:]], axis=-1)
-    checks.append(CheckResult("homogeneous-rep-coordinates", _relative(moved, expected, 1), 1e-12))
-
-    return SuiteReport("poincare", tuple(checks))
+    yield CheckResult("homogeneous-rep-coordinates", _relative(moved, expected, 1), 1e-12)
 
 
 # ----------------------------------------------------------- conservation
@@ -601,10 +590,9 @@ def _wave_grid(n: int) -> Grid:
     return Grid(origin=(0.0, 0.0, 0.0, 0.0), spacing=(h, h, h, 1.0), shape=(n, n, n, 1))
 
 
-def conservation_suite(options: SuiteOptions) -> SuiteReport:
+def conservation_suite(options: SuiteOptions, rng):
     kappa = options.kappa
     scheme = options.scheme
-    checks = []
     frames = (options.basis,) if options.basis else ("P", "O")
 
     grid = _wave_grid(9)
@@ -613,15 +601,15 @@ def conservation_suite(options: SuiteOptions) -> SuiteReport:
     current = stress_energy.assemble_moment_field(theta, sigma, grid)
     # central2 on this dyadic grid divides exact integer-like numerators, so
     # the residual is exactly zero; wider stencils leave bare rounding.
-    exact_gate = 0.0 if scheme == "central2" else 1e-14
+    exact_gate = EXACT if scheme == "central2" else 1e-14
     for frame in frames:
         framed = _in_frame(current, frame, kappa)
         report = stress_energy.conservation_report(framed, kappa, scheme)
-        checks.append(CheckResult(f"constant-stress-exact-{frame}", report.worst(), exact_gate))
+        yield CheckResult(f"constant-stress-exact-{frame}", report.worst(), exact_gate)
         if frame == "O" and kappa != 0.0:
             # the O frame drops the orbital part exactly, leaving the spin current
             spin = max_norm(framed.values[..., :4, :4] - sigma)
-            checks.append(CheckResult("constant-stress-spin-block-O", spin, 0.0))
+            yield CheckResult("constant-stress-spin-block-O", spin, EXACT)
 
     # one P-frame current per resolution; the O current is its frame change
     residuals = {frame: [] for frame in frames}
@@ -631,16 +619,13 @@ def conservation_suite(options: SuiteOptions) -> SuiteReport:
             report = stress_energy.conservation_report(_in_frame(current, frame, kappa), kappa, scheme)
             residuals[frame].append(report.worst())
     for frame, pair in residuals.items():
-        order = math.log2(pair[0] / pair[1])
-        checks.append(CheckResult(f"wave-convergence-order-{frame}", order, 1.9, mode="at-least"))
+        yield _order(f"wave-convergence-order-{frame}", pair)
 
     if len(frames) == 2:
         r_p = residuals["P"][0]
         r_o = residuals["O"][0]
         ratio = max(r_p / r_o, r_o / r_p)
-        checks.append(CheckResult("frame-agreement-ratio", ratio, 2.0))
-
-    return SuiteReport("conservation", tuple(checks))
+        yield CheckResult("frame-agreement-ratio", ratio, 2.0)
 
 
 _SUITES = {
@@ -651,12 +636,15 @@ _SUITES = {
     "poincare": poincare_suite,
     "conservation": conservation_suite,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, options: SuiteOptions) -> SuiteReport:
+    """Run one suite with its own generator, seeded at options.seed + its place in SUITE_NAMES."""
     if name not in _SUITES:
         raise PentavecError(f"unknown suite {name!r}, expected one of {sorted(_SUITES)}")
-    return _SUITES[name](options)
+    rng = np.random.default_rng(options.seed + SUITE_NAMES.index(name))
+    return SuiteReport(name, tuple(_SUITES[name](options, rng)))
 
 
 def run_suites(names, options: SuiteOptions) -> list[SuiteReport]:

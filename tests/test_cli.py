@@ -1,6 +1,7 @@
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,11 +37,27 @@ def test_verify_unknown_suite_exits_via_argparse():
 
 
 def test_verify_failing_check_exits_1(capsys, monkeypatch):
-    failing = suites.SuiteReport("algebra", (suites.CheckResult("forced", 1.0, 0.0),))
-    monkeypatch.setitem(suites._SUITES, "algebra", lambda options: failing)
+    monkeypatch.setitem(suites._SUITES, "algebra", lambda options, rng: [suites.CheckResult("forced", 1.0, 0.0)])
     assert main(["verify", "algebra"]) == 1
     out = capsys.readouterr().out
     assert "overall: FAIL" in out
+
+
+def pinned_gates(scheme):
+    """(suite.check, gate, mode) of every check, read from tests/check_gates.txt."""
+    rows = []
+    for line in (Path(__file__).parent / "check_gates.txt").read_text().splitlines():
+        if line and not line.startswith("#"):
+            name, gate, mode, *central4 = line.split()
+            rows.append((name, float(central4[0] if central4 and scheme == "central4" else gate), mode))
+    return rows
+
+
+@pytest.mark.parametrize("scheme", ["central2", "central4"])
+def test_verify_all_gates_are_pinned(scheme):
+    reports = suites.run_suites(suites.SUITE_NAMES, suites.SuiteOptions(scheme=scheme))
+    got = [(f"{report.name}.{check.name}", check.gate, check.mode) for report in reports for check in report.checks]
+    assert got == pinned_gates(scheme)
 
 
 @pytest.mark.parametrize(

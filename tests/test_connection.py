@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from pentavec.connection import (
     transport,
     transport_compatibility,
 )
-from pentavec.errors import GridMismatch, GridTooCoarse, NotDirectional, ShapeMismatch
+from pentavec.errors import GridMismatch, GridTooCoarse, NotDirectional, NotFinite, ShapeMismatch, SingularMatrix
 from pentavec.grids import FieldOnGrid, Grid
 
 H = MetricH.reference()
@@ -142,6 +144,22 @@ def test_transform_connection_field_guards():
         transform_connection_field(
             flat_coefficients(KAPPA), curved, np.eye(4), grid, truncation_tol=1e-30
         )
+
+
+@pytest.mark.parametrize(
+    "entry, error, fragment",
+    [
+        pytest.param(0.0, SingularMatrix, "singular sample (element (1, 0, 0, 0))", id="zero-diagonal"),
+        pytest.param(np.nan, NotFinite, "non-finite sample (element (1, 0, 0, 0))", id="nan-entry"),
+    ],
+)
+def test_transform_connection_field_rejects_bad_samples(entry, error, fragment):
+    # one bad diagonal entry at the middle sample of a three-sample line
+    grid = Grid(origin=(0.0,) * 4, spacing=(0.5, 1.0, 1.0, 1.0), shape=(3, 1, 1, 1))
+    field = np.tile(np.eye(5), grid.shape + (1, 1))
+    field[1, 0, 0, 0, 2, 2] = entry
+    with pytest.raises(error, match=re.escape(fragment)):
+        transform_connection_field(flat_coefficients(KAPPA), field, np.eye(4), grid)
 
 
 def rk4_transport(components, from_x, to_x, kappa, steps=256):

@@ -60,6 +60,34 @@ def test_scheme_width():
         scheme_width("upwind")
 
 
+def reference_derivative(v, h, scheme):
+    """The hand-written central2 and central4 formulas that the stencil table replaced."""
+    out = np.empty_like(v)
+    if scheme == "central2":
+        out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+        out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+        out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    else:
+        out[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
+        out[0] = (-25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]) / (12.0 * h)
+        out[1] = (-3.0 * v[0] - 10.0 * v[1] + 18.0 * v[2] - 6.0 * v[3] + v[4]) / (12.0 * h)
+        out[-1] = (25.0 * v[-1] - 48.0 * v[-2] + 36.0 * v[-3] - 16.0 * v[-4] + 3.0 * v[-5]) / (12.0 * h)
+        out[-2] = (3.0 * v[-1] + 10.0 * v[-2] - 18.0 * v[-3] + 6.0 * v[-4] - v[-5]) / (12.0 * h)
+    return out
+
+
+@pytest.mark.parametrize("scheme, n", [("central2", 3), ("central2", 17), ("central4", 5), ("central4", 17)])
+def test_stencil_table_matches_reference_formulas(scheme, n):
+    rng = np.random.default_rng(n)
+    shape = (n, 3, 1, 2, 5)
+    v = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 12, size=shape)  # mixed magnitudes
+    v[rng.random(shape) < 0.2] = 0.0
+    g = Grid(origin=(0.0,) * 4, spacing=(0.3, 1.0, 1.0, 1.0), shape=shape[:4])
+    got, want = partial_derivative(v, g, 0, scheme), reference_derivative(v, 0.3, scheme)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))  # signed zeros too
+
+
 def test_central2_exact_on_quadratics():
     g = line_grid(9)
     x = g.axis_coords(0).reshape(9, 1, 1, 1)

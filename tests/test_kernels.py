@@ -406,7 +406,7 @@ def test_moment_field_law_is_a_group_action(seed, kappa):
 @pytest.mark.parametrize("seed", [19, 248019633, 257])
 def test_poincare_suite_passes_at_former_round_off_seeds(seed):
     # these seeds crossed former absolute 1e-12 gates: the group laws, then the tensor routes
-    report = suites.poincare_suite(suites.SuiteOptions(seed=seed))
+    report = suites.run_suite("poincare", suites.SuiteOptions(seed=seed))
     assert report.passed, [(c.name, c.value) for c in report.checks if not c.passed]
 
 
