@@ -235,9 +235,11 @@ def covariant_derivative(field: FieldOnGrid, g, scheme: str = "central2") -> Fie
     grad = grid_gradient(values, field.grid, scheme)  # (..., A, mu)
     gv = g.values if isinstance(g, ConnectionCoeffs) else np.asarray(g, dtype=float)
     correction = np.einsum("...abm,...b->...am", np.broadcast_to(gv, values.shape[:4] + (5, 5, 4)), values)
+    derivative = grad + correction
+    derivative.setflags(write=False)
     return FieldOnGrid(
         grid=field.grid,
-        values=grad + correction,
+        values=derivative,
         basis=field.basis,
         boundary_width=scheme_width(scheme),
     )

@@ -100,6 +100,12 @@ class FieldOnGrid:
     orthonormal frame field, "P" for the parallel one) when that matters.
     ``boundary_width`` is nonzero on derived fields whose edge samples came
     from one-sided differences.
+
+    ``values`` is stored read-only.  An array that owns its data and is
+    already read-only is adopted as it is: that is how a kernel hands over
+    an array it has just made.  Any other input, a writable array or a view
+    included, is copied, so a later write by the caller cannot reach the
+    field.  Every field is checked for non-finite samples either way.
     """
 
     grid: Grid
@@ -115,8 +121,9 @@ class FieldOnGrid:
             )
         if not np.all(np.isfinite(v)):
             raise NotFinite("field contains non-finite samples")
-        v = v.copy()
-        v.setflags(write=False)
+        if v.flags.writeable or not v.flags.owndata:
+            v = v.copy()
+            v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     def interior_values(self) -> np.ndarray:
@@ -124,23 +131,61 @@ class FieldOnGrid:
 
 
 def _weighted_sum(out: np.ndarray, row, samples) -> None:
-    """out = sum of weight * sample over the nonzero weights of ``row``, in row order."""
+    """out = sum of weight * sample over the nonzero weights of ``row``, in row order.
+
+    A weight of 1 or -1 adds or subtracts the sample itself, and other
+    weights multiply into one scratch buffer: the sums of ``out += w * s``
+    to the bit, without a temporary per term.
+    """
     terms = [(w, s) for w, s in zip(row, samples) if w]
     np.multiply(terms[0][1], terms[0][0], out=out)
+    scratch = None
     for w, s in terms[1:]:
-        out += w * s
+        if w == 1:
+            out += s
+        elif w == -1:
+            out -= s
+        else:
+            if scratch is None:
+                scratch = np.empty_like(out)
+            np.multiply(s, w, out=scratch)
+            out += scratch
+
+
+def _central_difference(v: np.ndarray, h: float, scheme: str, out: np.ndarray) -> None:
+    """Central-row derivative along the first axis of ``v`` into ``out``.
+
+    ``out`` holds the samples ``width .. len(v) - 1 - width``, the ones the
+    central row reaches from both sides.
+    """
+    denominator, central, sided = SCHEMES[scheme]
+    n, width = len(v), len(sided)
+    _weighted_sum(out, central, [v[k : n - 2 * width + k] for k in range(2 * width + 1)])
+    out /= denominator * h
 
 
 def _derive_along_first(v: np.ndarray, h: float, scheme: str) -> np.ndarray:
-    denominator, central, sided = SCHEMES[scheme]
+    denominator, _, sided = SCHEMES[scheme]
     n, width = len(v), len(sided)
     out = np.empty_like(v)
-    _weighted_sum(out[width : n - width], central, [v[k : n - 2 * width + k] for k in range(2 * width + 1)])
+    _central_difference(v, h, scheme, out[width : n - width])
     for i, row in enumerate(sided):
         _weighted_sum(out[i, ...], row, v)
         _weighted_sum(out[n - 1 - i, ...], [-w for w in row], v[::-1])
-    out /= denominator * h
+    for edge in (out[:width], out[n - width :]):
+        edge /= denominator * h
     return out
+
+
+def _differentiated(grid: Grid, axis: int, scheme: str) -> bool:
+    """Whether ``axis`` carries a derivative: a singleton axis does not, and
+    an axis shorter than the stencil raises GridTooCoarse."""
+    n, width = grid.shape[axis], scheme_width(scheme)
+    if n == 1:
+        return False
+    if n < 2 * width + 1:
+        raise GridTooCoarse(f"axis {axis} has {n} samples, scheme {scheme} needs {2 * width + 1}")
+    return True
 
 
 def partial_derivative(values: np.ndarray, grid: Grid, axis: int, scheme: str = "central2") -> np.ndarray:
@@ -149,15 +194,12 @@ def partial_derivative(values: np.ndarray, grid: Grid, axis: int, scheme: str = 
     Singleton axes return zeros.  Axes shorter than the stencil raise
     GridTooCoarse.
     """
-    width = scheme_width(scheme)
+    scheme_width(scheme)  # an unknown scheme is rejected before anything else
     values = np.asarray(values, dtype=float)
     if values.shape[:4] != grid.shape:
         raise GridMismatch(f"value axes {values.shape[:4]} do not match grid {grid.shape}")
-    n = grid.shape[axis]
-    if n == 1:
+    if not _differentiated(grid, axis, scheme):
         return np.zeros_like(values)
-    if n < 2 * width + 1:
-        raise GridTooCoarse(f"axis {axis} has {n} samples, scheme {scheme} needs {2 * width + 1}")
     moved = np.moveaxis(values, axis, 0)
     derived = _derive_along_first(moved, grid.spacing[axis], scheme)
     return np.moveaxis(derived, 0, axis)

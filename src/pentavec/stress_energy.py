@@ -34,7 +34,7 @@ import numpy as np
 from .algebra import lower_array
 from .connection import flat_coefficients, normalized_kappa
 from .errors import BasisMismatch, GridMismatch, NotAntisymmetric, NotNull
-from .grids import FieldOnGrid, Grid, partial_derivative, scheme_width
+from .grids import FieldOnGrid, Grid, _central_difference, _differentiated, scheme_width
 from .numerics import NULL_TOL, input_bound, max_norm
 from .poincare import PoincareTransform, homogeneous_rep
 
@@ -57,14 +57,17 @@ def assemble_moment_field(theta: np.ndarray, sigma: np.ndarray, grid: Grid) -> F
         raise NotAntisymmetric("spin current must be antisymmetric in its lower indices")
 
     x_low = lower_array(grid.coords())
-    values = np.zeros(grid.shape + (4, 5, 5))
-    four = values[..., :4, :4]
-    # orbital x_alpha Theta^mu_beta - x_beta Theta^mu_alpha from one outer product
+    # orbital x_alpha Theta^mu_beta - x_beta Theta^mu_alpha from one outer
+    # product, built contiguous and then placed into the four-block
     outer = x_low[..., None, :, None] * theta[..., :, None, :]
-    np.subtract(outer, np.swapaxes(outer, -1, -2), out=four)
+    four = outer - np.swapaxes(outer, -1, -2)
+    del outer
     four += sigma
+    values = np.zeros(grid.shape + (4, 5, 5))
+    values[..., :4, :4] = four
     values[..., 4, :4] = theta
     values[..., :4, 4] = -theta
+    values.setflags(write=False)
     return FieldOnGrid(grid=grid, values=values, basis="P")
 
 
@@ -89,14 +92,15 @@ def _convert(m: FieldOnGrid, kappa: float, src: str, dst: str) -> FieldOnGrid:
         raise GridMismatch(f"expected current samples (4, 5, 5), got {m.values.shape[4:]}")
     # The change C is the identity plus the bottom row s x_alpha, so C^T M C
     # is M with s x_f M^mu_(C 5) added to each four-space column f, then
-    # s x_e times the updated fifth row added to each four-space row e;
-    # both steps run in place on the copy, with no full-size temporaries.
+    # s x_e times the updated fifth row added to each four-space row e.
+    # The columns go one at a time: over the trailing (4, 5, 5) axes that
+    # makes fewer, longer inner loops than one broadcast update would.
     shift = (-1.0 if dst == "O" else 1.0) * normalized_kappa(kappa) * lower_array(m.grid.coords())
     out = m.values.copy()
     for f in range(4):
         out[..., f] += shift[..., None, None, f] * out[..., 4]
-    for e in range(4):
-        out[..., e, :] += shift[..., None, None, e] * out[..., 4, :]
+    out[..., :4, :] += shift[..., None, :, None] * out[..., None, 4, :]
+    out.setflags(write=False)
     return FieldOnGrid(grid=m.grid, values=out, basis=dst, boundary_width=m.boundary_width)
 
 
@@ -113,6 +117,7 @@ def transform_moment_field(m: FieldOnGrid, t: PoincareTransform, kappa: float = 
         raise BasisMismatch(f"expected a P-frame current, got {m.basis!r}")
     rep = homogeneous_rep(t, normalized_kappa(kappa))
     values = np.einsum("mn,...nab->...mab", t.lam, np.swapaxes(rep, -1, -2) @ m.values @ rep)
+    values.setflags(write=False)
     return FieldOnGrid(grid=m.grid, values=values, basis="P", boundary_width=m.boundary_width)
 
 
@@ -148,21 +153,31 @@ def conservation_report(m: FieldOnGrid, kappa: float = 1.0, scheme: str = "centr
     if m.values.shape[4:] != (4, 5, 5):
         raise GridMismatch(f"expected current samples (4, 5, 5), got {m.values.shape[4:]}")
 
+    # Each partial is taken with the central row alone, on the interior
+    # samples the residuals read; singleton axes contribute nothing.
+    grid, values = m.grid, m.values
+    axes = [mu for mu in range(4) if _differentiated(grid, mu, scheme)]
+    sel = grid.interior(scheme_width(scheme))
+    inner = values[sel]
+    div = np.zeros(inner.shape[:4] + (5, 5))
+    derivative = np.empty_like(div)
     g = flat_coefficients(normalized_kappa(kappa)).values
-    div = np.zeros(m.grid.shape + (5, 5))
     for mu in range(4):
-        block = m.values[..., mu, :, :]
-        div += partial_derivative(block, m.grid, mu, scheme)
+        if mu in axes:
+            along = sel[:mu] + (slice(None),) + sel[mu + 1 :]
+            block = values[along][..., mu, :, :]
+            _central_difference(np.moveaxis(block, mu, 0), grid.spacing[mu], scheme, np.moveaxis(derivative, mu, 0))
+            div += derivative
         if m.basis == "O":
-            # - G^C_(A mu) M^mu_(C B) - G^C_(B mu) M^mu_(A C)
-            div -= g[:, :, mu].T @ block
-            div -= block @ g[:, :, mu]
+            # - G^C_(A mu) M^mu_(C B) - G^C_(B mu) M^mu_(A C), whose one
+            # nonzero coefficient is G^5_(mu mu) = -normalized_kappa(kappa) eta_(mu mu)
+            c = -g[4, mu, mu]
+            div[..., mu, :] += c * inner[..., mu, 4, :]
+            div[..., :, mu] += c * inner[..., mu, :, 4]
 
-    sel = m.grid.interior(scheme_width(scheme))
-    interior = div[sel]
     return ConservationReport(
-        momentum_residual=max_norm(interior[..., 4, :4]),
-        angular_residual=max_norm(interior[..., :4, :4]),
+        momentum_residual=max_norm(div[..., 4, :4]),
+        angular_residual=max_norm(div[..., :4, :4]),
         scheme=scheme,
         basis=m.basis,
     )

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from pentavec.errors import GridMismatch, GridTooCoarse
+from pentavec.errors import GridMismatch, GridTooCoarse, NotFinite
 from pentavec.grids import (
     FieldOnGrid,
     Grid,
+    _central_difference,
     grid_gradient,
     partial_derivative,
     scheme_width,
@@ -53,6 +54,31 @@ def test_field_on_grid_validation():
         f.values[0] = 9.0  # stored samples are read-only
 
 
+def test_field_on_grid_copies_only_what_it_does_not_own():
+    g = line_grid(4)
+    writable = np.arange(4.0).reshape(4, 1, 1, 1).copy()  # owns its data
+    f = FieldOnGrid(g, writable)
+    writable[0] = 9.0
+    assert f.values[0, 0, 0, 0] == 0.0  # the caller's later write does not reach the field
+
+    base = np.arange(8.0).reshape(8, 1, 1, 1)
+    view = base[::2]
+    view.setflags(write=False)
+    f = FieldOnGrid(g, view)
+    assert f.values is not view
+    base[0] = 9.0
+    assert f.values[0, 0, 0, 0] == 0.0  # a read-only view can still change through its base
+
+    frozen = np.arange(4.0).reshape(4, 1, 1, 1).copy()
+    frozen.setflags(write=False)
+    assert FieldOnGrid(g, frozen).values is frozen  # an owned, frozen array is adopted
+
+    bad = np.array([0.0, np.nan, 1.0, 2.0]).reshape(4, 1, 1, 1).copy()
+    bad.setflags(write=False)
+    with pytest.raises(NotFinite):
+        FieldOnGrid(g, bad)  # adopted arrays are still checked
+
+
 def test_scheme_width():
     assert scheme_width("central2") == 1
     assert scheme_width("central4") == 2
@@ -86,6 +112,25 @@ def test_stencil_table_matches_reference_formulas(scheme, n):
     got, want = partial_derivative(v, g, 0, scheme), reference_derivative(v, 0.3, scheme)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))  # signed zeros too
+
+
+@pytest.mark.parametrize("scheme", ["central2", "central4"])
+@pytest.mark.parametrize("shape", [(5, 7, 9, 1), (9, 1, 6, 5)])
+def test_central_difference_is_the_interior_of_partial_derivative(scheme, shape):
+    # the interior-only derivative behind conservation_report shares the
+    # central row with partial_derivative and gives its interior bit for bit
+    rng = np.random.default_rng(sum(shape))
+    v = rng.normal(size=shape + (3,)) * 10.0 ** rng.integers(-6, 6, size=shape + (3,))
+    g = Grid(origin=(0.0,) * 4, spacing=(0.3, 0.25, 0.2, 0.35), shape=shape)
+    width = scheme_width(scheme)
+    for axis in range(4):
+        if shape[axis] == 1:
+            continue
+        want = np.moveaxis(partial_derivative(v, g, axis, scheme), axis, 0)[width:-width]
+        got = np.empty_like(want)
+        _central_difference(np.moveaxis(v, axis, 0), g.spacing[axis], scheme, got)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_central2_exact_on_quadratics():

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from pentavec.algebra import ETA4
-from pentavec.errors import BasisMismatch, GridMismatch, NotAntisymmetric
-from pentavec.grids import FieldOnGrid, Grid
+from pentavec.algebra import ETA4, lower_array
+from pentavec.connection import flat_coefficients, normalized_kappa
+from pentavec.errors import BasisMismatch, GridMismatch, GridTooCoarse, NotAntisymmetric
+from pentavec.grids import FieldOnGrid, Grid, partial_derivative, scheme_width
+from pentavec.numerics import max_norm
 from pentavec.poincare import PoincareTransform
 from pentavec.stress_energy import (
     assemble_moment_field,
@@ -218,3 +220,154 @@ def test_conservation_report_guards():
         conservation_report(bare, 1.0)
     report = conservation_report(current, 1.0)
     assert report.scheme == "central2" and report.basis == "P"
+
+
+# The kernels below were rewritten without copies and full-grid temporaries.
+# Their former loops stay here as references: the rewrite performs the same
+# floating-point operations in the same order, so results must agree bit
+# for bit, signed zeros included.
+
+def reference_assemble(theta, sigma, grid):
+    """Outer product minus its transpose, written straight into the four-block."""
+    x_low = lower_array(grid.coords())
+    values = np.zeros(grid.shape + (4, 5, 5))
+    four = values[..., :4, :4]
+    outer = x_low[..., None, :, None] * theta[..., :, None, :]
+    np.subtract(outer, np.swapaxes(outer, -1, -2), out=four)
+    four += sigma
+    values[..., 4, :4] = theta
+    values[..., :4, 4] = -theta
+    return values
+
+
+def reference_convert(m, kappa, dst):
+    """Four column updates, then four row updates, one strided slice each."""
+    shift = (-1.0 if dst == "O" else 1.0) * normalized_kappa(kappa) * lower_array(m.grid.coords())
+    out = m.values.copy()
+    for f in range(4):
+        out[..., f] += shift[..., None, None, f] * out[..., 4]
+    for e in range(4):
+        out[..., e, :] += shift[..., None, None, e] * out[..., 4, :]
+    return out
+
+
+def reference_report(m, kappa, scheme):
+    """Full-grid partials plus two 5x5 matmuls per mu, cut to the interior at the end."""
+    g = flat_coefficients(normalized_kappa(kappa)).values
+    div = np.zeros(m.grid.shape + (5, 5))
+    for mu in range(4):
+        block = m.values[..., mu, :, :]
+        div += partial_derivative(block, m.grid, mu, scheme)
+        if m.basis == "O":
+            div -= g[:, :, mu].T @ block
+            div -= block @ g[:, :, mu]
+    interior = div[m.grid.interior(scheme_width(scheme))]
+    return max_norm(interior[..., 4, :4]), max_norm(interior[..., :4, :4])
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+KAPPAS = (0.0, 0.5, 1.0, 1e4)
+ODD_GRIDS = ((5, 7, 9, 1), (9, 1, 6, 5))
+
+
+def odd_grid(shape):
+    return Grid(origin=(-0.7, 0.3, -1.1, 0.2), spacing=(0.3, 0.25, 0.2, 0.35), shape=shape)
+
+
+def mixed_magnitudes(rng, shape):
+    """Normal draws scaled over six decades, with some exact zeros."""
+    v = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    v[rng.random(shape) < 0.1] = 0.0
+    return v
+
+
+@pytest.mark.parametrize("shape", ODD_GRIDS)
+def test_assemble_matches_reference_bits(shape):
+    grid = odd_grid(shape)
+    rng = np.random.default_rng(sum(shape))
+    theta = mixed_magnitudes(rng, shape + (4, 4))
+    s = mixed_magnitudes(rng, shape + (4, 4, 4))
+    sigma = s - np.swapaxes(s, -1, -2)
+    assert_same_bits(assemble_moment_field(theta, sigma, grid).values, reference_assemble(theta, sigma, grid))
+
+
+@pytest.mark.parametrize("shape", ODD_GRIDS)
+@pytest.mark.parametrize("kappa", KAPPAS)
+def test_frame_changes_match_reference_bits(shape, kappa):
+    # arbitrary currents, not antisymmetric in their five-indices
+    grid = odd_grid(shape)
+    values = mixed_magnitudes(np.random.default_rng(sum(shape) + KAPPAS.index(kappa)), shape + (4, 5, 5))
+    for src, dst, convert in (("P", "O", moment_to_orthonormal), ("O", "P", moment_to_parallel)):
+        m = FieldOnGrid(grid, values, basis=src)
+        assert_same_bits(convert(m, kappa).values, reference_convert(m, kappa, dst))
+
+
+@pytest.mark.parametrize("shape", ODD_GRIDS)
+@pytest.mark.parametrize("scheme", ("central2", "central4"))
+@pytest.mark.parametrize("kappa", KAPPAS)
+def test_conservation_report_matches_reference_bits(shape, scheme, kappa):
+    grid = odd_grid(shape)
+    rng = np.random.default_rng(7 * sum(shape) + len(scheme))
+    for basis in ("P", "O"):
+        m = FieldOnGrid(grid, mixed_magnitudes(rng, shape + (4, 5, 5)), basis=basis)
+        report = conservation_report(m, kappa, scheme)
+        assert (report.momentum_residual, report.angular_residual) == reference_report(m, kappa, scheme)
+    # and on a smooth current, where the residuals are small differences
+    theta, sigma = smooth_samples(grid, 72)
+    m = assemble_moment_field(theta, sigma, grid)
+    for field in (m, moment_to_orthonormal(m, kappa)):
+        report = conservation_report(field, kappa, scheme)
+        assert (report.momentum_residual, report.angular_residual) == reference_report(field, kappa, scheme)
+
+
+@pytest.mark.parametrize("scheme", ("central2", "central4"))
+@pytest.mark.parametrize("kappa", (0.5, 1e4))
+def test_conservation_report_keeps_the_order_of_additions(scheme, kappa):
+    # A current whose four-block divergence sits on the diagonal alone, where
+    # the derivative, the row term and the column term of each mu meet; the
+    # residual is the largest of these three-term sums, so a change in their
+    # order shows in its last bits.
+    grid = odd_grid((9, 7, 6, 5))
+    rng = np.random.default_rng(75)
+    for _ in range(10):
+        values = np.zeros(grid.shape + (4, 5, 5))
+        for mu in range(4):
+            values[..., mu, mu, mu] = rng.normal(size=grid.shape)
+            values[..., mu, 4, mu] = rng.normal(size=grid.shape) * 1e3
+            values[..., mu, mu, 4] = rng.normal(size=grid.shape) * 1e3
+        m = FieldOnGrid(grid, values, basis="O")
+        report = conservation_report(m, kappa, scheme)
+        assert (report.momentum_residual, report.angular_residual) == reference_report(m, kappa, scheme)
+
+
+@pytest.mark.parametrize(
+    "shape, scheme, message",
+    [
+        ((2, 5, 5, 1), "central2", "axis 0 has 2 samples, scheme central2 needs 3"),
+        ((5, 3, 5, 1), "central4", "axis 1 has 3 samples, scheme central4 needs 5"),
+        ((5, 5, 1, 4), "central4", "axis 3 has 4 samples, scheme central4 needs 5"),
+    ],
+)
+def test_conservation_report_rejects_coarse_axes(shape, scheme, message):
+    grid = odd_grid(shape)
+    m = FieldOnGrid(grid, np.zeros(shape + (4, 5, 5)), basis="P")
+    with pytest.raises(GridTooCoarse) as err:
+        conservation_report(m, 1.0, scheme)
+    assert str(err.value) == message
+
+
+def test_kernels_hand_over_frozen_arrays():
+    grid = centered_grid()
+    theta, sigma = smooth_samples(grid, 73)
+    m = assemble_moment_field(theta, sigma, grid)
+    o = moment_to_orthonormal(m, 1.0)
+    moved = transform_moment_field(m, random_boost(np.random.default_rng(74)), 1.0)
+    for field in (m, o, moment_to_parallel(o, 1.0), moved):
+        assert not field.values.flags.writeable
+        assert field.values.flags.owndata  # handed over, not a view of a copy
+        with pytest.raises(ValueError):
+            field.values[0, 0, 0, 0, 0, 0, 0] = 1.0
