@@ -6,197 +6,4 @@ five-dimensional parallel transport, global transformation laws, and a
 conserved moment current built from stress-energy and spin data.
 """
 
-from .algebra import (
-    ETA4,
-    ETA5,
-    INDEX_LABELS,
-    Bivector5,
-    DirectionalClass,
-    FiveForm,
-    FiveVector,
-    FourVector,
-    MetricH,
-    bivector_from_four,
-    bivector_inner,
-    classify_directional,
-    directional_vector,
-    four_from_bivector,
-    is_simple,
-    wedge,
-)
-from .bases import (
-    REFERENCE_BASIS,
-    Basis5,
-    BasisFlags,
-    OrientationTensor,
-    UPMDecomposition,
-    apply_change,
-    classify_basis,
-    compose_upm,
-    decompose_upm,
-    induced_four_map,
-    is_standard_change,
-    m_transformation,
-    orientation_sign,
-    orthonormal_basis_for,
-    p_transformation,
-    regular_basis_for,
-    u_transformation,
-)
-from .clifford import (
-    GammaSet,
-    anticommutation_residual,
-    apply_metric_preserving,
-    dirac_from_gamma_set,
-    dirac_gammas,
-    is_metric_preserving,
-    standard_gamma_set,
-)
-from .connection import (
-    ConnectionCoeffs,
-    FourConnection,
-    covariant_derivative,
-    coordinates_from_parallel_metric,
-    flat_coefficients,
-    metric_derivative_report,
-    metric_transport_identity_residual,
-    normalized_kappa,
-    parallel_frame_change,
-    parallel_frame_metric,
-    transform_connection,
-    transform_connection_field,
-    transport,
-    transport_compatibility,
-)
-from .errors import ParseError, PentavecError
-from .fileio import Record, emit_record, parse_record, read_record, write_record
-from .grids import SCHEMES, FieldOnGrid, Grid, grid_gradient, partial_derivative, truncation_estimate
-from .numerics import ABS_TOL, REL_TOL, max_norm
-from .poincare import (
-    GeneratorTensor,
-    LorentzChart,
-    ParamTensor,
-    PoincareTransform,
-    build_generator_tensor,
-    build_param_tensor,
-    chart_relation,
-    coordinate_form,
-    coordinate_form_derivative,
-    homogeneous_rep,
-    transform_generator_tensor,
-    transform_orthonormal,
-    transform_param_tensor,
-    transform_parallel,
-)
-from .stress_energy import (
-    assemble_moment_field,
-    conservation_report,
-    constant_stress_samples,
-    moment_to_orthonormal,
-    moment_to_parallel,
-    plane_wave_stress_samples,
-    transform_moment_field,
-)
-from .suites import CheckResult, SuiteOptions, SuiteReport, run_suite, run_suites
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ETA4",
-    "ETA5",
-    "INDEX_LABELS",
-    "Bivector5",
-    "DirectionalClass",
-    "FiveForm",
-    "FiveVector",
-    "FourVector",
-    "MetricH",
-    "bivector_from_four",
-    "bivector_inner",
-    "classify_directional",
-    "directional_vector",
-    "four_from_bivector",
-    "is_simple",
-    "wedge",
-    "REFERENCE_BASIS",
-    "Basis5",
-    "BasisFlags",
-    "OrientationTensor",
-    "UPMDecomposition",
-    "apply_change",
-    "classify_basis",
-    "compose_upm",
-    "decompose_upm",
-    "induced_four_map",
-    "is_standard_change",
-    "m_transformation",
-    "orientation_sign",
-    "orthonormal_basis_for",
-    "p_transformation",
-    "regular_basis_for",
-    "u_transformation",
-    "GammaSet",
-    "anticommutation_residual",
-    "apply_metric_preserving",
-    "dirac_from_gamma_set",
-    "dirac_gammas",
-    "is_metric_preserving",
-    "standard_gamma_set",
-    "ConnectionCoeffs",
-    "FourConnection",
-    "covariant_derivative",
-    "coordinates_from_parallel_metric",
-    "flat_coefficients",
-    "metric_derivative_report",
-    "metric_transport_identity_residual",
-    "normalized_kappa",
-    "parallel_frame_change",
-    "parallel_frame_metric",
-    "transform_connection",
-    "transform_connection_field",
-    "transport",
-    "transport_compatibility",
-    "ParseError",
-    "PentavecError",
-    "Record",
-    "emit_record",
-    "parse_record",
-    "read_record",
-    "write_record",
-    "SCHEMES",
-    "FieldOnGrid",
-    "Grid",
-    "grid_gradient",
-    "partial_derivative",
-    "truncation_estimate",
-    "ABS_TOL",
-    "REL_TOL",
-    "max_norm",
-    "GeneratorTensor",
-    "LorentzChart",
-    "ParamTensor",
-    "PoincareTransform",
-    "build_generator_tensor",
-    "build_param_tensor",
-    "chart_relation",
-    "coordinate_form",
-    "coordinate_form_derivative",
-    "homogeneous_rep",
-    "transform_generator_tensor",
-    "transform_orthonormal",
-    "transform_param_tensor",
-    "transform_parallel",
-    "assemble_moment_field",
-    "conservation_report",
-    "constant_stress_samples",
-    "moment_to_orthonormal",
-    "moment_to_parallel",
-    "plane_wave_stress_samples",
-    "transform_moment_field",
-    "CheckResult",
-    "SuiteOptions",
-    "SuiteReport",
-    "run_suite",
-    "run_suites",
-    "__version__",
-]

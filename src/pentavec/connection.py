@@ -29,10 +29,10 @@ import numpy as np
 from .algebra import ETA4, ETA5, DirectionalClass, FiveVector, MetricH, classify_directional, lower_array
 from .bases import p_transformation
 from .errors import (
-    DegenerateKappa, GridMismatch, GridTooCoarse, NotDirectional, NotFinite,
+    DegenerateKappa, GridMismatch, NotDirectional, NotFinite,
     OutOfRange, ShapeMismatch, SingularMatrix,
 )
-from .grids import FieldOnGrid, Grid, grid_gradient, scheme_width, truncation_estimate
+from .grids import FieldOnGrid, Grid, grid_gradient, scheme_width
 from .numerics import as_array, bound, invert, max_norm, raise_where
 
 
@@ -170,15 +170,12 @@ def transform_connection_field(
     lam,
     grid: Grid,
     scheme: str = "central2",
-    truncation_tol: float | None = None,
 ) -> np.ndarray:
     """Coefficients after a position-dependent frame change L(x).
 
     ``change_field`` holds L at every sample, shape ``grid.shape + (5, 5)``.
     The derivative of L is taken with the requested difference scheme, so
-    the result is exact only up to the scheme's truncation error; passing
-    ``truncation_tol`` adds ``truncation_estimate``, the second-order
-    stencil's error, and raises GridTooCoarse when it is larger.  A
+    the result is exact only up to the scheme's truncation error.  A
     non-finite or singular sample of L raises NotFinite or SingularMatrix.
     """
     lam = as_array(lam, shape=(4, 4))
@@ -189,10 +186,6 @@ def transform_connection_field(
         )
     finite = np.isfinite(change_field).all(axis=(-2, -1))
     raise_where(~finite, NotFinite, "change field holds a non-finite sample")
-    if truncation_tol is not None:
-        est = truncation_estimate(change_field, grid)
-        if est > truncation_tol:
-            raise GridTooCoarse(f"estimated truncation {est:.3e} exceeds {truncation_tol:.3e}")
     try:
         linv = np.linalg.inv(change_field)
     except np.linalg.LinAlgError:

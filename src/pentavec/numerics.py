@@ -26,17 +26,20 @@ def bound(scale):
 
 
 def input_bound(m, axis=None):
-    """The input-check threshold INPUT_TOL * max(|m|, 1), the max over ``axis`` (all axes by default)."""
-    return INPUT_TOL * np.maximum(np.max(np.abs(m), axis=axis), 1.0)
+    """The input-check threshold INPUT_TOL * max(|m|, 1), the max over ``axis`` (all axes by default).
+
+    For real ``m``, max |m| is read as max(max m, -min m), with no |m| temporary.
+    """
+    return INPUT_TOL * np.maximum(np.maximum(np.max(m, axis=axis), -np.min(m, axis=axis)), 1.0)
 
 
-def as_array(a, shape=None, dtype=float) -> np.ndarray:
+def as_array(a, shape=None) -> np.ndarray:
     """Copy ``a`` into a read-only float array, checking shape and finiteness.
 
     A ``shape`` that starts with ``...``, such as ``(..., 4)``, fixes the
     trailing axes and admits any leading ones.
     """
-    out = np.array(a, dtype=dtype)
+    out = np.array(a, dtype=float)
     want = out.shape if shape is None else tuple(shape)
     if want[:1] == (...,):
         want = out.shape[: max(out.ndim - len(want) + 1, 0)] + want[1:]

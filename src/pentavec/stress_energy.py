@@ -53,7 +53,7 @@ def assemble_moment_field(theta: np.ndarray, sigma: np.ndarray, grid: Grid) -> F
     if sigma.shape != grid.shape + (4, 4, 4):
         raise GridMismatch(f"sigma shape {sigma.shape} does not match grid {grid.shape} + (4, 4, 4)")
     anti = sigma + np.swapaxes(sigma, -1, -2)
-    if max_norm(anti) > input_bound(sigma):
+    if np.abs(anti, out=anti).max() > input_bound(sigma):
         raise NotAntisymmetric("spin current must be antisymmetric in its lower indices")
 
     x_low = lower_array(grid.coords())

@@ -109,6 +109,23 @@ def test_verify_imports_no_scipy():
     assert lines[0].startswith("algebra.") and lines[-1] == "[]", proc.stdout
 
 
+def test_package_namespace_loads_nothing_and_names_the_version():
+    # every name is imported from its module, so the package itself loads
+    # no submodule and not numpy
+    code = (
+        "import sys, pentavec\n"
+        "print(sorted(m for m in sys.modules if m.startswith('pentavec.') or m.split('.')[0] == 'numpy'))\n"
+        "print(pentavec.__version__)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded, version = proc.stdout.splitlines()
+    assert loaded == "[]"
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    assert version == pyproject["project"]["version"]
+
+
 def test_transform_vector_round_trip(tmp_path, capsys):
     t = PoincareTransform(np.eye(4), [0.5, 1.0, -1.0, 2.0])
     vec = np.array([1.0, 2.0, 3.0, 4.0, 5.0])

@@ -5,13 +5,24 @@ from pentavec.algebra import is_simple_array, wedge_array
 from pentavec.errors import ShapeMismatch, SingularMatrix
 from pentavec.numerics import (
     ABS_TOL,
+    INPUT_TOL,
     REL_TOL,
     as_array,
     bound,
+    input_bound,
     invert,
     matrix_rank,
     max_norm,
 )
+
+
+def test_input_bound_reads_the_largest_magnitude_of_either_sign():
+    m = np.array([[[-3.0, 2.0], [0.5, 1.0]], [[0.2, -0.1], [0.3, 0.0]]])
+    assert input_bound(m) == INPUT_TOL * 3.0
+    assert np.array_equal(input_bound(m, axis=(-2, -1)), INPUT_TOL * np.array([3.0, 1.0]))
+    a = np.random.default_rng(5).normal(size=(6, 5, 5)) * np.logspace(-3, 3, 6)[:, None, None]
+    expected = INPUT_TOL * np.maximum(np.max(np.abs(a), axis=(-2, -1)), 1.0)
+    assert np.array_equal(input_bound(a, axis=(-2, -1)), expected)
 
 
 def test_tolerance_bound_combines_abs_and_rel():

@@ -6,7 +6,7 @@ from pentavec.algebra import ETA4, lower_array
 from pentavec.connection import flat_coefficients, normalized_kappa
 from pentavec.errors import BasisMismatch, GridMismatch, GridTooCoarse, NotAntisymmetric
 from pentavec.grids import FieldOnGrid, Grid, partial_derivative, scheme_width
-from pentavec.numerics import max_norm
+from pentavec.numerics import INPUT_TOL, input_bound, max_norm
 from pentavec.poincare import PoincareTransform
 from pentavec.stress_energy import (
     assemble_moment_field,
@@ -50,6 +50,23 @@ def test_assemble_validation():
         assemble_moment_field(theta, sigma[..., 0], grid)
     with pytest.raises(NotAntisymmetric):
         assemble_moment_field(theta, np.abs(sigma) + 1.0, grid)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_assemble_spin_antisymmetry_threshold(sign):
+    # the largest |sigma| is 4, so the check admits a symmetric part up to
+    # INPUT_TOL * 4 and rejects the next float above it
+    grid = centered_grid(n=3)
+    theta = np.zeros(grid.shape + (4, 4))
+    sigma = np.zeros(grid.shape + (4, 4, 4))
+    sigma[..., 0, 0, 1], sigma[..., 0, 1, 0] = 4.0, -4.0
+    limit = input_bound(sigma)
+    assert limit == INPUT_TOL * 4.0
+    sigma[1, 2, 0, 0, 3, 2, 3] = sign * limit
+    assemble_moment_field(theta, sigma, grid)
+    sigma[1, 2, 0, 0, 3, 2, 3] = sign * np.nextafter(limit, 1.0)
+    with pytest.raises(NotAntisymmetric, match="spin current must be antisymmetric"):
+        assemble_moment_field(theta, sigma, grid)
 
 
 def test_assemble_structure():
