@@ -10,9 +10,10 @@ shared vector w, unique up to scale, and this module recovers w from a
 spanning set.  When w has positive norm the wedges behave like spacetime
 four-vectors, with their inner product induced by ``bivector_inner``.
 
-Each law is written once, as an ``*_array`` kernel over plain arrays with
-any leading axes (vectors ``(..., 5)``, bivectors ``(..., 5, 5)``); the
-object functions are one-element calls into those kernels.
+Each law is one function over plain arrays with any leading axes
+(vectors ``(..., 5)``, bivectors ``(..., 5, 5)``); a single vector or
+bivector is the case with no leading axes.  Non-finite input raises
+NotFinite.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import (
     DimensionTooSmall,
     InvalidMetric,
     NotAntisymmetric,
+    NotFinite,
     NotInMaximalSpace,
     NotMaximalSpace,
     NotSimple,
@@ -141,20 +143,10 @@ class FiveForm:
 
 
 @dataclass(frozen=True)
-class FourVector:
-    components: np.ndarray
-    basis_id: str = "reference"
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", as_array(self.components, shape=(4,)))
-
-
-@dataclass(frozen=True)
 class Bivector5:
     """Antisymmetric rank-2 contravariant tensor on the five-space."""
 
     matrix: np.ndarray
-    basis_id: str = "reference"
 
     def __post_init__(self):
         m = as_array(self.matrix, shape=(5, 5))
@@ -167,21 +159,16 @@ def _stack(a, trailing: tuple, what: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.shape[a.ndim - len(trailing):] != trailing:
         raise ShapeMismatch(f"expected {what} of trailing shape {trailing}, got {a.shape}")
+    trailing_axes = tuple(range(-len(trailing), 0))
+    raise_where(~np.isfinite(a).all(axis=trailing_axes), NotFinite, f"{what} contain non-finite entries")
     return a
 
 
-def wedge_array(u, v) -> np.ndarray:
-    """u ^ v for five-vector arrays ``(..., 5)``, giving ``(..., 5, 5)``."""
+def wedge(u, v) -> np.ndarray:
+    """Antisymmetrized tensor product u ^ v of five-vectors ``(..., 5)``, giving ``(..., 5, 5)``."""
     u = _stack(u, (5,), "five-vectors")
     v = _stack(v, (5,), "five-vectors")
     return u[..., :, None] * v[..., None, :] - v[..., :, None] * u[..., None, :]
-
-
-def wedge(u: FiveVector, v: FiveVector) -> Bivector5:
-    """Antisymmetrized tensor product of two five-vectors."""
-    if u.basis_id != v.basis_id:
-        raise BasisMismatch(f"operands live in {u.basis_id!r} and {v.basis_id!r}")
-    return Bivector5(wedge_array(u.components, v.components), basis_id=u.basis_id)
 
 
 _EPS5_FLAT = EPS5.reshape(625, 5)
@@ -191,21 +178,21 @@ def _wedge_square_dual(b) -> np.ndarray:
     # The antisymmetrized square of a 2-form is a 4-form; in five dimensions
     # that is captured completely by its contraction with the Levi-Civita
     # symbol, a plain five-component vector per bivector.
-    b = _stack(b, (5, 5), "bivectors")
     square = b[..., :, :, None, None] * b[..., None, None, :, :]
     return square.reshape(b.shape[:-2] + (625,)) @ _EPS5_FLAT
 
 
-def is_simple_array(b) -> np.ndarray:
-    """Per-bivector simplicity test b ^ b = 0 over ``(..., 5, 5)``."""
+def is_simple(b) -> np.ndarray:
+    """True for each bivector of ``(..., 5, 5)`` that is a single wedge u ^ v, detected by b ^ b = 0.
+
+    Entries beyond about 1e154 overflow the square; that raises NotFinite.
+    """
     b = _stack(b, (5, 5), "bivectors")
-    scale = np.max(np.abs(b), axis=(-2, -1)) ** 2
-    return np.max(np.abs(_wedge_square_dual(b)), axis=-1) <= bound(scale)
-
-
-def is_simple(b: Bivector5) -> bool:
-    """True when b is a single wedge u ^ v, detected by b ^ b = 0."""
-    return bool(is_simple_array(b.matrix))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.max(np.abs(b), axis=(-2, -1)) ** 2
+        square = np.max(np.abs(_wedge_square_dual(b)), axis=-1)
+    raise_where(~(np.isfinite(scale) & np.isfinite(square)), NotFinite, "bivector square overflows")
+    return square <= bound(scale)
 
 
 _PAIRS = list(itertools.combinations(range(5), 2))
@@ -237,13 +224,14 @@ def _wedge_with_vector_tensor() -> np.ndarray:
 _WEDGE_WITH_VECTOR = _wedge_with_vector_tensor()
 
 
-def directional_vector_array(bivectors) -> np.ndarray:
-    """Shared directions of spanning sets ``(..., k, 5, 5)``, giving ``(..., 5)``.
+def directional_vector(bivectors) -> np.ndarray:
+    """Shared directions w of spanning sets ``(..., k, 5, 5)``, giving ``(..., 5)``.
 
     Every bivector must be simple, each set must span at least four
     dimensions, and the wedge constraints b ^ w = 0 of a set must leave a
-    one-dimensional space of common directions.  Each result is Euclidean
-    unit length with its first significant component positive.
+    one-dimensional space of common directions, as in a maximal space of
+    simple bivectors.  Each result is Euclidean unit length with its first
+    significant component positive, making the sign deterministic.
     """
     b = _stack(bivectors, (5, 5), "bivector sets")
     if b.ndim < 3:
@@ -251,7 +239,7 @@ def directional_vector_array(bivectors) -> np.ndarray:
     k = b.shape[-3]
     if k == 0:
         raise DimensionTooSmall("need a spanning set, got no bivectors")
-    raise_where(~is_simple_array(b), NotSimple, "input bivector is not simple")
+    raise_where(~is_simple(b), NotSimple, "input bivector is not simple")
 
     span_rank = matrix_rank(_vec_pairs(b))
     raise_where(np.asarray(span_rank) < 4, DimensionTooSmall, "bivectors span fewer than four dimensions")
@@ -272,44 +260,19 @@ def directional_vector_array(bivectors) -> np.ndarray:
     return np.where(lead < 0.0, -w, w)
 
 
-def directional_vector(bivectors) -> FiveVector:
-    """Shared direction w of a spanning set of a maximal simple-bivector space.
+def bivector_inner(b1, b2, h: MetricH) -> np.ndarray:
+    """Inner product induced on bivectors ``(..., 5, 5)`` by the five-metric h.
 
-    Every input must be simple, the inputs must span at least four
-    dimensions, and all of them must annihilate a single common direction
-    under the wedge.  The result is unit length in the Euclidean sense with
-    its first significant component positive, making the sign deterministic.
-    """
-    bivectors = list(bivectors)
-    if not bivectors:
-        raise DimensionTooSmall("need a spanning set, got no bivectors")
-    basis_id = bivectors[0].basis_id
-    if any(b.basis_id != basis_id for b in bivectors):
-        raise BasisMismatch("bivectors expressed against different bases")
-    w = directional_vector_array(np.array([b.matrix for b in bivectors]))
-    return FiveVector(w, basis_id=basis_id)
-
-
-def bivector_inner_array(b1, b2, h: MetricH) -> np.ndarray:
-    """Induced inner product of bivector arrays under the five-metric h.
-
-    ``b1`` and ``b2`` broadcast against each other over their leading axes;
-    the Gram matrix of a set ``w`` of shape ``(..., k, 5, 5)`` is
-    ``bivector_inner_array(w[..., :, None, :, :], w[..., None, :, :, :], h)``.
+    For simple arguments sharing a directional vector w this reduces to
+    h(u, v) h(w, w) - h(u, w) h(v, w), the metric that makes a maximal
+    simple-bivector space behave as a spacetime of four-vectors.  ``b1`` and
+    ``b2`` broadcast against each other over their leading axes; the Gram
+    matrix of a set ``w`` of shape ``(..., k, 5, 5)`` is
+    ``bivector_inner(w[..., :, None, :, :], w[..., None, :, :, :], h)``.
     """
     b1 = _stack(b1, (5, 5), "bivectors")
     b2 = _stack(b2, (5, 5), "bivectors")
     return 0.5 * np.sum((h.matrix.T @ b1 @ h.matrix) * b2, axis=(-2, -1))
-
-
-def bivector_inner(b1: Bivector5, b2: Bivector5, h: MetricH) -> float:
-    """Inner product induced on bivectors by the five-metric.
-
-    For simple arguments sharing a directional vector w this reduces to
-    h(u, v) h(w, w) - h(u, w) h(v, w), the metric that makes a maximal
-    simple-bivector space behave as a spacetime of four-vectors.
-    """
-    return float(bivector_inner_array(b1.matrix, b2.matrix, h))
 
 
 class DirectionalClass(enum.Enum):
@@ -318,38 +281,34 @@ class DirectionalClass(enum.Enum):
     NEGATIVE = "negative"
 
 
-def classify_directional(w: FiveVector, h: MetricH) -> DirectionalClass:
-    """Sign class of h(w, w), with a tolerance band around zero.
+def classify_directional(w, h: MetricH) -> DirectionalClass:
+    """Sign class of h(w, w) for components w ``(5,)``, with a tolerance band around zero.
 
     Positive norm gives a Lorentzian wedge space, negative norm flips two
     metric signs, and a null direction degenerates the induced metric.
     """
-    wmax = max_norm(w.components)
+    w = as_array(w, shape=(5,))
+    wmax = max_norm(w)
     if wmax <= ABS_TOL:
         raise ZeroVector("cannot classify the zero vector")
-    norm = h.dot(w.components, w.components)
+    norm = h.dot(w, w)
     band = bound(max_norm(h.matrix) * wmax * wmax)
     if abs(norm) <= band:
         return DirectionalClass.NULL
     return DirectionalClass.POSITIVE if norm > 0 else DirectionalClass.NEGATIVE
 
 
-def bivector_from_four_array(u, basis) -> np.ndarray:
-    """Wedges sum_mu u^mu e_mu ^ e_5 of four-vector arrays ``(..., 4)`` in a basis."""
+def bivector_from_four(u, basis) -> np.ndarray:
+    """Wedges sum_mu u^mu e_mu ^ e_5 of four-vectors ``(..., 4)``: the embedding
+    of four-vector components into the wedge space of a basis."""
     u = _stack(u, (4,), "four-vectors")
     cols = basis.matrix
-    return wedge_array(u @ cols[:, :4].T, cols[:, 4])
+    return wedge(u @ cols[:, :4].T, cols[:, 4])
 
 
-def bivector_from_four(u: FourVector, basis) -> Bivector5:
-    """Embed a four-vector into the wedge space of a standard basis."""
-    if u.basis_id != basis.id:
-        raise BasisMismatch(f"four-vector in {u.basis_id!r}, basis is {basis.id!r}")
-    return Bivector5(bivector_from_four_array(u.components, basis), basis_id=basis.reference_id)
-
-
-def four_from_bivector_array(b, basis) -> np.ndarray:
-    """Components ``(..., 4)`` of bivectors ``(..., 5, 5)`` against e_mu ^ e_5.
+def four_from_bivector(b, basis) -> np.ndarray:
+    """Components ``(..., 4)`` of bivectors ``(..., 5, 5)`` against the wedge
+    basis e_mu ^ e_5 of a standard basis.
 
     One least-squares solve covers the whole batch; a bivector whose
     residual lies outside the span raises NotInMaximalSpace.
@@ -358,7 +317,7 @@ def four_from_bivector_array(b, basis) -> np.ndarray:
         raise NotStandard("basis must be standard (fifth vector along the directional vector)")
     b = _stack(b, (5, 5), "bivectors")
     cols = basis.matrix
-    span = _vec_pairs(wedge_array(cols[:, :4].T, cols[:, 4]))  # (4, 10)
+    span = _vec_pairs(wedge(cols[:, :4].T, cols[:, 4]))  # (4, 10)
     target = _vec_pairs(b)
     coeffs, *_ = np.linalg.lstsq(span.T, target.reshape(-1, 10).T, rcond=None)
     coeffs = coeffs.T.reshape(b.shape[:-2] + (4,))
@@ -370,13 +329,3 @@ def four_from_bivector_array(b, basis) -> np.ndarray:
         residual,
     )
     return coeffs
-
-
-def four_from_bivector(b: Bivector5, basis) -> FourVector:
-    """Components of b against the wedge basis e_mu ^ e_5 of a standard basis.
-
-    Raises NotInMaximalSpace when b has a residual outside that span.
-    """
-    if b.basis_id != basis.reference_id:
-        raise BasisMismatch(f"bivector in {b.basis_id!r}, basis columns in {basis.reference_id!r}")
-    return FourVector(four_from_bivector_array(b.matrix, basis), basis_id=basis.id)

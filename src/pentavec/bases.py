@@ -14,9 +14,9 @@ data given as simple bivectors: ``orthonormal_basis_for`` requires the
 input wedges to be orthonormal and returns an orthonormal five-basis,
 unique up to an overall sign; ``regular_basis_for`` accepts any
 independent spanning set and returns a basis whose fifth vector is unit
-and orthogonal to the other four.  Both are one-element calls into
-``orthonormal_basis_for_array`` / ``regular_basis_for_array``, which build
-a whole stack of frames from wedge quadruples ``(..., 4, 5, 5)`` at once.
+and orthogonal to the other four.  Each builds a whole stack of frames,
+as basis matrices ``(..., 5, 5)``, from wedge quadruples
+``(..., 4, 5, 5)`` at once; one quadruple is the case with no leading axes.
 """
 
 from __future__ import annotations
@@ -31,13 +31,12 @@ from .algebra import (
     ETA5,
     MetricH,
     _vec_pairs,
-    bivector_inner_array,
-    directional_vector_array,
+    bivector_inner,
+    directional_vector,
     label_to_slot,
-    wedge_array,
+    wedge,
 )
 from .errors import (
-    BasisMismatch,
     DegenerateInducedMetric,
     DimensionTooSmall,
     NoCommonDirection,
@@ -66,9 +65,6 @@ class Basis5:
     """Five basis vectors, stored as columns against a reference basis."""
 
     matrix: np.ndarray
-    id: str = "basis"
-    reference_id: str = "reference"
-    flags: BasisFlags | None = None
 
     def __post_init__(self):
         m = as_array(self.matrix, shape=(5, 5))
@@ -79,13 +75,13 @@ class Basis5:
         return self.matrix[:, label_to_slot(label)]
 
     def is_standard(self) -> bool:
-        return bool(_standard_array(self.matrix))
+        return bool(_standard(self.matrix))
 
 
-REFERENCE_BASIS = Basis5(np.eye(5), id="reference")
+REFERENCE_BASIS = Basis5(np.eye(5))
 
 
-def _standard_array(cols: np.ndarray) -> np.ndarray:
+def _standard(cols: np.ndarray) -> np.ndarray:
     # Fifth column proportional to the reference directional axis.
     col = np.abs(cols[..., :, 4])
     return np.max(col[..., :4], axis=-1) <= bound(np.max(col, axis=-1))
@@ -110,19 +106,19 @@ def frame_residuals(cols, h: MetricH, wedges=None) -> FrameResiduals:
     """Gram and wedge residuals of frames ``cols`` against wedges ``(..., 4, 5, 5)``."""
     cols = np.asarray(cols, dtype=float)
     gram = np.swapaxes(cols, -1, -2) @ h.matrix @ cols
-    wedge = 0.0
+    wedge_resid = 0.0
     if wedges is not None:
-        recon = wedge_array(np.swapaxes(cols[..., :, :4], -1, -2), cols[..., None, :, 4])
-        wedge = np.max(np.abs(recon - wedges), axis=(-3, -2, -1))
+        recon = wedge(np.swapaxes(cols[..., :, :4], -1, -2), cols[..., None, :, 4])
+        wedge_resid = np.max(np.abs(recon - wedges), axis=(-3, -2, -1))
     return FrameResiduals(
         regular=np.maximum(np.abs(gram[..., 4, 4] - 1.0), np.max(np.abs(gram[..., :4, 4]), axis=-1)),
         orthonormal=np.max(np.abs(gram - ETA5), axis=(-2, -1)),
         scale=np.max(np.abs(gram), axis=(-2, -1)),
-        wedge=wedge,
+        wedge=wedge_resid,
     )
 
 
-def classify_basis_array(cols, h: MetricH) -> BasisFlags:
+def classify_basis(cols, h: MetricH) -> BasisFlags:
     """Flags of basis matrices ``(..., 5, 5)`` under the five-metric h.
 
     The fields of the returned BasisFlags are boolean arrays over the
@@ -131,20 +127,12 @@ def classify_basis_array(cols, h: MetricH) -> BasisFlags:
     cols = np.asarray(cols, dtype=float)
     r = frame_residuals(cols, h)
     limit = bound(r.scale)
-    return BasisFlags(_standard_array(cols), r.regular <= limit, r.orthonormal <= limit)
+    return BasisFlags(_standard(cols), r.regular <= limit, r.orthonormal <= limit)
 
 
-def _single(flags: BasisFlags) -> BasisFlags:
-    return BasisFlags(*(bool(f) for f in (flags.standard, flags.regular, flags.orthonormal)))
-
-
-def classify_basis(basis: Basis5, h: MetricH) -> BasisFlags:
-    return _single(classify_basis_array(basis.matrix, h))
-
-
-def apply_change(basis: Basis5, change, new_id: str = "changed") -> Basis5:
+def apply_change(basis: Basis5, change) -> Basis5:
     """The basis with vectors e'_A = e_B L^B_A for a change L (5, 5); a singular L raises."""
-    return Basis5(basis.matrix @ as_array(change, shape=(5, 5)), id=new_id, reference_id=basis.reference_id)
+    return Basis5(basis.matrix @ as_array(change, shape=(5, 5)))
 
 
 def is_standard_change(change):
@@ -260,30 +248,36 @@ def _wedge_quadruples(wedges, error) -> np.ndarray:
         raise ShapeMismatch(f"expected wedge quadruples (..., 4, 5, 5), got {w.shape}")
     if w.shape[-3] != 4:
         raise error(f"need exactly four bivectors, got {w.shape[-3]}")
+    raise_where(~np.isfinite(w).all(axis=(-3, -2, -1)), NotFinite, "wedges contain non-finite entries")
     return w
 
 
 def _induced_gram(w: np.ndarray, h: MetricH) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = bivector_inner_array(w[..., :, None, :, :], w[..., None, :, :, :], h)
+        gram = bivector_inner(w[..., :, None, :, :], w[..., None, :, :, :], h)
     raise_where(~np.isfinite(gram).all(axis=(-2, -1)), NotFinite, "induced inner products overflow")
     return gram
 
 
-def orthonormal_basis_for_array(
+def orthonormal_basis_for(
     wedges,
     h: MetricH,
     negate_direction: bool = False,
 ) -> np.ndarray:
-    """Orthonormal frames ``(..., 5, 5)`` for wedge quadruples ``(..., 4, 5, 5)``.
+    """Orthonormal frames ``(..., 5, 5)`` whose wedge four-bases reproduce the
+    wedge quadruples ``(..., 4, 5, 5)``.
 
-    Each quadruple must be orthonormal under the induced inner product,
-    share one common direction w of positive norm, and consist of wedges
-    u_mu ^ w; the frame columns are e_5 = w / sqrt(h(w, w)) and
-    e_mu = sqrt(h(w, w)) times u_mu made h-orthogonal to w.  Since the map
-    u -> u ^ w has Gram matrix |w|^2 I - w w^T, the least-squares solution
-    of u ^ w = b is u = b w / |w|^2 (the kernel direction w drops out of
-    e_mu anyway).
+    Each quadruple must be orthonormal under the induced inner product with
+    the spacetime pattern (+ - - -), share one common direction w of
+    positive norm, and consist of wedges u_mu ^ w.  The frame columns are
+    e_5 = w / sqrt(h(w, w)) and e_mu = sqrt(h(w, w)) times u_mu made
+    h-orthogonal to w, so e_mu ^ e_5 = input_mu and the five-metric is
+    diag(+ - - - +).  Since the map u -> u ^ w has Gram matrix
+    |w|^2 I - w w^T, the least-squares solution of u ^ w = b is
+    u = b w / |w|^2 (the kernel direction w drops out of e_mu anyway).
+    A frame is unique up to negating all five vectors at once, resolved by
+    the sign rule of ``directional_vector``; ``negate_direction`` selects
+    the other representative.
     """
     w_in = _wedge_quadruples(wedges, NotOrthonormalInput)
     gram = _induced_gram(w_in, h)
@@ -295,7 +289,7 @@ def orthonormal_basis_for_array(
     )
 
     try:
-        w = directional_vector_array(w_in)
+        w = directional_vector(w_in)
     except NotSimple as exc:
         raise NotOrthonormalInput(str(exc)) from exc
     except (NotMaximalSpace, DimensionTooSmall) as exc:
@@ -304,7 +298,7 @@ def orthonormal_basis_for_array(
         w = -w
 
     raw = (w_in @ w[..., None, :, None])[..., 0] / np.sum(w * w, axis=-1)[..., None, None]
-    residual = np.max(np.abs(_vec_pairs(wedge_array(raw, w[..., None, :]) - w_in)), axis=-1)
+    residual = np.max(np.abs(_vec_pairs(wedge(raw, w[..., None, :]) - w_in)), axis=-1)
     raise_where(
         residual > bound(np.max(np.abs(w_in), axis=(-2, -1))),
         NoCommonDirection,
@@ -322,58 +316,32 @@ def orthonormal_basis_for_array(
     cols[..., :, 4] = w / root
 
     raise_where(
-        ~classify_basis_array(cols, h).orthonormal,
+        ~classify_basis(cols, h).orthonormal,
         NotOrthonormalInput,
         "constructed basis failed the orthonormality check",
     )
     return cols
 
 
-def _wedge_matrices(wedges, error) -> list:
-    wedges = list(wedges)
-    if len(wedges) != 4:
-        raise error(f"need exactly four bivectors, got {len(wedges)}")
-    if any(b.basis_id != wedges[0].basis_id for b in wedges):
-        raise BasisMismatch("bivectors expressed against different bases")
-    return [b.matrix for b in wedges]
-
-
-def _flagged(cols: np.ndarray, basis_id: str, h: MetricH) -> Basis5:
-    return Basis5(cols, id=basis_id, flags=_single(classify_basis_array(cols, h)))
-
-
-def orthonormal_basis_for(
-    wedges,
-    h: MetricH,
-    negate_direction: bool = False,
-) -> Basis5:
-    """Orthonormal five-basis whose wedge four-basis reproduces the input.
-
-    The four input bivectors must be orthonormal under the induced inner
-    product with the spacetime pattern (+ - - -).  The output satisfies
-    e_mu ^ e_5 = input_mu and has five-metric diag(+ - - - +); it is unique
-    up to negating all five vectors at once, an ambiguity resolved here by
-    a deterministic sign rule on the extracted direction
-    (``negate_direction`` selects the other representative).
-    """
-    matrices = _wedge_matrices(wedges, NotOrthonormalInput)
-    cols = orthonormal_basis_for_array(matrices, h, negate_direction)
-    return _flagged(cols, "orthonormal", h)
-
-
-def regular_basis_for_array(
+def regular_basis_for(
     wedges,
     h: MetricH,
     negate_direction: bool = False,
 ) -> np.ndarray:
-    """Regular frames ``(..., 5, 5)`` for wedge quadruples ``(..., 4, 5, 5)``.
+    """Regular frames ``(..., 5, 5)`` reproducing wedge quadruples ``(..., 4, 5, 5)``.
 
-    Each induced Gram matrix must be nondegenerate with spacetime
-    signature.  It is diagonalized as lam^T gram lam = diag(+ - - -) with
+    The induced inner product of each quadruple may be any nondegenerate
+    metric of spacetime signature (one positive, three negative
+    directions).  It is diagonalized as lam^T gram lam = diag(+ - - -) with
     lam = V |D|^-1/2 (positive eigenvalue first), the rotated wedges are
-    lifted with ``orthonormal_basis_for_array``, and the four-space part is
-    mapped back with lam^-1 = |D|^1/2 V^T.  The degeneracy check bounds the
-    condition number of lam by REL_TOL^-1/2, so the inverse needs no check.
+    lifted with ``orthonormal_basis_for``, and the four-space part is
+    mapped back with lam^-1 = |D|^1/2 V^T.  The result keeps
+    e_mu ^ e_5 = input_mu with a unit fifth vector orthogonal to the first
+    four.  The degeneracy check bounds the condition number of lam by
+    REL_TOL^-1/2, so the inverse needs no check.  A lift that fails on the
+    rotated wedges raises DegenerateInducedMetric with the lift's reason:
+    a wedge that is not simple, or a Gram matrix that underflowed to
+    subnormal numbers and lost its precision (wedges near 1e-160).
     """
     w_in = _wedge_quadruples(wedges, DegenerateInducedMetric)
     gram = _induced_gram(w_in, h)
@@ -398,31 +366,16 @@ def regular_basis_for_array(
     lam_inv = root[..., :, None] * np.swapaxes(vecs, -1, -2)
 
     rotated = (np.swapaxes(lam, -1, -2) @ w_in.reshape(w_in.shape[:-2] + (25,))).reshape(w_in.shape)
-    cols = orthonormal_basis_for_array(rotated, h, negate_direction=negate_direction)
+    try:
+        cols = orthonormal_basis_for(rotated, h, negate_direction=negate_direction)
+    except NotOrthonormalInput as exc:
+        message = f"regular construction failed on the diagonalized wedges: {exc}"
+        raise DegenerateInducedMetric(message) from exc
     cols[..., :, :4] = cols[..., :, :4] @ lam_inv
 
     raise_where(
-        ~classify_basis_array(cols, h).regular,
+        ~classify_basis(cols, h).regular,
         DegenerateInducedMetric,
         "constructed basis failed the regularity check",
     )
     return cols
-
-
-def regular_basis_for(
-    wedges,
-    h: MetricH,
-    negate_direction: bool = False,
-) -> Basis5:
-    """Regular five-basis reproducing four independent input wedges.
-
-    The induced inner product of the inputs may be any metric of spacetime
-    signature (one positive, three negative directions); it is diagonalized
-    to orthonormal combinations, those are lifted to an orthonormal frame,
-    and the four-space part is mapped back.  The result keeps
-    e_mu ^ e_5 = input_mu with a unit fifth vector orthogonal to the first
-    four.
-    """
-    matrices = _wedge_matrices(wedges, DegenerateInducedMetric)
-    cols = regular_basis_for_array(matrices, h, negate_direction)
-    return _flagged(cols, "regular", h)

@@ -17,8 +17,14 @@ import sys
 
 import numpy as np
 
-from .algebra import Bivector5, FourVector, MetricH, bivector_from_four
-from .bases import REFERENCE_BASIS, frame_residuals, orthonormal_basis_for, regular_basis_for
+from .algebra import Bivector5, MetricH, bivector_from_four
+from .bases import (
+    REFERENCE_BASIS,
+    classify_basis,
+    frame_residuals,
+    orthonormal_basis_for,
+    regular_basis_for,
+)
 from .errors import KindMismatch, PentavecError
 from .fileio import Record, read_record, transform_from_payload, write_record
 from .grids import FieldOnGrid, SCHEMES
@@ -164,11 +170,11 @@ def _cmd_transform(args) -> int:
 
 # ------------------------------------------------------------------ basis
 
-def _wedges_from_record(record: Record) -> list:
+def _wedges_from_record(record: Record) -> np.ndarray:
     if record.kind == "four_basis_bivectors":
-        return [Bivector5(m) for m in record.payload]
+        return np.array([Bivector5(m).matrix for m in record.payload])
     if record.kind == "four_basis_components":
-        return [bivector_from_four(FourVector(u), REFERENCE_BASIS) for u in record.payload]
+        return bivector_from_four(record.payload, REFERENCE_BASIS)
     raise KindMismatch(
         "basis construction needs four_basis_bivectors or four_basis_components, "
         f"got {record.kind!r}"
@@ -180,14 +186,14 @@ def _cmd_basis(args) -> int:
     wedges = _wedges_from_record(record)
     h = MetricH.reference()
     build = orthonormal_basis_for if args.mode == "orthonormal" else regular_basis_for
-    basis = build(wedges, h, negate_direction=args.negate_direction)
+    cols = build(wedges, h, negate_direction=args.negate_direction)
 
-    flags = basis.flags
-    resid = frame_residuals(basis.matrix, h, np.array([w.matrix for w in wedges]))
+    flags = classify_basis(cols, h)
+    resid = frame_residuals(cols, h, wedges)
     gram_resid = resid.orthonormal if args.mode == "orthonormal" else resid.regular
 
     flag = "O" if args.mode == "orthonormal" else "regular"
-    write_record(args.output, Record("basis", basis.matrix, basis=flag))
+    write_record(args.output, Record("basis", cols, basis=flag))
     print(f"mode: {args.mode}")
     print(
         "flags: standard={} regular={} orthonormal={}".format(

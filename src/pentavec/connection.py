@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ETA4, ETA5, DirectionalClass, FiveVector, MetricH, classify_directional, lower_array
+from .algebra import ETA4, ETA5, DirectionalClass, MetricH, classify_directional, lower_array
 from .bases import p_transformation
 from .errors import (
     DegenerateKappa, GridMismatch, NotDirectional, NotFinite,
@@ -339,7 +339,7 @@ def metric_transport_identity_residual(
     """
     u_four = as_array(u_four, shape=(4,))
     e = as_array(e, shape=(5,))
-    if classify_directional(FiveVector(e), h) is not DirectionalClass.POSITIVE:
+    if classify_directional(e, h) is not DirectionalClass.POSITIVE:
         raise NotDirectional("e must lie along a positive-norm directional vector")
     if v_field.grid != w_field.grid:
         raise GridMismatch("v and w live on different grids")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, bases, clifford, connection, poincare, stress_energy
-from .algebra import ETA4, ETA5, Bivector5, DirectionalClass, FiveVector, MetricH
+from .algebra import ETA4, ETA5, DirectionalClass, MetricH
 from .bases import REFERENCE_BASIS
 from .errors import NotMaximalSpace, NotO32, PentavecError
 from .grids import FieldOnGrid, Grid, scheme_width
@@ -149,24 +149,24 @@ def algebra_suite(options: SuiteOptions, rng):
     h = MetricH.reference()
 
     pairs = rng.normal(size=(200, 2, 5))
-    b = algebra.wedge_array(pairs[:, 0], pairs[:, 1])
+    b = algebra.wedge(pairs[:, 0], pairs[:, 1])
     yield CheckResult("wedge-antisymmetry", max_norm(b + np.swapaxes(b, -1, -2)), 1e-15)
 
     pairs = rng.normal(size=(500, 2, 5))
-    b = algebra.wedge_array(pairs[:, 0], pairs[:, 1])
+    b = algebra.wedge(pairs[:, 0], pairs[:, 1])
     scale = np.maximum(np.max(np.abs(b), axis=(-2, -1)) ** 2, 1e-300)
     worst = float(np.max(np.max(np.abs(algebra._wedge_square_dual(b)), axis=-1) / scale))
     yield CheckResult("wedge-square-vanishes", worst, 1e-12)
 
     vecs = rng.normal(size=(200, 4, 5))
-    b = algebra.wedge_array(vecs[:, 0], vecs[:, 1]) + algebra.wedge_array(vecs[:, 2], vecs[:, 3])
+    b = algebra.wedge(vecs[:, 0], vecs[:, 1]) + algebra.wedge(vecs[:, 2], vecs[:, 3])
     dependent = np.linalg.matrix_rank(vecs) < 4
-    bad = _indicator(np.array_equal(algebra.is_simple_array(b), dependent))
+    bad = _indicator(np.array_equal(algebra.is_simple(b), dependent))
     yield CheckResult("simplicity-matches-rank", bad, EXACT)
 
     a = random_invertible(rng, 5, size=(1000,))
-    wedges = algebra.wedge_array(np.swapaxes(a[:, :, :4], 1, 2), a[:, None, :, 4])
-    found = algebra.directional_vector_array(wedges)
+    wedges = algebra.wedge(np.swapaxes(a[:, :, :4], 1, 2), a[:, None, :, 4])
+    found = algebra.directional_vector(wedges)
     target = a[:, :, 4]
     cos = np.abs(np.sum(found * target, axis=-1)) / (
         np.linalg.norm(found, axis=-1) * np.linalg.norm(target, axis=-1)
@@ -174,33 +174,33 @@ def algebra_suite(options: SuiteOptions, rng):
     yield CheckResult("direction-recovery", float(np.max(1.0 - cos)), 1e-9)
 
     e = np.eye(5)
-    crossed = [Bivector5(b) for b in algebra.wedge_array(e[[0, 2, 0, 1]], e[[1, 3, 2, 3]])]
+    crossed = algebra.wedge(e[[0, 2, 0, 1]], e[[1, 3, 2, 3]])
     yield CheckResult("non-maximal-rejected", _rejects(NotMaximalSpace, algebra.directional_vector, crossed), EXACT)
 
-    ref_wedges = algebra.wedge_array(e[:4], e[4])
-    gram = algebra.bivector_inner_array(ref_wedges[:, None], ref_wedges[None, :], h)
+    ref_wedges = algebra.wedge(e[:4], e[4])
+    gram = algebra.bivector_inner(ref_wedges[:, None], ref_wedges[None, :], h)
     yield CheckResult("induced-metric-orthonormal", max_norm(gram - ETA4), 1e-12)
 
     h_flip = MetricH(np.diag([1.0, 1.0, -1.0, -1.0, -1.0]))
-    gram_flip = algebra.bivector_inner_array(ref_wedges[:, None], ref_wedges[None, :], h_flip)
+    gram_flip = algebra.bivector_inner(ref_wedges[:, None], ref_wedges[None, :], h_flip)
     expected = np.diag([-1.0, -1.0, 1.0, 1.0])
     yield CheckResult("induced-metric-flipped-fifth", max_norm(gram_flip - expected), 1e-12)
 
     u, v, w = np.moveaxis(rng.normal(size=(200, 3, 5)), 1, 0)
-    lhs = algebra.bivector_inner_array(algebra.wedge_array(u, w), algebra.wedge_array(v, w), h)
+    lhs = algebra.bivector_inner(algebra.wedge(u, w), algebra.wedge(v, w), h)
     rhs = h.dot(u, v) * h.dot(w, w) - h.dot(u, w) * h.dot(v, w)
     yield CheckResult("induced-metric-closed-form", max_norm(lhs - rhs), 1e-9)
 
     ok = (
-        algebra.classify_directional(FiveVector(e[:, 4]), h) is DirectionalClass.POSITIVE
-        and algebra.classify_directional(FiveVector(e[:, 1]), h) is DirectionalClass.NEGATIVE
-        and algebra.classify_directional(FiveVector(e[:, 1] + e[:, 4]), h) is DirectionalClass.NULL
+        algebra.classify_directional(e[:, 4], h) is DirectionalClass.POSITIVE
+        and algebra.classify_directional(e[:, 1], h) is DirectionalClass.NEGATIVE
+        and algebra.classify_directional(e[:, 1] + e[:, 4], h) is DirectionalClass.NULL
     )
     yield CheckResult("direction-classification", _indicator(ok), EXACT)
 
     u4 = rng.normal(size=(200, 4))
-    b = algebra.bivector_from_four_array(u4, REFERENCE_BASIS)
-    back = algebra.four_from_bivector_array(b, REFERENCE_BASIS)
+    b = algebra.bivector_from_four(u4, REFERENCE_BASIS)
+    back = algebra.four_from_bivector(b, REFERENCE_BASIS)
     yield CheckResult("four-embedding-roundtrip", max_norm(back - u4), 1e-12)
 
 
@@ -224,7 +224,7 @@ def _conjugated_wedges(rng, n: int, regular: bool = False) -> np.ndarray:
     mix = random_invertible(rng, 4, cond_cap=20.0, size=(n,)) if regular else random_lorentz(rng, (n,))
     cols = random_metric_preserving5(rng, (n,))
     mixed = cols[..., :4] @ mix
-    return algebra.wedge_array(np.swapaxes(mixed, -1, -2), cols[..., None, :, 4])
+    return algebra.wedge(np.swapaxes(mixed, -1, -2), cols[..., None, :, 4])
 
 
 def bases_suite(options: SuiteOptions, rng):
@@ -239,8 +239,8 @@ def bases_suite(options: SuiteOptions, rng):
     l = _standard_changes(rng, 500)
     lam = bases.induced_four_map(l)
     # the reference basis is the identity, so the changed frame's columns are L's
-    b = algebra.wedge_array(np.swapaxes(l[:, :, :4], 1, 2), l[:, None, :, 4])
-    coeffs = algebra.four_from_bivector_array(b, REFERENCE_BASIS)
+    b = algebra.wedge(np.swapaxes(l[:, :, :4], 1, 2), l[:, None, :, 4])
+    coeffs = algebra.four_from_bivector(b, REFERENCE_BASIS)
     yield CheckResult("induced-map-vs-wedges", max_norm(coeffs - np.swapaxes(lam, 1, 2)), 1e-9)
 
     l = _standard_changes(rng, 500)
@@ -262,21 +262,21 @@ def bases_suite(options: SuiteOptions, rng):
     yield CheckResult("upm-block-actions", resid, 1e-13)
 
     wedges = _conjugated_wedges(rng, 500)
-    r = bases.frame_residuals(bases.orthonormal_basis_for_array(wedges, h), h, wedges)
+    r = bases.frame_residuals(bases.orthonormal_basis_for(wedges, h), h, wedges)
     yield CheckResult("orthonormal-construction", max_norm(np.maximum(r.orthonormal, r.wedge)), 1e-9)
 
     wedges = _conjugated_wedges(rng, 500, regular=True)
-    r = bases.frame_residuals(bases.regular_basis_for_array(wedges, h), h, wedges)
+    r = bases.frame_residuals(bases.regular_basis_for(wedges, h), h, wedges)
     yield CheckResult("regular-construction", max_norm(np.maximum(r.regular, r.wedge)), 1e-9)
 
     wedges = _conjugated_wedges(rng, 50)
-    plus = bases.orthonormal_basis_for_array(wedges, h)
-    minus = bases.orthonormal_basis_for_array(wedges, h, negate_direction=True)
+    plus = bases.orthonormal_basis_for(wedges, h)
+    minus = bases.orthonormal_basis_for(wedges, h, negate_direction=True)
     yield CheckResult("construction-sign-pair", max_norm(plus + minus), 1e-9)
 
     wedges = _conjugated_wedges(rng, 50)
-    via_regular = bases.regular_basis_for_array(wedges, h)
-    direct = bases.orthonormal_basis_for_array(wedges, h)
+    via_regular = bases.regular_basis_for(wedges, h)
+    direct = bases.orthonormal_basis_for(wedges, h)
     yield CheckResult("regular-reduces-to-orthonormal", max_norm(via_regular - direct), 1e-9)
 
     flipped = np.eye(5)

@@ -318,9 +318,7 @@ def test_transform_malformed_record_exits_2(tmp_path, capsys, data, fragment):
 
 def reference_wedge_payload():
     e = np.eye(5)
-    return np.stack([
-        wedge(FiveVector(e[:, mu]), FiveVector(e[:, 4])).matrix for mu in range(4)
-    ])
+    return wedge(e[:4], e[4])
 
 
 def test_basis_orthonormal_mode(tmp_path, capsys):
@@ -398,7 +396,7 @@ def basis_inputs():
     """Bad inputs to ``basis``: record text, mode, and a fragment of the one error line."""
     ref = reference_wedge_payload()
     crossed = ref.copy()
-    crossed[3] = wedge(FiveVector(np.eye(5)[:, 0]), FiveVector(np.eye(5)[:, 1])).matrix
+    crossed[3] = wedge(np.eye(5)[0], np.eye(5)[1])
     four = emit_record(Record("four_basis_bivectors", ref))
     three = four[: four.index("data\n") + 5] + " ".join("%.17g" % v for v in ref[:3].ravel()) + "\n"
     return [
@@ -422,6 +420,19 @@ def basis_inputs():
             "regular",
             "induced inner products overflow",
             id="overflow",
+        ),
+        # the induced Gram matrix underflows to subnormals and loses its precision
+        pytest.param(
+            emit_record(Record("four_basis_bivectors", 1e-160 * ref)),
+            "regular",
+            "error: regular construction failed on the diagonalized wedges",
+            id="underflow",
+        ),
+        pytest.param(
+            emit_record(Record("four_basis_components", 1e-160 * np.diag([1.0, 2.0, 3.0, 4.0]))),
+            "regular",
+            "error: regular construction failed on the diagonalized wedges",
+            id="underflow-components",
         ),
     ]
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pentavec.algebra import ETA4, ETA5, MetricH, lower_array
-from pentavec.bases import Basis5, classify_basis
+from pentavec.bases import classify_basis
 from pentavec.connection import (
     ConnectionCoeffs,
     FourConnection,
@@ -74,9 +74,9 @@ def test_parallel_frame_metric_two_routes():
 
 def test_parallel_frame_is_standard_but_not_regular():
     x = np.array([1.0, 0.5, 0.0, -2.0])
-    flags = classify_basis(Basis5(parallel_frame_change(x, KAPPA)), H)
+    flags = classify_basis(parallel_frame_change(x, KAPPA), H)
     assert flags.standard and not flags.regular
-    flags0 = classify_basis(Basis5(parallel_frame_change(np.zeros(4), KAPPA)), H)
+    flags0 = classify_basis(parallel_frame_change(np.zeros(4), KAPPA), H)
     assert flags0.orthonormal and flags0.regular
 
 

@@ -1,9 +1,8 @@
 """Array kernels against one-element calls, over generated inputs.
 
-Every ``*_array`` kernel takes any leading axes; looping the object
-function over the same elements must give the same numbers, and a batch
-holding one bad element must raise the error class of the single call and
-name that element's index.
+Every kernel takes any leading axes; calling it on each element alone
+must give the same numbers, and a batch holding one bad element must
+raise the error class of the single call and name that element's index.
 """
 
 import tempfile
@@ -20,40 +19,28 @@ from pentavec import suites
 from pentavec.algebra import (
     ETA4,
     ETA5,
-    Bivector5,
     FiveForm,
     FiveVector,
-    FourVector,
     MetricH,
     bivector_from_four,
-    bivector_from_four_array,
     bivector_inner,
-    bivector_inner_array,
     directional_vector,
-    directional_vector_array,
     four_from_bivector,
-    four_from_bivector_array,
     is_simple,
-    is_simple_array,
     wedge,
-    wedge_array,
 )
 from pentavec.bases import (
     REFERENCE_BASIS,
-    Basis5,
     apply_change,
     classify_basis,
-    classify_basis_array,
     compose_upm,
     decompose_upm,
     induced_four_map,
     is_standard_change,
     m_transformation,
     orthonormal_basis_for,
-    orthonormal_basis_for_array,
     p_transformation,
     regular_basis_for,
-    regular_basis_for_array,
     u_transformation,
 )
 from pentavec.cli import main
@@ -122,11 +109,7 @@ def lorentz_wedges(rng, shape, regular=False):
     """Wedge quadruples of random felt frames, orthonormal or mixed by a random matrix."""
     mix = suites.random_invertible(rng, 4, cond_cap=20.0, size=shape) if regular else suites.random_lorentz(rng, shape)
     cols = suites.random_metric_preserving5(rng, shape)
-    return wedge_array(np.swapaxes(cols[..., :4] @ mix, -1, -2), cols[..., None, :, 4])
-
-
-def bivectors(stack):
-    return [Bivector5(m) for m in stack]
+    return wedge(np.swapaxes(cols[..., :4] @ mix, -1, -2), cols[..., None, :, 4])
 
 
 @PROPERTY
@@ -134,15 +117,14 @@ def bivectors(stack):
 def test_wedge_and_simplicity_match_single_calls(seed, shape):
     rng = np.random.default_rng(seed)
     u, v, x, y = rng.normal(size=(4,) + shape + (5,))
-    simple = wedge_array(u, v)
-    crossed = simple + wedge_array(x, y)
-    mask = is_simple_array(crossed)
+    simple = wedge(u, v)
+    crossed = simple + wedge(x, y)
+    mask = is_simple(crossed)
     assert simple.shape == shape + (5, 5)
     for idx in each(shape):
-        b = wedge(FiveVector(u[idx]), FiveVector(v[idx]))
-        assert_array_equal(simple[idx], b.matrix)
-        assert mask[idx] == is_simple(Bivector5(crossed[idx]))
-    assert np.all(is_simple_array(simple))
+        assert_array_equal(simple[idx], wedge(u[idx], v[idx]))
+        assert mask[idx] == is_simple(crossed[idx])
+    assert np.all(is_simple(simple))
 
 
 @PROPERTY
@@ -150,16 +132,16 @@ def test_wedge_and_simplicity_match_single_calls(seed, shape):
 def test_inner_and_four_embedding_match_single_calls(seed, shape):
     rng = np.random.default_rng(seed)
     u, v, w = rng.normal(size=(3,) + shape + (5,))
-    b1, b2 = wedge_array(u, w), wedge_array(v, w)
-    inner = bivector_inner_array(b1, b2, H)
+    b1, b2 = wedge(u, w), wedge(v, w)
+    inner = bivector_inner(b1, b2, H)
     four = rng.normal(size=shape + (4,))
-    embedded = bivector_from_four_array(four, REFERENCE_BASIS)
-    back = four_from_bivector_array(embedded, REFERENCE_BASIS)
+    embedded = bivector_from_four(four, REFERENCE_BASIS)
+    back = four_from_bivector(embedded, REFERENCE_BASIS)
     for idx in each(shape):
-        assert_allclose(inner[idx], bivector_inner(Bivector5(b1[idx]), Bivector5(b2[idx]), H), **CLOSE)
-        single = bivector_from_four(FourVector(four[idx], basis_id="reference"), REFERENCE_BASIS)
-        assert_allclose(embedded[idx], single.matrix, **CLOSE)
-        assert_allclose(back[idx], four_from_bivector(single, REFERENCE_BASIS).components, **CLOSE)
+        assert_allclose(inner[idx], bivector_inner(b1[idx], b2[idx], H), **CLOSE)
+        single = bivector_from_four(four[idx], REFERENCE_BASIS)
+        assert_allclose(embedded[idx], single, **CLOSE)
+        assert_allclose(back[idx], four_from_bivector(single, REFERENCE_BASIS), **CLOSE)
 
 
 @PROPERTY
@@ -167,9 +149,9 @@ def test_inner_and_four_embedding_match_single_calls(seed, shape):
 def test_directional_vector_matches_single_calls(seed, shape):
     rng = np.random.default_rng(seed)
     wedges = lorentz_wedges(rng, shape)
-    found = directional_vector_array(wedges)
+    found = directional_vector(wedges)
     for idx in each(shape):
-        assert_allclose(found[idx], directional_vector(bivectors(wedges[idx])).components, **CLOSE)
+        assert_allclose(found[idx], directional_vector(wedges[idx]), **CLOSE)
 
 
 @PROPERTY
@@ -178,15 +160,15 @@ def test_frame_constructions_match_single_calls(seed, shape, negate):
     rng = np.random.default_rng(seed)
     ortho_in = lorentz_wedges(rng, shape)
     regular_in = lorentz_wedges(rng, shape, regular=True)
-    ortho = orthonormal_basis_for_array(ortho_in, H, negate_direction=negate)
-    regular = regular_basis_for_array(regular_in, H, negate_direction=negate)
-    flags = classify_basis_array(regular, H)
+    ortho = orthonormal_basis_for(ortho_in, H, negate_direction=negate)
+    regular = regular_basis_for(regular_in, H, negate_direction=negate)
+    flags = classify_basis(regular, H)
     for idx in each(shape):
-        single = orthonormal_basis_for(bivectors(ortho_in[idx]), H, negate_direction=negate)
-        assert_allclose(ortho[idx], single.matrix, **CLOSE)
-        single = regular_basis_for(bivectors(regular_in[idx]), H, negate_direction=negate)
-        assert_allclose(regular[idx], single.matrix, **CLOSE)
-        one = classify_basis(Basis5(regular[idx]), H)
+        single = orthonormal_basis_for(ortho_in[idx], H, negate_direction=negate)
+        assert_allclose(ortho[idx], single, **CLOSE)
+        single = regular_basis_for(regular_in[idx], H, negate_direction=negate)
+        assert_allclose(regular[idx], single, **CLOSE)
+        one = classify_basis(regular[idx], H)
         assert (flags.standard[idx], flags.regular[idx], flags.orthonormal[idx]) == (
             one.standard,
             one.regular,
@@ -198,35 +180,43 @@ def corrupt_one(stack, index, how):
     out = stack.copy()
     if how == "crossed":
         e = np.eye(5)
-        out[index][0] = wedge_array(e[0], e[1]) + wedge_array(e[2], e[3])
+        out[index][0] = wedge(e[0], e[1]) + wedge(e[2], e[3])
     elif how == "scaled":
         out[index][1] = 2.0 * out[index][1]
     elif how == "repeated":
         out[index][2] = out[index][1]
+    elif how == "nan":
+        out[index][3, 0, 4] = np.nan
     return out
 
 
 @pytest.mark.parametrize(
     "kernel, single, how, error",
     [
-        (directional_vector_array, directional_vector, "crossed", NotSimple),
+        (directional_vector, directional_vector, "crossed", NotSimple),
         (
-            lambda w: orthonormal_basis_for_array(w, H),
-            lambda b: orthonormal_basis_for(b, H),
+            lambda w: orthonormal_basis_for(w, H),
+            lambda w: orthonormal_basis_for(w, H),
             "scaled",
             NotOrthonormalInput,
         ),
         (
-            lambda w: orthonormal_basis_for_array(w, H),
-            lambda b: orthonormal_basis_for(b, H),
+            lambda w: orthonormal_basis_for(w, H),
+            lambda w: orthonormal_basis_for(w, H),
             "crossed",
             NotOrthonormalInput,
         ),
         (
-            lambda w: regular_basis_for_array(w, H),
-            lambda b: regular_basis_for(b, H),
+            lambda w: regular_basis_for(w, H),
+            lambda w: regular_basis_for(w, H),
             "repeated",
             DegenerateInducedMetric,
+        ),
+        (
+            lambda w: regular_basis_for(w, H),
+            lambda w: regular_basis_for(w, H),
+            "nan",
+            NotFinite,
         ),
     ],
 )
@@ -236,7 +226,7 @@ def test_one_bad_element_raises_the_single_call_error(kernel, single, how, error
     with pytest.raises(error) as batch_error:
         kernel(stack)
     with pytest.raises(error):
-        single(bivectors(stack[1, 2]))
+        single(stack[1, 2])
     kernel(stack[0])  # the untouched row passes
     # a non-simple wedge is reported down to its position in the set
     where = "(1, 2, 0)" if error is NotSimple else "(1, 2)"
@@ -588,11 +578,32 @@ def test_one_bad_change_or_generator_is_named(build, kind, error):
         (lambda: build_param_tensor(np.eye(4), np.zeros((2, 4))), ShapeMismatch),
         (lambda: build_generator_tensor(np.zeros((2, 4, 4)), np.zeros(4)), ShapeMismatch),
         (lambda: coordinate_form(LorentzChart.reference(), np.zeros((2, 3))), ShapeMismatch),
+        (lambda: wedge(np.ones((3, 5)), [0.0, 0.0, np.inf, 0.0, 0.0]), NotFinite),
+        (lambda: is_simple(np.full((3, 5, 5), np.nan)), NotFinite),
+        (lambda: directional_vector(np.full((2, 4, 5, 5), np.inf)), NotFinite),
+        (lambda: bivector_inner(np.zeros((5, 5)), np.full((3, 5, 5), np.nan), H), NotFinite),
+        (lambda: bivector_from_four([np.nan, 0.0, 0.0, 0.0], REFERENCE_BASIS), NotFinite),
+        (lambda: four_from_bivector(np.full((5, 5), np.inf), REFERENCE_BASIS), NotFinite),
+        (lambda: orthonormal_basis_for(np.full((2, 4, 5, 5), np.nan), H), NotFinite),
+        (lambda: regular_basis_for(np.full((4, 5, 5), -np.inf), H), NotFinite),
     ],
 )
 def test_malformed_batched_input_raises_the_input_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.filterwarnings("error")
+def test_simplicity_overflow_raises_not_finite_naming_the_element():
+    wedges = lorentz_wedges(np.random.default_rng(4), (3,))
+    # squares of entries near 1e150 stay finite, and the results match the unscaled ones
+    assert np.all(is_simple(1e150 * wedges))
+    assert_allclose(directional_vector(1e150 * wedges), directional_vector(wedges), **CLOSE)
+    wedges[2] *= 1e300
+    for call in (is_simple, directional_vector):
+        with pytest.raises(NotFinite) as error:
+            call(wedges)
+        assert str(error.value) == "bivector square overflows (element (2, 0))"
 
 
 def test_parallel_frame_transport_round_trips_at_large_kappa_x():
@@ -680,8 +691,7 @@ def test_negate_direction_gives_the_negated_frame(seed):
     rng = np.random.default_rng(seed)
     for regular, build in ((False, orthonormal_basis_for), (True, regular_basis_for)):
         for quadruple in lorentz_wedges(rng, (4,), regular):
-            wedges = bivectors(quadruple)
-            assert_array_equal(build(wedges, H, negate_direction=True).matrix, -build(wedges, H).matrix)
+            assert_array_equal(build(quadruple, H, negate_direction=True), -build(quadruple, H))
 
 
 @PROPERTY

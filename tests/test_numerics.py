@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pentavec.algebra import is_simple_array, wedge_array
+from pentavec.algebra import is_simple, wedge
 from pentavec.errors import ShapeMismatch, SingularMatrix
 from pentavec.numerics import (
     ABS_TOL,
@@ -95,7 +95,7 @@ def test_matrix_rank_threshold_is_rel_tol():
 
 def test_simplicity_threshold_is_rel_tol():
     e = np.eye(5)
-    e01 = wedge_array(e[0], e[1])
-    e23 = wedge_array(e[2], e[3])
-    assert is_simple_array(e01 + 1e-10 * e23)
-    assert not is_simple_array(e01 + 1e-4 * e23)
+    e01 = wedge(e[0], e[1])
+    e23 = wedge(e[2], e[3])
+    assert is_simple(e01 + 1e-10 * e23)
+    assert not is_simple(e01 + 1e-4 * e23)
