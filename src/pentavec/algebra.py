@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BasisMismatch,
     DimensionTooSmall,
     InvalidMetric,
     NotAntisymmetric,
@@ -70,22 +69,6 @@ def slot_to_label(slot: int) -> int:
     return INDEX_LABELS[slot]
 
 
-def _levi_civita_5() -> np.ndarray:
-    eps = np.zeros((5,) * 5)
-    for perm in itertools.permutations(range(5)):
-        sign = 1
-        for i in range(5):
-            for j in range(i + 1, 5):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        eps[perm] = sign
-    eps.setflags(write=False)
-    return eps
-
-
-EPS5 = _levi_civita_5()
-
-
 @dataclass(frozen=True)
 class MetricH:
     """Symmetric five-dimensional inner product with signature (+ - - - +).
@@ -118,31 +101,6 @@ class MetricH:
 
 
 @dataclass(frozen=True)
-class FiveVector:
-    components: np.ndarray
-    basis_id: str = "reference"
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", as_array(self.components, shape=(5,)))
-
-
-@dataclass(frozen=True)
-class FiveForm:
-    """Covariant counterpart of FiveVector; pairs with vectors by plain contraction."""
-
-    components: np.ndarray
-    basis_id: str = "reference"
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", as_array(self.components, shape=(5,)))
-
-    def pair(self, v: FiveVector) -> float:
-        if self.basis_id != v.basis_id:
-            raise BasisMismatch(f"form in {self.basis_id!r}, vector in {v.basis_id!r}")
-        return float(self.components @ v.components)
-
-
-@dataclass(frozen=True)
 class Bivector5:
     """Antisymmetric rank-2 contravariant tensor on the five-space."""
 
@@ -171,15 +129,18 @@ def wedge(u, v) -> np.ndarray:
     return u[..., :, None] * v[..., None, :] - v[..., :, None] * u[..., None, :]
 
 
-_EPS5_FLAT = EPS5.reshape(625, 5)
+# The four indices left when index i is dropped, one row per i.
+_MINORS = np.array([[k for k in range(5) if k != i] for i in range(5)])
 
 
 def _wedge_square_dual(b) -> np.ndarray:
     # The antisymmetrized square of a 2-form is a 4-form; in five dimensions
     # that is captured completely by its contraction with the Levi-Civita
-    # symbol, a plain five-component vector per bivector.
-    square = b[..., :, :, None, None] * b[..., None, None, :, :]
-    return square.reshape(b.shape[:-2] + (625,)) @ _EPS5_FLAT
+    # symbol, eps_(abcdi) b^ab b^cd = (-1)^i 8 Pf(b without row and column i),
+    # a plain five-component vector per bivector.
+    p, q, r, s = _MINORS.T
+    pfaffian = b[..., p, q] * b[..., r, s] - b[..., p, r] * b[..., q, s] + b[..., p, s] * b[..., q, r]
+    return pfaffian * np.array([8.0, -8.0, 8.0, -8.0, 8.0])
 
 
 def is_simple(b) -> np.ndarray:

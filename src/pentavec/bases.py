@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    EPS5,
     ETA4,
     ETA5,
     MetricH,
@@ -45,7 +44,6 @@ from .errors import (
     NotOrthonormalInput,
     NotSimple,
     NotStandard,
-    OutOfRange,
     ShapeMismatch,
     SingularBlock,
     SingularMatrix,
@@ -220,26 +218,12 @@ def compose_upm(d: UPMDecomposition) -> np.ndarray:
     return u_transformation(d.a) @ p_transformation(d.p) @ m_transformation(d.t)
 
 
-@dataclass(frozen=True)
-class OrientationTensor:
-    """Totally antisymmetric five-index symbol, fixed by its (0,1,2,3,5) entry."""
-
-    sign: int = 1
-
-    def __post_init__(self):
-        if self.sign not in (-1, 1):
-            raise OutOfRange("orientation sign must be +1 or -1")
-
-    def array(self) -> np.ndarray:
-        return self.sign * EPS5
-
-
-def orientation_sign(basis: Basis5, orientation: OrientationTensor = OrientationTensor()) -> int:
-    """Orientation of a basis: the sign of the epsilon-volume of its vectors."""
+def orientation_sign(basis: Basis5) -> int:
+    """Orientation of a basis against the ordered labels (0, 1, 2, 3, 5): the sign of its volume."""
     det = float(np.linalg.det(basis.matrix))
     if det == 0.0:
         raise SingularBlock("degenerate basis has no orientation")
-    return int(np.sign(det)) * orientation.sign
+    return int(np.sign(det))
 
 
 def _wedge_quadruples(wedges, error) -> np.ndarray:

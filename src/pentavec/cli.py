@@ -31,14 +31,17 @@ from .grids import FieldOnGrid, SCHEMES
 from .poincare import (
     GeneratorTensor,
     ParamTensor,
-    conjugate_array,
-    transform_form_array,
+    conjugate,
     transform_generator_tensor,
     transform_param_tensor,
-    transform_vector_array,
+    transform_parallel,
+    transform_parallel_form,
 )
 from .stress_energy import transform_moment_field
-from .suites import SUITE_NAMES, SuiteOptions, run_suites
+
+# The names of suites.SUITE_NAMES, in its order: the suites module (and
+# clifford with it) is imported only when verify runs.
+SUITE_NAMES = ("algebra", "bases", "clifford", "connection", "poincare", "conservation")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--kappa", type=float, default=1.0)
     verify.add_argument("--grid", type=int, default=17, metavar="N", help="base grid resolution")
     verify.add_argument("--scheme", choices=tuple(SCHEMES), default="central2")
-    verify.add_argument("--basis", choices=("O", "P"), default=None, help="restrict frame checks")
     verify.add_argument("--format", choices=("human", "machine"), default="human")
 
     transform = sub.add_parser("transform", help="apply a stored transformation to a stored object")
@@ -77,14 +79,10 @@ def _format_gate(check) -> str:
 
 
 def _cmd_verify(args) -> int:
+    from .suites import SuiteOptions, run_suites
+
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    options = SuiteOptions(
-        seed=args.seed,
-        kappa=args.kappa,
-        grid_n=args.grid,
-        scheme=args.scheme,
-        basis=args.basis,
-    )
+    options = SuiteOptions(seed=args.seed, kappa=args.kappa, grid_n=args.grid, scheme=args.scheme)
     reports = run_suites(names, options)
     failed = False
     for report in reports:
@@ -127,11 +125,9 @@ def _transform_record(record: Record, t, basis_override, kappa_override) -> Reco
     kappa = _kappa_for(record, kappa_override)
     if record.kind in ("five_vector", "five_form", "five_vector_field"):
         frame = _frame_for(record, basis_override)
-        shift = t.shift(kappa if frame == "P" else 0.0)
-        if record.kind == "five_form":
-            moved = transform_form_array(record.payload, t.lam_inv, shift)
-        else:
-            moved = transform_vector_array(record.payload, t.lam, shift)
+        law = transform_parallel_form if record.kind == "five_form" else transform_parallel
+        # the orthonormal-frame law is the parallel one at kappa = 0
+        moved = law(record.payload, t, kappa if frame == "P" else 0.0)
         return Record(record.kind, moved, basis=frame, kappa=record.kappa, grid=record.grid)
     if record.kind == "param_tensor":
         moved = transform_param_tensor(ParamTensor(record.payload), t)
@@ -140,7 +136,7 @@ def _transform_record(record: Record, t, basis_override, kappa_override) -> Reco
         moved = transform_generator_tensor(GeneratorTensor(record.payload), t)
         return Record(record.kind, moved.matrix, kappa=record.kappa)
     if record.kind == "theta_field":
-        moved = conjugate_array(record.payload, t.lam, t.lam_inv)
+        moved = conjugate(record.payload, t)
         return Record(record.kind, moved, basis=record.basis, kappa=record.kappa, grid=record.grid)
     if record.kind == "moment_field":
         if record.basis != "P":

@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import ETA5
 from .errors import InvalidGammaSet, NotO32
-from .numerics import bound, raise_where
+from .numerics import as_array, bound, raise_where
 
 _SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -138,7 +138,7 @@ def apply_metric_preserving(gs: GammaSet, o: np.ndarray) -> GammaSet:
     leading axes of ``gs`` and ``o`` (..., 5, 5) broadcast; a batch names
     its first non-preserving map.
     """
-    o = np.asarray(o, dtype=float)
+    o = as_array(o, shape=(..., 5, 5))
     message = "matrix does not preserve the five-metric"
     raise_where(np.logical_not(is_metric_preserving(o)), NotO32, message)
     g = gs.matrices

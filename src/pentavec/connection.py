@@ -46,6 +46,11 @@ class ConnectionCoeffs:
         object.__setattr__(self, "values", as_array(self.values, shape=(5, 5, 4)))
 
 
+def _coefficients(g) -> np.ndarray:
+    """The (5, 5, 4) array of constant coefficients given as ConnectionCoeffs or as an array."""
+    return as_array(g.values if isinstance(g, ConnectionCoeffs) else g, shape=(5, 5, 4))
+
+
 @dataclass(frozen=True)
 class FourConnection:
     """Coefficients of a four-space connection, shape (4, 4, 4)."""
@@ -206,29 +211,29 @@ def transport(components, from_x, to_x, frame: str, kappa: float) -> np.ndarray:
     N(to) N(from)^-1, which is the parallel-frame change at to - from.
     """
     components = as_array(components, shape=(..., 5))
+    from_x = as_array(from_x, shape=(..., 4))
+    to_x = as_array(to_x, shape=(..., 4))
     if frame not in ("O", "P"):
         raise OutOfRange(f"frame must be 'O' or 'P', got {frame!r}")
     if frame == "P":
         return components.copy()
-    step = as_array(to_x, shape=(..., 4)) - as_array(from_x, shape=(..., 4))
+    step = to_x - from_x
     return (parallel_frame_change(step, kappa) @ components[..., None])[..., 0]
 
 
 def covariant_derivative(field: FieldOnGrid, g, scheme: str = "central2") -> FieldOnGrid:
     """Covariant derivative of a five-vector field, transport terms included.
 
-    Output components are ``D[..., A, mu] = d_mu u^A + G^A_(B mu) u^B``.
-    ``g`` may be constant coefficients or a per-sample array of them.
-    Edge samples use one-sided stencils and are flagged via
-    ``boundary_width`` on the result.
+    Output components are ``D[..., A, mu] = d_mu u^A + G^A_(B mu) u^B``
+    for constant coefficients ``g`` (5, 5, 4).  Edge samples use one-sided
+    stencils and are flagged via ``boundary_width`` on the result.
     """
     values = field.values
     if values.shape[4:] != (5,):
         raise ShapeMismatch(f"expected five-vector samples, got trailing shape {values.shape[4:]}")
+    gv = _coefficients(g)
     grad = grid_gradient(values, field.grid, scheme)  # (..., A, mu)
-    gv = g.values if isinstance(g, ConnectionCoeffs) else np.asarray(g, dtype=float)
-    correction = np.einsum("...abm,...b->...am", np.broadcast_to(gv, values.shape[:4] + (5, 5, 4)), values)
-    derivative = grad + correction
+    derivative = grad + np.tensordot(values, gv, axes=([-1], [1]))
     derivative.setflags(write=False)
     return FieldOnGrid(
         grid=field.grid,
@@ -272,10 +277,11 @@ def metric_derivative_report(
 ) -> MetricDerivativeReport:
     """Check the metric transport identities on sampled data.
 
-    ``h_field`` holds five-metric components per sample (a constant (5, 5)
-    matrix broadcasts); ``g_four`` likewise for the four-metric.  The
-    covariant derivative is h_(AB; mu) = d_mu h_AB - G^C_(A mu) h_CB -
-    G^C_(B mu) h_AC, and residuals are measured away from grid edges.
+    ``g`` are constant coefficients (5, 5, 4).  ``h_field`` holds five-metric
+    components per sample (a constant (5, 5) matrix broadcasts); ``g_four``
+    likewise for the four-metric.  The covariant derivative is
+    h_(AB; mu) = d_mu h_AB - G^C_(A mu) h_CB - G^C_(B mu) h_AC, and
+    residuals are measured away from grid edges.
     """
     h_field = np.asarray(h_field, dtype=float)
     if h_field.shape == (5, 5):
@@ -286,13 +292,12 @@ def metric_derivative_report(
     if h_field.shape != grid.shape + (5, 5) or g_four.shape != grid.shape + (4, 4):
         raise GridMismatch("metric samples do not match the grid")
 
-    gv = g.values if isinstance(g, ConnectionCoeffs) else np.asarray(g, dtype=float)
-    gv = np.broadcast_to(gv, grid.shape + (5, 5, 4))
+    gv = _coefficients(g)
     dh = grid_gradient(h_field, grid, scheme)  # (..., A, B, mu)
     nabla = (
         dh
-        - np.einsum("...cam,...cb->...abm", gv, h_field)
-        - np.einsum("...cbm,...ac->...abm", gv, h_field)
+        - np.einsum("cam,...cb->...abm", gv, h_field)
+        - np.einsum("cbm,...ac->...abm", gv, h_field)
     )
     sel = grid.interior(scheme_width(scheme))
     nabla = nabla[sel]
@@ -343,20 +348,16 @@ def metric_transport_identity_residual(
         raise NotDirectional("e must lie along a positive-norm directional vector")
     if v_field.grid != w_field.grid:
         raise GridMismatch("v and w live on different grids")
-    grid = v_field.grid
 
     hv = h.matrix
-    gv = g.values if isinstance(g, ConnectionCoeffs) else np.asarray(g, dtype=float)
-    gv = np.broadcast_to(gv, grid.shape + (5, 5, 4))
+    gv = _coefficients(g)
 
     # The metric is uniform, so its covariant derivative is purely the
     # connection correction; v and w then enter pointwise, which keeps the
     # check free of finite-difference truncation for any sample fields.
-    nabla_h = -(
-        np.einsum("...cam,cb->...abm", gv, hv) + np.einsum("...cbm,ac->...abm", gv, hv)
-    )
-    along_u = np.einsum("...abm,m->...ab", nabla_h, u_four)
-    contracted = np.einsum("...ab,...a,...b->...", along_u, v_field.values, w_field.values)
+    nabla_h = -(np.einsum("cam,cb->abm", gv, hv) + np.einsum("cbm,ac->abm", gv, hv))
+    along_u = np.einsum("abm,m->ab", nabla_h, u_four)
+    contracted = np.einsum("ab,...a,...b->...", along_u, v_field.values, w_field.values)
     lhs = h.dot(e, e) * contracted
 
     # g(U, v ^ e): embed U as a wedge against the reference frame and pair.

@@ -95,7 +95,7 @@ class NotLorentz(PentavecError, ValueError):
 
 class OutOfRange(PentavecError, ValueError):
     """An argument outside the set of values it may take: an index label or
-    slot, a frame or scheme name, an orientation sign."""
+    slot, a frame or scheme name."""
 
 
 class InvalidMetric(PentavecError, ValueError):

@@ -126,9 +126,6 @@ class FieldOnGrid:
             v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def interior_values(self) -> np.ndarray:
-        return self.values[self.grid.interior(self.boundary_width)] if self.boundary_width else self.values
-
 
 def _weighted_sum(out: np.ndarray, row, samples) -> None:
     """out = sum of weight * sample over the nonzero weights of ``row``, in row order.
@@ -209,21 +206,3 @@ def grid_gradient(values: np.ndarray, grid: Grid, scheme: str = "central2") -> n
     """All four partials, stacked on a trailing axis."""
     parts = [partial_derivative(values, grid, axis, scheme) for axis in range(4)]
     return np.stack(parts, axis=-1)
-
-
-def truncation_estimate(values: np.ndarray, grid: Grid) -> float:
-    """Rough bound on the second-order stencil's truncation error for these samples.
-
-    Compares the second- and fourth-order derivatives where the grid is
-    fine enough; the difference is dominated by the second-order stencil's
-    truncation term, whatever scheme the caller differentiates with.
-    Returns 0.0 when no axis can support the comparison.
-    """
-    worst = 0.0
-    for axis in range(4):
-        if grid.shape[axis] < 5:
-            continue
-        d2 = partial_derivative(values, grid, axis, "central2")
-        d4 = partial_derivative(values, grid, axis, "central4")
-        worst = max(worst, float(np.max(np.abs(d2 - d4))))
-    return worst

@@ -16,11 +16,13 @@ coordinate data into five-tensor components.  ``ParamTensor`` and
 ``GeneratorTensor`` package the parameters of a finite respectively
 infinitesimal transformation as five-tensors of that kind.
 
-Each component law is written once over plain arrays with any leading
-axes: ``transform_vector_array``, ``transform_form_array`` (both frames:
-the orthonormal law is the parallel one at zero shift) and
-``conjugate_array``; the object functions are one-element calls into them.
-The tensor laws and ``coordinate_form`` take the same leading axes.
+Each component law is one function of the components and the transform,
+over arrays with any leading axes: ``transform_parallel`` for five-vectors
+``(..., 5)``, ``transform_parallel_form`` for five-forms and ``conjugate``
+for mixed four-blocks ``(..., 4, 4)``.  The five-vector and five-form laws
+take kappa; at kappa = 0 they are the orthonormal-frame laws.  A batched
+transform broadcasts against the leading axes of the components.  The
+tensor laws and ``coordinate_form`` take the same leading axes.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import ETA4, FiveForm, FiveVector, lower_array
+from .algebra import ETA4, lower_array
 from .bases import m_transformation, p_transformation
 from .connection import normalized_kappa
 from .errors import NotAntisymmetric, NotLorentz, ShapeMismatch
@@ -88,29 +90,33 @@ class PoincareTransform:
         return cls(np.eye(4), np.zeros(4))
 
 
-def transform_vector_array(v, lam, shift) -> np.ndarray:
-    """Five-vector law: v'^alpha = Lambda^alpha_beta v^beta, v'^5 = v^5 - shift_alpha v'^alpha.
+def transform_parallel(v, t: PoincareTransform, kappa: float = 1.0) -> np.ndarray:
+    """Five-vector law in the parallel frame, over components ``(..., 5)``.
 
-    ``v`` is (..., 5); ``lam`` (..., 4, 4) and ``shift`` (..., 4) broadcast
-    against its leading axes.  The parallel-frame law takes shift = kappa
-    a_alpha (``PoincareTransform.shift``), the orthonormal law zero shift.
+    v'^alpha = Lambda^alpha_beta v^beta and v'^5 = v^5 - kappa a_alpha v'^alpha:
+    the translation enters through the frame itself.  At kappa = 0, or at
+    a = 0, this is the orthonormal-frame law, which leaves v^5 untouched.
     """
-    v = np.asarray(v, dtype=float)
-    four = (lam @ v[..., :4, None])[..., 0]
-    fifth = v[..., 4] - np.sum(shift * four, axis=-1)
+    v = as_array(v, shape=(..., 5))
+    four = (t.lam @ v[..., :4, None])[..., 0]
+    fifth = v[..., 4] - np.sum(t.shift(kappa) * four, axis=-1)
     return np.concatenate([four, fifth[..., None]], axis=-1)
 
 
-def transform_form_array(w, lam_inv, shift) -> np.ndarray:
-    """Five-form law: w'_alpha = w_beta (Lambda^-1)^beta_alpha + shift_alpha w_5, w'_5 = w_5."""
-    w = np.asarray(w, dtype=float)
-    four = (w[..., None, :4] @ lam_inv)[..., 0, :] + shift * w[..., 4:]
+def transform_parallel_form(w, t: PoincareTransform, kappa: float = 1.0) -> np.ndarray:
+    """Five-form law in the parallel frame, over components ``(..., 5)``.
+
+    w'_alpha = w_beta (Lambda^-1)^beta_alpha + kappa a_alpha w_5 and w'_5 = w_5,
+    so the pairing w_A v^A is invariant under this law and ``transform_parallel``.
+    """
+    w = as_array(w, shape=(..., 5))
+    four = (w[..., None, :4] @ t.lam_inv)[..., 0, :] + t.shift(kappa) * w[..., 4:]
     return np.concatenate([four, np.broadcast_to(w[..., 4:], four.shape[:-1] + (1,))], axis=-1)
 
 
-def conjugate_array(x, lam, lam_inv) -> np.ndarray:
+def conjugate(x, t: PoincareTransform) -> np.ndarray:
     """Lambda X Lambda^-1 for ``(..., 4, 4)`` blocks X of mixed index type."""
-    return lam @ np.asarray(x, dtype=float) @ lam_inv
+    return t.lam @ as_array(x, shape=(..., 4, 4)) @ t.lam_inv
 
 
 def homogeneous_rep(t: PoincareTransform, kappa: float = 1.0) -> np.ndarray:
@@ -123,30 +129,6 @@ def homogeneous_rep(t: PoincareTransform, kappa: float = 1.0) -> np.ndarray:
     rep(t1 compose t2) = rep(t2) @ rep(t1).  A batched t gives (..., 5, 5).
     """
     return m_transformation(t.lam_inv) @ p_transformation(t.shift(kappa))
-
-
-def transform_orthonormal(obj, t: PoincareTransform):
-    """Component law in the orthonormal frame: the parallel law at kappa = 0.
-
-    Vectors: v'^alpha = Lambda^alpha_beta v^beta, fifth untouched.  Forms
-    contract with the inverse, fifth untouched.
-    """
-    return transform_parallel(obj, t, 0.0)
-
-
-def transform_parallel(obj, t: PoincareTransform, kappa: float = 1.0):
-    """Component law in the parallel frame.
-
-    The translation enters through the frame itself: for vectors
-    v'^5 = v^5 - kappa a_alpha Lambda^alpha_beta v^beta, and for forms
-    w'_alpha picks up kappa a_alpha w_5.  At a = 0 this reduces to the
-    orthonormal law.
-    """
-    if isinstance(obj, FiveVector):
-        return FiveVector(transform_vector_array(obj.components, t.lam, t.shift(kappa)), basis_id=obj.basis_id)
-    if isinstance(obj, FiveForm):
-        return FiveForm(transform_form_array(obj.components, t.lam_inv, t.shift(kappa)), basis_id=obj.basis_id)
-    raise ShapeMismatch(f"expected FiveVector or FiveForm, got {type(obj).__name__}")
 
 
 @dataclass(frozen=True)
@@ -190,18 +172,19 @@ def coordinate_form(chart: LorentzChart, x) -> CoordinateForm:
     """
     x_low = lower_array(as_array(x, shape=(..., 4)))
     p_dual = np.concatenate([x_low, np.ones(x_low.shape[:-1] + (1,))], axis=-1)
-    o_dual = transform_form_array(p_dual, np.eye(4), -normalized_kappa(chart.kappa) * x_low)
+    # N^-T subtracts normalized_kappa x_alpha times the fifth component, which is 1
+    o_dual = p_dual.copy()
+    o_dual[..., :4] -= normalized_kappa(chart.kappa) * x_low
     return CoordinateForm(p_dual=p_dual, o_dual=o_dual)
 
 
-def coordinate_form_derivative(chart: LorentzChart, x) -> np.ndarray:
+def coordinate_form_derivative() -> np.ndarray:
     """Covariant derivative of the coordinate form, parallel-frame dual.
 
     Row mu holds (eta_mu_alpha, 0): the derivative is the four-metric seen
-    as a form-valued object, with no fifth component.  ``x`` never enters
-    (the derivative is uniform), but is accepted for interface symmetry.
+    as a form-valued object, with no fifth component.  It is the same in
+    every chart and at every point.
     """
-    as_array(x, shape=(4,))
     out = np.zeros((4, 5))
     out[:, :4] = ETA4
     return out
@@ -252,7 +235,7 @@ def transform_param_tensor(pt: ParamTensor, t: PoincareTransform) -> ParamTensor
     homogeneous representation of t.
     """
     a_low = lower_array(t.a)
-    matrix4 = conjugate_array(pt.matrix_block, t.lam, t.lam_inv)
+    matrix4 = conjugate(pt.matrix_block, t)
     shift = (pt.shift[..., None, :] @ t.lam_inv)[..., 0, :] + a_low - (a_low[..., None, :] @ matrix4)[..., 0, :]
     return build_param_tensor(matrix4, shift)
 

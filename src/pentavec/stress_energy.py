@@ -193,12 +193,12 @@ def constant_stress_samples(theta0, grid: Grid) -> tuple[np.ndarray, np.ndarray]
     return theta, sigma
 
 
-def plane_wave_stress_samples(k, grid: Grid, amplitude: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def plane_wave_stress_samples(k, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Stress-energy of a free massless scalar plane wave, zero spin current.
 
-    For phi = amplitude cos(k.x) with a null wave vector the gradient is
-    null, the Lagrangian term drops out, and Theta^mu_alpha =
-    k^mu k_alpha (amplitude sin(k.x))^2, which is divergence-free exactly.
+    For phi = cos(k.x) with a null wave vector the gradient is null, the
+    Lagrangian term drops out, and Theta^mu_alpha = k^mu k_alpha sin(k.x)^2,
+    which is divergence-free exactly.
     """
     k = np.asarray(k, dtype=float)
     if k.shape != (4,):
@@ -208,7 +208,7 @@ def plane_wave_stress_samples(k, grid: Grid, amplitude: float = 1.0) -> tuple[np
     if null_resid > NULL_TOL * max(float(k @ k), 1.0):
         raise NotNull(f"wave vector must be null, k.k = {float(k @ k_low):.3e}")
     phase = np.einsum("...a,a->...", grid.coords(), k_low)
-    envelope = (amplitude * np.sin(phase)) ** 2
+    envelope = np.sin(phase) ** 2
     theta = np.einsum("...,m,a->...ma", envelope, k, k_low)
     sigma = np.zeros(grid.shape + (4, 4, 4))
     return theta, sigma

@@ -1,14 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from pentavec import algebra
 from pentavec.algebra import (
-    EPS5,
     ETA4,
     Bivector5,
     DirectionalClass,
-    FiveForm,
-    FiveVector,
     MetricH,
     bivector_from_four,
     bivector_inner,
@@ -50,6 +49,15 @@ def shuffle_wedge_square(b: np.ndarray) -> np.ndarray:
     )
 
 
+def levi_civita_5() -> np.ndarray:
+    """The five-index Levi-Civita symbol, from the parity of each permutation."""
+    eps = np.zeros((5,) * 5)
+    for perm in itertools.permutations(range(5)):
+        inversions = sum(perm[i] > perm[j] for i in range(5) for j in range(i + 1, 5))
+        eps[perm] = (-1) ** inversions
+    return eps
+
+
 def test_index_labels_round_trip():
     assert label_to_slot(5) == 4
     assert label_to_slot(0) == 0
@@ -87,17 +95,20 @@ def test_wedge_is_antisymmetric_and_bilinear():
 
 
 def test_wedge_square_shuffle_vs_epsilon_route():
-    # the library's simplicity test contracts with the five-index epsilon;
-    # the 6-term shuffle four-form is an independent encoding of the same
-    # object, fixed by eps_{abcde} F^{abcd} = 6 pf_e
+    # the library's simplicity test takes each component of the epsilon
+    # contraction eps_{abcde} B^{ab} B^{cd} as a Pfaffian; the contraction
+    # itself, and the 6-term shuffle four-form fixed by
+    # eps_{abcde} F^{abcd} = 6 pf_e, are independent encodings of the same object
+    eps = levi_civita_5()
     rng = np.random.default_rng(1)
     for _ in range(50):
         b = wedge(rng.normal(size=5), rng.normal(size=5))
         b = b + wedge(rng.normal(size=5), rng.normal(size=5))
         f = shuffle_wedge_square(b)
         pf = algebra._wedge_square_dual(b)
-        contracted = np.einsum("abcde,abcd->e", EPS5, f)
-        assert np.allclose(contracted, 6.0 * pf, atol=1e-12 * max(1.0, np.abs(pf).max()))
+        atol = 1e-12 * max(1.0, np.abs(pf).max())
+        assert np.allclose(np.einsum("abcde,ab,cd->e", eps, b, b), pf, atol=atol)
+        assert np.allclose(np.einsum("abcde,abcd->e", eps, f), 6.0 * pf, atol=atol)
 
 
 def test_wedge_square_frozen_crossed_pair():
@@ -222,10 +233,3 @@ def test_four_from_bivector_rejects_outside_span():
     b = wedge(ev(0), ev(1))  # no fifth-direction factor
     with pytest.raises(NotInMaximalSpace):
         four_from_bivector(b, REFERENCE_BASIS)
-
-
-
-def test_five_form_pairing():
-    w = FiveForm(np.array([1.0, 0.0, 0.0, 0.0, 2.0]))
-    v = FiveVector(np.array([3.0, 1.0, 1.0, 1.0, -1.0]))
-    assert w.pair(v) == 1.0

@@ -11,7 +11,6 @@ from pentavec.algebra import (
 from pentavec.bases import (
     REFERENCE_BASIS,
     Basis5,
-    OrientationTensor,
     UPMDecomposition,
     apply_change,
     classify_basis,
@@ -145,9 +144,6 @@ def test_orientation_sign():
     assert orientation_sign(REFERENCE_BASIS) == 1
     swapped = np.eye(5)[:, [1, 0, 2, 3, 4]]
     assert orientation_sign(Basis5(swapped)) == -1
-    assert orientation_sign(REFERENCE_BASIS, OrientationTensor(sign=-1)) == -1
-    with pytest.raises(ValueError):
-        OrientationTensor(sign=0)
 
 
 def test_orthonormal_construction_fixes_reference():

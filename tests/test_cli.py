@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from pentavec import suites
-from pentavec.algebra import FiveVector, wedge
+from pentavec import cli
+from pentavec.algebra import wedge
 from pentavec.cli import main
 from pentavec.fileio import Record, emit_record, read_record, transform_to_payload, write_record
 from pentavec.grids import Grid
@@ -126,6 +127,18 @@ def test_package_namespace_loads_nothing_and_names_the_version():
     assert version == pyproject["project"]["version"]
 
 
+def test_cli_import_loads_neither_the_suites_nor_clifford():
+    # transform and basis never run a suite, so the CLI imports the suites
+    # (and through them clifford) only when verify runs
+    code = "import sys, pentavec.cli\nprint(sorted(m for m in sys.modules if m.startswith('pentavec.')))\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.strip()
+    assert "'pentavec.suites'" not in loaded and "'pentavec.clifford'" not in loaded, loaded
+    assert "'pentavec.poincare'" in loaded, loaded
+    assert cli.SUITE_NAMES == suites.SUITE_NAMES
+
+
 def test_transform_vector_round_trip(tmp_path, capsys):
     t = PoincareTransform(np.eye(4), [0.5, 1.0, -1.0, 2.0])
     vec = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -138,7 +151,7 @@ def test_transform_vector_round_trip(tmp_path, capsys):
         "-o", str(tmp_path / "v2.pvec"),
     ]) == 0
     moved = read_record(tmp_path / "v2.pvec")
-    expected = transform_parallel(FiveVector(vec), t, 0.7).components
+    expected = transform_parallel(vec, t, 0.7)
     assert np.allclose(moved.payload, expected, atol=1e-15)
     assert moved.basis == "P"
 

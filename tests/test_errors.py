@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from pentavec.algebra import MetricH, label_to_slot, slot_to_label
-from pentavec.bases import OrientationTensor
 from pentavec.connection import coordinates_from_parallel_metric, parallel_frame_metric, transport
 from pentavec.errors import DegenerateKappa, InvalidMetric, NotFinite, NotNull, OutOfRange, PentavecError
 from pentavec.grids import FieldOnGrid, Grid, scheme_width
@@ -28,7 +27,6 @@ ASYMMETRIC = np.diag([1.0, 1.0, -1.0, -1.0, -1.0]) + np.triu(np.ones((5, 5)), 1)
         (lambda: MetricH(ASYMMETRIC), InvalidMetric, ValueError),
         (lambda: MetricH(np.zeros((5, 5))), InvalidMetric, ValueError),
         (lambda: MetricH(np.diag([1.0, -1.0, -1.0, -1.0, -1.0])), InvalidMetric, ValueError),
-        (lambda: OrientationTensor(sign=0), OutOfRange, ValueError),
         (
             lambda: coordinates_from_parallel_metric(parallel_frame_metric(np.zeros(4), 1.0), 0.0),
             DegenerateKappa,

@@ -9,7 +9,6 @@ from pentavec.grids import (
     grid_gradient,
     partial_derivative,
     scheme_width,
-    truncation_estimate,
 )
 
 
@@ -49,7 +48,7 @@ def test_field_on_grid_validation():
     with pytest.raises(ValueError):
         FieldOnGrid(g, np.full((4, 1, 1, 1), np.nan))
     f = FieldOnGrid(g, np.arange(4.0).reshape(4, 1, 1, 1), boundary_width=1)
-    assert f.interior_values().shape == (2, 1, 1, 1)
+    assert f.values[g.interior(f.boundary_width)].shape == (2, 1, 1, 1)
     with pytest.raises(ValueError):
         f.values[0] = 9.0  # stored samples are read-only
 
@@ -194,17 +193,3 @@ def test_grid_gradient_stacks_partials():
         assert np.array_equal(grad[..., axis], partial_derivative(f, g, axis))
     assert np.allclose(grad[..., 0], c[..., 1], atol=1e-13)
     assert np.array_equal(grad[..., 2], np.zeros_like(f))
-
-
-def test_truncation_estimate_scales_quadratically():
-    # on a cubic the fourth-order stencil is exact, so the difference is
-    # exactly the second-order truncation term
-    worst = {}
-    for h in (0.25, 0.125):
-        g = line_grid(9, h=h)
-        x = g.axis_coords(0).reshape(9, 1, 1, 1)
-        worst[h] = truncation_estimate(x**3, g)
-    assert worst[0.25] > 0.0
-    assert worst[0.25] / worst[0.125] == pytest.approx(4.0, rel=0.05)
-    # grids too small for the comparison report zero
-    assert truncation_estimate(np.zeros((3, 1, 1, 1)), line_grid(3)) == 0.0

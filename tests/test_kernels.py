@@ -19,8 +19,6 @@ from pentavec import suites
 from pentavec.algebra import (
     ETA4,
     ETA5,
-    FiveForm,
-    FiveVector,
     MetricH,
     bivector_from_four,
     bivector_inner,
@@ -44,6 +42,7 @@ from pentavec.bases import (
     u_transformation,
 )
 from pentavec.cli import main
+from pentavec.clifford import apply_metric_preserving, standard_gamma_set
 from pentavec.connection import (
     ConnectionCoeffs,
     coordinates_from_parallel_metric,
@@ -75,15 +74,13 @@ from pentavec.poincare import (
     PoincareTransform,
     build_generator_tensor,
     build_param_tensor,
-    conjugate_array,
+    conjugate,
     coordinate_form,
     homogeneous_rep,
-    transform_form_array,
     transform_generator_tensor,
-    transform_orthonormal,
     transform_param_tensor,
     transform_parallel,
-    transform_vector_array,
+    transform_parallel_form,
 )
 from pentavec.stress_energy import (
     assemble_moment_field,
@@ -304,21 +301,19 @@ def test_poincare_kernels_match_single_calls(seed, shape, kappa):
     t, singles = poincare_batch(rng, shape)
     v, w, x = rng.normal(size=(3,) + shape + (5,))
     theta = rng.normal(size=shape + (4, 4))
-    got = {
-        ("vector", "O"): transform_vector_array(v, t.lam, t.shift(0.0)),
-        ("vector", "P"): transform_vector_array(v, t.lam, t.shift(kappa)),
-        ("form", "O"): transform_form_array(w, t.lam_inv, t.shift(0.0)),
-        ("form", "P"): transform_form_array(w, t.lam_inv, t.shift(kappa)),
-    }
-    conjugated = conjugate_array(theta, t.lam, t.lam_inv)
+    laws = [
+        (law, components, k)
+        for law, components in ((transform_parallel, v), (transform_parallel_form, w))
+        for k in (0.0, kappa)  # the orthonormal laws are the parallel ones at kappa = 0
+    ]
+    got = [law(components, t, k) for law, components, k in laws]
+    conjugated = conjugate(theta, t)
     rep = homogeneous_rep(t, kappa)
     applied = t.apply(x[..., :4])
     inverse = t.inverse()
     for idx, one in singles.items():
-        for (kind, frame), out in got.items():
-            obj = FiveVector(v[idx]) if kind == "vector" else FiveForm(w[idx])
-            single = transform_orthonormal(obj, one) if frame == "O" else transform_parallel(obj, one, kappa)
-            assert_allclose(out[idx], single.components, **CLOSE)
+        for (law, components, k), out in zip(laws, got):
+            assert_allclose(out[idx], law(components[idx], one, k), **CLOSE)
         assert_allclose(conjugated[idx], one.lam @ theta[idx] @ np.linalg.inv(one.lam), **CLOSE)
         assert_allclose(rep[idx], homogeneous_rep(one, kappa), **CLOSE)
         assert_allclose(applied[idx], one.apply(x[idx][:4]), **CLOSE)
@@ -357,9 +352,8 @@ def test_cli_field_laws_match_per_sample_calls(seed, frame, kappa):
     assert (moved_v.basis, moved_v.kappa, moved_v.grid) == (frame, kappa, grid)
     lam_inv = np.linalg.inv(t.lam)
     for idx in each(grid.shape):
-        v = FiveVector(vectors[idx])
-        single = transform_orthonormal(v, t) if frame == "O" else transform_parallel(v, t, kappa)
-        assert_allclose(moved_v.payload[idx], single.components, **CLOSE)
+        single = transform_parallel(vectors[idx], t, kappa if frame == "P" else 0.0)
+        assert_allclose(moved_v.payload[idx], single, **CLOSE)
         assert_allclose(moved_theta.payload[idx], t.lam @ theta[idx] @ lam_inv, **CLOSE)
 
 
@@ -574,6 +568,9 @@ def test_one_bad_change_or_generator_is_named(build, kind, error):
         (lambda: parallel_frame_metric([0.0, np.inf, 0.0, 0.0], 1.0), NotFinite),
         (lambda: transport(np.zeros((3, 4)), np.zeros(4), np.zeros(4), "O", 1.0), ShapeMismatch),
         (lambda: transport(np.zeros(5), np.zeros(4), np.zeros(3), "O", 1.0), ShapeMismatch),
+        (lambda: transport(np.zeros(5), [np.nan] * 4, [1.0, 2.0], "P", 1.0), NotFinite),
+        (lambda: transport(np.zeros(5), np.zeros(4), [1.0, 2.0], "P", 1.0), ShapeMismatch),
+        (lambda: apply_metric_preserving(standard_gamma_set(), np.eye(4)), ShapeMismatch),
         (lambda: p_transformation(np.zeros((2, 5))), ShapeMismatch),
         (lambda: build_param_tensor(np.eye(4), np.zeros((2, 4))), ShapeMismatch),
         (lambda: build_generator_tensor(np.zeros((2, 4, 4)), np.zeros(4)), ShapeMismatch),
@@ -702,9 +699,8 @@ def test_parallel_law_is_a_group_action_on_objects(seed, kappa):
     vectors, forms = rng.normal(size=(2, 4, 5))
     for i in range(4):
         t1, t2 = (PoincareTransform(pairs.lam[i, j], pairs.a[i, j]) for j in (0, 1))
-        for obj in (FiveVector(vectors[i]), FiveForm(forms[i])):
-            chained = transform_parallel(transform_parallel(obj, t2, kappa), t1, kappa)
-            direct = transform_parallel(obj, t1.compose(t2), kappa)
-            assert type(chained) is type(direct) is type(obj)
-            scale = max(np.max(np.abs(direct.components)), 1.0)
-            assert np.max(np.abs(chained.components - direct.components)) <= 1e-12 * scale
+        for law, components in ((transform_parallel, vectors[i]), (transform_parallel_form, forms[i])):
+            chained = law(law(components, t2, kappa), t1, kappa)
+            direct = law(components, t1.compose(t2), kappa)
+            scale = max(np.max(np.abs(direct)), 1.0)
+            assert np.max(np.abs(chained - direct)) <= 1e-12 * scale
