@@ -104,48 +104,58 @@ def _cmd_verify(args) -> int:
 
 # -------------------------------------------------------------- transform
 
-def _frame_for(record: Record, override: str | None) -> str:
-    frame = override or record.basis
-    if frame not in ("O", "P"):
-        raise KindMismatch(
-            f"kind {record.kind!r} needs a frame: set a basis header or pass --basis"
-        )
-    return frame
-
-
-def _kappa_for(record: Record, override: float | None) -> float:
+def _frame_for(record: Record, override: str | None) -> tuple[str, str]:
+    """The frame of a vector or form record, and where it came from."""
     if override is not None:
-        return override
+        return override, "flag"
+    if record.basis in ("O", "P"):
+        return record.basis, "header"
+    raise KindMismatch(
+        f"kind {record.kind!r} needs a frame: set a basis header or pass --basis"
+    )
+
+
+def _kappa_for(record: Record, override: float | None) -> tuple[float, str]:
+    """The transport constant, and where it came from: the flag, the header or the default 1.0."""
+    if override is not None:
+        return override, "flag"
     if record.kappa is not None:
-        return record.kappa
-    return 1.0
+        return record.kappa, "header"
+    return 1.0, "default"
 
 
-def _transform_record(record: Record, t, basis_override, kappa_override) -> Record:
-    kappa = _kappa_for(record, kappa_override)
+def _transform_record(record: Record, t, basis_override, kappa_override) -> tuple[Record, list]:
+    """The moved record, and a line for the frame and for the kappa the law used,
+    each with where it came from."""
     if record.kind in ("five_vector", "five_form", "five_vector_field"):
-        frame = _frame_for(record, basis_override)
+        frame, source = _frame_for(record, basis_override)
+        used = [f"frame: {frame} ({source})"]
+        kappa = 0.0  # the orthonormal-frame law is the parallel one at kappa = 0
+        if frame == "P":
+            kappa, source = _kappa_for(record, kappa_override)
+            used.append(f"kappa: {kappa!r} ({source})")
         law = transform_parallel_form if record.kind == "five_form" else transform_parallel
-        # the orthonormal-frame law is the parallel one at kappa = 0
-        moved = law(record.payload, t, kappa if frame == "P" else 0.0)
-        return Record(record.kind, moved, basis=frame, kappa=record.kappa, grid=record.grid)
+        moved = law(record.payload, t, kappa)
+        return Record(record.kind, moved, basis=frame, kappa=record.kappa, grid=record.grid), used
     if record.kind == "param_tensor":
         moved = transform_param_tensor(ParamTensor(record.payload), t)
-        return Record(record.kind, moved.matrix, kappa=record.kappa)
+        return Record(record.kind, moved.matrix, kappa=record.kappa), []
     if record.kind == "generator_tensor":
         moved = transform_generator_tensor(GeneratorTensor(record.payload), t)
-        return Record(record.kind, moved.matrix, kappa=record.kappa)
+        return Record(record.kind, moved.matrix, kappa=record.kappa), []
     if record.kind == "theta_field":
         moved = conjugate(record.payload, t)
-        return Record(record.kind, moved, basis=record.basis, kappa=record.kappa, grid=record.grid)
+        return Record(record.kind, moved, basis=record.basis, kappa=record.kappa, grid=record.grid), []
     if record.kind == "moment_field":
         if record.basis != "P":
             raise KindMismatch(
                 "moment_field transforms in the parallel frame; convert to basis P first"
             )
+        kappa, source = _kappa_for(record, kappa_override)
         field = FieldOnGrid(grid=record.grid, values=record.payload, basis="P")
         moved = transform_moment_field(field, t, kappa)
-        return Record(record.kind, moved.values, basis="P", kappa=record.kappa, grid=record.grid)
+        out = Record(record.kind, moved.values, basis="P", kappa=record.kappa, grid=record.grid)
+        return out, ["frame: P (header)", f"kappa: {kappa!r} ({source})"]
     raise KindMismatch(f"kind {record.kind!r} has no transformation law")
 
 
@@ -158,8 +168,10 @@ def _cmd_transform(args) -> int:
         )
     t = transform_from_payload(t_record.payload)
     with np.errstate(all="ignore"):  # an overflow is reported once, as NotFinite
-        out = _transform_record(record, t, args.basis, args.kappa)
+        out, used = _transform_record(record, t, args.basis, args.kappa)
     write_record(args.output, out)
+    for line in used:
+        print(line)
     print(f"wrote {args.output}")
     return 0
 

@@ -179,6 +179,25 @@ def test_transform_requires_frame(tmp_path, capsys):
     ]) == 0
 
 
+@pytest.mark.parametrize(
+    "header, flags, used",
+    [
+        pytest.param({"basis": "P", "kappa": 0.7}, [], ["frame: P (header)", "kappa: 0.7 (header)"], id="header"),
+        pytest.param(
+            {"basis": "O", "kappa": 0.7}, ["--basis", "P", "--kappa", "2"], ["frame: P (flag)", "kappa: 2.0 (flag)"], id="flag"
+        ),
+        pytest.param({"basis": "P"}, [], ["frame: P (header)", "kappa: 1.0 (default)"], id="default"),
+        pytest.param({}, ["--basis", "O"], ["frame: O (flag)"], id="orthonormal-frame-uses-no-kappa"),
+    ],
+)
+def test_transform_says_which_frame_and_kappa_it_used(tmp_path, capsys, header, flags, used):
+    write_record(tmp_path / "v.pvec", Record("five_vector", np.arange(5.0), **header))
+    write_transform(tmp_path / "t.pvec", PoincareTransform(np.eye(4), [0.5, 1.0, -1.0, 2.0]))
+    out = tmp_path / "out.pvec"
+    assert main(["transform", str(tmp_path / "v.pvec"), str(tmp_path / "t.pvec"), "-o", str(out), *flags]) == 0
+    assert capsys.readouterr().out.splitlines() == used + [f"wrote {out}"]
+
+
 def test_transform_rejects_wrong_transform_kind(tmp_path, capsys):
     write_record(tmp_path / "v.pvec", Record("five_vector", np.arange(5.0), basis="O"))
     write_record(tmp_path / "w.pvec", Record("five_vector", np.arange(5.0), basis="O"))
@@ -246,10 +265,12 @@ def test_transform_moment_field(tmp_path, capsys):
         "transform", str(tmp_path / "m.pvec"), str(tmp_path / "t.pvec"),
         "-o", str(tmp_path / "m2.pvec"),
     ]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == ["frame: P (header)", "kappa: 1.0 (header)"]
     assert main([
         "transform", str(tmp_path / "m2.pvec"), str(tmp_path / "ti.pvec"),
-        "-o", str(tmp_path / "m3.pvec"),
+        "-o", str(tmp_path / "m3.pvec"), "--kappa", "1",
     ]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == ["frame: P (header)", "kappa: 1.0 (flag)"]
     back = read_record(tmp_path / "m3.pvec")
     assert np.max(np.abs(back.payload - current.values)) <= 1e-9
 

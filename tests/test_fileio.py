@@ -1,11 +1,14 @@
 import math
 import re
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from pentavec import fileio
 from pentavec.errors import KindMismatch, ParseError
 from pentavec.fileio import (
     KINDS,
@@ -103,6 +106,52 @@ def test_record_validation():
         Record(kind="scalar_field", payload=np.zeros(4))  # grid missing
     with pytest.raises(KindMismatch):
         Record(kind="five_vector", payload=np.zeros(5), basis="Q")
+
+
+def test_record_adopts_an_owned_read_only_payload():
+    owned = np.arange(5.0)
+    owned.setflags(write=False)
+    assert Record(kind="five_vector", payload=owned).payload is owned
+    frozen_view = np.arange(10.0)[::2]
+    frozen_view.setflags(write=False)
+    for given in (np.arange(5.0), np.arange(10.0)[::2], frozen_view):
+        rec = Record(kind="five_vector", payload=given)
+        assert rec.payload is not given and rec.payload.flags.owndata and not rec.payload.flags.writeable
+        assert np.array_equal(rec.payload, given)
+
+
+def test_read_and_write_memory_is_bounded_by_a_block(tmp_path):
+    grid = Grid(origin=(0.0,) * 4, spacing=(0.1,) * 4, shape=(13, 13, 13, 1))
+    payload = np.random.default_rng(83).standard_normal(grid.shape + (4, 5, 5))
+    rec = Record(kind="moment_field", payload=payload, basis="P", grid=grid)
+    path = tmp_path / "moment.pvec"
+    tracemalloc.start()
+    try:
+        write_record(path, rec)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        back = read_record(path)
+        read_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert back.payload.tobytes() == rec.payload.tobytes()
+    assert back.payload.flags.owndata and not back.payload.flags.writeable
+
+    # One block of payload lines: its text, its floats as tolist() gives
+    # them, and the words a read splits the text into.
+    lines = path.read_text(encoding="utf-8").split("\n")
+    first = lines.index("data") + 1
+    text = "\n".join(lines[first : first + LINES_PER_BLOCK]) + "\n"
+    floats = rec.payload.ravel()[: VALUES_PER_LINE * LINES_PER_BLOCK].tolist()
+    floats_bytes = sys.getsizeof(floats) + sum(map(sys.getsizeof, floats))
+    words = text.split()
+    words_bytes = sys.getsizeof(words) + sum(map(sys.getsizeof, words))
+    # The whole payload as text, words or floats would be 16 times one block.
+    assert read_peak <= 2 * rec.payload.nbytes + sys.getsizeof(text) + words_bytes
+    # Formatting a block also holds the % format string and the spare room
+    # of the string being built: about a fifth more than its text and floats.
+    assert write_peak <= 1.5 * (sys.getsizeof(text) + floats_bytes)
 
 
 def parse_error_for(text):
@@ -344,7 +393,9 @@ token_text = (
 @PROPERTY
 @given(st.lists(token_text, min_size=5, max_size=5), st.sets(st.integers(1, 4)))
 def test_bulk_read_accepts_exactly_what_the_scan_accepts(tokens, breaks):
-    """A trailing comment line sends the payload through the per-token scan."""
+    """The block read and the per-token scan that locates its faults agree:
+    a body the read rejects and the scan passes would raise a bare
+    ValueError, and a trailing comment line changes nothing."""
     head = emit_record(Record(kind="five_vector", payload=np.zeros(5))).split("data\n")[0]
     body = tokens[0] + "".join(("\n" if i in breaks else " ") + t for i, t in enumerate(tokens) if i)
     text = head + "data\n" + body + "\n"
@@ -352,3 +403,99 @@ def test_bulk_read_accepts_exactly_what_the_scan_accepts(tokens, breaks):
     assert got == outcome(text + "# end\n")
     if isinstance(got, bytes):
         assert got == np.array([float(token) for token in tokens]).tobytes()
+
+
+# --------------------------------------------- streamed read vs whole text
+
+SEPARATORS = ["\f", "\v", "\x1c", "\x85", "\u2028", "\xa0"]
+edits = st.lists(
+    st.one_of(
+        st.tuples(st.just("line"), st.integers(0, 10**6), st.sampled_from(["", "   ", "# note", "  # note", "#"])),
+        st.tuples(st.just("token"), st.integers(0, 10**6), st.sampled_from(["x", "nan", "inf", "", "1 2", "#1", "1e999"])),
+        st.tuples(st.just("separator"), st.integers(0, 10**6), st.sampled_from(SEPARATORS)),
+    ),
+    max_size=3,
+)
+
+
+@st.composite
+def short_records(draw):
+    """A record of a few to a few dozen payload lines."""
+    kind = draw(st.sampled_from(["five_vector", "bivector", "five_vector_field", "theta_field"]))
+    shape, _, needs_grid = KINDS[kind]
+    grid = Grid(origin=(0.0,) * 4, spacing=(0.5,) * 4, shape=(draw(st.integers(1, 6)), 1, 2, 1)) if needs_grid else None
+    payload_shape = (grid.shape + shape) if needs_grid else shape
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    payload = rng.standard_normal(payload_shape) * 10.0 ** rng.integers(-300, 300, payload_shape)
+    basis = draw(st.sampled_from([None, "P"]))
+    return Record(kind=kind, payload=payload, basis=basis, kappa=draw(st.none() | st.just(0.25)), grid=grid)
+
+
+def edited(text, edit):
+    """``text`` with a line inserted, a payload token replaced, or a space or
+    line break replaced by another separator, at a position taken modulo
+    the number of places."""
+    what, where, new = edit
+    if what == "line":
+        lines = text.split("\n")
+        lines.insert(1 + where % (len(lines) - 1), new)
+        return "\n".join(lines)
+    if what == "token":
+        tokens = payload_tokens(text)
+        return replace_token(text, tokens[where % len(tokens)], new) if tokens else text
+    places = [i for i, c in enumerate(text) if c in " \n"]
+    i = places[where % len(places)]
+    return text[:i] + new + text[i + 1 :]
+
+
+def whole_text_outcome(data):
+    """The fields of the record in ``data``, or the message and location of
+    the error, when the bytes are decoded and parsed as one text."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = (data[: exc.start].decode("utf-8") + "x").splitlines()
+        line, column = len(before), len(before[-1])
+        return f"byte 0x{data[exc.start]:02x} is not UTF-8 text (line {line}, column {column})", line, column
+    try:
+        rec = parse_record(text)
+    except ParseError as err:
+        return str(err), err.line, err.column
+    return rec.kind, rec.basis, rec.kappa, rec.grid, rec.payload.shape, rec.payload.tobytes()
+
+
+@settings(PROPERTY, max_examples=300)
+@given(
+    short_records(),
+    edits,
+    st.sampled_from(["\n", "\r\n", "\r"]),
+    st.none() | st.tuples(st.integers(0, 10**6), st.sampled_from([b"\xe9", b"\xff", b"\xc3"])),
+    st.sampled_from([1, 2, 3, LINES_PER_BLOCK]),
+)
+def test_streamed_read_matches_the_whole_text_parse(tmp_path_factory, rec, changes, ending, bad_byte, lines_per_block):
+    text = emit_record(rec)
+    # separators last: the other edits find lines and tokens by line breaks
+    for change in sorted(changes, key=lambda change: change[0] == "separator"):
+        text = edited(text, change)
+    data = text.replace("\n", ending).encode("utf-8")
+    if bad_byte is not None:
+        at = bad_byte[0] % (len(data) + 1)
+        data = data[:at] + bad_byte[1] + data[at:]
+    expected = whole_text_outcome(data)
+
+    path = tmp_path_factory.getbasetemp() / "streamed.pvec"
+    path.write_bytes(data)
+    whole_text_reads = []
+    parse_text = fileio._parse_text
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fileio, "LINES_PER_BLOCK", lines_per_block)
+        patch.setattr(fileio, "_parse_text", lambda text: whole_text_reads.append(1) or parse_text(text))
+        try:
+            rec = read_record(path)
+        except ParseError as err:
+            got = str(err), err.line, err.column
+        else:
+            got = rec.kind, rec.basis, rec.kappa, rec.grid, rec.payload.shape, rec.payload.tobytes()
+    assert got == expected
+    if isinstance(expected[-1], bytes):
+        assert not whole_text_reads  # a good file is read once, in blocks
