@@ -15,9 +15,10 @@ alone.  Conservation of the whole object in either frame is equivalent to
 the two familiar statements: Theta is divergence-free and the divergence
 of the spin current balances the antisymmetric part of Theta.
 
-Sample arrays carry grid axes first: Theta is ``(..., 4, 4)`` indexed
-[mu][alpha] (upper index first), Sigma ``(..., 4, 4, 4)`` indexed
-[mu][alpha][beta], and the assembled current ``(..., 4, 5, 5)``.
+Samples carry grid axes first: Theta is ``(..., 4, 4)`` indexed [mu][alpha]
+(upper index first), Sigma ``(..., 4, 4, 4)`` indexed [mu][alpha][beta], and
+the current ``(..., 4, 5, 5)``.  The kernels turn one slab of the first grid
+axis at a time components first, so that each update is a plane of samples.
 
 The transport constant enters only through the rescaled frame: every kappa
 becomes ``connection.normalized_kappa(kappa)``, 1 for any nonzero kappa.
@@ -56,17 +57,18 @@ def assemble_moment_field(theta: np.ndarray, sigma: np.ndarray, grid: Grid) -> F
     if np.abs(anti, out=anti).max() > input_bound(sigma):
         raise NotAntisymmetric("spin current must be antisymmetric in its lower indices")
 
-    x_low = lower_array(grid.coords())
-    # orbital x_alpha Theta^mu_beta - x_beta Theta^mu_alpha from one outer
-    # product, built contiguous and then placed into the four-block
-    outer = x_low[..., None, :, None] * theta[..., :, None, :]
-    four = outer - np.swapaxes(outer, -1, -2)
-    del outer
-    four += sigma
-    values = np.zeros(grid.shape + (4, 5, 5))
-    values[..., :4, :4] = four
-    values[..., 4, :4] = theta
-    values[..., :4, 4] = -theta
+    x = np.ascontiguousarray(np.moveaxis(lower_array(grid.coords()), -1, 0))
+    values = np.empty(grid.shape + (4, 5, 5))
+    v = np.zeros((4, 5, 5) + grid.shape[1:])  # one slab, components first; M^mu_(5 5) stays 0
+    for i in range(grid.shape[0]):
+        th = np.ascontiguousarray(np.moveaxis(theta[i], (-2, -1), (0, 1)))
+        for b in range(4):  # orbital x_alpha Theta^mu_beta - x_beta Theta^mu_alpha, column beta
+            np.multiply(x[:, i], th[:, b, None], out=v[:, :4, b])
+            v[:, :4, b] -= x[b, i] * th
+        v[:, :4, :4] += np.moveaxis(sigma[i], (-3, -2, -1), (0, 1, 2))
+        v[:, 4, :4] = th
+        np.negative(th, out=v[:, :4, 4])
+        values[i] = np.moveaxis(v, (0, 1, 2), (-3, -2, -1))
     values.setflags(write=False)
     return FieldOnGrid(grid=grid, values=values, basis="P")
 
@@ -93,13 +95,14 @@ def _convert(m: FieldOnGrid, kappa: float, src: str, dst: str) -> FieldOnGrid:
     # The change C is the identity plus the bottom row s x_alpha, so C^T M C
     # is M with s x_f M^mu_(C 5) added to each four-space column f, then
     # s x_e times the updated fifth row added to each four-space row e.
-    # The columns go one at a time: over the trailing (4, 5, 5) axes that
-    # makes fewer, longer inner loops than one broadcast update would.
-    shift = (-1.0 if dst == "O" else 1.0) * normalized_kappa(kappa) * lower_array(m.grid.coords())
-    out = m.values.copy()
-    for f in range(4):
-        out[..., f] += shift[..., None, None, f] * out[..., 4]
-    out[..., :4, :] += shift[..., None, :, None] * out[..., None, 4, :]
+    x = np.ascontiguousarray(np.moveaxis(lower_array(m.grid.coords()), -1, 0))
+    shift = (-1.0 if dst == "O" else 1.0) * normalized_kappa(kappa) * x
+    out = np.empty(m.values.shape)
+    for i, s in enumerate(np.moveaxis(shift, 1, 0)):  # slab by slab, components first
+        v = np.moveaxis(m.values[i], (-3, -2, -1), (0, 1, 2)).copy()
+        v[:, :, :4] += s * v[:, :, 4, None]
+        v[:, :4] += s[:, None] * v[:, None, 4]
+        out[i] = np.moveaxis(v, (0, 1, 2), (-3, -2, -1))
     out.setflags(write=False)
     return FieldOnGrid(grid=m.grid, values=out, basis=dst, boundary_width=m.boundary_width)
 
@@ -155,29 +158,35 @@ def conservation_report(m: FieldOnGrid, kappa: float = 1.0, scheme: str = "centr
 
     # Each partial is taken with the central row alone, on the interior
     # samples the residuals read; singleton axes contribute nothing.
-    grid, values = m.grid, m.values
+    grid = m.grid
     axes = [mu for mu in range(4) if _differentiated(grid, mu, scheme)]
     sel = grid.interior(scheme_width(scheme))
-    inner = values[sel]
-    div = np.zeros(inner.shape[:4] + (5, 5))
+    div = np.zeros((5, 5) + m.values[sel].shape[:4])
     derivative = np.empty_like(div)
     g = flat_coefficients(normalized_kappa(kappa)).values
-    for mu in range(4):
+    for mu in (range(4) if m.basis == "O" else axes):
+        along = sel[:mu] + (slice(None),) + sel[mu + 1 :] if mu in axes else sel
+        block = m.values[along + (mu,)]
+        inner = np.empty((5, 5) + block.shape[:4])  # M^mu components first, slab by slab
+        for i, slab in enumerate(block):
+            inner[:, :, i] = np.moveaxis(slab, (-2, -1), (0, 1))
         if mu in axes:
-            along = sel[:mu] + (slice(None),) + sel[mu + 1 :]
-            block = values[along][..., mu, :, :]
-            _central_difference(np.moveaxis(block, mu, 0), grid.spacing[mu], scheme, np.moveaxis(derivative, mu, 0))
+            _central_difference(
+                np.moveaxis(inner, 2 + mu, 0), grid.spacing[mu], scheme, np.moveaxis(derivative, 2 + mu, 0)
+            )
             div += derivative
+            inner = inner[(slice(None),) * (2 + mu) + (sel[mu],)]
         if m.basis == "O":
             # - G^C_(A mu) M^mu_(C B) - G^C_(B mu) M^mu_(A C), whose one
             # nonzero coefficient is G^5_(mu mu) = -normalized_kappa(kappa) eta_(mu mu)
             c = -g[4, mu, mu]
-            div[..., mu, :] += c * inner[..., mu, 4, :]
-            div[..., :, mu] += c * inner[..., mu, :, 4]
+            div[mu] += c * inner[4]
+            div[:, mu] += c * inner[:, 4]
+        del inner  # freed before the next mu's buffer is made
 
     return ConservationReport(
-        momentum_residual=max_norm(div[..., 4, :4]),
-        angular_residual=max_norm(div[..., :4, :4]),
+        momentum_residual=max_norm(div[4, :4]),
+        angular_residual=max_norm(div[:4, :4]),
         scheme=scheme,
         basis=m.basis,
     )

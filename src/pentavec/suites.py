@@ -50,9 +50,10 @@ class SuiteReport:
 
 
 # The finest conservation grid holds (2N - 1)^3 samples.  At N = 33,
-# `pentavec verify conservation --grid 33` peaks at 660 MB RSS under both
-# central2 and central4 (x86_64, Python 3.11, numpy 2.4): the P- and O-frame
-# currents of 220 MB each are alive together, plus the frame change's temporary.
+# `pentavec verify conservation --grid 33` peaks at 648 MB RSS under central2
+# and 642 MB under central4 (x86_64, Python 3.11, numpy 2.4): the P- and
+# O-frame currents of 220 MB each are alive together with the report's
+# interior divergence and derivative buffers and one M^mu turned components first.
 MAX_GRID = 33
 
 

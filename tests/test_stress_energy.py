@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from pentavec.algebra import ETA4, lower_array
@@ -386,5 +388,59 @@ def test_kernels_hand_over_frozen_arrays():
     for field in (m, o, moment_to_parallel(o, 1.0), moved):
         assert not field.values.flags.writeable
         assert field.values.flags.owndata  # handed over, not a view of a copy
+        assert field.values.flags.c_contiguous  # grid first in memory too
         with pytest.raises(ValueError):
             field.values[0, 0, 0, 0, 0, 0, 0] = 1.0
+
+
+# The kernels turn a current components first one slab at a time, whatever
+# the memory order of the array they are given.  The layout must not reach
+# the numbers.
+LAYOUT = settings(max_examples=30, deadline=None, phases=[p for p in Phase if p is not Phase.explain])
+AXIS = st.sampled_from([1, 5, 6, 7])
+SPACING = st.floats(0.05, 1.5, allow_nan=False, allow_infinity=False)
+
+
+def caller_copy(field):
+    """The same samples in a caller's frozen Fortran-ordered array, which the field adopts."""
+    samples = np.asfortranarray(field.values)
+    samples.setflags(write=False)
+    copied = FieldOnGrid(field.grid, samples, basis=field.basis)
+    assert copied.values is samples and not samples.flags.c_contiguous
+    return copied
+
+
+def frame_change_einsum(m, kappa, sign):
+    """C^T M^mu C with C the identity plus the bottom row sign * normalized_kappa * x_alpha."""
+    c = np.broadcast_to(np.eye(5), m.grid.shape + (5, 5)).copy()
+    c[..., 4, :4] = sign * normalized_kappa(kappa) * lower_array(m.grid.coords())
+    return np.einsum("...ca,...mcd,...db->...mab", c, m.values, c)
+
+
+@LAYOUT
+@given(
+    st.integers(0, 2**32 - 1),
+    st.tuples(AXIS, AXIS, AXIS, AXIS),
+    st.tuples(SPACING, SPACING, SPACING, SPACING),
+    st.sampled_from(["central2", "central4"]),
+    st.sampled_from([0.0, 0.5, 1.0, -1.0]),
+)
+def test_layout_does_not_change_results(seed, shape, spacing, scheme, kappa):
+    grid = Grid(origin=(-0.4, 0.3, -0.2, 0.1), spacing=spacing, shape=shape)
+    theta, sigma = smooth_samples(grid, seed)
+    m = assemble_moment_field(theta, sigma, grid)
+    o = moment_to_orthonormal(m, kappa)
+    p = moment_to_parallel(o, kappa)
+    fortran = assemble_moment_field(np.asfortranarray(theta), np.asfortranarray(sigma), grid)
+    assert_same_bits(m.values, fortran.values)
+    assert_same_bits(o.values, moment_to_orthonormal(caller_copy(m), kappa).values)
+    assert_same_bits(p.values, moment_to_parallel(caller_copy(o), kappa).values)
+    for field in (m, o):
+        report = conservation_report(field, kappa, scheme)
+        again = conservation_report(caller_copy(field), kappa, scheme)
+        assert report.momentum_residual == again.momentum_residual
+        assert report.angular_residual == again.angular_residual
+    for field, converted, sign in ((m, o, -1.0), (o, p, 1.0)):
+        reference = frame_change_einsum(field, kappa, sign)
+        scale = max_norm(field.values) * (1.0 + normalized_kappa(kappa) * max_norm(grid.coords())) ** 2
+        np.testing.assert_allclose(converted.values, reference, rtol=0.0, atol=1e-14 * scale)
