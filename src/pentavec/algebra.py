@@ -1,8 +1,8 @@
 """Bivector algebra over a real five-dimensional vector space.
 
-Index labels run over (0, 1, 2, 3, 5): the fifth component slot carries
-label 5, so ``components[4]`` is the label-5 entry.  The reference inner
-product has signature (+ - - - +).
+Components run over the index labels (0, 1, 2, 3, 5): the fifth slot,
+``components[4]``, is the label-5 entry.  The reference inner product has
+signature (+ - - - +).
 
 The central operation is ``directional_vector``: every maximal space of
 simple bivectors in five dimensions consists of wedges ``u ^ w`` with a
@@ -32,8 +32,6 @@ from .errors import (
     NotInMaximalSpace,
     NotMaximalSpace,
     NotSimple,
-    NotStandard,
-    OutOfRange,
     ShapeMismatch,
     ZeroVector,
 )
@@ -41,8 +39,6 @@ from .numerics import (
     ABS_TOL, INPUT_TOL, as_array, bound, input_bound,
     matrix_rank, max_norm, raise_where, singular_rank,
 )
-
-INDEX_LABELS = (0, 1, 2, 3, 5)
 
 ETA5 = as_array(np.diag([1.0, -1.0, -1.0, -1.0, 1.0]))
 ETA4 = as_array(np.diag([1.0, -1.0, -1.0, -1.0]))
@@ -55,18 +51,6 @@ def lower_array(x) -> np.ndarray:
     exact in floating point.  It is also raising, since ETA4 is its own inverse.
     """
     return np.asarray(x, dtype=float) * np.diagonal(ETA4)
-
-
-def label_to_slot(label: int) -> int:
-    if label not in INDEX_LABELS:
-        raise OutOfRange(f"index label must be one of {INDEX_LABELS}, got {label}")
-    return 4 if label == 5 else label
-
-
-def slot_to_label(slot: int) -> int:
-    if not 0 <= slot <= 4:
-        raise OutOfRange(f"slot must be 0..4, got {slot}")
-    return INDEX_LABELS[slot]
 
 
 @dataclass(frozen=True)
@@ -100,17 +84,13 @@ class MetricH:
         return np.sum((np.asarray(u, dtype=float) @ self.matrix) * np.asarray(v, dtype=float), axis=-1)
 
 
-@dataclass(frozen=True)
-class Bivector5:
-    """Antisymmetric rank-2 contravariant tensor on the five-space."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = as_array(self.matrix, shape=(5, 5))
-        if max_norm(m + m.T) > input_bound(m):
-            raise NotAntisymmetric("bivector matrix must be antisymmetric")
-        object.__setattr__(self, "matrix", m)
+def antisymmetric(m, what: str) -> np.ndarray:
+    """``m`` (..., 5, 5) as a read-only float array, each matrix checked to be
+    antisymmetric up to its ``input_bound``; ``what`` names it in the error."""
+    m = as_array(m, shape=(..., 5, 5))
+    asym = np.max(np.abs(m + np.swapaxes(m, -1, -2)), axis=(-2, -1))
+    raise_where(asym > input_bound(m, axis=(-2, -1)), NotAntisymmetric, f"{what} must be antisymmetric")
+    return m
 
 
 def _stack(a, trailing: tuple, what: str) -> np.ndarray:
@@ -259,34 +239,31 @@ def classify_directional(w, h: MetricH) -> DirectionalClass:
     return DirectionalClass.POSITIVE if norm > 0 else DirectionalClass.NEGATIVE
 
 
-def bivector_from_four(u, basis) -> np.ndarray:
+# The six four-block entries b^(mu nu), mu < nu, that a wedge with e_5 leaves zero.
+_FOUR_BLOCK = np.triu_indices(4, 1)
+
+
+def bivector_from_four(u) -> np.ndarray:
     """Wedges sum_mu u^mu e_mu ^ e_5 of four-vectors ``(..., 4)``: the embedding
-    of four-vector components into the wedge space of a basis."""
+    of four-vector components into the wedge space of the reference basis."""
     u = _stack(u, (4,), "four-vectors")
-    cols = basis.matrix
-    return wedge(u @ cols[:, :4].T, cols[:, 4])
+    e = np.eye(5)
+    return wedge(u @ e[:, :4].T, e[:, 4])
 
 
-def four_from_bivector(b, basis) -> np.ndarray:
-    """Components ``(..., 4)`` of bivectors ``(..., 5, 5)`` against the wedge
-    basis e_mu ^ e_5 of a standard basis.
+def four_from_bivector(b) -> np.ndarray:
+    """Components ``(..., 4)`` of bivectors ``(..., 5, 5)`` against the reference
+    wedge basis e_mu ^ e_5: the entries b^(mu 5).
 
-    One least-squares solve covers the whole batch; a bivector whose
-    residual lies outside the span raises NotInMaximalSpace.
+    A bivector with a four-block entry b^(mu nu) beyond bound(max |b|) lies
+    outside the span and raises NotInMaximalSpace.
     """
-    if not basis.is_standard():
-        raise NotStandard("basis must be standard (fifth vector along the directional vector)")
     b = _stack(b, (5, 5), "bivectors")
-    cols = basis.matrix
-    span = _vec_pairs(wedge(cols[:, :4].T, cols[:, 4]))  # (4, 10)
-    target = _vec_pairs(b)
-    coeffs, *_ = np.linalg.lstsq(span.T, target.reshape(-1, 10).T, rcond=None)
-    coeffs = coeffs.T.reshape(b.shape[:-2] + (4,))
-    residual = np.max(np.abs(coeffs @ span - target), axis=-1)
+    residual = np.max(np.abs(b[..., _FOUR_BLOCK[0], _FOUR_BLOCK[1]]), axis=-1)
     raise_where(
         residual > bound(np.max(np.abs(b), axis=(-2, -1))),
         NotInMaximalSpace,
         "residual {:.3e} outside the wedge span",
         residual,
     )
-    return coeffs
+    return b[..., :4, 4].copy()

@@ -1,6 +1,8 @@
 """Five-dimensional bases, basis changes, and basis construction.
 
-A basis is standard when its fifth vector points along the designated
+A basis, or frame, is a plain array ``(..., 5, 5)`` holding its five
+vectors as columns against the reference basis, the identity.  It is
+standard when its fifth vector points along the designated
 directional vector of the wedge space (here the reference fifth axis).
 Changes between standard bases are exactly those with a vanishing
 top-right column block, and they factor uniquely into a scaling of the
@@ -32,7 +34,6 @@ from .algebra import (
     _vec_pairs,
     bivector_inner,
     directional_vector,
-    label_to_slot,
     wedge,
 )
 from .errors import (
@@ -48,7 +49,7 @@ from .errors import (
     SingularBlock,
     SingularMatrix,
 )
-from .numerics import REL_TOL, as_array, bound, invert, raise_where
+from .numerics import REL_TOL, as_array, bound, invert, matrix_rank, raise_where
 
 
 @dataclass(frozen=True)
@@ -56,27 +57,6 @@ class BasisFlags:
     standard: bool
     regular: bool
     orthonormal: bool
-
-
-@dataclass(frozen=True)
-class Basis5:
-    """Five basis vectors, stored as columns against a reference basis."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = as_array(self.matrix, shape=(5, 5))
-        invert(m)  # basis vectors must be independent
-        object.__setattr__(self, "matrix", m)
-
-    def vector(self, label: int) -> np.ndarray:
-        return self.matrix[:, label_to_slot(label)]
-
-    def is_standard(self) -> bool:
-        return bool(_standard(self.matrix))
-
-
-REFERENCE_BASIS = Basis5(np.eye(5))
 
 
 def _standard(cols: np.ndarray) -> np.ndarray:
@@ -126,11 +106,6 @@ def classify_basis(cols, h: MetricH) -> BasisFlags:
     r = frame_residuals(cols, h)
     limit = bound(r.scale)
     return BasisFlags(_standard(cols), r.regular <= limit, r.orthonormal <= limit)
-
-
-def apply_change(basis: Basis5, change) -> Basis5:
-    """The basis with vectors e'_A = e_B L^B_A for a change L (5, 5); a singular L raises."""
-    return Basis5(basis.matrix @ as_array(change, shape=(5, 5)))
 
 
 def is_standard_change(change):
@@ -218,12 +193,16 @@ def compose_upm(d: UPMDecomposition) -> np.ndarray:
     return u_transformation(d.a) @ p_transformation(d.p) @ m_transformation(d.t)
 
 
-def orientation_sign(basis: Basis5) -> int:
-    """Orientation of a basis against the ordered labels (0, 1, 2, 3, 5): the sign of its volume."""
-    det = float(np.linalg.det(basis.matrix))
-    if det == 0.0:
+def orientation_sign(frame) -> int:
+    """Orientation of a frame (5, 5) of columns against the labels (0, 1, 2, 3, 5): the sign of its volume.
+
+    A frame below full numerical rank raises: round-off gives a dependent
+    set of columns a tiny determinant of either sign.
+    """
+    frame = as_array(frame, shape=(5, 5))
+    if matrix_rank(frame) < 5:
         raise SingularBlock("degenerate basis has no orientation")
-    return int(np.sign(det))
+    return int(np.sign(np.linalg.det(frame)))
 
 
 def _wedge_quadruples(wedges, error) -> np.ndarray:

@@ -17,14 +17,8 @@ import sys
 
 import numpy as np
 
-from .algebra import Bivector5, MetricH, bivector_from_four
-from .bases import (
-    REFERENCE_BASIS,
-    classify_basis,
-    frame_residuals,
-    orthonormal_basis_for,
-    regular_basis_for,
-)
+from .algebra import MetricH, antisymmetric, bivector_from_four
+from .bases import classify_basis, frame_residuals, orthonormal_basis_for, regular_basis_for
 from .errors import KindMismatch, PentavecError
 from .fileio import Record, read_record, transform_from_payload, write_record
 from .grids import FieldOnGrid, SCHEMES
@@ -180,9 +174,9 @@ def _cmd_transform(args) -> int:
 
 def _wedges_from_record(record: Record) -> np.ndarray:
     if record.kind == "four_basis_bivectors":
-        return np.array([Bivector5(m).matrix for m in record.payload])
+        return antisymmetric(record.payload, "wedge bivector")
     if record.kind == "four_basis_components":
-        return bivector_from_four(record.payload, REFERENCE_BASIS)
+        return bivector_from_four(record.payload)
     raise KindMismatch(
         "basis construction needs four_basis_bivectors or four_basis_components, "
         f"got {record.kind!r}"

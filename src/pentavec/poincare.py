@@ -1,8 +1,10 @@
 """Poincare transformations acting on five-vector components.
 
 A transformation t = (Lambda, a) relates two Lorentz charts through
-x' = Lambda x + a.  Five-vector components respond differently in the two
-distinguished frames:
+x' = Lambda x + a.  A chart is itself the ``PoincareTransform`` that
+reaches it from the reference chart, so charts c1 and c2 are related by
+``c2.compose(c1.inverse())``.  Five-vector components respond differently
+in the two distinguished frames:
 
   * orthonormal frame: the four-block rotates with Lambda and the fifth
     component is untouched;
@@ -22,7 +24,9 @@ over arrays with any leading axes: ``transform_parallel`` for five-vectors
 for mixed four-blocks ``(..., 4, 4)``.  The five-vector and five-form laws
 take kappa; at kappa = 0 they are the orthonormal-frame laws.  A batched
 transform broadcasts against the leading axes of the components.  The
-tensor laws and ``coordinate_form`` take the same leading axes.
+tensor laws take the same leading axes, and so does ``coordinate_form(x,
+kappa)``, which needs only the points: its components are the same
+functions of the coordinates in every chart.
 """
 
 from __future__ import annotations
@@ -31,11 +35,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import ETA4, lower_array
+from .algebra import ETA4, antisymmetric, lower_array
 from .bases import m_transformation, p_transformation
 from .connection import normalized_kappa
-from .errors import NotAntisymmetric, NotLorentz, ShapeMismatch
-from .numerics import as_array, bound, input_bound, raise_where
+from .errors import NotLorentz, ShapeMismatch
+from .numerics import as_array, bound, raise_where
 
 
 def _lorentz_inverse(lam: np.ndarray) -> np.ndarray:
@@ -132,22 +136,6 @@ def homogeneous_rep(t: PoincareTransform, kappa: float = 1.0) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LorentzChart(PoincareTransform):
-    """Inertial chart reached from the reference chart by x = lam x_ref + a."""
-
-    kappa: float = 1.0
-
-    @classmethod
-    def reference(cls, kappa: float = 1.0) -> "LorentzChart":
-        return cls(np.eye(4), np.zeros(4), kappa)
-
-
-def chart_relation(c1: LorentzChart, c2: LorentzChart) -> PoincareTransform:
-    """Transformation carrying chart-1 coordinates to chart-2 coordinates."""
-    return c2.compose(c1.inverse())
-
-
-@dataclass(frozen=True)
 class CoordinateForm:
     """Components of the covariant coordinate form at sample points, (..., 5) each.
 
@@ -162,10 +150,11 @@ class CoordinateForm:
     o_dual: np.ndarray
 
 
-def coordinate_form(chart: LorentzChart, x) -> CoordinateForm:
+def coordinate_form(x, kappa: float = 1.0) -> CoordinateForm:
     """Chart-covariant completion of the coordinate functions at points x (..., 4).
 
-    ``x`` is the sample point in the chart's own coordinates.  For
+    ``x`` is the sample point in the coordinates of whichever chart it was
+    read in; the components do not depend on the chart otherwise.  For
     kappa = 0 the parallel and orthonormal frames coincide and no
     chart-invariant completion exists; the components are still returned
     but are chart-dependent in that degenerate case.
@@ -174,7 +163,7 @@ def coordinate_form(chart: LorentzChart, x) -> CoordinateForm:
     p_dual = np.concatenate([x_low, np.ones(x_low.shape[:-1] + (1,))], axis=-1)
     # N^-T subtracts normalized_kappa x_alpha times the fifth component, which is 1
     o_dual = p_dual.copy()
-    o_dual[..., :4] -= normalized_kappa(chart.kappa) * x_low
+    o_dual[..., :4] -= normalized_kappa(kappa) * x_low
     return CoordinateForm(p_dual=p_dual, o_dual=o_dual)
 
 
@@ -251,11 +240,7 @@ class GeneratorTensor:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_array(self.matrix, shape=(..., 5, 5))
-        asym = np.max(np.abs(m + np.swapaxes(m, -1, -2)), axis=(-2, -1))
-        limit = input_bound(m, axis=(-2, -1))
-        raise_where(asym > limit, NotAntisymmetric, "generator tensor must be antisymmetric")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", antisymmetric(self.matrix, "generator tensor"))
 
     @property
     def omega(self) -> np.ndarray:

@@ -53,14 +53,15 @@ def assemble_moment_field(theta: np.ndarray, sigma: np.ndarray, grid: Grid) -> F
         raise GridMismatch(f"theta shape {theta.shape} does not match grid {grid.shape} + (4, 4)")
     if sigma.shape != grid.shape + (4, 4, 4):
         raise GridMismatch(f"sigma shape {sigma.shape} does not match grid {grid.shape} + (4, 4, 4)")
-    anti = sigma + np.swapaxes(sigma, -1, -2)
-    if np.abs(anti, out=anti).max() > input_bound(sigma):
-        raise NotAntisymmetric("spin current must be antisymmetric in its lower indices")
+    limit = input_bound(sigma)  # one bound for the whole field, checked slab by slab
 
     x = np.ascontiguousarray(np.moveaxis(lower_array(grid.coords()), -1, 0))
     values = np.empty(grid.shape + (4, 5, 5))
     v = np.zeros((4, 5, 5) + grid.shape[1:])  # one slab, components first; M^mu_(5 5) stays 0
     for i in range(grid.shape[0]):
+        anti = sigma[i] + np.swapaxes(sigma[i], -1, -2)
+        if np.abs(anti, out=anti).max() > limit:
+            raise NotAntisymmetric("spin current must be antisymmetric in its lower indices")
         th = np.ascontiguousarray(np.moveaxis(theta[i], (-2, -1), (0, 1)))
         for b in range(4):  # orbital x_alpha Theta^mu_beta - x_beta Theta^mu_alpha, column beta
             np.multiply(x[:, i], th[:, b, None], out=v[:, :4, b])

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import algebra, bases, clifford, connection, poincare, stress_energy
 from .algebra import ETA4, ETA5, DirectionalClass, MetricH
-from .bases import REFERENCE_BASIS
 from .errors import NotMaximalSpace, NotO32, PentavecError
 from .grids import FieldOnGrid, Grid, scheme_width
 from .numerics import expm, invert, max_norm
@@ -199,8 +198,8 @@ def algebra_suite(options: SuiteOptions, rng):
     yield CheckResult("direction-classification", _indicator(ok), EXACT)
 
     u4 = rng.normal(size=(200, 4))
-    b = algebra.bivector_from_four(u4, REFERENCE_BASIS)
-    back = algebra.four_from_bivector(b, REFERENCE_BASIS)
+    b = algebra.bivector_from_four(u4)
+    back = algebra.four_from_bivector(b)
     yield CheckResult("four-embedding-roundtrip", max_norm(back - u4), 1e-12)
 
 
@@ -240,7 +239,7 @@ def bases_suite(options: SuiteOptions, rng):
     lam = bases.induced_four_map(l)
     # the reference basis is the identity, so the changed frame's columns are L's
     b = algebra.wedge(np.swapaxes(l[:, :, :4], 1, 2), l[:, None, :, 4])
-    coeffs = algebra.four_from_bivector(b, REFERENCE_BASIS)
+    coeffs = algebra.four_from_bivector(b)
     yield CheckResult("induced-map-vs-wedges", max_norm(coeffs - np.swapaxes(lam, 1, 2)), 1e-9)
 
     l = _standard_changes(rng, 500)
@@ -282,9 +281,9 @@ def bases_suite(options: SuiteOptions, rng):
     flipped = np.eye(5)
     flipped[:, [0, 1]] = flipped[:, [1, 0]]
     ok = (
-        bases.orientation_sign(REFERENCE_BASIS) == 1
-        and bases.orientation_sign(bases.Basis5(-np.eye(5))) == -1
-        and bases.orientation_sign(bases.Basis5(flipped)) == -1
+        bases.orientation_sign(np.eye(5)) == 1
+        and bases.orientation_sign(-np.eye(5)) == -1
+        and bases.orientation_sign(flipped) == -1
     )
     yield CheckResult("orientation-signs", _indicator(ok), EXACT)
 
@@ -523,12 +522,12 @@ def poincare_suite(options: SuiteOptions, rng):
     direct = poincare.transform_parallel(v, t, kappa)
     yield CheckResult("parallel-law-vs-frames", max_norm(via_frames - direct), 1e-11)
 
-    c1 = poincare.LorentzChart(random_lorentz(rng, (100,)), rng.normal(size=(100, 4)), kappa)
-    c2 = poincare.LorentzChart(random_lorentz(rng, (100,)), rng.normal(size=(100, 4)), kappa)
+    c1 = poincare.PoincareTransform(random_lorentz(rng, (100,)), rng.normal(size=(100, 4)))
+    c2 = poincare.PoincareTransform(random_lorentz(rng, (100,)), rng.normal(size=(100, 4)))
     x1 = rng.normal(size=(100, 4))
-    t = poincare.chart_relation(c1, c2)
-    form1 = poincare.coordinate_form(c1, x1)
-    form2 = poincare.coordinate_form(c2, t.apply(x1))
+    t = c2.compose(c1.inverse())  # chart-1 coordinates to chart-2 coordinates
+    form1 = poincare.coordinate_form(x1, kappa)
+    form2 = poincare.coordinate_form(t.apply(x1), kappa)
     moved = poincare.transform_parallel_form(form1.p_dual, t, 1.0)
     yield CheckResult("coordinate-form-invariance", max_norm(moved - form2.p_dual), 1e-9)
     # o = N^-T p, and N is unit triangular, so the solve is exact
@@ -539,8 +538,7 @@ def poincare_suite(options: SuiteOptions, rng):
 
     # rows mu: w_(A;mu) = d_mu o_A - G^C_(A mu) o_C at the origin; o is affine, so
     # d_mu o = o(e_mu) - o(0) exactly, and eye(5, 4) lists e_0 .. e_3, then the origin
-    reference = poincare.LorentzChart.reference(kappa)
-    o = poincare.coordinate_form(reference, np.eye(5, 4)).o_dual
+    o = poincare.coordinate_form(np.eye(5, 4), kappa).o_dual
     o_route = o[:4] - o[4] - np.einsum("cam,c->ma", connection.flat_coefficients(unit).values, o[4])
     p_route = poincare.coordinate_form_derivative()
     yield CheckResult("coordinate-form-derivative-routes", max_norm(o_route - p_route), 1e-15)

@@ -431,6 +431,8 @@ def basis_inputs():
     ref = reference_wedge_payload()
     crossed = ref.copy()
     crossed[3] = wedge(np.eye(5)[0], np.eye(5)[1])
+    skewed = ref.copy()
+    skewed[2, 0, 1] = 1e-6  # b^(01) = 1e-6 but b^(10) = 0
     four = emit_record(Record("four_basis_bivectors", ref))
     three = four[: four.index("data\n") + 5] + " ".join("%.17g" % v for v in ref[:3].ravel()) + "\n"
     return [
@@ -443,6 +445,12 @@ def basis_inputs():
             id="non-orthonormal",
         ),
         pytest.param(emit_record(Record("four_basis_bivectors", crossed)), "regular", "common-direction", id="crossed"),
+        pytest.param(
+            emit_record(Record("four_basis_bivectors", skewed)),
+            "orthonormal",
+            "must be antisymmetric",
+            id="non-antisymmetric",
+        ),
         pytest.param(
             emit_record(Record("four_basis_bivectors", np.zeros((4, 5, 5)))),
             "regular",

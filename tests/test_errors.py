@@ -8,7 +8,7 @@ command line turns it into one ``error:`` line with exit code 2.
 import numpy as np
 import pytest
 
-from pentavec.algebra import MetricH, label_to_slot, slot_to_label
+from pentavec.algebra import MetricH
 from pentavec.connection import coordinates_from_parallel_metric, parallel_frame_metric, transport
 from pentavec.errors import DegenerateKappa, InvalidMetric, NotFinite, NotNull, OutOfRange, PentavecError
 from pentavec.grids import FieldOnGrid, Grid, scheme_width
@@ -22,8 +22,6 @@ ASYMMETRIC = np.diag([1.0, 1.0, -1.0, -1.0, -1.0]) + np.triu(np.ones((5, 5)), 1)
 @pytest.mark.parametrize(
     "call, error, builtin",
     [
-        (lambda: label_to_slot(4), OutOfRange, ValueError),
-        (lambda: slot_to_label(5), OutOfRange, ValueError),
         (lambda: MetricH(ASYMMETRIC), InvalidMetric, ValueError),
         (lambda: MetricH(np.zeros((5, 5))), InvalidMetric, ValueError),
         (lambda: MetricH(np.diag([1.0, -1.0, -1.0, -1.0, -1.0])), InvalidMetric, ValueError),

@@ -10,12 +10,10 @@ from pentavec.errors import NotAntisymmetric, ShapeMismatch
 from pentavec.poincare import (
     CoordinateForm,
     GeneratorTensor,
-    LorentzChart,
     ParamTensor,
     PoincareTransform,
     build_generator_tensor,
     build_param_tensor,
-    chart_relation,
     coordinate_form,
     coordinate_form_derivative,
     homogeneous_rep,
@@ -147,42 +145,38 @@ def test_parallel_law_preserves_pairing(seed, shape, kappa):
 
 
 def test_chart_relation_connects_coordinates():
+    # a chart is the transform that reaches it from the reference chart
     rng = np.random.default_rng(48)
     for _ in range(20):
-        c1 = LorentzChart(random_lorentz(rng), rng.normal(size=4), KAPPA)
-        c2 = LorentzChart(random_lorentz(rng), rng.normal(size=4), KAPPA)
-        t = chart_relation(c1, c2)
+        c1, c2 = random_transform(rng), random_transform(rng)
+        t = c2.compose(c1.inverse())
         r = rng.normal(size=4)  # reference coordinates of a physical point
-        x1 = c1.lam @ r + c1.a
-        x2 = c2.lam @ r + c2.a
-        assert np.allclose(t.apply(x1), x2, atol=1e-12)
-    ref = LorentzChart.reference(KAPPA)
-    t = chart_relation(ref, ref)
+        assert np.allclose(t.apply(c1.apply(r)), c2.apply(r), atol=1e-12)
+    ref = PoincareTransform.identity()
+    t = ref.compose(ref.inverse())
     assert np.allclose(t.lam, np.eye(4), atol=1e-15)
     assert np.array_equal(t.a, np.zeros(4))
 
 
 def test_coordinate_form_components():
-    chart = LorentzChart.reference(KAPPA)
     x = np.array([1.0, -2.0, 0.5, 3.0])
-    form = coordinate_form(chart, x)
+    form = coordinate_form(x, KAPPA)
     assert isinstance(form, CoordinateForm)
     assert np.array_equal(form.p_dual, np.append(ETA4 @ x, 1.0))
     assert np.array_equal(form.o_dual, np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
     # degenerate transport constant: no chart-invariant completion exists
-    degenerate = coordinate_form(LorentzChart.reference(0.0), x)
+    degenerate = coordinate_form(x, 0.0)
     assert np.array_equal(degenerate.o_dual, degenerate.p_dual)
 
 
 def test_coordinate_form_is_chart_covariant():
     rng = np.random.default_rng(49)
     for _ in range(30):
-        c1 = LorentzChart(random_lorentz(rng), rng.normal(size=4), KAPPA)
-        c2 = LorentzChart(random_lorentz(rng), rng.normal(size=4), KAPPA)
-        t = chart_relation(c1, c2)
+        c1, c2 = random_transform(rng), random_transform(rng)  # charts, reached from the reference
+        t = c2.compose(c1.inverse())
         x1 = rng.normal(size=4)
-        moved = transform_parallel_form(coordinate_form(c1, x1).p_dual, t, 1.0)
-        expected = coordinate_form(c2, t.apply(x1)).p_dual
+        moved = transform_parallel_form(coordinate_form(x1, KAPPA).p_dual, t, 1.0)
+        expected = coordinate_form(t.apply(x1), KAPPA).p_dual
         assert np.allclose(moved, expected, atol=1e-10)
 
 

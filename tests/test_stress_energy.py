@@ -69,6 +69,17 @@ def test_assemble_spin_antisymmetry_threshold(sign):
     sigma[1, 2, 0, 0, 3, 2, 3] = sign * np.nextafter(limit, 1.0)
     with pytest.raises(NotAntisymmetric, match="spin current must be antisymmetric"):
         assemble_moment_field(theta, sigma, grid)
+    # the check runs slab by slab along axis 0, against the one bound of the
+    # whole field: with the largest |sigma| in slab 0 alone, a fault in the
+    # last slab meets INPUT_TOL * 4, not that slab's own INPUT_TOL
+    sigma = np.zeros(grid.shape + (4, 4, 4))
+    sigma[0, ..., 0, 0, 1], sigma[0, ..., 0, 1, 0] = 4.0, -4.0
+    assert input_bound(sigma) == limit and input_bound(sigma[-1]) == INPUT_TOL
+    sigma[-1, 2, 0, 0, 3, 2, 3] = sign * limit
+    assemble_moment_field(theta, sigma, grid)
+    sigma[-1, 2, 0, 0, 3, 2, 3] = sign * np.nextafter(limit, 1.0)
+    with pytest.raises(NotAntisymmetric, match="spin current must be antisymmetric"):
+        assemble_moment_field(theta, sigma, grid)
 
 
 def test_assemble_structure():
