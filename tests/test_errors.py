@@ -22,6 +22,9 @@ ASYMMETRIC = np.diag([1.0, 1.0, -1.0, -1.0, -1.0]) + np.triu(np.ones((5, 5)), 1)
 @pytest.mark.parametrize(
     "call, error, builtin",
     [
+        # frame names and scheme names are matched exactly: no case folding, no unlisted orders
+        (lambda: transport(np.zeros(5), np.zeros(4), np.ones(4), "p", 1.0), OutOfRange, ValueError),
+        (lambda: scheme_width("central6"), OutOfRange, ValueError),
         (lambda: MetricH(ASYMMETRIC), InvalidMetric, ValueError),
         (lambda: MetricH(np.zeros((5, 5))), InvalidMetric, ValueError),
         (lambda: MetricH(np.diag([1.0, -1.0, -1.0, -1.0, -1.0])), InvalidMetric, ValueError),
