@@ -20,13 +20,10 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
     DimensionTooSmall,
-    InvalidMetric,
     NotAntisymmetric,
     NotFinite,
     NotInMaximalSpace,
@@ -36,7 +33,7 @@ from .errors import (
     ZeroVector,
 )
 from .numerics import (
-    ABS_TOL, INPUT_TOL, as_array, bound, input_bound,
+    ABS_TOL, as_array, bound, input_bound,
     matrix_rank, max_norm, raise_where, singular_rank,
 )
 
@@ -53,35 +50,9 @@ def lower_array(x) -> np.ndarray:
     return np.asarray(x, dtype=float) * np.diagonal(ETA4)
 
 
-@dataclass(frozen=True)
-class MetricH:
-    """Symmetric five-dimensional inner product with signature (+ - - - +).
-
-    Signature is validated by eigenvalue signs (two positive, three
-    negative); the ordering of the plus and minus directions is a basis
-    convention, not a property of the metric itself.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = as_array(self.matrix, shape=(5, 5))
-        if max_norm(m - m.T) > input_bound(m):
-            raise InvalidMetric("metric matrix must be symmetric")
-        eigs = np.linalg.eigvalsh(m)
-        if np.min(np.abs(eigs)) <= INPUT_TOL * np.max(np.abs(eigs)):
-            raise InvalidMetric("metric matrix is degenerate")
-        if int(np.sum(eigs > 0)) != 2 or int(np.sum(eigs < 0)) != 3:
-            raise InvalidMetric("metric signature must have two positive and three negative directions")
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def reference(cls) -> "MetricH":
-        return cls(ETA5)
-
-    def dot(self, u, v):
-        """h(u, v); arrays ``(..., 5)`` give the values over their leading axes."""
-        return np.sum((np.asarray(u, dtype=float) @ self.matrix) * np.asarray(v, dtype=float), axis=-1)
+def eta_dot(u, v) -> np.ndarray:
+    """The five-metric ETA5 on five-vectors ``(..., 5)``: eta(u, v) over their leading axes."""
+    return np.sum((np.asarray(u, dtype=float) @ ETA5) * np.asarray(v, dtype=float), axis=-1)
 
 
 def antisymmetric(m, what: str) -> np.ndarray:
@@ -201,19 +172,20 @@ def directional_vector(bivectors) -> np.ndarray:
     return np.where(lead < 0.0, -w, w)
 
 
-def bivector_inner(b1, b2, h: MetricH) -> np.ndarray:
-    """Inner product induced on bivectors ``(..., 5, 5)`` by the five-metric h.
+def bivector_inner(b1, b2, h=ETA5) -> np.ndarray:
+    """Inner product induced on bivectors ``(..., 5, 5)`` by a five-metric h (5, 5).
 
     For simple arguments sharing a directional vector w this reduces to
     h(u, v) h(w, w) - h(u, w) h(v, w), the metric that makes a maximal
     simple-bivector space behave as a spacetime of four-vectors.  ``b1`` and
     ``b2`` broadcast against each other over their leading axes; the Gram
     matrix of a set ``w`` of shape ``(..., k, 5, 5)`` is
-    ``bivector_inner(w[..., :, None, :, :], w[..., None, :, :, :], h)``.
+    ``bivector_inner(w[..., :, None, :, :], w[..., None, :, :, :])``.
     """
     b1 = _stack(b1, (5, 5), "bivectors")
     b2 = _stack(b2, (5, 5), "bivectors")
-    return 0.5 * np.sum((h.matrix.T @ b1 @ h.matrix) * b2, axis=(-2, -1))
+    h = as_array(h, shape=(5, 5))
+    return 0.5 * np.sum((h.T @ b1 @ h) * b2, axis=(-2, -1))
 
 
 class DirectionalClass(enum.Enum):
@@ -222,8 +194,8 @@ class DirectionalClass(enum.Enum):
     NEGATIVE = "negative"
 
 
-def classify_directional(w, h: MetricH) -> DirectionalClass:
-    """Sign class of h(w, w) for components w ``(5,)``, with a tolerance band around zero.
+def classify_directional(w) -> DirectionalClass:
+    """Sign class of eta(w, w) for components w ``(5,)``, with a tolerance band around zero.
 
     Positive norm gives a Lorentzian wedge space, negative norm flips two
     metric signs, and a null direction degenerates the induced metric.
@@ -232,8 +204,8 @@ def classify_directional(w, h: MetricH) -> DirectionalClass:
     wmax = max_norm(w)
     if wmax <= ABS_TOL:
         raise ZeroVector("cannot classify the zero vector")
-    norm = h.dot(w, w)
-    band = bound(max_norm(h.matrix) * wmax * wmax)
+    norm = eta_dot(w, w)
+    band = bound(wmax * wmax)
     if abs(norm) <= band:
         return DirectionalClass.NULL
     return DirectionalClass.POSITIVE if norm > 0 else DirectionalClass.NEGATIVE

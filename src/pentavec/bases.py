@@ -30,10 +30,10 @@ import numpy as np
 from .algebra import (
     ETA4,
     ETA5,
-    MetricH,
     _vec_pairs,
     bivector_inner,
     directional_vector,
+    eta_dot,
     wedge,
 )
 from .errors import (
@@ -69,7 +69,7 @@ def _standard(cols: np.ndarray) -> np.ndarray:
 class FrameResiduals:
     """Max-norm residuals of frames, arrays over the leading axes.
 
-    ``regular``: h(e_5, e_5) = 1 and h(e_mu, e_5) = 0; ``orthonormal``: Gram
+    ``regular``: eta(e_5, e_5) = 1 and eta(e_mu, e_5) = 0; ``orthonormal``: Gram
     matrix = diag(+ - - - +); ``scale``: the largest Gram entry; ``wedge``:
     e_mu ^ e_5 = the input wedges (zero when none are given).
     """
@@ -80,10 +80,10 @@ class FrameResiduals:
     wedge: np.ndarray
 
 
-def frame_residuals(cols, h: MetricH, wedges=None) -> FrameResiduals:
+def frame_residuals(cols, wedges=None) -> FrameResiduals:
     """Gram and wedge residuals of frames ``cols`` against wedges ``(..., 4, 5, 5)``."""
     cols = np.asarray(cols, dtype=float)
-    gram = np.swapaxes(cols, -1, -2) @ h.matrix @ cols
+    gram = np.swapaxes(cols, -1, -2) @ ETA5 @ cols
     wedge_resid = 0.0
     if wedges is not None:
         recon = wedge(np.swapaxes(cols[..., :, :4], -1, -2), cols[..., None, :, 4])
@@ -96,14 +96,14 @@ def frame_residuals(cols, h: MetricH, wedges=None) -> FrameResiduals:
     )
 
 
-def classify_basis(cols, h: MetricH) -> BasisFlags:
-    """Flags of basis matrices ``(..., 5, 5)`` under the five-metric h.
+def classify_basis(cols) -> BasisFlags:
+    """Flags of basis matrices ``(..., 5, 5)`` under the five-metric ETA5.
 
     The fields of the returned BasisFlags are boolean arrays over the
     leading axes: the ``frame_residuals`` thresholded at bound(scale).
     """
     cols = np.asarray(cols, dtype=float)
-    r = frame_residuals(cols, h)
+    r = frame_residuals(cols)
     limit = bound(r.scale)
     return BasisFlags(_standard(cols), r.regular <= limit, r.orthonormal <= limit)
 
@@ -215,26 +215,22 @@ def _wedge_quadruples(wedges, error) -> np.ndarray:
     return w
 
 
-def _induced_gram(w: np.ndarray, h: MetricH) -> np.ndarray:
+def _induced_gram(w: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = bivector_inner(w[..., :, None, :, :], w[..., None, :, :, :], h)
+        gram = bivector_inner(w[..., :, None, :, :], w[..., None, :, :, :])
     raise_where(~np.isfinite(gram).all(axis=(-2, -1)), NotFinite, "induced inner products overflow")
     return gram
 
 
-def orthonormal_basis_for(
-    wedges,
-    h: MetricH,
-    negate_direction: bool = False,
-) -> np.ndarray:
+def orthonormal_basis_for(wedges, negate_direction: bool = False) -> np.ndarray:
     """Orthonormal frames ``(..., 5, 5)`` whose wedge four-bases reproduce the
     wedge quadruples ``(..., 4, 5, 5)``.
 
     Each quadruple must be orthonormal under the induced inner product with
     the spacetime pattern (+ - - -), share one common direction w of
     positive norm, and consist of wedges u_mu ^ w.  The frame columns are
-    e_5 = w / sqrt(h(w, w)) and e_mu = sqrt(h(w, w)) times u_mu made
-    h-orthogonal to w, so e_mu ^ e_5 = input_mu and the five-metric is
+    e_5 = w / sqrt(eta(w, w)) and e_mu = sqrt(eta(w, w)) times u_mu made
+    eta-orthogonal to w, so e_mu ^ e_5 = input_mu and the five-metric is
     diag(+ - - - +).  Since the map u -> u ^ w has Gram matrix
     |w|^2 I - w w^T, the least-squares solution of u ^ w = b is
     u = b w / |w|^2 (the kernel direction w drops out of e_mu anyway).
@@ -243,7 +239,7 @@ def orthonormal_basis_for(
     the other representative.
     """
     w_in = _wedge_quadruples(wedges, NotOrthonormalInput)
-    gram = _induced_gram(w_in, h)
+    gram = _induced_gram(w_in)
     raise_where(
         np.max(np.abs(gram - ETA4), axis=(-2, -1))
         > bound(np.maximum(np.max(np.abs(gram), axis=(-2, -1)), 1.0)),
@@ -268,10 +264,10 @@ def orthonormal_basis_for(
         "input bivector is not a wedge with the common direction",
     )
 
-    h55 = h.dot(w, w)
+    h55 = eta_dot(w, w)
     raise_where(h55 <= 0.0, NoCommonDirection, "common direction has non-positive norm")
     root = np.sqrt(h55)[..., None]
-    mixed = h.dot(raw, w[..., None, :])
+    mixed = eta_dot(raw, w[..., None, :])
     cols = np.empty(w.shape[:-1] + (5, 5))
     cols[..., :, :4] = np.swapaxes(
         root[..., None] * (raw - (mixed / h55[..., None])[..., None] * w[..., None, :]), -1, -2
@@ -279,18 +275,14 @@ def orthonormal_basis_for(
     cols[..., :, 4] = w / root
 
     raise_where(
-        ~classify_basis(cols, h).orthonormal,
+        ~classify_basis(cols).orthonormal,
         NotOrthonormalInput,
         "constructed basis failed the orthonormality check",
     )
     return cols
 
 
-def regular_basis_for(
-    wedges,
-    h: MetricH,
-    negate_direction: bool = False,
-) -> np.ndarray:
+def regular_basis_for(wedges, negate_direction: bool = False) -> np.ndarray:
     """Regular frames ``(..., 5, 5)`` reproducing wedge quadruples ``(..., 4, 5, 5)``.
 
     The induced inner product of each quadruple may be any nondegenerate
@@ -307,7 +299,7 @@ def regular_basis_for(
     subnormal numbers and lost its precision (wedges near 1e-160).
     """
     w_in = _wedge_quadruples(wedges, DegenerateInducedMetric)
-    gram = _induced_gram(w_in, h)
+    gram = _induced_gram(w_in)
     eigs, vecs = np.linalg.eigh(gram)
     size = np.abs(eigs)
     raise_where(
@@ -330,14 +322,14 @@ def regular_basis_for(
 
     rotated = (np.swapaxes(lam, -1, -2) @ w_in.reshape(w_in.shape[:-2] + (25,))).reshape(w_in.shape)
     try:
-        cols = orthonormal_basis_for(rotated, h, negate_direction=negate_direction)
+        cols = orthonormal_basis_for(rotated, negate_direction=negate_direction)
     except NotOrthonormalInput as exc:
         message = f"regular construction failed on the diagonalized wedges: {exc}"
         raise DegenerateInducedMetric(message) from exc
     cols[..., :, :4] = cols[..., :, :4] @ lam_inv
 
     raise_where(
-        ~classify_basis(cols, h).regular,
+        ~classify_basis(cols).regular,
         DegenerateInducedMetric,
         "constructed basis failed the regularity check",
     )

@@ -17,14 +17,12 @@ import sys
 
 import numpy as np
 
-from .algebra import MetricH, antisymmetric, bivector_from_four
+from .algebra import antisymmetric, bivector_from_four
 from .bases import classify_basis, frame_residuals, orthonormal_basis_for, regular_basis_for
 from .errors import KindMismatch, PentavecError
 from .fileio import Record, read_record, transform_from_payload, write_record
 from .grids import FieldOnGrid, SCHEMES
 from .poincare import (
-    GeneratorTensor,
-    ParamTensor,
     conjugate,
     transform_generator_tensor,
     transform_param_tensor,
@@ -132,11 +130,9 @@ def _transform_record(record: Record, t, basis_override, kappa_override) -> tupl
         moved = law(record.payload, t, kappa)
         return Record(record.kind, moved, basis=frame, kappa=record.kappa, grid=record.grid), used
     if record.kind == "param_tensor":
-        moved = transform_param_tensor(ParamTensor(record.payload), t)
-        return Record(record.kind, moved.matrix, kappa=record.kappa), []
+        return Record(record.kind, transform_param_tensor(record.payload, t), kappa=record.kappa), []
     if record.kind == "generator_tensor":
-        moved = transform_generator_tensor(GeneratorTensor(record.payload), t)
-        return Record(record.kind, moved.matrix, kappa=record.kappa), []
+        return Record(record.kind, transform_generator_tensor(record.payload, t), kappa=record.kappa), []
     if record.kind == "theta_field":
         moved = conjugate(record.payload, t)
         return Record(record.kind, moved, basis=record.basis, kappa=record.kappa, grid=record.grid), []
@@ -186,12 +182,11 @@ def _wedges_from_record(record: Record) -> np.ndarray:
 def _cmd_basis(args) -> int:
     record = read_record(args.input)
     wedges = _wedges_from_record(record)
-    h = MetricH.reference()
     build = orthonormal_basis_for if args.mode == "orthonormal" else regular_basis_for
-    cols = build(wedges, h, negate_direction=args.negate_direction)
+    cols = build(wedges, negate_direction=args.negate_direction)
 
-    flags = classify_basis(cols, h)
-    resid = frame_residuals(cols, h, wedges)
+    flags = classify_basis(cols)
+    resid = frame_residuals(cols, wedges)
     gram_resid = resid.orthonormal if args.mode == "orthonormal" else resid.regular
 
     flag = "O" if args.mode == "orthonormal" else "regular"

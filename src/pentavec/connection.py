@@ -26,14 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ETA4, ETA5, DirectionalClass, MetricH, classify_directional, lower_array
+from .algebra import ETA4, ETA5, DirectionalClass, classify_directional, eta_dot, lower_array
 from .bases import p_transformation
 from .errors import (
     DegenerateKappa, GridMismatch, NotDirectional, NotFinite,
     OutOfRange, ShapeMismatch, SingularMatrix,
 )
 from .grids import FieldOnGrid, Grid, grid_gradient, scheme_width
-from .numerics import as_array, bound, invert, max_norm, raise_where
+from .numerics import as_array, invert, max_norm, raise_where
 
 
 @dataclass(frozen=True)
@@ -49,16 +49,6 @@ class ConnectionCoeffs:
 def _coefficients(g) -> np.ndarray:
     """The (5, 5, 4) array of constant coefficients given as ConnectionCoeffs or as an array."""
     return as_array(g.values if isinstance(g, ConnectionCoeffs) else g, shape=(5, 5, 4))
-
-
-@dataclass(frozen=True)
-class FourConnection:
-    """Coefficients of a four-space connection, shape (4, 4, 4)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", as_array(self.values, shape=(4, 4, 4)))
 
 
 def flat_coefficients(kappa: float) -> ConnectionCoeffs:
@@ -97,16 +87,14 @@ class CompatibilityReport:
     standard_residual: float
     relation_residual: float
 
-    def passed(self) -> bool:
-        return self.standard_residual <= bound(1.0) and self.relation_residual <= bound(1.0)
 
-
-def transport_compatibility(g: ConnectionCoeffs, four: FourConnection) -> CompatibilityReport:
-    gv = g.values
+def transport_compatibility(g, four) -> CompatibilityReport:
+    """Residuals of coefficients ``g`` (5, 5, 4) against a four-connection ``four`` (4, 4, 4)."""
+    gv = _coefficients(g)
     induced = gv[:4, :4, :] + np.einsum("ab,m->abm", np.eye(4), gv[4, 4, :])
     return CompatibilityReport(
         standard_residual=max_norm(gv[:4, 4, :]),
-        relation_residual=max_norm(four.values - induced),
+        relation_residual=max_norm(as_array(four, shape=(4, 4, 4)) - induced),
     )
 
 
@@ -263,9 +251,6 @@ class MetricDerivativeReport:
     def worst(self) -> float:
         return max(self.fifth_residual, self.mixed_residual, self.block_residual)
 
-    def passed(self) -> bool:
-        return self.worst() <= bound(1.0)
-
 
 def metric_derivative_report(
     g,
@@ -323,7 +308,6 @@ def metric_transport_identity_residual(
     v_field: FieldOnGrid,
     w_field: FieldOnGrid,
     e,
-    h: MetricH,
     g,
     kappa: float,
 ) -> float:
@@ -335,8 +319,8 @@ def metric_transport_identity_residual(
         h(e, e) (nabla_U h)(v, w)
             = kappa g(U, v ^ e) h(w, e) + kappa g(U, w ^ e) h(v, e)
 
-    where nabla h is the tensor covariant derivative of the (uniform)
-    metric and g pairs wedge four-vectors through the bivector inner
+    where h is the five-metric ETA5, nabla h is its tensor covariant
+    derivative and g pairs wedge four-vectors through the bivector inner
     product.  The two sides share no code: the left contracts connection
     coefficients into the metric, the right is built from wedge pairings.
     Returns the max deviation over all samples.  Scales quadratically in
@@ -344,33 +328,32 @@ def metric_transport_identity_residual(
     """
     u_four = as_array(u_four, shape=(4,))
     e = as_array(e, shape=(5,))
-    if classify_directional(e, h) is not DirectionalClass.POSITIVE:
+    if classify_directional(e) is not DirectionalClass.POSITIVE:
         raise NotDirectional("e must lie along a positive-norm directional vector")
     if v_field.grid != w_field.grid:
         raise GridMismatch("v and w live on different grids")
 
-    hv = h.matrix
     gv = _coefficients(g)
 
     # The metric is uniform, so its covariant derivative is purely the
     # connection correction; v and w then enter pointwise, which keeps the
     # check free of finite-difference truncation for any sample fields.
-    nabla_h = -(np.einsum("cam,cb->abm", gv, hv) + np.einsum("cbm,ac->abm", gv, hv))
+    nabla_h = -(np.einsum("cam,cb->abm", gv, ETA5) + np.einsum("cbm,ac->abm", gv, ETA5))
     along_u = np.einsum("abm,m->ab", nabla_h, u_four)
     contracted = np.einsum("ab,...a,...b->...", along_u, v_field.values, w_field.values)
-    lhs = h.dot(e, e) * contracted
+    lhs = eta_dot(e, e) * contracted
 
     # g(U, v ^ e): embed U as a wedge against the reference frame and pair.
     u_biv = np.zeros((5, 5))
     u_biv[:4, 4] = u_four
     u_biv[4, :4] = -u_four
-    hh = np.einsum("ac,bd->abcd", hv, hv)
+    hh = np.einsum("ac,bd->abcd", ETA5, ETA5)
 
     def wedge_pairing(field):
         wedges = np.einsum("...a,b->...ab", field.values, e) - np.einsum("a,...b->...ab", e, field.values)
         return 0.5 * np.einsum("abcd,ab,...cd->...", hh, u_biv, wedges)
 
-    h_we = np.einsum("ab,...a,b->...", hv, w_field.values, e)
-    h_ve = np.einsum("ab,...a,b->...", hv, v_field.values, e)
+    h_we = np.einsum("ab,...a,b->...", ETA5, w_field.values, e)
+    h_ve = np.einsum("ab,...a,b->...", ETA5, v_field.values, e)
     rhs = kappa * (wedge_pairing(v_field) * h_we + wedge_pairing(w_field) * h_ve)
     return max_norm(lhs - rhs)

@@ -98,11 +98,6 @@ class OutOfRange(PentavecError, ValueError):
     slot, a frame or scheme name."""
 
 
-class InvalidMetric(PentavecError, ValueError):
-    """A matrix meant as the five-metric is not symmetric, is degenerate or
-    has the wrong signature."""
-
-
 class NotNull(PentavecError, ValueError):
     """A wave vector that must be null is not."""
 

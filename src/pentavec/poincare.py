@@ -14,9 +14,10 @@ in the two distinguished frames:
 Covariant coordinate quintuples (x_alpha, 1/kappa) transform by one 5x5
 matrix per transformation (``homogeneous_rep``), which is also the
 parallel-frame change matrix; this is what turns chart-dependent
-coordinate data into five-tensor components.  ``ParamTensor`` and
-``GeneratorTensor`` package the parameters of a finite respectively
-infinitesimal transformation as five-tensors of that kind.
+coordinate data into five-tensor components.  ``build_param_tensor`` and
+``build_generator_tensor`` write the parameters of a finite respectively
+infinitesimal transformation as (..., 5, 5) arrays, five-tensors of that
+kind.
 
 Each component law is one function of the components and the transform,
 over arrays with any leading axes: ``transform_parallel`` for five-vectors
@@ -179,95 +180,72 @@ def coordinate_form_derivative() -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ParamTensor:
-    """Finite-transformation parameters packaged as (1,1) five-tensors (..., 5, 5).
+def _param_tensor(matrix4: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    m = np.zeros(matrix4.shape[:-2] + (5, 5))
+    m[..., :4, :4] = matrix4
+    m[..., 4, :4] = shift
+    m[..., 4, 4] = 1.0
+    return m
+
+
+def build_param_tensor(matrix4, shift) -> np.ndarray:
+    """Finite-transformation parameters as (1,1) five-tensors (..., 5, 5).
 
     Blocks: the 4x4 matrix parameter, a shift row, a zero column, and a
     unit corner.  Under a chart change the matrix block conjugates and the
     shift row mixes with the chart translation.
     """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = as_array(self.matrix, shape=(..., 5, 5))
-        bad = np.any(m[..., :4, 4] != 0.0, axis=-1) | (m[..., 4, 4] != 1.0)
-        raise_where(bad, ShapeMismatch, "parameter tensor needs a zero fifth column and unit corner")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def matrix_block(self) -> np.ndarray:
-        return self.matrix[..., :4, :4]
-
-    @property
-    def shift(self) -> np.ndarray:
-        return self.matrix[..., 4, :4]
-
-
-def build_param_tensor(matrix4, shift) -> ParamTensor:
     matrix4 = as_array(matrix4, shape=(..., 4, 4))
-    m = np.zeros(matrix4.shape[:-2] + (5, 5))
-    m[..., :4, :4] = matrix4
-    m[..., 4, :4] = as_array(shift, shape=matrix4.shape[:-2] + (4,))
-    m[..., 4, 4] = 1.0
-    return ParamTensor(m)
+    return _param_tensor(matrix4, as_array(shift, shape=matrix4.shape[:-2] + (4,)))
 
 
-def transform_param_tensor(pt: ParamTensor, t: PoincareTransform) -> ParamTensor:
+def transform_param_tensor(pt, t: PoincareTransform) -> np.ndarray:
     """Parameter-tensor law under a chart change by t.
 
     matrix' = Lambda matrix Lambda^-1
     shift'  = shift Lambda^-1 + a_low - a_low Lambda matrix Lambda^-1
 
     which is exactly conjugation of the 5x5 block matrix by the
-    homogeneous representation of t.
+    homogeneous representation of t.  A tensor with a nonzero fifth
+    column or a corner other than 1 raises ShapeMismatch.
     """
+    pt = as_array(pt, shape=(..., 5, 5))
+    bad = np.any(pt[..., :4, 4] != 0.0, axis=-1) | (pt[..., 4, 4] != 1.0)
+    raise_where(bad, ShapeMismatch, "parameter tensor needs a zero fifth column and unit corner")
     a_low = lower_array(t.a)
-    matrix4 = conjugate(pt.matrix_block, t)
-    shift = (pt.shift[..., None, :] @ t.lam_inv)[..., 0, :] + a_low - (a_low[..., None, :] @ matrix4)[..., 0, :]
-    return build_param_tensor(matrix4, shift)
+    matrix4 = conjugate(pt[..., :4, :4], t)
+    shift = (pt[..., 4, None, :4] @ t.lam_inv)[..., 0, :] + a_low - (a_low[..., None, :] @ matrix4)[..., 0, :]
+    return _param_tensor(matrix4, shift)
 
 
-@dataclass(frozen=True)
-class GeneratorTensor:
+def _generator_tensor(omega: np.ndarray, b: np.ndarray) -> np.ndarray:
+    m = np.zeros(omega.shape[:-2] + (5, 5))
+    m[..., :4, :4] = omega
+    m[..., :4, 4] = b
+    m[..., 4, :4] = -b
+    return m
+
+
+def build_generator_tensor(omega, b) -> np.ndarray:
     """Infinitesimal-transformation parameters as antisymmetric five-tensors (..., 5, 5).
 
     The four-block holds the rotation generator omega^(mu nu) and the
     fifth row/column the translation generator b^mu.
     """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", antisymmetric(self.matrix, "generator tensor"))
-
-    @property
-    def omega(self) -> np.ndarray:
-        return self.matrix[..., :4, :4]
-
-    @property
-    def translation(self) -> np.ndarray:
-        return self.matrix[..., :4, 4]
-
-
-def build_generator_tensor(omega, b) -> GeneratorTensor:
     omega = as_array(omega, shape=(..., 4, 4))
-    b = as_array(b, shape=omega.shape[:-2] + (4,))
-    m = np.zeros(omega.shape[:-2] + (5, 5))
-    m[..., :4, :4] = omega
-    m[..., :4, 4] = b
-    m[..., 4, :4] = -b
-    return GeneratorTensor(m)
+    return _generator_tensor(omega, as_array(b, shape=omega.shape[:-2] + (4,)))
 
 
-def transform_generator_tensor(gt: GeneratorTensor, t: PoincareTransform) -> GeneratorTensor:
+def transform_generator_tensor(gt, t: PoincareTransform) -> np.ndarray:
     """Generator law under a chart change by t.
 
     omega' = Lambda omega Lambda^T
     b'^mu  = Lambda^mu_nu (b^nu - a_alpha Lambda^alpha_beta omega^(nu beta))
+
+    A tensor that is not antisymmetric raises NotAntisymmetric.
     """
+    gt = antisymmetric(gt, "generator tensor")
     lam_t = np.swapaxes(t.lam, -1, -2)
-    omega = t.lam @ gt.omega @ lam_t
-    inner = gt.translation - (gt.omega @ (lam_t @ lower_array(t.a)[..., None]))[..., 0]
-    return build_generator_tensor(omega, (t.lam @ inner[..., None])[..., 0])
+    omega = t.lam @ gt[..., :4, :4] @ lam_t
+    inner = gt[..., :4, 4] - (gt[..., :4, :4] @ (lam_t @ lower_array(t.a)[..., None]))[..., 0]
+    return _generator_tensor(omega, (t.lam @ inner[..., None])[..., 0])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, bases, clifford, connection, poincare, stress_energy
-from .algebra import ETA4, ETA5, DirectionalClass, MetricH
+from .algebra import ETA4, ETA5, DirectionalClass, eta_dot
 from .errors import NotMaximalSpace, NotO32, PentavecError
 from .grids import FieldOnGrid, Grid, scheme_width
 from .numerics import expm, invert, max_norm
@@ -145,8 +145,6 @@ def _relative(a, b, ndim: int) -> float:
 # ---------------------------------------------------------------- algebra
 
 def algebra_suite(options: SuiteOptions, rng):
-    h = MetricH.reference()
-
     pairs = rng.normal(size=(200, 2, 5))
     b = algebra.wedge(pairs[:, 0], pairs[:, 1])
     yield CheckResult("wedge-antisymmetry", max_norm(b + np.swapaxes(b, -1, -2)), 1e-15)
@@ -177,23 +175,23 @@ def algebra_suite(options: SuiteOptions, rng):
     yield CheckResult("non-maximal-rejected", _rejects(NotMaximalSpace, algebra.directional_vector, crossed), EXACT)
 
     ref_wedges = algebra.wedge(e[:4], e[4])
-    gram = algebra.bivector_inner(ref_wedges[:, None], ref_wedges[None, :], h)
+    gram = algebra.bivector_inner(ref_wedges[:, None], ref_wedges[None, :])
     yield CheckResult("induced-metric-orthonormal", max_norm(gram - ETA4), 1e-12)
 
-    h_flip = MetricH(np.diag([1.0, 1.0, -1.0, -1.0, -1.0]))
+    h_flip = np.diag([1.0, 1.0, -1.0, -1.0, -1.0])
     gram_flip = algebra.bivector_inner(ref_wedges[:, None], ref_wedges[None, :], h_flip)
     expected = np.diag([-1.0, -1.0, 1.0, 1.0])
     yield CheckResult("induced-metric-flipped-fifth", max_norm(gram_flip - expected), 1e-12)
 
     u, v, w = np.moveaxis(rng.normal(size=(200, 3, 5)), 1, 0)
-    lhs = algebra.bivector_inner(algebra.wedge(u, w), algebra.wedge(v, w), h)
-    rhs = h.dot(u, v) * h.dot(w, w) - h.dot(u, w) * h.dot(v, w)
+    lhs = algebra.bivector_inner(algebra.wedge(u, w), algebra.wedge(v, w))
+    rhs = eta_dot(u, v) * eta_dot(w, w) - eta_dot(u, w) * eta_dot(v, w)
     yield CheckResult("induced-metric-closed-form", max_norm(lhs - rhs), 1e-9)
 
     ok = (
-        algebra.classify_directional(e[:, 4], h) is DirectionalClass.POSITIVE
-        and algebra.classify_directional(e[:, 1], h) is DirectionalClass.NEGATIVE
-        and algebra.classify_directional(e[:, 1] + e[:, 4], h) is DirectionalClass.NULL
+        algebra.classify_directional(e[:, 4]) is DirectionalClass.POSITIVE
+        and algebra.classify_directional(e[:, 1]) is DirectionalClass.NEGATIVE
+        and algebra.classify_directional(e[:, 1] + e[:, 4]) is DirectionalClass.NULL
     )
     yield CheckResult("direction-classification", _indicator(ok), EXACT)
 
@@ -227,8 +225,6 @@ def _conjugated_wedges(rng, n: int, regular: bool = False) -> np.ndarray:
 
 
 def bases_suite(options: SuiteOptions, rng):
-    h = MetricH.reference()
-
     l = _standard_changes(rng, 100)
     leaky = l.copy()
     leaky[:, 1, 4] = 0.5
@@ -261,21 +257,21 @@ def bases_suite(options: SuiteOptions, rng):
     yield CheckResult("upm-block-actions", resid, 1e-13)
 
     wedges = _conjugated_wedges(rng, 500)
-    r = bases.frame_residuals(bases.orthonormal_basis_for(wedges, h), h, wedges)
+    r = bases.frame_residuals(bases.orthonormal_basis_for(wedges), wedges)
     yield CheckResult("orthonormal-construction", max_norm(np.maximum(r.orthonormal, r.wedge)), 1e-9)
 
     wedges = _conjugated_wedges(rng, 500, regular=True)
-    r = bases.frame_residuals(bases.regular_basis_for(wedges, h), h, wedges)
+    r = bases.frame_residuals(bases.regular_basis_for(wedges), wedges)
     yield CheckResult("regular-construction", max_norm(np.maximum(r.regular, r.wedge)), 1e-9)
 
     wedges = _conjugated_wedges(rng, 50)
-    plus = bases.orthonormal_basis_for(wedges, h)
-    minus = bases.orthonormal_basis_for(wedges, h, negate_direction=True)
+    plus = bases.orthonormal_basis_for(wedges)
+    minus = bases.orthonormal_basis_for(wedges, negate_direction=True)
     yield CheckResult("construction-sign-pair", max_norm(plus + minus), 1e-9)
 
     wedges = _conjugated_wedges(rng, 50)
-    via_regular = bases.regular_basis_for(wedges, h)
-    direct = bases.orthonormal_basis_for(wedges, h)
+    via_regular = bases.regular_basis_for(wedges)
+    direct = bases.orthonormal_basis_for(wedges)
     yield CheckResult("regular-reduces-to-orthonormal", max_norm(via_regular - direct), 1e-9)
 
     flipped = np.eye(5)
@@ -372,7 +368,7 @@ def connection_suite(options: SuiteOptions, rng):
     scheme = options.scheme
 
     flat = connection.flat_coefficients(kappa)
-    report = connection.transport_compatibility(flat, connection.FourConnection(np.zeros((4, 4, 4))))
+    report = connection.transport_compatibility(flat, np.zeros((4, 4, 4)))
     worst = max(report.standard_residual, report.relation_residual)
     yield CheckResult("flat-standard-compatibility", worst, 1e-15)
 
@@ -470,7 +466,6 @@ def connection_suite(options: SuiteOptions, rng):
             v_field,
             w_field,
             np.array([0.0, 0, 0, 0, 1.4]),
-            MetricH.reference(),
             flat,
             kappa,
         )
@@ -549,16 +544,16 @@ def poincare_suite(options: SuiteOptions, rng):
     t = random_poincare(rng, (300,))
     pt = poincare.build_param_tensor(random_invertible(rng, 4, size=(300,)), rng.normal(size=(300, 4)))
     rep = poincare.homogeneous_rep(t, 1.0)
-    route = np.linalg.solve(rep, pt.matrix @ rep)
-    worst = _relative(poincare.transform_param_tensor(pt, t).matrix, route, 2)
+    route = np.linalg.solve(rep, pt @ rep)
+    worst = _relative(poincare.transform_param_tensor(pt, t), route, 2)
     yield CheckResult("param-tensor-two-routes", worst, 1e-12)
 
     t = random_poincare(rng, (300,))
     omega = rng.normal(size=(300, 4, 4))
     gt = poincare.build_generator_tensor(omega - np.swapaxes(omega, 1, 2), rng.normal(size=(300, 4)))
     rep_inv = np.linalg.inv(poincare.homogeneous_rep(t, 1.0))
-    route = rep_inv @ gt.matrix @ np.swapaxes(rep_inv, 1, 2)
-    worst = _relative(poincare.transform_generator_tensor(gt, t).matrix, route, 2)
+    route = rep_inv @ gt @ np.swapaxes(rep_inv, 1, 2)
+    worst = _relative(poincare.transform_generator_tensor(gt, t), route, 2)
     yield CheckResult("generator-tensor-two-routes", worst, 1e-12)
 
     t = random_poincare(rng, (300,))

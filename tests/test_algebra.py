@@ -6,8 +6,8 @@ import pytest
 from pentavec import algebra
 from pentavec.algebra import (
     ETA4,
+    ETA5,
     DirectionalClass,
-    MetricH,
     antisymmetric,
     bivector_from_four,
     bivector_inner,
@@ -53,17 +53,6 @@ def levi_civita_5() -> np.ndarray:
         inversions = sum(perm[i] > perm[j] for i in range(5) for j in range(i + 1, 5))
         eps[perm] = (-1) ** inversions
     return eps
-
-
-def test_metric_h_signature_enforced():
-    MetricH.reference()
-    MetricH(np.diag([1.0, 1.0, -1.0, -1.0, -1.0]))
-    with pytest.raises(ValueError):
-        MetricH(np.diag([1.0, -1.0, -1.0, -1.0, -1.0]))  # one positive direction only
-    with pytest.raises(ValueError):
-        MetricH(np.diag([1.0, 1.0, 1.0, -1.0, -1.0]))
-    with pytest.raises(ValueError):
-        MetricH(np.zeros((5, 5)))
 
 
 def test_bivector_requires_antisymmetry():
@@ -175,16 +164,15 @@ def test_directional_vector_error_cases():
 
 
 def test_bivector_inner_reference_gram_is_minkowski():
-    h = MetricH.reference()
     wedges = [wedge(ev(mu), ev(4)) for mu in range(4)]
-    gram = np.array([[bivector_inner(a, b, h) for b in wedges] for a in wedges])
+    gram = np.array([[bivector_inner(a, b) for b in wedges] for a in wedges])
     assert np.array_equal(gram, ETA4)
 
 
 def test_bivector_inner_flipped_fifth_norm():
     # h55 = -1 with signature kept (2 plus, 3 minus): induced metric flips
     # to diag(-1,-1,+1,+1) on the same coordinate wedges
-    h = MetricH(np.diag([1.0, 1.0, -1.0, -1.0, -1.0]))
+    h = np.diag([1.0, 1.0, -1.0, -1.0, -1.0])
     wedges = [wedge(ev(mu), ev(4)) for mu in range(4)]
     gram = np.array([[bivector_inner(a, b, h) for b in wedges] for a in wedges])
     assert np.array_equal(gram, np.diag([-1.0, -1.0, 1.0, 1.0]))
@@ -192,23 +180,21 @@ def test_bivector_inner_flipped_fifth_norm():
 
 def test_bivector_inner_closed_form_on_shared_direction():
     rng = np.random.default_rng(5)
-    h = MetricH.reference()
     for _ in range(100):
         u, v, w = rng.normal(size=(3, 5))
-        lhs = bivector_inner(wedge(u, w), wedge(v, w), h)
-        rhs = h.dot(u, v) * h.dot(w, w) - h.dot(u, w) * h.dot(v, w)
+        lhs = bivector_inner(wedge(u, w), wedge(v, w))
+        rhs = (u @ ETA5 @ v) * (w @ ETA5 @ w) - (u @ ETA5 @ w) * (v @ ETA5 @ w)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
 def test_classify_directional():
-    h = MetricH.reference()
-    assert classify_directional(ev(4), h) is DirectionalClass.POSITIVE
-    assert classify_directional(ev(2), h) is DirectionalClass.NEGATIVE
-    assert classify_directional(E[:, 1] + E[:, 4], h) is DirectionalClass.NULL
+    assert classify_directional(ev(4)) is DirectionalClass.POSITIVE
+    assert classify_directional(ev(2)) is DirectionalClass.NEGATIVE
+    assert classify_directional(E[:, 1] + E[:, 4]) is DirectionalClass.NULL
     with pytest.raises(ZeroVector):
-        classify_directional(np.zeros(5), h)
+        classify_directional(np.zeros(5))
     with pytest.raises(NotFinite):
-        classify_directional([1.0, 0.0, 0.0, 0.0, np.nan], h)
+        classify_directional([1.0, 0.0, 0.0, 0.0, np.nan])
 
 
 def test_four_embedding_round_trip():

@@ -4,7 +4,6 @@ import pytest
 from pentavec.algebra import (
     ETA4,
     ETA5,
-    MetricH,
     four_from_bivector,
     wedge,
 )
@@ -31,7 +30,6 @@ from pentavec.errors import (
 )
 
 E = np.eye(5)
-H = MetricH.reference()
 
 
 def reference_wedges():
@@ -47,7 +45,7 @@ def random_lorentz(rng, scale=0.35):
 
 
 def test_reference_basis_flags():
-    flags = classify_basis(E, H)
+    flags = classify_basis(E)
     assert flags.standard and flags.regular and flags.orthonormal
 
 
@@ -144,9 +142,9 @@ def test_orientation_sign():
 
 
 def test_orthonormal_construction_fixes_reference():
-    basis = orthonormal_basis_for(reference_wedges(), H)
+    basis = orthonormal_basis_for(reference_wedges())
     assert np.allclose(basis, np.eye(5), atol=1e-12)
-    flags = classify_basis(basis, H)
+    flags = classify_basis(basis)
     assert flags.orthonormal and flags.standard
 
 
@@ -157,10 +155,10 @@ def test_orthonormal_construction_lorentz_mixed():
     for _ in range(20):
         lam = random_lorentz(rng)
         mixed = [sum(lam[nu, mu] * reference_wedges()[nu] for nu in range(4)) for mu in range(4)]
-        basis = orthonormal_basis_for(mixed, H)
-        flags = classify_basis(basis, H)
+        basis = orthonormal_basis_for(mixed)
+        flags = classify_basis(basis)
         assert flags.standard and flags.orthonormal
-        gram = basis.T @ H.matrix @ basis
+        gram = basis.T @ ETA5 @ basis
         assert np.allclose(gram, ETA5, atol=1e-10)
         for mu in range(4):
             got = wedge(basis[:, mu], basis[:, 4])
@@ -176,8 +174,8 @@ def test_orthonormal_construction_conjugated_system():
     for _ in range(10):
         a = random_metric_preserving5(rng)
         wedges = wedge(a[:, :4].T, a[:, 4])
-        basis = orthonormal_basis_for(wedges, H)
-        gram = basis.T @ H.matrix @ basis
+        basis = orthonormal_basis_for(wedges)
+        gram = basis.T @ ETA5 @ basis
         assert np.allclose(gram, ETA5, atol=1e-9)
         for mu in range(4):
             got = wedge(basis[:, mu], basis[:, 4])
@@ -185,39 +183,39 @@ def test_orthonormal_construction_conjugated_system():
 
 
 def test_orthonormal_construction_sign_pair():
-    basis = orthonormal_basis_for(reference_wedges(), H)
-    other = orthonormal_basis_for(reference_wedges(), H, negate_direction=True)
+    basis = orthonormal_basis_for(reference_wedges())
+    other = orthonormal_basis_for(reference_wedges(), negate_direction=True)
     assert np.allclose(other, -basis, atol=1e-12)
 
 
 def test_orthonormal_construction_rejections():
     with pytest.raises(NotOrthonormalInput):
-        orthonormal_basis_for(reference_wedges()[:3], H)
+        orthonormal_basis_for(reference_wedges()[:3])
     scaled = reference_wedges()
     scaled[0] = 2.0 * scaled[0]
     with pytest.raises(NotOrthonormalInput):
-        orthonormal_basis_for(scaled, H)
+        orthonormal_basis_for(scaled)
     # orthonormal gram but no direction shared by all four planes
     crossed = wedge(E[:4], E[[4, 4, 4, 0]])
     with pytest.raises(NoCommonDirection):
-        orthonormal_basis_for(crossed, H)
+        orthonormal_basis_for(crossed)
 
 
 def test_regular_construction_matches_orthonormal_case():
     rng = np.random.default_rng(14)
     lam = random_lorentz(rng)
     mixed = [sum(lam[nu, mu] * reference_wedges()[nu] for nu in range(4)) for mu in range(4)]
-    a = orthonormal_basis_for(mixed, H)
-    b = regular_basis_for(mixed, H)
+    a = orthonormal_basis_for(mixed)
+    b = regular_basis_for(mixed)
     assert np.allclose(a, b, atol=1e-9)
 
 
 def test_regular_construction_scaled_wedges():
     # doubling every wedge doubles the four basis vectors and leaves the
     # fifth one untouched
-    basis = regular_basis_for(2.0 * reference_wedges(), H)
+    basis = regular_basis_for(2.0 * reference_wedges())
     assert np.allclose(basis, np.diag([2.0, 2.0, 2.0, 2.0, 1.0]), atol=1e-10)
-    flags = classify_basis(basis, H)
+    flags = classify_basis(basis)
     assert flags.regular and not flags.orthonormal
 
 
@@ -226,9 +224,9 @@ def test_regular_construction_general_inputs():
     for _ in range(20):
         t = rng.normal(size=(4, 4)) + np.eye(4) * 3.0
         wedges = [sum(t[nu, mu] * reference_wedges()[nu] for nu in range(4)) for mu in range(4)]
-        basis = regular_basis_for(wedges, H)
-        assert classify_basis(basis, H).regular
-        gram = basis.T @ H.matrix @ basis
+        basis = regular_basis_for(wedges)
+        assert classify_basis(basis).regular
+        gram = basis.T @ ETA5 @ basis
         assert abs(gram[4, 4] - 1.0) <= 1e-10
         assert np.abs(gram[:4, 4]).max() <= 1e-10
         for mu in range(4):
@@ -238,12 +236,12 @@ def test_regular_construction_general_inputs():
 
 def test_regular_construction_rejections():
     with pytest.raises(DegenerateInducedMetric):
-        regular_basis_for(reference_wedges()[:2], H)
+        regular_basis_for(reference_wedges()[:2])
     repeated = reference_wedges()
     repeated[3] = repeated[2]
     with pytest.raises(DegenerateInducedMetric):
-        regular_basis_for(repeated, H)
+        regular_basis_for(repeated)
     # induced metric with four positive directions instead of (+ - - -)
     wrong = wedge(E[[0, 1, 1, 2]], E[[4, 2, 3, 3]])
     with pytest.raises(DegenerateInducedMetric):
-        regular_basis_for(wrong, H)
+        regular_basis_for(wrong)

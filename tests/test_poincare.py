@@ -9,8 +9,6 @@ from pentavec.connection import flat_coefficients
 from pentavec.errors import NotAntisymmetric, ShapeMismatch
 from pentavec.poincare import (
     CoordinateForm,
-    GeneratorTensor,
-    ParamTensor,
     PoincareTransform,
     build_generator_tensor,
     build_param_tensor,
@@ -193,14 +191,16 @@ def test_coordinate_form_derivative_two_routes():
 
 def test_param_tensor_structure():
     pt = build_param_tensor(np.diag([1.0, 2.0, 3.0, 4.0]), [5.0, 6.0, 7.0, 8.0])
-    assert np.array_equal(pt.matrix_block, np.diag([1.0, 2.0, 3.0, 4.0]))
-    assert np.array_equal(pt.shift, [5.0, 6.0, 7.0, 8.0])
-    assert np.array_equal(pt.matrix[:4, 4], np.zeros(4))
-    assert pt.matrix[4, 4] == 1.0
-    bad = np.eye(5)
-    bad[0, 4] = 1.0
-    with pytest.raises(ShapeMismatch):
-        ParamTensor(bad)
+    assert np.array_equal(pt[:4, :4], np.diag([1.0, 2.0, 3.0, 4.0]))
+    assert np.array_equal(pt[4, :4], [5.0, 6.0, 7.0, 8.0])
+    assert np.array_equal(pt[:4, 4], np.zeros(4))
+    assert pt[4, 4] == 1.0
+    # the law checks its input: a zero fifth column and a unit corner
+    for entry, value in (((0, 4), 1.0), ((4, 4), 2.0)):
+        bad = np.eye(5)
+        bad[entry] = value
+        with pytest.raises(ShapeMismatch, match="zero fifth column and unit corner"):
+            transform_param_tensor(bad, PoincareTransform.identity())
 
 
 def test_param_tensor_law_is_conjugation():
@@ -210,8 +210,8 @@ def test_param_tensor_law_is_conjugation():
         pt = build_param_tensor(rng.normal(size=(4, 4)), rng.normal(size=4))
         blockwise = transform_param_tensor(pt, t)
         rep = homogeneous_rep(t, 1.0)
-        route = np.linalg.solve(rep, pt.matrix @ rep)
-        assert np.allclose(blockwise.matrix, route, atol=1e-11)
+        route = np.linalg.solve(rep, pt @ rep)
+        assert np.allclose(blockwise, route, atol=1e-11)
 
 
 def test_identity_params_are_chart_independent():
@@ -220,18 +220,18 @@ def test_identity_params_are_chart_independent():
     for _ in range(10):
         t = random_transform(rng)
         moved = transform_param_tensor(pt, t)
-        assert np.allclose(moved.matrix, pt.matrix, atol=1e-12)
+        assert np.allclose(moved, pt, atol=1e-12)
 
 
 def test_generator_tensor_structure():
     omega = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 2.0], [0.0, 0.0, -2.0, 0.0]])
     b = np.array([1.0, 2.0, 3.0, 4.0])
     gt = build_generator_tensor(omega, b)
-    assert np.array_equal(gt.omega, omega)
-    assert np.array_equal(gt.translation, b)
-    assert np.array_equal(gt.matrix, -gt.matrix.T)
-    with pytest.raises(NotAntisymmetric):
-        GeneratorTensor(np.eye(5))
+    assert np.array_equal(gt[:4, :4], omega)
+    assert np.array_equal(gt[:4, 4], b)
+    assert np.array_equal(gt, -gt.T)
+    with pytest.raises(NotAntisymmetric, match="generator tensor must be antisymmetric"):
+        transform_generator_tensor(np.eye(5), PoincareTransform.identity())
 
 
 def test_generator_tensor_law_is_conjugation():
@@ -242,8 +242,8 @@ def test_generator_tensor_law_is_conjugation():
         gt = build_generator_tensor(omega - omega.T, rng.normal(size=4))
         blockwise = transform_generator_tensor(gt, t)
         rep_inv = np.linalg.inv(homogeneous_rep(t, 1.0))
-        route = rep_inv @ gt.matrix @ rep_inv.T
-        assert np.allclose(blockwise.matrix, route, atol=1e-11)
+        route = rep_inv @ gt @ rep_inv.T
+        assert np.allclose(blockwise, route, atol=1e-11)
 
 
 def test_generator_translation_rotates_without_omega():
@@ -252,5 +252,5 @@ def test_generator_translation_rotates_without_omega():
     gt = build_generator_tensor(np.zeros((4, 4)), b)
     t = random_transform(rng)
     moved = transform_generator_tensor(gt, t)
-    assert np.allclose(moved.translation, t.lam @ b, atol=1e-13)
-    assert np.allclose(moved.omega, np.zeros((4, 4)), atol=1e-15)
+    assert np.allclose(moved[:4, 4], t.lam @ b, atol=1e-13)
+    assert np.allclose(moved[:4, :4], np.zeros((4, 4)), atol=1e-15)
