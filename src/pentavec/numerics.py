@@ -14,7 +14,7 @@ from .errors import NotFinite, ShapeMismatch, SingularMatrix
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
-# Input checks: a (anti)symmetry residual of m is zero up to INPUT_TOL * max(|m|, 1)
+# Input checks: an antisymmetry residual of m is zero up to INPUT_TOL * max(|m|, 1)
 # (``input_bound``), and a wave vector k is null when |k.k| <= NULL_TOL * max(k^T k, 1).
 INPUT_TOL = 1e-12
 NULL_TOL = 1e-9

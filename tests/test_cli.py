@@ -12,7 +12,13 @@ from pentavec.algebra import wedge
 from pentavec.cli import main
 from pentavec.fileio import Record, emit_record, read_record, transform_to_payload, write_record
 from pentavec.grids import Grid
-from pentavec.poincare import PoincareTransform, transform_parallel
+from pentavec.poincare import (
+    PoincareTransform,
+    build_generator_tensor,
+    build_param_tensor,
+    homogeneous_rep,
+    transform_parallel,
+)
 
 
 def test_verify_single_suite_passes(capsys):
@@ -246,6 +252,64 @@ def test_transform_overflow_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "non-finite" in err
     assert not (tmp_path / "out.pvec").exists()
+
+
+def boost_transform():
+    boost = np.eye(4)
+    boost[0, 0] = boost[1, 1] = np.cosh(0.3)
+    boost[0, 1] = boost[1, 0] = np.sinh(0.3)
+    return PoincareTransform(boost, [1.0, 0.5, -0.5, 0.25])
+
+
+def tensor_payload(kind):
+    """A parameter or generator tensor (5, 5) drawn at a fixed seed."""
+    rng = np.random.default_rng(23)
+    if kind == "param_tensor":
+        return build_param_tensor(rng.normal(size=(4, 4)), rng.normal(size=4))
+    omega = rng.normal(size=(4, 4))
+    return build_generator_tensor(omega - omega.T, rng.normal(size=4))
+
+
+@pytest.mark.parametrize("kind", ["param_tensor", "generator_tensor"])
+def test_transform_tensor_record_is_conjugation_by_homogeneous_rep(tmp_path, capsys, kind):
+    t = boost_transform()
+    payload = tensor_payload(kind)
+    rep = homogeneous_rep(t, 1.0)
+    if kind == "param_tensor":
+        expected = np.linalg.solve(rep, payload @ rep)
+    else:
+        rep_inv = np.linalg.inv(rep)
+        expected = rep_inv @ payload @ rep_inv.T
+    write_record(tmp_path / "in.pvec", Record(kind, payload))
+    write_transform(tmp_path / "t.pvec", t)
+    out = tmp_path / "out.pvec"
+    assert main(["transform", str(tmp_path / "in.pvec"), str(tmp_path / "t.pvec"), "-o", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    moved = read_record(out)
+    assert moved.kind == kind
+    assert np.max(np.abs(moved.payload - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize(
+    "kind, entry, change, fragment",
+    [
+        pytest.param("param_tensor", (4, 4), 1.0, "zero fifth column and unit corner", id="param-corner-2"),
+        pytest.param("param_tensor", (1, 4), 0.5, "zero fifth column and unit corner", id="param-fifth-column"),
+        pytest.param("generator_tensor", (0, 1), 1.0, "generator tensor must be antisymmetric", id="generator-asymmetric"),
+    ],
+)
+def test_transform_bad_tensor_record_exits_2(tmp_path, capsys, kind, entry, change, fragment):
+    payload = tensor_payload(kind)
+    payload[entry] += change
+    write_record(tmp_path / "in.pvec", Record(kind, payload))
+    write_transform(tmp_path / "t.pvec", boost_transform())
+    out = tmp_path / "out.pvec"
+    assert main(["transform", str(tmp_path / "in.pvec"), str(tmp_path / "t.pvec"), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert fragment in captured.err
+    assert not out.exists()
 
 
 def test_transform_moment_field(tmp_path, capsys):
