@@ -517,10 +517,8 @@ def poincare_suite(options: SuiteOptions, rng):
     direct = poincare.transform_parallel(v, t, kappa)
     yield CheckResult("parallel-law-vs-frames", max_norm(via_frames - direct), 1e-11)
 
-    c1 = poincare.PoincareTransform(random_lorentz(rng, (100,)), rng.normal(size=(100, 4)))
-    c2 = poincare.PoincareTransform(random_lorentz(rng, (100,)), rng.normal(size=(100, 4)))
+    t = random_poincare(rng, (100,))  # chart-1 coordinates to chart-2 coordinates
     x1 = rng.normal(size=(100, 4))
-    t = c2.compose(c1.inverse())  # chart-1 coordinates to chart-2 coordinates
     form1 = poincare.coordinate_form(x1, kappa)
     form2 = poincare.coordinate_form(t.apply(x1), kappa)
     moved = poincare.transform_parallel_form(form1.p_dual, t, 1.0)
