@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+
 import numpy as np
 
 from .errors import (

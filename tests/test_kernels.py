@@ -577,7 +577,7 @@ def bad_stack(kind):
             lambda m: transform_generator_tensor(m, PoincareTransform.identity()),
             "generator",
             NotAntisymmetric,
-            id="transform_generator_tensor-generator-NotAntisymmetric",
+            id="generator-NotAntisymmetric",
         ),
     ],
 )
