@@ -131,20 +131,6 @@ def induced_four_map(change) -> np.ndarray:
     return m[..., 4, 4, None, None] * m[..., :4, :4]
 
 
-@dataclass(frozen=True)
-class UPMDecomposition:
-    """Factors of standard changes L = U(a) P(p) M(t): a (...), p (..., 4), t (..., 4, 4)."""
-
-    a: np.ndarray
-    p: np.ndarray
-    t: np.ndarray
-
-    def __post_init__(self):
-        shape = np.shape(self.a)
-        object.__setattr__(self, "p", as_array(self.p, shape=shape + (4,)))
-        object.__setattr__(self, "t", as_array(self.t, shape=shape + (4, 4)))
-
-
 def u_transformation(a) -> np.ndarray:
     """Scale the fifth vector by a and the other four by 1/a."""
     a = as_array(a)
@@ -170,9 +156,10 @@ def m_transformation(t) -> np.ndarray:
     return m
 
 
-def decompose_upm(change) -> UPMDecomposition:
-    """Unique factorization of a standard change into U(a) P(p) M(t).
+def decompose_upm(change) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unique factorization of standard changes L = U(a) P(p) M(t), as (a, p, t).
 
+    For changes (..., 5, 5), a is (...), p (..., 4) and t (..., 4, 4).
     Reading the blocks of the product U P M gives a = L^5_5, t = a times
     the four-block, and p from the bottom row against t.
     """
@@ -186,11 +173,12 @@ def decompose_upm(change) -> UPMDecomposition:
     except SingularMatrix as exc:
         raise SingularBlock(f"four-block of the change is singular: {exc}") from exc
     p = (m[..., 4, None, :4] @ t_inv)[..., 0, :] / a[..., None]
-    return UPMDecomposition(a=a, p=p, t=t)
+    return a, p, t
 
 
-def compose_upm(d: UPMDecomposition) -> np.ndarray:
-    return u_transformation(d.a) @ p_transformation(d.p) @ m_transformation(d.t)
+def compose_upm(a, p, t) -> np.ndarray:
+    """The change U(a) P(p) M(t), the inverse of ``decompose_upm``."""
+    return u_transformation(a) @ p_transformation(p) @ m_transformation(t)
 
 
 def orientation_sign(frame) -> int:

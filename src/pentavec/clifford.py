@@ -13,11 +13,12 @@ yields a set of spacetime Dirac matrices with the opposite sign
 convention gamma_mu gamma_nu + gamma_nu gamma_mu = 2 eta_mu_nu.  Linear
 maps preserving the five-metric act on the label index and carry gamma
 sets to gamma sets.
+
+Gamma sets are plain complex arrays (..., 5, 4, 4) with any leading axes.
+Each function checks its sets once, on entry, through ``gamma_set``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,20 +48,16 @@ def _chirality(gammas: np.ndarray) -> np.ndarray:
     return 1j * gammas[0] @ gammas[1] @ gammas[2] @ gammas[3]
 
 
-@dataclass(frozen=True)
-class GammaSet:
-    """Five matrices indexed by the labels (0, 1, 2, 3, 5), over leading axes (..., 5, 4, 4)."""
-
-    matrices: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrices, dtype=complex)
-        if m.shape[-3:] != (5, 4, 4):
-            raise InvalidGammaSet(f"expected shape (..., 5, 4, 4), got {m.shape}")
-        if not np.all(np.isfinite(m.view(float))):
-            raise InvalidGammaSet("matrices contain non-finite entries")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrices", m)
+def gamma_set(m) -> np.ndarray:
+    """``m`` as a complex array of gamma sets (..., 5, 4, 4), five matrices
+    indexed by the labels (0, 1, 2, 3, 5); a wrong shape or a non-finite
+    entry raises InvalidGammaSet."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape[-3:] != (5, 4, 4):
+        raise InvalidGammaSet(f"expected shape (..., 5, 4, 4), got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise InvalidGammaSet("matrices contain non-finite entries")
+    return m
 
 
 def anticommutators(matrices: np.ndarray) -> np.ndarray:
@@ -69,51 +66,43 @@ def anticommutators(matrices: np.ndarray) -> np.ndarray:
     return prod + np.swapaxes(prod, -3, -4)
 
 
-def anticommutation_residual(gs: GammaSet):
-    """Max-norm deviation from G_A G_B + G_B G_A = -2 eta_AB I, one per set.
-
-    A batch gives an array over its leading axes.
-    """
-    resid = anticommutators(gs.matrices) + 2.0 * ETA5[:, :, None, None] * np.eye(4)
+def _residual(g: np.ndarray):
+    resid = anticommutators(g) + 2.0 * ETA5[:, :, None, None] * np.eye(4)
     return np.max(np.abs(resid), axis=(-4, -3, -2, -1))
 
 
-def standard_gamma_set() -> GammaSet:
-    """Construct the reference gamma set out of the Dirac matrices.
+def anticommutation_residual(m):
+    """Max-norm deviation of gamma sets (..., 5, 4, 4) from G_A G_B + G_B G_A = -2 eta_AB I.
 
-    The fifth matrix is a phase times the chirality matrix and the first
-    four are gamma_mu times the fifth, with the two phases found by trying
-    every unit choice until both the anticommutation relations and the
-    reduction back to the Dirac matrices hold exactly.  All entries land
-    in {0, +-1, +-i}, so the checks below are exact in floating point.
+    One residual per set: a batch gives an array over its leading axes.
+    """
+    return _residual(gamma_set(m))
+
+
+def standard_gamma_set() -> np.ndarray:
+    """The reference gamma set (5, 4, 4), built from the Dirac matrices.
+
+    G_5 = i chi for the chirality matrix chi = i gamma^0 gamma^1 gamma^2
+    gamma^3, and G_mu = i gamma_mu G_5.  All entries land in {0, +-1, +-i},
+    so the anticommutation relations and the reduction back to the Dirac
+    matrices hold exactly in floating point; the clifford suite checks both.
     """
     gammas = dirac_gammas()
-    chi = _chirality(gammas)
-    for fifth_phase in (1j, -1j):
-        g5 = fifth_phase * chi
-        for phase in (1, -1, 1j, -1j):
-            mats = np.zeros((5, 4, 4), dtype=complex)
-            for mu in range(4):
-                mats[mu] = phase * gammas[mu] @ g5
-            mats[4] = g5
-            candidate = GammaSet(mats)
-            if anticommutation_residual(candidate) != 0.0:
-                continue
-            recon = dirac_from_gamma_set(candidate)
-            if np.array_equal(recon, gammas):
-                return candidate
-    raise InvalidGammaSet("phase search failed")  # unreachable for the Dirac seed
+    g5 = 1j * _chirality(gammas)
+    out = np.concatenate([1j * gammas @ g5, g5[None]])
+    out.setflags(write=False)
+    return out
 
 
-def dirac_from_gamma_set(gs: GammaSet) -> np.ndarray:
-    """Spacetime Dirac matrices (..., 4, 4, 4) recovered from a gamma set.
+def dirac_from_gamma_set(m) -> np.ndarray:
+    """Spacetime Dirac matrices (..., 4, 4, 4) recovered from gamma sets (..., 5, 4, 4).
 
     Computes gamma_mu = (i/2)(G_mu G_5 - G_5 G_mu) after checking that the
     input satisfies the five-dimensional anticommutation relations; a batch
     names its first failing set.
     """
-    resid = anticommutation_residual(gs)
-    g = gs.matrices
+    g = gamma_set(m)
+    resid = _residual(g)
     limit = bound(np.max(np.abs(g), axis=(-3, -2, -1)))
     raise_where(resid > limit, InvalidGammaSet, "anticommutation residual {:.3e}", resid)
     out = 0.5j * (g[..., :4, :, :] @ g[..., 4:, :, :] - g[..., 4:, :, :] @ g[..., :4, :, :])
@@ -130,17 +119,17 @@ def is_metric_preserving(o: np.ndarray):
     return resid <= bound(np.max(np.abs(o), axis=(-2, -1)) ** 2)
 
 
-def apply_metric_preserving(gs: GammaSet, o: np.ndarray) -> GammaSet:
-    """Mix a gamma set along its label index: G'_A = o^B_A G_B.
+def apply_metric_preserving(m, o: np.ndarray) -> np.ndarray:
+    """Mix gamma sets (..., 5, 4, 4) along their label index: G'_A = o^B_A G_B.
 
     Requires o to preserve the five-metric, which is exactly the condition
     for the mixed set to satisfy the same anticommutation relations.  The
-    leading axes of ``gs`` and ``o`` (..., 5, 5) broadcast; a batch names
-    its first non-preserving map.
+    leading axes of the sets and of ``o`` (..., 5, 5) broadcast; a batch
+    names its first non-preserving map.
     """
+    g = gamma_set(m)
     o = as_array(o, shape=(..., 5, 5))
     message = "matrix does not preserve the five-metric"
     raise_where(np.logical_not(is_metric_preserving(o)), NotO32, message)
-    g = gs.matrices
     mixed = np.swapaxes(o, -1, -2) @ g.reshape(g.shape[:-2] + (16,))
-    return GammaSet(mixed.reshape(mixed.shape[:-1] + (4, 4)))
+    return mixed.reshape(mixed.shape[:-1] + (4, 4))

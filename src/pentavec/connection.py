@@ -33,7 +33,7 @@ from .errors import (
     OutOfRange, ShapeMismatch, SingularMatrix,
 )
 from .grids import FieldOnGrid, Grid, grid_gradient, scheme_width
-from .numerics import as_array, invert, max_norm, raise_where
+from .numerics import as_array, max_norm, raise_where
 
 
 @dataclass(frozen=True)
@@ -74,28 +74,18 @@ def normalized_kappa(kappa: float) -> float:
     return 0.0 if kappa == 0.0 else 1.0
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
-    """Residuals of the standard-frame transport constraints.
+def transport_compatibility(g, four) -> tuple[float, float]:
+    """Residuals ``(standard, relation)`` of coefficients ``g`` (5, 5, 4) against a
+    four-connection ``four`` (4, 4, 4).
 
-    ``standard_residual`` measures G^alpha_(5 mu), which must vanish so
-    that transport never tips the fifth frame vector into the four-space.
-    ``relation_residual`` measures the induced four-connection against
+    ``standard`` measures G^alpha_(5 mu), which must vanish so that
+    transport never tips the fifth frame vector into the four-space.
+    ``relation`` measures the induced four-connection against
     Gamma^alpha_(beta mu) = G^alpha_(beta mu) + delta^alpha_beta G^5_(5 mu).
     """
-
-    standard_residual: float
-    relation_residual: float
-
-
-def transport_compatibility(g, four) -> CompatibilityReport:
-    """Residuals of coefficients ``g`` (5, 5, 4) against a four-connection ``four`` (4, 4, 4)."""
     gv = _coefficients(g)
     induced = gv[:4, :4, :] + np.einsum("ab,m->abm", np.eye(4), gv[4, 4, :])
-    return CompatibilityReport(
-        standard_residual=max_norm(gv[:4, 4, :]),
-        relation_residual=max_norm(as_array(four, shape=(4, 4, 4)) - induced),
-    )
+    return max_norm(gv[:4, 4, :]), max_norm(as_array(four, shape=(4, 4, 4)) - induced)
 
 
 def parallel_frame_change(x, kappa: float) -> np.ndarray:
@@ -133,27 +123,14 @@ def coordinates_from_parallel_metric(h: np.ndarray, kappa: float) -> np.ndarray:
     return lower_array(h[..., :4, 4]) / kappa
 
 
-def transform_connection(g: ConnectionCoeffs, change, lam) -> ConnectionCoeffs:
-    """Coefficients after a position-independent frame change L (5, 5).
-
-    With dL = 0 only the conjugation term survives.  ``lam`` is the
-    Jacobian of the old chart coordinates with respect to the new ones; it
-    contracts the derivative index.  A singular L raises SingularMatrix.
-    """
-    change = as_array(change, shape=(5, 5))
-    lam = as_array(lam, shape=(4, 4))
-    return ConnectionCoeffs(_transformed(g.values, change, invert(change), lam))
-
-
-def _transformed(g: np.ndarray, change: np.ndarray, linv: np.ndarray, lam: np.ndarray, dl=None):
+def _transformed(g: np.ndarray, change: np.ndarray, linv: np.ndarray, lam: np.ndarray, dl: np.ndarray):
     """G' = L^-1 [(G Lambda) L + (dL) Lambda] over the leading axes of L.
 
     Contracted pairwise: the derivative index first, then L on the right,
     then L^-1 on the left as one matrix product over the (B, m) columns.
     """
     inner = np.einsum("cdm,...db->...cbm", g @ lam, change)
-    if dl is not None:
-        inner += dl @ lam
+    inner += dl @ lam
     return (linv @ inner.reshape(inner.shape[:-3] + (5, 20))).reshape(inner.shape)
 
 
@@ -214,7 +191,8 @@ def covariant_derivative(field: FieldOnGrid, g, scheme: str = "central2") -> Fie
 
     Output components are ``D[..., A, mu] = d_mu u^A + G^A_(B mu) u^B``
     for constant coefficients ``g`` (5, 5, 4).  Edge samples use one-sided
-    stencils and are flagged via ``boundary_width`` on the result.
+    stencils; ``grid.interior(scheme_width(scheme))`` selects the samples
+    away from them.
     """
     values = field.values
     if values.shape[4:] != (5,):
@@ -223,33 +201,7 @@ def covariant_derivative(field: FieldOnGrid, g, scheme: str = "central2") -> Fie
     grad = grid_gradient(values, field.grid, scheme)  # (..., A, mu)
     derivative = grad + np.tensordot(values, gv, axes=([-1], [1]))
     derivative.setflags(write=False)
-    return FieldOnGrid(
-        grid=field.grid,
-        values=derivative,
-        basis=field.basis,
-        boundary_width=scheme_width(scheme),
-    )
-
-
-@dataclass(frozen=True)
-class MetricDerivativeReport:
-    """Residuals of the three covariant-derivative identities of the metric.
-
-    In any standard frame of flat spacetime the metric components obey
-
-        h_(55; mu) = 0
-        h_(alpha 5; mu) = kappa g_(alpha mu)
-        h_55 h_(alpha beta; mu) = kappa (g_(alpha mu) h_(beta 5) + g_(beta mu) h_(alpha 5))
-
-    with g the four-metric of the associated wedge basis.
-    """
-
-    fifth_residual: float
-    mixed_residual: float
-    block_residual: float
-
-    def worst(self) -> float:
-        return max(self.fifth_residual, self.mixed_residual, self.block_residual)
+    return FieldOnGrid(grid=field.grid, values=derivative, basis=field.basis)
 
 
 def metric_derivative_report(
@@ -259,10 +211,17 @@ def metric_derivative_report(
     g_four: np.ndarray,
     grid: Grid,
     scheme: str = "central2",
-) -> MetricDerivativeReport:
-    """Check the metric transport identities on sampled data.
+) -> float:
+    """The worst residual of the metric transport identities on sampled data.
 
-    ``g`` are constant coefficients (5, 5, 4).  ``h_field`` holds five-metric
+    In any standard frame of flat spacetime the metric components obey
+
+        h_(55; mu) = 0
+        h_(alpha 5; mu) = kappa g_(alpha mu)
+        h_55 h_(alpha beta; mu) = kappa (g_(alpha mu) h_(beta 5) + g_(beta mu) h_(alpha 5))
+
+    with g the four-metric of the associated wedge basis.  ``g`` are
+    constant coefficients (5, 5, 4).  ``h_field`` holds five-metric
     components per sample (a constant (5, 5) matrix broadcasts); ``g_four``
     likewise for the four-metric.  The covariant derivative is
     h_(AB; mu) = d_mu h_AB - G^C_(A mu) h_CB - G^C_(B mu) h_AC, and
@@ -296,21 +255,10 @@ def metric_derivative_report(
         np.einsum("...am,...b->...abm", g_in, h_in[..., :4, 4])
         + np.einsum("...bm,...a->...abm", g_in, h_in[..., :4, 4])
     )
-    return MetricDerivativeReport(
-        fifth_residual=fifth,
-        mixed_residual=mixed,
-        block_residual=max_norm(lhs - rhs),
-    )
+    return max(fifth, mixed, max_norm(lhs - rhs))
 
 
-def metric_transport_identity_residual(
-    u_four,
-    v_field: FieldOnGrid,
-    w_field: FieldOnGrid,
-    e,
-    g,
-    kappa: float,
-) -> float:
+def metric_transport_identity_residual(u_four, v, w, e, g, kappa: float) -> float:
     """Coordinate-free form of the metric transport identities.
 
     For any four-direction U, five-vector fields v and w, and a vector e
@@ -323,15 +271,16 @@ def metric_transport_identity_residual(
     derivative and g pairs wedge four-vectors through the bivector inner
     product.  The two sides share no code: the left contracts connection
     coefficients into the metric, the right is built from wedge pairings.
-    Returns the max deviation over all samples.  Scales quadratically in
-    e, so e need not be normalized.
+    ``v`` and ``w`` are samples (..., 5) of one shape; a shape mismatch
+    raises ShapeMismatch.  Returns the max deviation over all samples.
+    Scales quadratically in e, so e need not be normalized.
     """
     u_four = as_array(u_four, shape=(4,))
     e = as_array(e, shape=(5,))
     if classify_directional(e) is not DirectionalClass.POSITIVE:
         raise NotDirectional("e must lie along a positive-norm directional vector")
-    if v_field.grid != w_field.grid:
-        raise GridMismatch("v and w live on different grids")
+    v = as_array(v, shape=(..., 5))
+    w = as_array(w, shape=v.shape)
 
     gv = _coefficients(g)
 
@@ -340,7 +289,7 @@ def metric_transport_identity_residual(
     # check free of finite-difference truncation for any sample fields.
     nabla_h = -(np.einsum("cam,cb->abm", gv, ETA5) + np.einsum("cbm,ac->abm", gv, ETA5))
     along_u = np.einsum("abm,m->ab", nabla_h, u_four)
-    contracted = np.einsum("ab,...a,...b->...", along_u, v_field.values, w_field.values)
+    contracted = np.einsum("ab,...a,...b->...", along_u, v, w)
     lhs = eta_dot(e, e) * contracted
 
     # g(U, v ^ e): embed U as a wedge against the reference frame and pair.
@@ -349,11 +298,11 @@ def metric_transport_identity_residual(
     u_biv[4, :4] = -u_four
     hh = np.einsum("ac,bd->abcd", ETA5, ETA5)
 
-    def wedge_pairing(field):
-        wedges = np.einsum("...a,b->...ab", field.values, e) - np.einsum("a,...b->...ab", e, field.values)
+    def wedge_pairing(samples):
+        wedges = np.einsum("...a,b->...ab", samples, e) - np.einsum("a,...b->...ab", e, samples)
         return 0.5 * np.einsum("abcd,ab,...cd->...", hh, u_biv, wedges)
 
-    h_we = np.einsum("ab,...a,b->...", ETA5, w_field.values, e)
-    h_ve = np.einsum("ab,...a,b->...", ETA5, v_field.values, e)
-    rhs = kappa * (wedge_pairing(v_field) * h_we + wedge_pairing(w_field) * h_ve)
+    h_we = np.einsum("ab,...a,b->...", ETA5, w, e)
+    h_ve = np.einsum("ab,...a,b->...", ETA5, v, e)
+    rhs = kappa * (wedge_pairing(v) * h_we + wedge_pairing(w) * h_ve)
     return max_norm(lhs - rhs)

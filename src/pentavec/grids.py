@@ -7,9 +7,9 @@ values carry the grid axes first and any component axes after them.
 
 Two difference schemes are provided.  Interior samples use central
 stencils (second or fourth order); samples within the stencil width of an
-edge fall back to one-sided stencils of the same order and are flagged by
-``FieldOnGrid.boundary_width`` so callers can restrict measurements to the
-interior.
+edge fall back to one-sided stencils of the same order.  A measurement
+that should see the central stencils alone reads the samples
+``grid.interior(scheme_width(scheme))``.
 """
 
 from __future__ import annotations
@@ -98,8 +98,6 @@ class FieldOnGrid:
 
     ``basis`` records which frame the components refer to ("O" for the
     orthonormal frame field, "P" for the parallel one) when that matters.
-    ``boundary_width`` is nonzero on derived fields whose edge samples came
-    from one-sided differences.
 
     ``values`` is stored read-only.  An array that owns its data and is
     already read-only is adopted as it is: that is how a kernel hands over
@@ -111,7 +109,6 @@ class FieldOnGrid:
     grid: Grid
     values: np.ndarray
     basis: str | None = None
-    boundary_width: int = 0
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)

@@ -90,10 +90,6 @@ class PoincareTransform:
         """kappa a_alpha, the translation as the parallel-frame laws see it."""
         return kappa * lower_array(self.a)
 
-    @classmethod
-    def identity(cls) -> "PoincareTransform":
-        return cls(np.eye(4), np.zeros(4))
-
 
 def transform_parallel(v, t: PoincareTransform, kappa: float = 1.0) -> np.ndarray:
     """Five-vector law in the parallel frame, over components ``(..., 5)``.
@@ -136,23 +132,15 @@ def homogeneous_rep(t: PoincareTransform, kappa: float = 1.0) -> np.ndarray:
     return m_transformation(t.lam_inv) @ p_transformation(t.shift(kappa))
 
 
-@dataclass(frozen=True)
-class CoordinateForm:
-    """Components of the covariant coordinate form at sample points, (..., 5) each.
-
-    ``p_dual`` are the parallel-frame dual components (x_alpha, 1), and
-    ``o_dual`` = N^-T p_dual the orthonormal-frame ones, N the parallel-frame
-    change in the rescaled frame (``connection.normalized_kappa``).  There
-    the form is one geometric object in every chart and o_dual is
-    (0, 0, 0, 0, 1) at every point; at kappa = 0, o_dual = p_dual.
-    """
-
-    p_dual: np.ndarray
-    o_dual: np.ndarray
-
-
-def coordinate_form(x, kappa: float = 1.0) -> CoordinateForm:
+def coordinate_form(x, kappa: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Chart-covariant completion of the coordinate functions at points x (..., 4).
+
+    Returns the components ``(p_dual, o_dual)``, (..., 5) each: the
+    parallel-frame dual components (x_alpha, 1), and o_dual = N^-T p_dual
+    the orthonormal-frame ones, N the parallel-frame change in the rescaled
+    frame (``connection.normalized_kappa``).  There the form is one
+    geometric object in every chart and o_dual is (0, 0, 0, 0, 1) at every
+    point; at kappa = 0, o_dual = p_dual.
 
     ``x`` is the sample point in the coordinates of whichever chart it was
     read in; the components do not depend on the chart otherwise.  For
@@ -165,7 +153,7 @@ def coordinate_form(x, kappa: float = 1.0) -> CoordinateForm:
     # N^-T subtracts normalized_kappa x_alpha times the fifth component, which is 1
     o_dual = p_dual.copy()
     o_dual[..., :4] -= normalized_kappa(kappa) * x_low
-    return CoordinateForm(p_dual=p_dual, o_dual=o_dual)
+    return p_dual, o_dual
 
 
 def coordinate_form_derivative() -> np.ndarray:

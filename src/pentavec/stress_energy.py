@@ -105,7 +105,7 @@ def _convert(m: FieldOnGrid, kappa: float, src: str, dst: str) -> FieldOnGrid:
         v[:, :4] += s[:, None] * v[:, None, 4]
         out[i] = np.moveaxis(v, (0, 1, 2), (-3, -2, -1))
     out.setflags(write=False)
-    return FieldOnGrid(grid=m.grid, values=out, basis=dst, boundary_width=m.boundary_width)
+    return FieldOnGrid(grid=m.grid, values=out, basis=dst)
 
 
 def transform_moment_field(m: FieldOnGrid, t: PoincareTransform, kappa: float = 1.0) -> FieldOnGrid:
@@ -122,7 +122,7 @@ def transform_moment_field(m: FieldOnGrid, t: PoincareTransform, kappa: float = 
     rep = homogeneous_rep(t, normalized_kappa(kappa))
     values = np.einsum("mn,...nab->...mab", t.lam, np.swapaxes(rep, -1, -2) @ m.values @ rep)
     values.setflags(write=False)
-    return FieldOnGrid(grid=m.grid, values=values, basis="P", boundary_width=m.boundary_width)
+    return FieldOnGrid(grid=m.grid, values=values, basis="P")
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,6 @@ class ConservationReport:
 
     momentum_residual: float
     angular_residual: float
-    scheme: str
-    basis: str
 
     def worst(self) -> float:
         return max(self.momentum_residual, self.angular_residual)
@@ -188,8 +186,6 @@ def conservation_report(m: FieldOnGrid, kappa: float = 1.0, scheme: str = "centr
     return ConservationReport(
         momentum_residual=max_norm(div[4, :4]),
         angular_residual=max_norm(div[:4, :4]),
-        scheme=scheme,
-        basis=m.basis,
     )
 
 

@@ -8,7 +8,6 @@ from pentavec.algebra import (
     wedge,
 )
 from pentavec.bases import (
-    UPMDecomposition,
     classify_basis,
     compose_upm,
     decompose_upm,
@@ -89,12 +88,11 @@ def test_induced_four_map_matches_wedge_route():
     # the coefficients back against the reference wedges
     rng = np.random.default_rng(10)
     for _ in range(25):
-        d = UPMDecomposition(
-            a=float(rng.uniform(0.5, 2.0)),
-            p=rng.normal(size=4),
-            t=random_lorentz(rng) + rng.normal(size=(4, 4)) * 0.05,
+        change = compose_upm(
+            float(rng.uniform(0.5, 2.0)),
+            rng.normal(size=4),
+            random_lorentz(rng) + rng.normal(size=(4, 4)) * 0.05,
         )
-        change = compose_upm(d)
         lam = induced_four_map(change)
         basis = E @ change
         for mu in range(4):
@@ -106,24 +104,22 @@ def test_induced_four_map_matches_wedge_route():
 def test_upm_round_trip():
     rng = np.random.default_rng(11)
     for _ in range(50):
-        d = UPMDecomposition(
-            a=float(rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 3.0)),
-            p=rng.normal(size=4),
-            t=rng.normal(size=(4, 4)) + np.eye(4) * 3.0,
-        )
-        change = compose_upm(d)
+        a = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 3.0))
+        p = rng.normal(size=4)
+        t = rng.normal(size=(4, 4)) + np.eye(4) * 3.0
+        change = compose_upm(a, p, t)
         back = decompose_upm(change)
-        assert back.a == pytest.approx(d.a, abs=1e-12)
-        assert np.allclose(back.p, d.p, atol=1e-10)
-        assert np.allclose(back.t, d.t, atol=1e-10)
-        assert np.allclose(compose_upm(back), change, atol=1e-10)
+        assert back[0] == pytest.approx(a, abs=1e-12)
+        assert np.allclose(back[1], p, atol=1e-10)
+        assert np.allclose(back[2], t, atol=1e-10)
+        assert np.allclose(compose_upm(*back), change, atol=1e-10)
 
 
 def test_upm_pure_scaling_case():
-    d = decompose_upm(u_transformation(2.0))
-    assert d.a == 2.0
-    assert np.array_equal(d.t, np.eye(4))
-    assert np.array_equal(d.p, np.zeros(4))
+    a, p, t = decompose_upm(u_transformation(2.0))
+    assert a == 2.0
+    assert np.array_equal(t, np.eye(4))
+    assert np.array_equal(p, np.zeros(4))
 
 
 def test_upm_rejects_bad_inputs():

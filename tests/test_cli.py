@@ -171,7 +171,7 @@ def test_transform_vector_round_trip(tmp_path, capsys):
 
 def test_transform_requires_frame(tmp_path, capsys):
     write_record(tmp_path / "v.pvec", Record("five_vector", np.arange(5.0)))
-    write_transform(tmp_path / "t.pvec", PoincareTransform.identity())
+    write_transform(tmp_path / "t.pvec", PoincareTransform(np.eye(4), np.zeros(4)))
     code = main([
         "transform", str(tmp_path / "v.pvec"), str(tmp_path / "t.pvec"),
         "-o", str(tmp_path / "out.pvec"),
@@ -402,7 +402,7 @@ def header_cases():
 @pytest.mark.parametrize("data, fragment", malformed_records())
 def test_transform_malformed_record_exits_2(tmp_path, capsys, data, fragment):
     (tmp_path / "in.pvec").write_bytes(data)
-    write_transform(tmp_path / "t.pvec", PoincareTransform.identity())
+    write_transform(tmp_path / "t.pvec", PoincareTransform(np.eye(4), np.zeros(4)))
     code = main([
         "transform", str(tmp_path / "in.pvec"), str(tmp_path / "t.pvec"),
         "-o", str(tmp_path / "out.pvec"),

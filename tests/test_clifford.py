@@ -3,12 +3,12 @@ import pytest
 
 from pentavec.algebra import ETA4, ETA5
 from pentavec.clifford import (
-    GammaSet,
     anticommutation_residual,
     anticommutators,
     apply_metric_preserving,
     dirac_from_gamma_set,
     dirac_gammas,
+    gamma_set,
     is_metric_preserving,
     standard_gamma_set,
 )
@@ -23,13 +23,13 @@ def test_standard_set_anticommutes_exactly():
 
 def test_standard_set_entries_are_units():
     allowed = np.array([0.0, 1.0, -1.0, 1j, -1j])
-    entries = standard_gamma_set().matrices.ravel()
+    entries = standard_gamma_set().ravel()
     dist = np.abs(entries[:, None] - allowed[None, :]).min(axis=1)
     assert dist.max() == 0.0
 
 
 def test_standard_set_squares():
-    g = standard_gamma_set().matrices
+    g = standard_gamma_set()
     eye = np.eye(4, dtype=complex)
     for a in range(5):
         assert np.array_equal(g[a] @ g[a], -ETA5[a, a] * eye)
@@ -53,15 +53,21 @@ def test_dirac_anticommutation_and_traces():
 
 def test_gamma_set_validation():
     with pytest.raises(InvalidGammaSet):
-        GammaSet(np.zeros((4, 4, 4)))
+        gamma_set(np.zeros((4, 4, 4)))
     bad = np.zeros((5, 4, 4), dtype=complex)
     bad[0, 0, 0] = np.nan
     with pytest.raises(InvalidGammaSet):
-        GammaSet(bad)
+        gamma_set(bad)
+    # every function that takes gamma sets checks them on entry
+    for call in (anticommutation_residual, dirac_from_gamma_set, lambda m: apply_metric_preserving(m, np.eye(5))):
+        with pytest.raises(InvalidGammaSet, match="expected shape"):
+            call(np.zeros((4, 4, 4)))
+        with pytest.raises(InvalidGammaSet, match="non-finite"):
+            call(bad)
 
 
 def test_reduction_rejects_non_anticommuting_input():
-    broken = GammaSet(np.stack([np.eye(4, dtype=complex)] * 5))
+    broken = np.stack([np.eye(4, dtype=complex)] * 5)
     with pytest.raises(InvalidGammaSet):
         dirac_from_gamma_set(broken)
 
@@ -87,7 +93,7 @@ def test_metric_preserving_maps_carry_gamma_sets():
 def test_identity_map_leaves_set_unchanged():
     gs = standard_gamma_set()
     mixed = apply_metric_preserving(gs, np.eye(5))
-    assert np.array_equal(mixed.matrices, gs.matrices)
+    assert np.array_equal(mixed, gs)
 
 
 def test_non_preserving_map_rejected():
@@ -119,19 +125,19 @@ def test_batched_calls_match_single_calls():
     gs = standard_gamma_set()
     o = random_metric_preserving5(np.random.default_rng(23), (2, 3))
     mixed = apply_metric_preserving(gs, o)
-    assert mixed.matrices.shape == (2, 3, 5, 4, 4)
+    assert mixed.shape == (2, 3, 5, 4, 4)
     assert is_metric_preserving(o).shape == (2, 3) and np.all(is_metric_preserving(o))
     residuals = anticommutation_residual(mixed)
     reduced = dirac_from_gamma_set(mixed)
     for idx in np.ndindex(2, 3):
         one = apply_metric_preserving(gs, o[idx])
-        assert np.array_equal(mixed.matrices[idx], one.matrices)
+        assert np.array_equal(mixed[idx], one)
         assert residuals[idx] == anticommutation_residual(one)
         assert np.array_equal(reduced[idx], dirac_from_gamma_set(one))
     # a batch of sets mixed again by a batch of maps of the same shape
     again = apply_metric_preserving(mixed, o)
-    one = apply_metric_preserving(GammaSet(mixed.matrices[1, 2]), o[1, 2])
-    assert np.array_equal(again.matrices[1, 2], one.matrices)
+    one = apply_metric_preserving(mixed[1, 2], o[1, 2])
+    assert np.array_equal(again[1, 2], one)
 
 
 def test_anticommutators_give_the_dirac_relations():
@@ -148,11 +154,11 @@ def test_one_bad_map_or_set_is_named():
     assert str(batch_error.value).endswith("(element (1, 2))")
     assert not is_metric_preserving(o)[1, 2]
 
-    sets = np.broadcast_to(gs.matrices, (2, 3, 5, 4, 4)).copy()
+    sets = np.broadcast_to(gs, (2, 3, 5, 4, 4)).copy()
     sets[1, 2] = np.eye(4)
     with pytest.raises(InvalidGammaSet) as batch_error:
-        dirac_from_gamma_set(GammaSet(sets))
+        dirac_from_gamma_set(sets)
     with pytest.raises(InvalidGammaSet):
-        dirac_from_gamma_set(GammaSet(sets[1, 2]))
-    dirac_from_gamma_set(GammaSet(sets[0]))  # the untouched row passes
+        dirac_from_gamma_set(sets[1, 2])
+    dirac_from_gamma_set(sets[0])  # the untouched row passes
     assert str(batch_error.value).endswith("(element (1, 2))")

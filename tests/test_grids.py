@@ -47,8 +47,8 @@ def test_field_on_grid_validation():
         FieldOnGrid(g, np.zeros((3, 1, 1, 1)))
     with pytest.raises(ValueError):
         FieldOnGrid(g, np.full((4, 1, 1, 1), np.nan))
-    f = FieldOnGrid(g, np.arange(4.0).reshape(4, 1, 1, 1), boundary_width=1)
-    assert f.values[g.interior(f.boundary_width)].shape == (2, 1, 1, 1)
+    f = FieldOnGrid(g, np.arange(4.0).reshape(4, 1, 1, 1))
+    assert f.values[g.interior(1)].shape == (2, 1, 1, 1)
     with pytest.raises(ValueError):
         f.values[0] = 9.0  # stored samples are read-only
 

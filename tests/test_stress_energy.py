@@ -248,8 +248,7 @@ def test_conservation_report_guards():
     bare = FieldOnGrid(grid, current.values, basis=None)
     with pytest.raises(BasisMismatch):
         conservation_report(bare, 1.0)
-    report = conservation_report(current, 1.0)
-    assert report.scheme == "central2" and report.basis == "P"
+    assert conservation_report(current, 1.0).worst() == 0.0  # a P-frame current passes the guard
 
 
 # The kernels below were rewritten without copies and full-grid temporaries.
