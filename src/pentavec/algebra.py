@@ -65,6 +65,12 @@ def antisymmetric(m, what: str) -> np.ndarray:
     return m
 
 
+def preservation_residual(m: np.ndarray, eta: np.ndarray) -> tuple:
+    """max |m^T eta m - eta| of each matrix of ``m`` (..., n, n), and its zero threshold bound(max |m|^2)."""
+    resid = np.max(np.abs(np.swapaxes(m, -1, -2) @ eta @ m - eta), axis=(-2, -1))
+    return resid, bound(np.max(np.abs(m), axis=(-2, -1)) ** 2)
+
+
 def _stack(a, trailing: tuple, what: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.shape[a.ndim - len(trailing):] != trailing:

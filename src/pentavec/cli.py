@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import antisymmetric, bivector_from_four
 from .bases import classify_basis, frame_residuals, orthonormal_basis_for, regular_basis_for
-from .errors import KindMismatch, PentavecError
+from .errors import KindMismatch, NotFinite, PentavecError
 from .fileio import Record, read_record, transform_from_payload, write_record
 from .grids import FieldOnGrid, SCHEMES
 from .poincare import (
@@ -150,6 +150,8 @@ def _transform_record(record: Record, t, basis_override, kappa_override) -> tupl
 
 
 def _cmd_transform(args) -> int:
+    if args.kappa is not None and not np.isfinite(args.kappa):
+        raise NotFinite(f"--kappa must be finite, got {args.kappa}")
     record = read_record(args.input)
     t_record = read_record(args.transform)
     if t_record.kind != "poincare_transform":

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import ETA5
+from .algebra import ETA5, preservation_residual
 from .errors import InvalidGammaSet, NotO32
 from .numerics import as_array, bound, raise_where
 
@@ -115,8 +115,8 @@ def is_metric_preserving(o: np.ndarray):
     o = np.asarray(o, dtype=float)
     if o.shape[-2:] != (5, 5):
         return False
-    resid = np.max(np.abs(np.swapaxes(o, -1, -2) @ ETA5 @ o - ETA5), axis=(-2, -1))
-    return resid <= bound(np.max(np.abs(o), axis=(-2, -1)) ** 2)
+    resid, limit = preservation_residual(o, ETA5)
+    return resid <= limit
 
 
 def apply_metric_preserving(m, o: np.ndarray) -> np.ndarray:

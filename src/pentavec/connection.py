@@ -29,8 +29,7 @@ import numpy as np
 from .algebra import ETA4, ETA5, DirectionalClass, classify_directional, eta_dot, lower_array
 from .bases import p_transformation
 from .errors import (
-    DegenerateKappa, GridMismatch, NotDirectional, NotFinite,
-    OutOfRange, ShapeMismatch, SingularMatrix,
+    DegenerateKappa, GridMismatch, NotDirectional, NotFinite, ShapeMismatch, SingularMatrix,
 )
 from .grids import FieldOnGrid, Grid, grid_gradient, scheme_width
 from .numerics import as_array, max_norm, raise_where
@@ -166,22 +165,17 @@ def transform_connection_field(
     return _transformed(g.values, change_field, linv, lam, dl)
 
 
-def transport(components, from_x, to_x, frame: str, kappa: float) -> np.ndarray:
-    """Parallel-transport five-vector components (..., 5) between chart points (..., 4).
+def transport(components, from_x, to_x, kappa: float) -> np.ndarray:
+    """Parallel-transport orthonormal-frame components (..., 5) between chart points (..., 4).
 
-    Components are read and returned in the stated frame ("O" or "P") at
-    the start and end points.  Parallel-frame components are transport
-    invariants, so the path between the points never enters (flat
-    spacetime has no holonomy).  In the orthonormal frame the move is
-    N(to) N(from)^-1, which is the parallel-frame change at to - from.
+    The move is N(to) N(from)^-1, which is the parallel-frame change at
+    to - from, so the path between the points never enters (flat spacetime
+    has no holonomy).  Parallel-frame components need no such function:
+    they are transport invariants.
     """
     components = as_array(components, shape=(..., 5))
     from_x = as_array(from_x, shape=(..., 4))
     to_x = as_array(to_x, shape=(..., 4))
-    if frame not in ("O", "P"):
-        raise OutOfRange(f"frame must be 'O' or 'P', got {frame!r}")
-    if frame == "P":
-        return components.copy()
     step = to_x - from_x
     return (parallel_frame_change(step, kappa) @ components[..., None])[..., 0]
 

@@ -36,11 +36,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import ETA4, antisymmetric, lower_array
+from .algebra import ETA4, antisymmetric, lower_array, preservation_residual
 from .bases import m_transformation, p_transformation
 from .connection import normalized_kappa
 from .errors import NotLorentz, ShapeMismatch
-from .numerics import as_array, bound, raise_where
+from .numerics import as_array, raise_where
 
 
 def _lorentz_inverse(lam: np.ndarray) -> np.ndarray:
@@ -49,8 +49,7 @@ def _lorentz_inverse(lam: np.ndarray) -> np.ndarray:
     The closed form eta lam^T eta is exact only up to the Lorentz residual,
     which the routes that invert ``homogeneous_rep`` numerically would see.
     """
-    resid = np.max(np.abs(np.swapaxes(lam, -1, -2) @ ETA4 @ lam - ETA4), axis=(-2, -1))
-    limit = bound(np.max(np.abs(lam), axis=(-2, -1)) ** 2)
+    resid, limit = preservation_residual(lam, ETA4)
     message = "matrix does not preserve the four-metric (residual {:.3e} > bound {:.3e})"
     raise_where(resid > limit, NotLorentz, message, resid, limit)
     return as_array(np.linalg.inv(lam))

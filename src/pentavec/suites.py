@@ -414,7 +414,7 @@ def connection_suite(options: SuiteOptions, rng):
     # samples advanced together as one (100, 5) state.
     x0, x1 = rng.normal(size=(2, 100, 4))
     v = rng.normal(size=(100, 5))
-    moved = connection.transport(v, x0, x1, "O", kappa)
+    moved = connection.transport(v, x0, x1, kappa)
     steps = 256
     rate_matrix = -(flat.values @ ((x1 - x0) / steps)[:, None, :, None])[..., 0]  # (100, A, B)
 
@@ -432,7 +432,7 @@ def connection_suite(options: SuiteOptions, rng):
     yield CheckResult("transport-matches-integration", worst, 1e-9)
 
     t_span = 2.5
-    moved = connection.transport(np.array([1.0, 0, 0, 0, 0]), np.zeros(4), np.array([t_span, 0, 0, 0]), "O", kappa)
+    moved = connection.transport(np.array([1.0, 0, 0, 0, 0]), np.zeros(4), np.array([t_span, 0, 0, 0]), kappa)
     expected = np.array([1.0, 0, 0, 0, kappa * t_span])
     yield CheckResult("transport-time-axis", max_norm(moved - expected), 1e-12)
 

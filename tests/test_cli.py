@@ -312,6 +312,32 @@ def test_transform_bad_tensor_record_exits_2(tmp_path, capsys, kind, entry, chan
     assert not out.exists()
 
 
+def kappa_record(kind):
+    """A small record of each kind that the --kappa flag may reach."""
+    grid = Grid(origin=(0.0,) * 4, spacing=(0.5,) * 4, shape=(2, 1, 1, 1))
+    if kind == "moment_field":
+        return Record(kind, np.zeros(grid.shape + (4, 5, 5)), basis="P", grid=grid)
+    if kind == "five_vector_field":
+        return Record(kind, np.ones(grid.shape + (5,)), basis="P", grid=grid)
+    if kind == "five_vector":
+        return Record(kind, np.arange(5.0), basis="P")
+    return Record(kind, tensor_payload(kind))
+
+
+@pytest.mark.parametrize("kind", ["moment_field", "five_vector_field", "five_vector", "param_tensor"])
+@pytest.mark.parametrize("kappa", ["nan", "inf", "-inf"])
+def test_transform_non_finite_kappa_flag_exits_2(tmp_path, capsys, kind, kappa):
+    write_record(tmp_path / "in.pvec", kappa_record(kind))
+    write_transform(tmp_path / "t.pvec", boost_transform())
+    out = tmp_path / "out.pvec"
+    args = ["transform", str(tmp_path / "in.pvec"), str(tmp_path / "t.pvec"), "-o", str(out), f"--kappa={kappa}"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --kappa must be finite, got {kappa}\n"
+    assert not out.exists()
+
+
 def test_transform_moment_field(tmp_path, capsys):
     from pentavec.stress_energy import assemble_moment_field, constant_stress_samples
 

@@ -179,12 +179,12 @@ def test_transport_matches_integrated_equation():
     for _ in range(10):
         u = rng.normal(size=5)
         a, b = rng.normal(size=(2, 4))
-        got = transport(u, a, b, "O", KAPPA)
+        got = transport(u, a, b, KAPPA)
         assert np.allclose(got, rk4_transport(u, a, b, KAPPA), atol=1e-9)
 
 
 def test_transport_time_axis_tips_into_fifth():
-    got = transport([1.0, 0.0, 0.0, 0.0, 0.0], np.zeros(4), [2.0, 0.0, 0.0, 0.0], "O", 0.5)
+    got = transport([1.0, 0.0, 0.0, 0.0, 0.0], np.zeros(4), [2.0, 0.0, 0.0, 0.0], 0.5)
     assert np.array_equal(got, [1.0, 0.0, 0.0, 0.0, 1.0])
 
 
@@ -192,10 +192,10 @@ def test_transport_path_independence_and_inverse():
     rng = np.random.default_rng(32)
     u = rng.normal(size=5)
     a, b, c = rng.normal(size=(3, 4))
-    direct = transport(u, a, b, "O", KAPPA)
-    via_c = transport(transport(u, a, c, "O", KAPPA), c, b, "O", KAPPA)
+    direct = transport(u, a, b, KAPPA)
+    via_c = transport(transport(u, a, c, KAPPA), c, b, KAPPA)
     assert np.allclose(direct, via_c, atol=1e-12)
-    back = transport(direct, b, a, "O", KAPPA)
+    back = transport(direct, b, a, KAPPA)
     assert np.allclose(back, u, atol=1e-12)
 
 
@@ -206,17 +206,14 @@ def test_transport_shifts_only_the_fifth_component():
     rng = np.random.default_rng(33)
     u, v = rng.normal(size=(2, 5))
     a, b = rng.normal(size=(2, 4))
-    ut = transport(u, a, b, "O", KAPPA)
+    ut = transport(u, a, b, KAPPA)
     assert np.allclose(ut[:4], u[:4], atol=1e-14)
     shift = KAPPA * lower_array(b - a) @ u[:4]
     assert ut[4] == pytest.approx(u[4] + shift, abs=1e-12)
     # the five-metric pairing is deliberately not preserved: its covariant
     # derivative has the nonzero mixed row checked elsewhere
-    vt = transport(v, a, b, "O", KAPPA)
+    vt = transport(v, a, b, KAPPA)
     assert abs(ut @ ETA5 @ vt - u @ ETA5 @ v) > 1e-3
-    assert np.array_equal(transport(u, a, b, "P", KAPPA), u)
-    with pytest.raises(ValueError):
-        transport(u, a, b, "Q", KAPPA)
 
 
 def test_covariant_derivative_constant_field():

@@ -8,7 +8,7 @@ command line turns it into one ``error:`` line with exit code 2.
 import numpy as np
 import pytest
 
-from pentavec.connection import coordinates_from_parallel_metric, parallel_frame_metric, transport
+from pentavec.connection import coordinates_from_parallel_metric, parallel_frame_metric
 from pentavec.errors import DegenerateKappa, NotFinite, NotNull, OutOfRange, PentavecError
 from pentavec.grids import FieldOnGrid, Grid, scheme_width
 from pentavec.stress_energy import plane_wave_stress_samples
@@ -21,25 +21,13 @@ WAVE = Grid(origin=(0.0,) * 4, spacing=(0.25, 0.25, 0.25, 1.0), shape=(5, 5, 5, 
 @pytest.mark.parametrize(
     "call, error, builtin",
     [
-        # frame names and scheme names are matched exactly: no case folding, no unlisted orders
-        pytest.param(
-            lambda: transport(np.zeros(5), np.zeros(4), np.ones(4), "p", 1.0),
-            OutOfRange,
-            ValueError,
-            id="<lambda>-OutOfRange-ValueError0",
-        ),
+        # scheme names are matched exactly: no unlisted orders
         pytest.param(lambda: scheme_width("central6"), OutOfRange, ValueError, id="<lambda>-OutOfRange-ValueError1"),
         pytest.param(
             lambda: coordinates_from_parallel_metric(parallel_frame_metric(np.zeros(4), 1.0), 0.0),
             DegenerateKappa,
             ZeroDivisionError,
             id="<lambda>-DegenerateKappa-ZeroDivisionError",
-        ),
-        pytest.param(
-            lambda: transport(np.zeros(5), np.zeros(4), np.ones(4), "Q", 1.0),
-            OutOfRange,
-            ValueError,
-            id="<lambda>-OutOfRange-ValueError2",
         ),
         pytest.param(lambda: scheme_width("upwind"), OutOfRange, ValueError, id="<lambda>-OutOfRange-ValueError3"),
         pytest.param(
