@@ -122,17 +122,6 @@ def coordinates_from_parallel_metric(h: np.ndarray, kappa: float) -> np.ndarray:
     return lower_array(h[..., :4, 4]) / kappa
 
 
-def _transformed(g: np.ndarray, change: np.ndarray, linv: np.ndarray, lam: np.ndarray, dl: np.ndarray):
-    """G' = L^-1 [(G Lambda) L + (dL) Lambda] over the leading axes of L.
-
-    Contracted pairwise: the derivative index first, then L on the right,
-    then L^-1 on the left as one matrix product over the (B, m) columns.
-    """
-    inner = np.einsum("cdm,...db->...cbm", g @ lam, change)
-    inner += dl @ lam
-    return (linv @ inner.reshape(inner.shape[:-3] + (5, 20))).reshape(inner.shape)
-
-
 def transform_connection_field(
     g: ConnectionCoeffs,
     change_field: np.ndarray,
@@ -140,12 +129,13 @@ def transform_connection_field(
     grid: Grid,
     scheme: str = "central2",
 ) -> np.ndarray:
-    """Coefficients after a position-dependent frame change L(x).
+    """Coefficients G' = L^-1 [(G Lambda) L + (dL) Lambda] after a position-dependent frame change L(x).
 
-    ``change_field`` holds L at every sample, shape ``grid.shape + (5, 5)``.
-    The derivative of L is taken with the requested difference scheme, so
-    the result is exact only up to the scheme's truncation error.  A
-    non-finite or singular sample of L raises NotFinite or SingularMatrix.
+    ``change_field`` holds L at every sample, shape ``grid.shape + (5, 5)``;
+    a constant change is a broadcast field.  The derivative of L is taken
+    with the requested difference scheme, so the result is exact only up to
+    the scheme's truncation error.  A non-finite or singular sample of L
+    raises NotFinite or SingularMatrix.
     """
     lam = as_array(lam, shape=(4, 4))
     change_field = np.asarray(change_field, dtype=float)
@@ -162,7 +152,11 @@ def transform_connection_field(
         raise_where(np.linalg.det(change_field) == 0.0, SingularMatrix, "change field holds a singular sample")
         raise
     dl = grid_gradient(change_field, grid, scheme)  # (..., C, B, nu)
-    return _transformed(g.values, change_field, linv, lam, dl)
+    # Contracted pairwise: the derivative index first, then L on the right,
+    # then L^-1 on the left as one matrix product over the (B, m) columns.
+    inner = np.einsum("cdm,...db->...cbm", g.values @ lam, change_field)
+    inner += dl @ lam
+    return (linv @ inner.reshape(inner.shape[:-3] + (5, 20))).reshape(inner.shape)
 
 
 def transport(components, from_x, to_x, kappa: float) -> np.ndarray:
