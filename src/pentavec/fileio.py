@@ -12,11 +12,23 @@ header lines describing their sample grid, and any kind may carry a
 
 Files are read and written a block of payload lines at a time, so neither
 direction holds the whole text, its lines or its words at once.
+``read_record`` and ``write_record`` hand the second half of a payload of
+two blocks or more to a forked process when this one runs no other thread
+and may use a second CPU.  Each process holds a block of its half at a
+time; the reader's helper parses into shared memory, the writer's formats
+into a temporary file copied in after the first half.  Outputs and errors
+are those of one process.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import shutil
+import tempfile
+import threading
+import warnings
 from dataclasses import dataclass
 from itertools import islice
 
@@ -102,15 +114,16 @@ def _fmt(x: float) -> str:
 def emit_record(record: Record, fh=None) -> str | None:
     """The text of ``record``; or, given an open text file, write that text
     to it a block of payload lines at a time and return None."""
-    pieces = _record_pieces(record)
+    pieces = _record_pieces(record, record.payload.ravel())
     if fh is None:
         return "".join(pieces)
     fh.writelines(pieces)  # drops each piece before it formats the next
     return None
 
 
-def _record_pieces(record: Record):
-    """The header through the ``data`` line, then the text of each block of payload lines."""
+def _record_pieces(record: Record, flat: np.ndarray):
+    """The header through the ``data`` line, then the text of each block of
+    payload lines of ``flat``, the payload or its first part."""
     lines = [MAGIC, f"kind {record.kind}"]
     lines.append("labels " + _LABELS[KINDS[record.kind][1]])
     if record.basis is not None:
@@ -123,8 +136,10 @@ def _record_pieces(record: Record):
         lines.append("shape " + " ".join(str(n) for n in record.grid.shape))
     lines.append("data")
     yield "\n".join(lines) + "\n"
+    yield from _block_texts(flat)
 
-    flat = record.payload.ravel()
+
+def _block_texts(flat: np.ndarray):
     step = VALUES_PER_LINE * LINES_PER_BLOCK
     for start in range(0, flat.size, step):
         yield _block_text(flat[start : start + step])
@@ -141,8 +156,66 @@ def _block_text(values: np.ndarray) -> str:
 
 
 def write_record(path, record: Record) -> None:
+    """Write ``emit_record(record)`` to the file at ``path``, by two
+    processes if ``_two_processes`` allows."""
+    flat = record.payload.ravel()
     with open(path, "w", encoding="utf-8") as fh:
-        emit_record(record, fh)
+        if not _two_processes(flat.size):
+            emit_record(record, fh)
+            return
+        mid = flat.size // (2 * VALUES_PER_LINE) * VALUES_PER_LINE
+        with tempfile.TemporaryFile() as tmp:
+
+            def child():
+                tmp.writelines(text.encode("utf-8") for text in _block_texts(flat[mid:]))
+                tmp.flush()
+
+            _, done = _forked(child, lambda: fh.writelines(_record_pieces(record, flat[:mid])))
+            if not done:  # format the second half here, as one process does
+                fh.writelines(_block_texts(flat[mid:]))
+                return
+            fh.flush()
+            tmp.seek(0)
+            shutil.copyfileobj(tmp, fh.buffer)
+
+
+def _two_processes(count: int) -> bool:
+    """Whether a payload of ``count`` values is read or written by two processes."""
+    return (
+        count >= 2 * VALUES_PER_LINE * LINES_PER_BLOCK
+        and hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1
+    )
+
+
+def _forked(child, parent) -> tuple:
+    """``parent()``, run while ``child()`` runs in a forked process, and
+    whether that process exited with status 0.  The child ends in
+    ``os._exit``, so it flushes none of this process's buffers and runs none
+    of its clean-up; it is reaped even when ``parent()`` raises.  With no
+    process to spare, both run here."""
+    try:
+        with warnings.catch_warnings():  # 3.12 warns of native (BLAS) threads, which the child never calls
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        result = parent()
+        child()
+        return result, True
+    if pid == 0:
+        status = 1
+        try:
+            child()
+            status = 0
+        finally:
+            os._exit(status)
+    try:
+        result = parent()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    return result, status == 0
 
 
 def parse_record(source) -> Record:
@@ -156,16 +229,7 @@ def parse_record(source) -> Record:
     """
     if isinstance(source, str):
         return _parse_text(source)
-    try:
-        return _parse_file(source)
-    # ValueError: a bad token, a wrong count, a count too large for an array,
-    # a non-finite value (NotFinite) or bytes that are not UTF-8
-    # (UnicodeDecodeError, raised again by the read below); MemoryError: a
-    # count too large to allocate.
-    except (ParseError, ValueError, MemoryError):
-        pass
-    source.seek(0)
-    return _parse_text(source.read())
+    return _parse_file(source)
 
 
 def _parse_header(lines) -> tuple:
@@ -280,42 +344,100 @@ def _file_blocks(fh, rest: list):
         yield block
 
 
-def _parse_file(fh) -> Record:
-    """The record in ``fh``; raises ParseError or ValueError at a fault,
-    with no location for a fault in the payload."""
-    rest: list = []
-    kind, basis, kappa, grid, shape, _ = _parse_header(_file_lines(fh, rest))
-    payload = _read_payload(_file_blocks(fh, rest), shape)
-    return Record(kind=kind, payload=payload, basis=basis, kappa=kappa, grid=grid)
+def _parse_file(fh, fd=None) -> Record:
+    """The record in the open text file ``fh``, read as ``parse_record``
+    describes; given its descriptor ``fd``, by two processes if
+    ``_two_processes`` allows."""
+    try:
+        rest: list = []
+        kind, basis, kappa, grid, shape, _ = _parse_header(_file_lines(fh, rest))
+        # One process reads payload that follows the data line's text after a
+        # break other than \n (rest), or a file whose position holds decoder
+        # state (tell() of 2**64 or more, as after a \r line end).
+        split = fd is not None and not rest and _two_processes(math.prod(shape))
+        start = fh.tell() if split else 1 << 64
+        payload = _read_payload(_file_blocks(fh, rest), shape, None if start >> 64 else (fd, start))
+        return Record(kind=kind, payload=payload, basis=basis, kappa=kappa, grid=grid)
+    # ValueError: a bad token, a wrong count, a count too large for an array,
+    # a non-finite value (NotFinite), a failed helper process or bytes that
+    # are not UTF-8 (UnicodeDecodeError, raised again by the read below);
+    # MemoryError: a count too large to allocate.
+    except (ParseError, ValueError, MemoryError):
+        pass
+    fh.seek(0)
+    return _parse_text(fh.read())
 
 
-def _read_payload(blocks, shape: tuple) -> np.ndarray:
+def _read_payload(blocks, shape: tuple, split=None) -> np.ndarray:
     """The read-only payload of ``shape`` held in ``blocks``, texts of whole
-    lines of a data section.  Raises ValueError at a word ``float`` rejects
-    or at a wrong count, and MemoryError when ``shape`` is too large."""
+    lines of a data section; or else, given ``split``, as ``_fill_halves``
+    reads it.  Raises ValueError at a word ``float`` rejects or at a wrong
+    count, and MemoryError when ``shape`` is too large."""
     payload = np.empty(shape)
     flat = payload.reshape(-1)
-    filled = 0
-    for text in blocks:
-        filled = _fill(flat, filled, text)
+    filled = _fill(flat, blocks) if split is None else _fill_halves(flat, *split)
     if filled != flat.size:
         raise ValueError(f"{filled} values for {flat.size}")
     payload.setflags(write=False)
     return payload
 
 
-def _fill(flat: np.ndarray, filled: int, text: str) -> int:
-    """Convert the words of ``text`` into ``flat`` from index ``filled`` on,
-    and return the new fill.  A function of its own, so that the words are
-    freed before the next block is read."""
-    if "#" in text:  # drop comment lines, as the scan does
-        text = "\n".join(line for line in text.splitlines() if not line.lstrip().startswith("#"))
-    words = text.split()
-    end = filled + len(words)
-    if end > flat.size:
-        raise ValueError(f"more than {flat.size} values")
-    flat[filled:end] = np.fromiter(map(float, words), dtype=float, count=len(words))
-    return end
+def _fill_halves(flat: np.ndarray, fd: int, start: int) -> int:
+    """``_fill`` of file ``fd`` from byte ``start`` on; a forked process
+    converts the lines after the first \\n past the middle into shared
+    memory.  Raises ValueError at a fault in either part."""
+    end = os.fstat(fd).st_size
+    mid = (start + end) // 2
+    found = os.pread(fd, 1 << 16, mid).find(b"\n")
+    mid = mid + found + 1 if found >= 0 else end
+    shared = np.frombuffer(mmap.mmap(-1, 8 * (flat.size + 1)))  # the child's values, then their count
+
+    def child():
+        shared[-1] = _fill(shared[:-1], _byte_blocks(fd, mid, end))
+
+    filled, done = _forked(child, lambda: _fill(flat, _byte_blocks(fd, start, mid)))
+    got = int(shared[-1])
+    if not done or filled + got != flat.size:
+        raise ValueError(f"{filled} + {got} values for {flat.size}")
+    flat[filled:] = shared[:got]
+    return flat.size
+
+
+def _byte_blocks(fd: int, start: int, end: int):
+    """The text of bytes [start, end) of file ``fd`` in chunks cut after a
+    \\n, read without moving the file's offset.  Raises ValueError at
+    bytes that are not UTF-8 or at a file that ends early."""
+    # Two bytes a value, the least a value and its separator take: a chunk
+    # holds at most a block's count of words.
+    size = 2 * VALUES_PER_LINE * LINES_PER_BLOCK
+    while start < end:
+        chunk = os.pread(fd, min(size, end - start), start)
+        if not chunk:
+            raise ValueError(f"file ends at byte {start}, not {end}")
+        cut = len(chunk) if start + len(chunk) == end else chunk.rfind(b"\n") + 1
+        if not cut:  # a line longer than the chunk
+            size *= 2
+            continue
+        start, size = start + cut, 2 * VALUES_PER_LINE * LINES_PER_BLOCK
+        yield chunk[:cut].decode("utf-8")
+
+
+def _fill(flat: np.ndarray, blocks) -> int:
+    """Convert the words of ``blocks``, texts of whole lines of a data
+    section, into ``flat`` from its start, and return their count.  Raises
+    ValueError at a word ``float`` rejects or past the end of ``flat``."""
+    filled = 0
+    for text in blocks:
+        if "#" in text:  # drop comment lines, as the scan does
+            text = "\n".join(line for line in text.splitlines() if not line.lstrip().startswith("#"))
+        words = text.split()
+        end = filled + len(words)
+        if end > flat.size:
+            raise ValueError(f"more than {flat.size} values")
+        flat[filled:end] = np.fromiter(map(float, words), dtype=float, count=len(words))
+        filled = end
+        del words  # before the next block is read
+    return filled
 
 
 def _scan_payload(data: list, data_line: int, kind: str, count: int) -> None:
@@ -352,10 +474,11 @@ def _scan_payload(data: list, data_line: int, kind: str, count: int) -> None:
 
 
 def read_record(path) -> Record:
-    """The record in the file at ``path``, read as ``parse_record`` reads a file."""
+    """The record in the file at ``path``, read as ``parse_record`` reads a
+    file but by two processes if ``_two_processes`` allows."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse_record(fh)
+            return _parse_file(fh, fh.fileno())
     except UnicodeDecodeError:
         pass
     # The decoder's error counts from its last buffer, not from the file's start.

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import sys
 import tracemalloc
@@ -499,3 +500,133 @@ def test_streamed_read_matches_the_whole_text_parse(tmp_path_factory, rec, chang
     assert got == expected
     if isinstance(expected[-1], bytes):
         assert not whole_text_reads  # a good file is read once, in blocks
+
+
+# ------------------------------------------------ two processes vs one
+
+
+def read_outcome(path):
+    """``whole_text_outcome``'s fields or error, from ``read_record``."""
+    try:
+        rec = read_record(path)
+    except ParseError as err:
+        return str(err), err.line, err.column
+    return rec.kind, rec.basis, rec.kappa, rec.grid, rec.payload.shape, rec.payload.tobytes()
+
+
+def assert_no_helper_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """One payload line a block, so that a record of 16 values or more is
+    read and written by two processes; the list of those runs."""
+    monkeypatch.setattr(fileio, "LINES_PER_BLOCK", 1)
+    runs = []
+    forked = fileio._forked
+    monkeypatch.setattr(fileio, "_forked", lambda child, parent: runs.append(1) or forked(child, parent))
+    yield runs
+    assert_no_helper_left()
+
+
+def helper_fails(monkeypatch, module, name):
+    """Make ``module.name`` raise in a forked helper, and only there."""
+    parent, real = os.getpid(), getattr(module, name)
+
+    def patched(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("the helper fails")
+        return real(*args)
+
+    monkeypatch.setattr(module, name, patched)
+
+
+def test_two_process_write_gives_the_emitted_bytes_for_every_kind(tmp_path, forks):
+    rng = np.random.default_rng(90)
+    split = 0
+    for kind in KINDS:
+        rec = record_for(kind, rng)
+        path = tmp_path / f"{kind}.pvec"
+        write_record(path, rec)
+        assert path.read_bytes() == emit_record(rec).encode("utf-8")
+        back = read_record(path)
+        assert back.payload.tobytes() == rec.payload.tobytes()
+        assert (back.kind, back.basis, back.kappa, back.grid) == (rec.kind, rec.basis, rec.kappa, rec.grid)
+        split += 2 * (rec.payload.size >= 2 * VALUES_PER_LINE)
+    assert len(forks) == split == 22  # all but the kinds of 4 or 5 values, each read and written
+
+
+FAULTS = ["none", "bad token", "not finite", "one too many", "one too few", "comment lines", "bad byte"]
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(FAULTS), st.sampled_from(["\n", "\r\n", "\r"]), st.data())
+def test_two_process_read_matches_the_whole_text_parse(tmp_path_factory, seed, fault, ending, data):
+    grid = Grid(origin=(0.0,) * 4, spacing=(0.5,) * 4, shape=(3, 1, 2, 1))
+    payload = np.random.default_rng(seed).standard_normal(grid.shape + (4, 5, 5))
+    text = emit_record(Record("moment_field", payload, basis="P", grid=grid))  # 75 payload lines
+    tokens = payload_tokens(text)
+    where = tokens[data.draw(st.integers(len(tokens) // 2, len(tokens) - 1))]  # in the second half
+    if fault == "comment lines":  # one between every two lines, so one is at the split
+        text = text.replace("\n", "\n# note\n").replace("data\n# note\n", "data\n")
+    elif fault != "none":
+        new = {"bad token": "x", "not finite": "inf", "one too many": where[2] + " 1", "one too few": ""}
+        text = replace_token(text, where, new.get(fault, "\x00"))
+    raw = text.replace("\n", ending).encode("utf-8").replace(b"\x00", b"\xe9")
+    path = tmp_path_factory.getbasetemp() / "two.pvec"
+    path.write_bytes(raw)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fileio, "LINES_PER_BLOCK", 2)
+        runs = []
+        forked = fileio._forked
+        patch.setattr(fileio, "_forked", lambda child, parent: runs.append(1) or forked(child, parent))
+        assert read_outcome(path) == whole_text_outcome(raw)
+    # After its data line, a file with \r line ends holds decoder state, so
+    # one process reads it.  A bad byte may be decoded with the header.
+    if fault != "bad byte":
+        assert len(runs) == (ending != "\r")
+    assert_no_helper_left()
+
+
+def test_a_failing_helper_gives_the_one_process_result(tmp_path, forks, monkeypatch):
+    grid = Grid(origin=(0.0,) * 4, spacing=(0.5,) * 4, shape=(3, 1, 2, 1))
+    rec = Record("theta_field", np.random.default_rng(91).standard_normal(grid.shape + (4, 4)), grid=grid)
+    text = emit_record(rec)
+    whole_text_reads = []
+    parse_text = fileio._parse_text
+    monkeypatch.setattr(fileio, "_parse_text", lambda text: whole_text_reads.append(1) or parse_text(text))
+    helper_fails(monkeypatch, fileio, "_block_text")
+    helper_fails(monkeypatch, os, "pread")
+
+    write_record(tmp_path / "theta.pvec", rec)
+    assert (tmp_path / "theta.pvec").read_text(encoding="utf-8") == text
+    assert read_record(tmp_path / "theta.pvec").payload.tobytes() == rec.payload.tobytes()
+    assert len(forks) == 2 and whole_text_reads == [1]  # the read fell back to the whole text
+    assert_no_helper_left()
+
+    # a fault in the first half while the helper runs: the located error of the whole text
+    bad = replace_token(text, payload_tokens(text)[3], "x")
+    (tmp_path / "bad.pvec").write_text(bad, encoding="utf-8")
+    err = pytest.raises(ParseError, read_record, tmp_path / "bad.pvec").value
+    assert (str(err), err.line, err.column) == outcome(bad)
+    assert len(forks) == 3
+
+
+@pytest.mark.parametrize("fork", ["absent", "fails"])
+def test_without_a_second_process_the_bytes_and_records_are_the_same(tmp_path, forks, monkeypatch, fork):
+    def fork_fails():
+        raise BlockingIOError("no process to spare")
+
+    if fork == "absent":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", fork_fails)
+    rng = np.random.default_rng(92)
+    for kind in ("moment_field", "sigma_field", "bivector"):
+        rec = record_for(kind, rng)
+        write_record(tmp_path / "r.pvec", rec)
+        assert (tmp_path / "r.pvec").read_text(encoding="utf-8") == emit_record(rec)
+        assert read_record(tmp_path / "r.pvec").payload.tobytes() == rec.payload.tobytes()
+    assert len(forks) == (0 if fork == "absent" else 6)  # with fork failing, both parts run here
