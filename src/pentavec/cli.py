@@ -205,9 +205,22 @@ def _cmd_basis(args) -> int:
     return 0
 
 
+def _attach_kappa(argv) -> list:
+    """``argv`` with each ``--kappa V`` written ``--kappa=V`` where V starts
+    with a single "-": argparse takes such a V for an option unless it reads
+    like -1 or -.5, so -1e3 and -inf after a space would be refused."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--kappa" and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_kappa(sys.argv[1:] if argv is None else argv))
     handlers = {"verify": _cmd_verify, "transform": _cmd_transform, "basis": _cmd_basis}
     try:
         return handlers[args.command](args)

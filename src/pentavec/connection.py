@@ -196,7 +196,6 @@ def metric_derivative_report(
     g,
     h_field: np.ndarray,
     kappa: float,
-    g_four: np.ndarray,
     grid: Grid,
     scheme: str = "central2",
 ) -> float:
@@ -208,20 +207,17 @@ def metric_derivative_report(
         h_(alpha 5; mu) = kappa g_(alpha mu)
         h_55 h_(alpha beta; mu) = kappa (g_(alpha mu) h_(beta 5) + g_(beta mu) h_(alpha 5))
 
-    with g the four-metric of the associated wedge basis.  ``g`` are
+    with g = ETA4 the four-metric of the associated wedge basis.  ``g`` are
     constant coefficients (5, 5, 4).  ``h_field`` holds five-metric
-    components per sample (a constant (5, 5) matrix broadcasts); ``g_four``
-    likewise for the four-metric.  The covariant derivative is
+    components per sample (a constant (5, 5) matrix broadcasts).  The
+    covariant derivative is
     h_(AB; mu) = d_mu h_AB - G^C_(A mu) h_CB - G^C_(B mu) h_AC, and
     residuals are measured away from grid edges.
     """
     h_field = np.asarray(h_field, dtype=float)
     if h_field.shape == (5, 5):
         h_field = np.broadcast_to(h_field, grid.shape + (5, 5))
-    g_four = np.asarray(g_four, dtype=float)
-    if g_four.shape == (4, 4):
-        g_four = np.broadcast_to(g_four, grid.shape + (4, 4))
-    if h_field.shape != grid.shape + (5, 5) or g_four.shape != grid.shape + (4, 4):
+    if h_field.shape != grid.shape + (5, 5):
         raise GridMismatch("metric samples do not match the grid")
 
     gv = _coefficients(g)
@@ -234,14 +230,13 @@ def metric_derivative_report(
     sel = grid.interior(scheme_width(scheme))
     nabla = nabla[sel]
     h_in = h_field[sel]
-    g_in = g_four[sel]
 
     fifth = max_norm(nabla[..., 4, 4, :])
-    mixed = max_norm(nabla[..., :4, 4, :] - kappa * g_in)
+    mixed = max_norm(nabla[..., :4, 4, :] - kappa * ETA4)
     lhs = h_in[..., 4, 4, None, None, None] * nabla[..., :4, :4, :]
     rhs = kappa * (
-        np.einsum("...am,...b->...abm", g_in, h_in[..., :4, 4])
-        + np.einsum("...bm,...a->...abm", g_in, h_in[..., :4, 4])
+        np.einsum("am,...b->...abm", ETA4, h_in[..., :4, 4])
+        + np.einsum("bm,...a->...abm", ETA4, h_in[..., :4, 4])
     )
     return max(fifth, mixed, max_norm(lhs - rhs))
 

@@ -437,13 +437,13 @@ def connection_suite(options: SuiteOptions, rng):
     yield CheckResult("transport-time-axis", max_norm(moved - expected), 1e-12)
 
     grid_small = Grid(origin=(-0.5,) * 4, spacing=(0.25,) * 4, shape=(5, 5, 5, 5))
-    worst = connection.metric_derivative_report(flat, ETA5, kappa, ETA4, grid_small, scheme)
+    worst = connection.metric_derivative_report(flat, ETA5, kappa, grid_small, scheme)
     yield CheckResult("metric-identities-orthonormal", worst, 1e-12)
 
     coords_small = grid_small.coords()
     h_samples = connection.parallel_frame_metric(coords_small, kappa)
     zero = connection.ConnectionCoeffs(np.zeros((5, 5, 4)))
-    worst = connection.metric_derivative_report(zero, h_samples, kappa, ETA4, grid_small, scheme)
+    worst = connection.metric_derivative_report(zero, h_samples, kappa, grid_small, scheme)
     yield CheckResult("metric-identities-parallel", worst, 1e-10)
 
     worst = 0.0

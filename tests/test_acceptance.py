@@ -261,7 +261,7 @@ def test_criterion_5_connection_suite():
     assert metric_worst <= 1e-12
 
     small = Grid(origin=(-0.5,) * 4, spacing=(0.25,) * 4, shape=(5, 5, 5, 5))
-    o_worst = metric_derivative_report(flat, ETA5, kappa, ETA4, small)
+    o_worst = metric_derivative_report(flat, ETA5, kappa, small)
     assert o_worst < 1e-12
 
     sample_grid = Grid(origin=(-0.5,) * 4, spacing=(0.5,) * 4, shape=(3, 3, 3, 3))

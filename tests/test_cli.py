@@ -74,6 +74,8 @@ def test_verify_all_gates_are_pinned(scheme):
         pytest.param(["connection", "--grid", "1"], "grid resolution must be between 2 and", id="grid-1"),
         pytest.param(["conservation", "--grid", "100000"], "got 100000", id="grid-100000"),
         pytest.param(["poincare", "--kappa", "inf"], "kappa must be finite, got inf", id="kappa-inf"),
+        pytest.param(["poincare", "--kappa", "-inf"], "kappa must be finite, got -inf", id="kappa-minus-inf"),
+        pytest.param(["poincare", "--kappa=-inf"], "kappa must be finite, got -inf", id="kappa-equals-minus-inf"),
     ],
 )
 def test_verify_bad_arguments_exit_2(capsys, args, fragment):
@@ -330,12 +332,27 @@ def test_transform_non_finite_kappa_flag_exits_2(tmp_path, capsys, kind, kappa):
     write_record(tmp_path / "in.pvec", kappa_record(kind))
     write_transform(tmp_path / "t.pvec", boost_transform())
     out = tmp_path / "out.pvec"
-    args = ["transform", str(tmp_path / "in.pvec"), str(tmp_path / "t.pvec"), "-o", str(out), f"--kappa={kappa}"]
-    assert main(args) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: --kappa must be finite, got {kappa}\n"
-    assert not out.exists()
+    args = ["transform", str(tmp_path / "in.pvec"), str(tmp_path / "t.pvec"), "-o", str(out)]
+    for flag in ([f"--kappa={kappa}"], ["--kappa", kappa]):
+        assert main(args + flag) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --kappa must be finite, got {kappa}\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("kappa", ["-1e3", "-1", "-.5", "2", "-0"])
+def test_kappa_flag_takes_a_negative_value_after_a_space(tmp_path, capsys, kappa):
+    write_record(tmp_path / "in.pvec", kappa_record("five_vector_field"))
+    write_transform(tmp_path / "t.pvec", boost_transform())
+    outputs = []
+    for flag in ([f"--kappa={kappa}"], ["--kappa", kappa]):
+        out = tmp_path / f"out{len(outputs)}.pvec"
+        assert main(["transform", str(tmp_path / "in.pvec"), str(tmp_path / "t.pvec"), "-o", str(out), *flag]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == f"kappa: {float(kappa)!r} (flag)"
+        assert main(["verify", "clifford", "--format", "machine", *flag]) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr()))
+    assert outputs[0] == outputs[1]
 
 
 def test_transform_moment_field(tmp_path, capsys):

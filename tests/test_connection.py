@@ -255,7 +255,7 @@ def test_covariant_derivative_linear_field():
 
 def test_metric_derivative_report_orthonormal():
     grid = cube_grid(5)
-    assert metric_derivative_report(flat_coefficients(KAPPA), ETA5, KAPPA, ETA4, grid) == 0.0
+    assert metric_derivative_report(flat_coefficients(KAPPA), ETA5, KAPPA, grid) == 0.0
 
 
 def test_metric_derivative_report_parallel():
@@ -263,14 +263,14 @@ def test_metric_derivative_report_parallel():
     coords = grid.coords()
     h_field = np.array([parallel_frame_metric(x, KAPPA) for x in coords.reshape(-1, 4)])
     h_field = h_field.reshape(grid.shape + (5, 5))
-    assert metric_derivative_report(np.zeros((5, 5, 4)), h_field, KAPPA, ETA4, grid) <= 1e-10
+    assert metric_derivative_report(np.zeros((5, 5, 4)), h_field, KAPPA, grid) <= 1e-10
 
 
 def test_metric_derivative_report_kappa_zero():
     grid = cube_grid(5)
-    assert metric_derivative_report(flat_coefficients(0.0), ETA5, 0.0, ETA4, grid) == 0.0
+    assert metric_derivative_report(flat_coefficients(0.0), ETA5, 0.0, grid) == 0.0
     with pytest.raises(GridMismatch):
-        metric_derivative_report(flat_coefficients(0.0), np.eye(4), 0.0, ETA4, grid)
+        metric_derivative_report(flat_coefficients(0.0), np.eye(4), 0.0, grid)
 
 
 def poly_fields(grid, seed):
