@@ -13,8 +13,8 @@ header lines describing their sample grid, and any kind may carry a
 Files are read and written a block of payload lines at a time, so neither
 direction holds the whole text, its lines or its words at once.
 ``read_record`` and ``write_record`` hand the second half of a payload of
-two blocks or more to a forked process when this one runs no other thread
-and may use a second CPU.  Each process holds a block of its half at a
+two blocks or more to a forked process when this one runs no other Python
+thread and may use a second CPU.  Each process holds a block of its half at a
 time; the reader's helper parses into shared memory, the writer's formats
 into a temporary file copied in after the first half.  Outputs and errors
 are those of one process.
@@ -214,7 +214,10 @@ def _forked(child, parent) -> tuple:
     try:
         result = parent()
     finally:
-        _, status = os.waitpid(pid, 0)
+        try:
+            status = os.waitpid(pid, 0)[1]
+        except ChildProcessError:  # reaped on exit, as when SIGCHLD is ignored: its status is lost
+            status = None
     return result, status == 0
 
 

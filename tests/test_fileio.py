@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import signal
 import sys
 import tracemalloc
 
@@ -612,6 +613,21 @@ def test_a_failing_helper_gives_the_one_process_result(tmp_path, forks, monkeypa
     err = pytest.raises(ParseError, read_record, tmp_path / "bad.pvec").value
     assert (str(err), err.line, err.column) == outcome(bad)
     assert len(forks) == 3
+
+
+def test_a_helper_whose_status_is_lost_gives_the_one_process_result(tmp_path, forks):
+    """With SIGCHLD ignored, the helper is reaped as it exits, so waitpid
+    finds no child; that counts as a failed helper."""
+    rec = record_for("moment_field", np.random.default_rng(93))
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        write_record(tmp_path / "m.pvec", rec)
+        back = read_record(tmp_path / "m.pvec")
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert (tmp_path / "m.pvec").read_text(encoding="utf-8") == emit_record(rec)
+    assert back.payload.tobytes() == rec.payload.tobytes()
+    assert len(forks) == 2
 
 
 @pytest.mark.parametrize("fork", ["absent", "fails"])
