@@ -520,15 +520,19 @@ def assert_no_helper_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def counted_forks(patch):
+    """Patch ``fileio._forked`` to note each two-process run in the list it returns."""
+    runs, forked = [], fileio._forked
+    patch.setattr(fileio, "_forked", lambda child, parent: runs.append(1) or forked(child, parent))
+    return runs
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """One payload line a block, so that a record of 16 values or more is
     read and written by two processes; the list of those runs."""
     monkeypatch.setattr(fileio, "LINES_PER_BLOCK", 1)
-    runs = []
-    forked = fileio._forked
-    monkeypatch.setattr(fileio, "_forked", lambda child, parent: runs.append(1) or forked(child, parent))
-    yield runs
+    yield counted_forks(monkeypatch)
     assert_no_helper_left()
 
 
@@ -580,9 +584,7 @@ def test_two_process_read_matches_the_whole_text_parse(tmp_path_factory, seed, f
     path.write_bytes(raw)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fileio, "LINES_PER_BLOCK", 2)
-        runs = []
-        forked = fileio._forked
-        patch.setattr(fileio, "_forked", lambda child, parent: runs.append(1) or forked(child, parent))
+        runs = counted_forks(patch)
         assert read_outcome(path) == whole_text_outcome(raw)
     # After its data line, a file with \r line ends holds decoder state, so
     # one process reads it.  A bad byte may be decoded with the header.
