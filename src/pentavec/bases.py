@@ -81,9 +81,14 @@ class FrameResiduals:
 
 
 def frame_residuals(cols, wedges=None) -> FrameResiduals:
-    """Gram and wedge residuals of frames ``cols`` against wedges ``(..., 4, 5, 5)``."""
+    """Gram and wedge residuals of frames ``cols`` against wedges ``(..., 4, 5, 5)``.
+
+    A frame whose Gram matrix overflows raises NotFinite.
+    """
     cols = np.asarray(cols, dtype=float)
-    gram = np.swapaxes(cols, -1, -2) @ ETA5 @ cols
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.swapaxes(cols, -1, -2) @ ETA5 @ cols
+    raise_where(~np.isfinite(gram).all(axis=(-2, -1)), NotFinite, "frame inner products overflow")
     wedge_resid = 0.0
     if wedges is not None:
         recon = wedge(np.swapaxes(cols[..., :, :4], -1, -2), cols[..., None, :, 4])
@@ -282,11 +287,20 @@ def regular_basis_for(wedges, negate_direction: bool = False) -> np.ndarray:
     e_mu ^ e_5 = input_mu with a unit fifth vector orthogonal to the first
     four.  The degeneracy check bounds the condition number of lam by
     REL_TOL^-1/2, so the inverse needs no check.  A lift that fails on the
-    rotated wedges raises DegenerateInducedMetric with the lift's reason:
-    a wedge that is not simple, or a Gram matrix that underflowed to
-    subnormal numbers and lost its precision (wedges near 1e-160).
+    rotated wedges raises DegenerateInducedMetric with the lift's reason,
+    such as a wedge that is not simple.  The frame scales with the wedges:
+    far from unit scale they are scaled by a power of two first.  Four-vectors
+    that overflow raise NotFinite.
     """
     w_in = _wedge_quadruples(wedges, DegenerateInducedMetric)
+    # A quadruple whose largest entry lies outside [2^-200, 2^200) is scaled
+    # into it by a power of two, which is exact.  Its Gram matrix then lies
+    # well inside 2^-484..2^484, which LAPACK's eigh takes unscaled, far from
+    # subnormal numbers and from overflow.  The frame's first four vectors
+    # are scaled back at the end; inside that range nothing changes.
+    _, exponent = np.frexp(np.max(np.abs(w_in), axis=(-3, -2, -1)))
+    shift = exponent - np.clip(exponent, -199, 200)
+    w_in = np.ldexp(w_in, -shift[..., None, None, None])
     gram = _induced_gram(w_in)
     eigs, vecs = np.linalg.eigh(gram)
     size = np.abs(eigs)
@@ -321,4 +335,7 @@ def regular_basis_for(wedges, negate_direction: bool = False) -> np.ndarray:
         DegenerateInducedMetric,
         "constructed basis failed the regularity check",
     )
+    with np.errstate(over="ignore"):  # reported once, as NotFinite
+        cols[..., :, :4] = np.ldexp(cols[..., :, :4], shift[..., None, None])
+    raise_where(~np.isfinite(cols).all(axis=(-2, -1)), NotFinite, "frame vectors overflow")
     return cols

@@ -19,9 +19,10 @@ import numpy as np
 
 from .algebra import antisymmetric, bivector_from_four
 from .bases import classify_basis, frame_residuals, orthonormal_basis_for, regular_basis_for
-from .errors import KindMismatch, NotFinite, PentavecError
+from .errors import KindMismatch, PentavecError
 from .fileio import Record, read_record, transform_from_payload, write_record
 from .grids import FieldOnGrid, SCHEMES
+from .numerics import check_kappa
 from .poincare import (
     conjugate,
     transform_generator_tensor,
@@ -150,8 +151,8 @@ def _transform_record(record: Record, t, basis_override, kappa_override) -> tupl
 
 
 def _cmd_transform(args) -> int:
-    if args.kappa is not None and not np.isfinite(args.kappa):
-        raise NotFinite(f"--kappa must be finite, got {args.kappa}")
+    if args.kappa is not None:
+        check_kappa(args.kappa)
     record = read_record(args.input)
     t_record = read_record(args.transform)
     if t_record.kind != "poincare_transform":

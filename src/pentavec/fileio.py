@@ -13,11 +13,11 @@ header lines describing their sample grid, and any kind may carry a
 Files are read and written a block of payload lines at a time, so neither
 direction holds the whole text, its lines or its words at once.
 ``read_record`` and ``write_record`` hand the second half of a payload of
-two blocks or more to a forked process when this one runs no other Python
-thread and may use a second CPU.  Each process holds a block of its half at a
-time; the reader's helper parses into shared memory, the writer's formats
-into a temporary file copied in after the first half.  Outputs and errors
-are those of one process.
+two blocks or more to a forked process when ``forking.can_fork`` allows:
+this one runs no other Python thread and may use a second CPU.  Each
+process holds a block of its half at a time; the reader's helper parses
+into shared memory, the writer's formats into a temporary file copied in
+after the first half.  Outputs and errors are those of one process.
 """
 
 from __future__ import annotations
@@ -27,13 +27,12 @@ import mmap
 import os
 import shutil
 import tempfile
-import threading
-import warnings
 from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
+from . import forking
 from .errors import GridMismatch, KindMismatch, NotFinite, ParseError
 from .grids import Grid, grid_field
 from .poincare import PoincareTransform
@@ -170,7 +169,7 @@ def write_record(path, record: Record) -> None:
                 tmp.writelines(text.encode("utf-8") for text in _block_texts(flat[mid:]))
                 tmp.flush()
 
-            _, done = _forked(child, lambda: fh.writelines(_record_pieces(record, flat[:mid])))
+            _, _, done = forking.forked(child, lambda: fh.writelines(_record_pieces(record, flat[:mid])))
             if not done:  # format the second half here, as one process does
                 fh.writelines(_block_texts(flat[mid:]))
                 return
@@ -181,44 +180,7 @@ def write_record(path, record: Record) -> None:
 
 def _two_processes(count: int) -> bool:
     """Whether a payload of ``count`` values is read or written by two processes."""
-    return (
-        count >= 2 * VALUES_PER_LINE * LINES_PER_BLOCK
-        and hasattr(os, "fork")
-        and hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) >= 2
-        and threading.active_count() == 1
-    )
-
-
-def _forked(child, parent) -> tuple:
-    """``parent()``, run while ``child()`` runs in a forked process, and
-    whether that process exited with status 0.  The child ends in
-    ``os._exit``, so it flushes none of this process's buffers and runs none
-    of its clean-up; it is reaped even when ``parent()`` raises.  With no
-    process to spare, both run here."""
-    try:
-        with warnings.catch_warnings():  # 3.12 warns of native (BLAS) threads, which the child never calls
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        result = parent()
-        child()
-        return result, True
-    if pid == 0:
-        status = 1
-        try:
-            child()
-            status = 0
-        finally:
-            os._exit(status)
-    try:
-        result = parent()
-    finally:
-        try:
-            status = os.waitpid(pid, 0)[1]
-        except ChildProcessError:  # reaped on exit, as when SIGCHLD is ignored: its status is lost
-            status = None
-    return result, status == 0
+    return count >= 2 * VALUES_PER_LINE * LINES_PER_BLOCK and forking.can_fork()
 
 
 def parse_record(source) -> Record:
@@ -398,7 +360,7 @@ def _fill_halves(flat: np.ndarray, fd: int, start: int) -> int:
     def child():
         shared[-1] = _fill(shared[:-1], _byte_blocks(fd, mid, end))
 
-    filled, done = _forked(child, lambda: _fill(flat, _byte_blocks(fd, start, mid)))
+    filled, _, done = forking.forked(child, lambda: _fill(flat, _byte_blocks(fd, start, mid)))
     got = int(shared[-1])
     if not done or filled + got != flat.size:
         raise ValueError(f"{filled} + {got} values for {flat.size}")

@@ -51,6 +51,12 @@ def as_array(a, shape=None) -> np.ndarray:
     return out
 
 
+def check_kappa(kappa: float) -> None:
+    """Raise NotFinite unless the transport constant ``kappa`` is finite; one message for every command."""
+    if not np.isfinite(kappa):
+        raise NotFinite(f"kappa must be finite, got {kappa}")
+
+
 def raise_where(bad, error, message: str, *values) -> None:
     """Raise ``error`` when any entry of the boolean array ``bad`` is set.
 

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra, bases, clifford, connection, poincare, stress_energy
+from . import algebra, bases, clifford, connection, forking, poincare, stress_energy
 from .algebra import ETA4, ETA5, DirectionalClass, eta_dot
 from .errors import NotMaximalSpace, NotO32, PentavecError
 from .grids import FieldOnGrid, Grid, scheme_width
-from .numerics import expm, invert, max_norm
+from .numerics import check_kappa, expm, invert, max_norm
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,9 @@ class SuiteReport:
 # and 642 MB under central4 (x86_64, Python 3.11, numpy 2.4): the P- and
 # O-frame currents of 220 MB each are alive together with the report's
 # interior divergence and derivative buffers and one M^mu turned components first.
+# That peak is held by the process that runs conservation: the command's own
+# when conservation runs alone or with no second CPU, else the forked helper
+# of ``run_suites``, while the command runs the other suites.
 MAX_GRID = 33
 
 
@@ -66,8 +69,7 @@ class SuiteOptions:
     def __post_init__(self):
         if self.seed < 0:
             raise PentavecError(f"seed must be non-negative, got {self.seed}")
-        if not math.isfinite(self.kappa):
-            raise PentavecError(f"kappa must be finite, got {self.kappa}")
+        check_kappa(self.kappa)
         if not 2 <= self.grid_n <= MAX_GRID:
             raise PentavecError(f"grid resolution must be between 2 and {MAX_GRID}, got {self.grid_n}")
 
@@ -635,4 +637,29 @@ def run_suite(name: str, options: SuiteOptions) -> SuiteReport:
 
 
 def run_suites(names, options: SuiteOptions) -> list[SuiteReport]:
-    return [run_suite(name, options) for name in names]
+    """The reports of ``run_suite`` for ``names``, in their order.
+
+    With conservation and another suite asked for, and ``forking.can_fork``,
+    a forked helper runs conservation while this process runs the others in
+    order.  Every suite left without a report, because it or an earlier one
+    raised or the helper failed, then runs here in the order of ``names``.
+    So the reports and the first error raised are those of running each in
+    turn.
+    """
+    names = tuple(names)
+    if "conservation" not in names or len(set(names)) < 2 or not forking.can_fork():
+        return [run_suite(name, options) for name in names]
+    reports = {}
+
+    def others():
+        for name in names:
+            if name != "conservation":
+                reports[name] = run_suite(name, options)
+
+    try:
+        _, helper, done = forking.forked(lambda: run_suite("conservation", options), others)
+    except Exception:  # a suite raised here; it runs again below, in its turn, and raises there
+        done = False
+    if done:
+        reports["conservation"] = helper
+    return [reports[name] if name in reports else run_suite(name, options) for name in names]

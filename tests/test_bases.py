@@ -23,6 +23,7 @@ from pentavec.bases import (
 from pentavec.errors import (
     DegenerateInducedMetric,
     NoCommonDirection,
+    NotFinite,
     NotOrthonormalInput,
     NotStandard,
     SingularBlock,
@@ -213,6 +214,27 @@ def test_regular_construction_scaled_wedges():
     assert np.allclose(basis, np.diag([2.0, 2.0, 2.0, 2.0, 1.0]), atol=1e-10)
     flags = classify_basis(basis)
     assert flags.regular and not flags.orthonormal
+
+
+@pytest.mark.parametrize("power", [-1000, -600, -525, -257, -100, 1, 100, 257, 515, 900])
+def test_regular_construction_scales_exactly_with_a_power_of_two(power):
+    # Far outside unit scale the induced Gram matrix would underflow to
+    # subnormals (wedges near 1e-158) or overflow (near 1e155); the frame
+    # scales with the wedges all the same, its fifth vector untouched.
+    rng = np.random.default_rng(16)
+    t = rng.normal(size=(3, 4, 4)) + np.eye(4) * 3.0
+    wedges = np.einsum("knm,nij->kmij", t, reference_wedges())
+    base = regular_basis_for(wedges)
+    scaled = regular_basis_for(np.ldexp(wedges, power))
+    assert np.array_equal(scaled[..., 4], base[..., 4])
+    assert np.array_equal(scaled[..., :4], np.ldexp(base[..., :4], power))
+
+
+def test_regular_construction_rejects_frame_vectors_past_the_float_range():
+    t = np.random.default_rng(3).normal(size=(4, 4)) + np.eye(4) * 3.0
+    wedges = np.einsum("nm,nij->mij", t, reference_wedges())
+    with pytest.raises(NotFinite, match="frame vectors overflow"):
+        regular_basis_for(np.finfo(float).max / np.max(np.abs(wedges)) * wedges)
 
 
 def test_regular_construction_general_inputs():

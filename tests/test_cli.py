@@ -337,8 +337,21 @@ def test_transform_non_finite_kappa_flag_exits_2(tmp_path, capsys, kind, kappa):
         assert main(args + flag) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: --kappa must be finite, got {kappa}\n"
+        assert captured.err == f"error: kappa must be finite, got {kappa}\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize("kappa", ["nan", "inf", "-inf"])
+def test_non_finite_kappa_is_one_error_for_transform_and_verify(tmp_path, capsys, kappa):
+    write_record(tmp_path / "in.pvec", kappa_record("five_vector_field"))
+    write_transform(tmp_path / "t.pvec", boost_transform())
+    commands = (
+        ["transform", str(tmp_path / "in.pvec"), str(tmp_path / "t.pvec"), "-o", str(tmp_path / "out.pvec")],
+        ["verify", "poincare"],
+    )
+    for command in commands:
+        assert main([*command, "--kappa", kappa]) == 2
+        assert capsys.readouterr() == ("", f"error: kappa must be finite, got {kappa}\n")
 
 
 @pytest.mark.parametrize("kappa", ["-1e3", "-1", "-.5", "2", "-0"])
@@ -564,26 +577,38 @@ def basis_inputs():
             "numerically degenerate",
             id="zero-wedges",
         ),
+        # the frame is built, but its four-vectors near 1e300 square past the float range
         pytest.param(
             emit_record(Record("four_basis_bivectors", 1e300 * ref)),
             "regular",
-            "induced inner products overflow",
+            "frame inner products overflow",
             id="overflow",
         ),
-        # the induced Gram matrix underflows to subnormals and loses its precision
-        pytest.param(
-            emit_record(Record("four_basis_bivectors", 1e-160 * ref)),
-            "regular",
-            "error: regular construction failed on the diagonalized wedges",
-            id="underflow",
-        ),
-        pytest.param(
-            emit_record(Record("four_basis_components", 1e-160 * np.diag([1.0, 2.0, 3.0, 4.0]))),
-            "regular",
-            "error: regular construction failed on the diagonalized wedges",
-            id="underflow-components",
-        ),
     ]
+
+
+# Wedges near 1e-160, whose induced Gram matrix would underflow to subnormals
+# unscaled: the regular frame is that of the unit-scale wedges with its
+# four-vectors scaled.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "kind, payload, scale",
+    [
+        pytest.param("four_basis_bivectors", 1e-160 * reference_wedge_payload(), 1e-160, id="underflow"),
+        pytest.param("four_basis_components", 1e-160 * np.diag([1.0, 2.0, 3.0, 4.0]), 1e-160, id="underflow-components"),
+    ],
+)
+def test_basis_builds_regular_frames_far_from_unit_scale(tmp_path, capsys, kind, payload, scale):
+    write_record(tmp_path / "w.pvec", Record(kind, payload))
+    assert main(["basis", str(tmp_path / "w.pvec"), "-o", str(tmp_path / "b.pvec"), "--mode", "regular"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "flags: standard=yes regular=yes orthonormal=no"
+    unit = payload / scale
+    write_record(tmp_path / "unit.pvec", Record(kind, unit))
+    assert main(["basis", str(tmp_path / "unit.pvec"), "-o", str(tmp_path / "u.pvec"), "--mode", "regular"]) == 0
+    capsys.readouterr()
+    cols, unit_cols = read_record(tmp_path / "b.pvec").payload, read_record(tmp_path / "u.pvec").payload
+    assert np.array_equal(cols[:, 4], unit_cols[:, 4])
+    assert np.max(np.abs(cols[:, :4] / scale - unit_cols[:, :4])) <= 1e-15 * np.max(np.abs(unit_cols))
 
 
 # a numpy warning would print lines of its own to stderr

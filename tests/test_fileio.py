@@ -10,7 +10,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from pentavec import fileio
+from pentavec import fileio, forking
 from pentavec.errors import KindMismatch, ParseError
 from pentavec.fileio import (
     KINDS,
@@ -521,9 +521,9 @@ def assert_no_helper_left():
 
 
 def counted_forks(patch):
-    """Patch ``fileio._forked`` to note each two-process run in the list it returns."""
-    runs, forked = [], fileio._forked
-    patch.setattr(fileio, "_forked", lambda child, parent: runs.append(1) or forked(child, parent))
+    """Patch ``forking.forked`` to note each two-process run in the list it returns."""
+    runs, forked = [], forking.forked
+    patch.setattr(forking, "forked", lambda child, parent: runs.append(1) or forked(child, parent))
     return runs
 
 
