@@ -70,13 +70,13 @@ class FrameResiduals:
     """Max-norm residuals of frames, arrays over the leading axes.
 
     ``regular``: eta(e_5, e_5) = 1 and eta(e_mu, e_5) = 0; ``orthonormal``: Gram
-    matrix = diag(+ - - - +); ``scale``: the largest Gram entry; ``wedge``:
+    matrix = diag(+ - - - +); ``gram``: the Gram matrices themselves; ``wedge``:
     e_mu ^ e_5 = the input wedges (zero when none are given).
     """
 
     regular: np.ndarray
     orthonormal: np.ndarray
-    scale: np.ndarray
+    gram: np.ndarray
     wedge: np.ndarray
 
 
@@ -96,7 +96,7 @@ def frame_residuals(cols, wedges=None) -> FrameResiduals:
     return FrameResiduals(
         regular=np.maximum(np.abs(gram[..., 4, 4] - 1.0), np.max(np.abs(gram[..., :4, 4]), axis=-1)),
         orthonormal=np.max(np.abs(gram - ETA5), axis=(-2, -1)),
-        scale=np.max(np.abs(gram), axis=(-2, -1)),
+        gram=gram,
         wedge=wedge_resid,
     )
 
@@ -105,12 +105,19 @@ def classify_basis(cols) -> BasisFlags:
     """Flags of basis matrices ``(..., 5, 5)`` under the five-metric ETA5.
 
     The fields of the returned BasisFlags are boolean arrays over the
-    leading axes: the ``frame_residuals`` thresholded at bound(scale).
+    leading axes.  The orthonormal residual is thresholded at bound(max |gram|).
+    The regular one is judged by the Euclidean norms of the vectors it pairs,
+    |g55 - 1| at bound(|e_5|^2) and |g_mu5| at bound(|e_mu| |e_5|), so large
+    four-vectors do not loosen it.
     """
     cols = np.asarray(cols, dtype=float)
     r = frame_residuals(cols)
-    limit = bound(r.scale)
-    return BasisFlags(_standard(cols), r.regular <= limit, r.orthonormal <= limit)
+    with np.errstate(over="ignore"):  # five finite squares may sum past the float range
+        norm = np.sqrt(np.sum(cols * cols, axis=-2))
+    fifth = np.abs(r.gram[..., 4, 4] - 1.0) <= bound(norm[..., 4] ** 2)
+    mixed = np.abs(r.gram[..., :4, 4]) <= bound(norm[..., :4] * norm[..., 4, None])
+    orthonormal = r.orthonormal <= bound(np.max(np.abs(r.gram), axis=(-2, -1)))
+    return BasisFlags(_standard(cols), fifth & np.all(mixed, axis=-1), orthonormal)
 
 
 def is_standard_change(change):

@@ -119,7 +119,7 @@ def _kappa_for(record: Record, override: float | None) -> tuple[float, str]:
 
 def _transform_record(record: Record, t, basis_override, kappa_override) -> tuple[Record, list]:
     """The moved record, and a line for the frame and for the kappa the law used,
-    each with where it came from."""
+    each with where it came from; a law that reads only whether kappa is zero says so."""
     if record.kind in ("five_vector", "five_form", "five_vector_field"):
         frame, source = _frame_for(record, basis_override)
         used = [f"frame: {frame} ({source})"]
@@ -146,7 +146,8 @@ def _transform_record(record: Record, t, basis_override, kappa_override) -> tupl
         field = FieldOnGrid(grid=record.grid, values=record.payload, basis="P")
         moved = transform_moment_field(field, t, kappa)
         out = Record(record.kind, moved.values, basis="P", kappa=record.kappa, grid=record.grid)
-        return out, ["frame: P (header)", f"kappa: {kappa!r} ({source})"]
+        reads = "nonzero" if kappa else "zero"
+        return out, ["frame: P (header)", f"kappa: {reads} ({source}); this law reads only whether kappa is zero"]
     raise KindMismatch(f"kind {record.kind!r} has no transformation law")
 
 

@@ -1,4 +1,4 @@
-"""One forked helper process beside this one, for work split in two.
+"""A forked helper process or a worker thread beside this one, for work split in two.
 
 ``can_fork`` says whether a helper may run: the platform forks, this
 process may use a second CPU, and it runs no other Python thread, whose
@@ -7,10 +7,15 @@ helper while this process runs another, and hands back the helper's result,
 pickled through a pipe, with whether the helper succeeded.  Its callers do
 the helper's work themselves when it did not, so their outputs and errors
 are those of one process.
+
+``split_rows`` runs the upper half of a grid kernel's rows of axis 0 in a
+worker thread under the same condition: numpy releases the interpreter lock
+in its calls on whole planes, where such kernels spend their time.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 import pickle
 import threading
@@ -60,6 +65,32 @@ def forked(child, parent) -> tuple:
             pass
     done = status == 0 and got is not _LOST
     return result, got if done else None, done
+
+
+def split_rows(n: int, rows) -> None:
+    """Run ``rows(lo, hi)`` over rows ``0 .. n`` of grid axis 0, the upper half in a
+    worker thread where ``n >= 2`` and ``can_fork()`` allow, else as ``rows(0, n)``.
+    The worker runs in a copy of this thread's context, which holds the caller's
+    ``np.errstate``, and is joined before this returns or raises the lower half's
+    error, else the upper half's."""
+    if n < 2 or not can_fork():
+        return rows(0, n)
+    failed = []
+
+    def upper():
+        try:
+            rows(n // 2, n)
+        except BaseException as exc:  # raised again in the calling thread
+            failed.append(exc)
+
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(upper,))
+    worker.start()
+    try:
+        rows(0, n // 2)
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
 
 
 def _start(child):

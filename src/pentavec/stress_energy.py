@@ -19,6 +19,8 @@ Samples carry grid axes first: Theta is ``(..., 4, 4)`` indexed [mu][alpha]
 (upper index first), Sigma ``(..., 4, 4, 4)`` indexed [mu][alpha][beta], and
 the current ``(..., 4, 5, 5)``.  The kernels turn one slab of the first grid
 axis at a time components first, so that each update is a plane of samples.
+Each slab writes rows of its own, so ``forking.split_rows`` may run the upper
+half of them in a worker thread, with the one-thread results to the bit.
 
 The transport constant enters only through the rescaled frame: every kappa
 becomes ``connection.normalized_kappa(kappa)``, 1 for any nonzero kappa.
@@ -35,6 +37,7 @@ import numpy as np
 from .algebra import lower_array
 from .connection import flat_coefficients, normalized_kappa
 from .errors import BasisMismatch, GridMismatch, NotAntisymmetric, NotNull
+from .forking import split_rows
 from .grids import FieldOnGrid, Grid, _central_difference, _differentiated, scheme_width
 from .numerics import NULL_TOL, input_bound, max_norm
 from .poincare import PoincareTransform, homogeneous_rep
@@ -57,19 +60,23 @@ def assemble_moment_field(theta: np.ndarray, sigma: np.ndarray, grid: Grid) -> F
 
     x = np.ascontiguousarray(np.moveaxis(lower_array(grid.coords()), -1, 0))
     values = np.empty(grid.shape + (4, 5, 5))
-    v = np.zeros((4, 5, 5) + grid.shape[1:])  # one slab, components first; M^mu_(5 5) stays 0
-    for i in range(grid.shape[0]):
-        anti = sigma[i] + np.swapaxes(sigma[i], -1, -2)
-        if np.abs(anti, out=anti).max() > limit:
-            raise NotAntisymmetric("spin current must be antisymmetric in its lower indices")
-        th = np.ascontiguousarray(np.moveaxis(theta[i], (-2, -1), (0, 1)))
-        for b in range(4):  # orbital x_alpha Theta^mu_beta - x_beta Theta^mu_alpha, column beta
-            np.multiply(x[:, i], th[:, b, None], out=v[:, :4, b])
-            v[:, :4, b] -= x[b, i] * th
-        v[:, :4, :4] += np.moveaxis(sigma[i], (-3, -2, -1), (0, 1, 2))
-        v[:, 4, :4] = th
-        np.negative(th, out=v[:, :4, 4])
-        values[i] = np.moveaxis(v, (0, 1, 2), (-3, -2, -1))
+
+    def rows(lo, hi):
+        v = np.zeros((4, 5, 5) + grid.shape[1:])  # one slab, components first; M^mu_(5 5) stays 0
+        for i in range(lo, hi):
+            anti = sigma[i] + np.swapaxes(sigma[i], -1, -2)
+            if np.abs(anti, out=anti).max() > limit:
+                raise NotAntisymmetric("spin current must be antisymmetric in its lower indices")
+            th = np.ascontiguousarray(np.moveaxis(theta[i], (-2, -1), (0, 1)))
+            for b in range(4):  # orbital x_alpha Theta^mu_beta - x_beta Theta^mu_alpha, column beta
+                np.multiply(x[:, i], th[:, b, None], out=v[:, :4, b])
+                v[:, :4, b] -= x[b, i] * th
+            v[:, :4, :4] += np.moveaxis(sigma[i], (-3, -2, -1), (0, 1, 2))
+            v[:, 4, :4] = th
+            np.negative(th, out=v[:, :4, 4])
+            values[i] = np.moveaxis(v, (0, 1, 2), (-3, -2, -1))
+
+    split_rows(grid.shape[0], rows)
     values.setflags(write=False)
     return FieldOnGrid(grid=grid, values=values, basis="P")
 
@@ -99,11 +106,15 @@ def _convert(m: FieldOnGrid, kappa: float, src: str, dst: str) -> FieldOnGrid:
     x = np.ascontiguousarray(np.moveaxis(lower_array(m.grid.coords()), -1, 0))
     shift = (-1.0 if dst == "O" else 1.0) * normalized_kappa(kappa) * x
     out = np.empty(m.values.shape)
-    for i, s in enumerate(np.moveaxis(shift, 1, 0)):  # slab by slab, components first
-        v = np.moveaxis(m.values[i], (-3, -2, -1), (0, 1, 2)).copy()
-        v[:, :, :4] += s * v[:, :, 4, None]
-        v[:, :4] += s[:, None] * v[:, None, 4]
-        out[i] = np.moveaxis(v, (0, 1, 2), (-3, -2, -1))
+
+    def rows(lo, hi):
+        for i, s in enumerate(np.moveaxis(shift, 1, 0)[lo:hi], lo):  # slab by slab, components first
+            v = np.moveaxis(m.values[i], (-3, -2, -1), (0, 1, 2)).copy()
+            v[:, :, :4] += s * v[:, :, 4, None]
+            v[:, :4] += s[:, None] * v[:, None, 4]
+            out[i] = np.moveaxis(v, (0, 1, 2), (-3, -2, -1))
+
+    split_rows(m.grid.shape[0], rows)
     out.setflags(write=False)
     return FieldOnGrid(grid=m.grid, values=out, basis=dst)
 
@@ -156,33 +167,42 @@ def conservation_report(m: FieldOnGrid, kappa: float = 1.0, scheme: str = "centr
         raise GridMismatch(f"expected current samples (4, 5, 5), got {m.values.shape[4:]}")
 
     # Each partial is taken with the central row alone, on the interior
-    # samples the residuals read; singleton axes contribute nothing.
+    # samples the residuals read; singleton axes contribute nothing.  Each
+    # range of interior rows of axis 0 writes its own rows of div.
     grid = m.grid
     axes = [mu for mu in range(4) if _differentiated(grid, mu, scheme)]
-    sel = grid.interior(scheme_width(scheme))
+    width = scheme_width(scheme)
+    sel = grid.interior(width)
     div = np.zeros((5, 5) + m.values[sel].shape[:4])
-    derivative = np.empty_like(div)
     g = flat_coefficients(normalized_kappa(kappa)).values
-    for mu in (range(4) if m.basis == "O" else axes):
-        along = sel[:mu] + (slice(None),) + sel[mu + 1 :] if mu in axes else sel
-        block = m.values[along + (mu,)]
-        inner = np.empty((5, 5) + block.shape[:4])  # M^mu components first, slab by slab
-        for i, slab in enumerate(block):
-            inner[:, :, i] = np.moveaxis(slab, (-2, -1), (0, 1))
-        if mu in axes:
-            _central_difference(
-                np.moveaxis(inner, 2 + mu, 0), grid.spacing[mu], scheme, np.moveaxis(derivative, 2 + mu, 0)
-            )
-            div += derivative
-            inner = inner[(slice(None),) * (2 + mu) + (sel[mu],)]
-        if m.basis == "O":
-            # - G^C_(A mu) M^mu_(C B) - G^C_(B mu) M^mu_(A C), whose one
-            # nonzero coefficient is G^5_(mu mu) = -normalized_kappa(kappa) eta_(mu mu)
-            c = -g[4, mu, mu]
-            div[mu] += c * inner[4]
-            div[:, mu] += c * inner[:, 4]
-        del inner  # freed before the next mu's buffer is made
+    first = sel[0].start or 0  # the grid row of interior row 0, at a singleton axis 0 too
 
+    def rows(lo, hi):
+        part = div[:, :, lo:hi]
+        derivative = np.empty_like(part)
+        for mu in (range(4) if m.basis == "O" else axes):
+            along = [slice(first + lo, first + hi), *sel[1:]]
+            if mu in axes:  # the whole axis, or along axis 0 the rows and their halo
+                along[mu] = slice(lo, hi + 2 * width) if mu == 0 else slice(None)
+            block = m.values[tuple(along) + (mu,)]
+            inner = np.empty((5, 5) + block.shape[:4])  # M^mu components first, slab by slab
+            for i, slab in enumerate(block):
+                inner[:, :, i] = np.moveaxis(slab, (-2, -1), (0, 1))
+            if mu in axes:
+                _central_difference(
+                    np.moveaxis(inner, 2 + mu, 0), grid.spacing[mu], scheme, np.moveaxis(derivative, 2 + mu, 0)
+                )
+                part += derivative
+                inner = inner[(slice(None),) * (2 + mu) + (slice(width, inner.shape[2 + mu] - width),)]
+            if m.basis == "O":
+                # - G^C_(A mu) M^mu_(C B) - G^C_(B mu) M^mu_(A C), whose one
+                # nonzero coefficient is G^5_(mu mu) = -normalized_kappa(kappa) eta_(mu mu)
+                c = -g[4, mu, mu]
+                part[mu] += c * inner[4]
+                part[:, mu] += c * inner[:, 4]
+            del inner  # freed before the next mu's buffer is made
+
+    split_rows(div.shape[2], rows)
     return ConservationReport(
         momentum_residual=max_norm(div[4, :4]),
         angular_residual=max_norm(div[:4, :4]),

@@ -49,13 +49,13 @@ class SuiteReport:
 
 
 # The finest conservation grid holds (2N - 1)^3 samples.  At N = 33,
-# `pentavec verify conservation --grid 33` peaks at 648 MB RSS under central2
-# and 642 MB under central4 (x86_64, Python 3.11, numpy 2.4): the P- and
-# O-frame currents of 220 MB each are alive together with the report's
-# interior divergence and derivative buffers and one M^mu turned components first.
-# That peak is held by the process that runs conservation: the command's own
-# when conservation runs alone or with no second CPU, else the forked helper
-# of ``run_suites``, while the command runs the other suites.
+# `pentavec verify conservation --grid 33` peaks at 613 MB RSS in 1.3 s under
+# central2 and 639 MB in 1.4 s under central4 (2-vCPU x86_64, Python 3.11,
+# numpy 2.4): the P- and O-frame currents of 220 MB each are alive together
+# with the report's interior divergence and, per half of its rows, a derivative
+# buffer and one M^mu turned components first.  The process that runs
+# conservation holds it: the command's own when conservation runs alone or with
+# no second CPU, else the forked helper of ``run_suites``.
 MAX_GRID = 33
 
 

@@ -230,6 +230,32 @@ def test_regular_construction_scales_exactly_with_a_power_of_two(power):
     assert np.array_equal(scaled[..., :4], np.ldexp(base[..., :4], power))
 
 
+@pytest.mark.parametrize("diagonal", [[1e3] * 4 + [1.0 + 1e-4], [1e100] * 4 + [2.0]])
+def test_large_four_vectors_do_not_make_a_fifth_vector_regular(diagonal):
+    flags = classify_basis(np.diag(diagonal))
+    assert flags.standard and not flags.regular
+
+
+def test_regularity_bounds_each_mixed_product_by_its_own_vectors():
+    # e_5 = (eps, 0, 0, 0, sqrt(1 - eps^2)) is unit; eta(e_0, e_5) = 1e3 eps is
+    # small next to the largest Gram entry 1e6, but not next to |e_0| |e_5| = 1e3.
+    basis = np.diag([1e3, 1.0, 1.0, 1.0, np.sqrt(1.0 - 1e-12)])
+    basis[0, 4] = 1e-6
+    assert not classify_basis(basis).regular
+    basis[0, 4] = 1e-16  # round-off beside |e_0| |e_5|
+    assert classify_basis(basis).regular
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e300])
+def test_regular_construction_far_from_unit_scale_passes_its_regularity_check(scale):
+    t = np.random.default_rng(3).normal(size=(4, 4)) + np.eye(4) * 3.0
+    wedges = np.einsum("nm,nij->mij", t, reference_wedges())
+    cols = regular_basis_for(scale * wedges)  # ends on classify_basis, at the frame scaled into 2^+-200
+    assert np.isfinite(cols).all()
+    if scale < 1.0:  # at 1e300 the four-vectors' Gram entries overflow, and NotFinite says so
+        assert classify_basis(cols).regular
+
+
 def test_regular_construction_rejects_frame_vectors_past_the_float_range():
     t = np.random.default_rng(3).normal(size=(4, 4)) + np.eye(4) * 3.0
     wedges = np.einsum("nm,nij->mij", t, reference_wedges())

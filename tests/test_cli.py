@@ -385,14 +385,36 @@ def test_transform_moment_field(tmp_path, capsys):
         "transform", str(tmp_path / "m.pvec"), str(tmp_path / "t.pvec"),
         "-o", str(tmp_path / "m2.pvec"),
     ]) == 0
-    assert capsys.readouterr().out.splitlines()[:2] == ["frame: P (header)", "kappa: 1.0 (header)"]
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "frame: P (header)",
+        "kappa: nonzero (header); this law reads only whether kappa is zero",
+    ]
     assert main([
         "transform", str(tmp_path / "m2.pvec"), str(tmp_path / "ti.pvec"),
         "-o", str(tmp_path / "m3.pvec"), "--kappa", "1",
     ]) == 0
-    assert capsys.readouterr().out.splitlines()[:2] == ["frame: P (header)", "kappa: 1.0 (flag)"]
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "frame: P (header)",
+        "kappa: nonzero (flag); this law reads only whether kappa is zero",
+    ]
     back = read_record(tmp_path / "m3.pvec")
     assert np.max(np.abs(back.payload - current.values)) <= 1e-9
+
+
+def test_transform_moment_field_reads_only_whether_kappa_is_zero(tmp_path, capsys):
+    grid = Grid(origin=(0.0,) * 4, spacing=(0.5,) * 4, shape=(2, 1, 1, 1))
+    payload = np.random.default_rng(3).normal(size=grid.shape + (4, 5, 5))
+    write_record(tmp_path / "in.pvec", Record("moment_field", payload, basis="P", grid=grid))
+    write_transform(tmp_path / "t.pvec", boost_transform())
+    outputs = set()
+    for kappa, word in (("0.5", "nonzero"), ("2", "nonzero"), ("1e5", "nonzero"), ("0", "zero")):
+        out = tmp_path / f"out{kappa}.pvec"
+        assert main(["transform", str(tmp_path / "in.pvec"), str(tmp_path / "t.pvec"), "-o", str(out), f"--kappa={kappa}"]) == 0
+        line = capsys.readouterr().out.splitlines()[1]
+        assert line == f"kappa: {word} (flag); this law reads only whether kappa is zero"
+        if word == "nonzero":
+            outputs.add(out.read_bytes())
+    assert len(outputs) == 1
 
 
 def malformed_records():

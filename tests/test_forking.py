@@ -5,6 +5,7 @@ output and first error."""
 import os
 import signal
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -58,6 +59,33 @@ def test_forked_reaps_the_helper_when_the_parent_raises(forks):
 
     with pytest.raises(RuntimeError, match="the parent fails"):
         forking.forked(lambda: bytes(1 << 20), fails)  # more than a pipe holds unread
+
+
+@pytest.mark.parametrize(
+    "allowed, n, ranges",
+    [(True, 9, [(0, 4), (4, 9)]), (True, 2, [(0, 1), (1, 2)]), (True, 1, [(0, 1)]), (False, 9, [(0, 9)])],
+)
+def test_split_rows_gives_the_upper_half_to_a_worker_thread(monkeypatch, allowed, n, ranges):
+    monkeypatch.setattr(forking, "can_fork", lambda: allowed)
+    calls = []
+    forking.split_rows(n, lambda lo, hi: calls.append((lo, hi, threading.get_ident())))
+    assert sorted(call[:2] for call in calls) == ranges
+    assert {call[2] for call in calls if call[0] == 0} == {threading.get_ident()}
+    assert len({call[2] for call in calls}) == len(ranges)
+    assert threading.active_count() == 1
+
+
+def test_split_rows_raises_the_lower_half_error_first(monkeypatch):
+    monkeypatch.setattr(forking, "can_fork", lambda: True)
+
+    def fails(lo, hi):
+        raise ValueError(f"rows {lo}..{hi}")
+
+    with pytest.raises(ValueError, match="rows 0..3"):
+        forking.split_rows(7, fails)
+    with pytest.raises(ValueError, match="rows 3..7"):
+        forking.split_rows(7, lambda lo, hi: lo and fails(lo, hi))
+    assert threading.active_count() == 1
 
 
 def sequential(monkeypatch):

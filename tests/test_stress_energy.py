@@ -1,9 +1,12 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from pentavec import forking
 from pentavec.algebra import ETA4, lower_array
 from pentavec.connection import flat_coefficients, normalized_kappa
 from pentavec.errors import BasisMismatch, GridMismatch, GridTooCoarse, NotAntisymmetric
@@ -454,3 +457,79 @@ def test_layout_does_not_change_results(seed, shape, spacing, scheme, kappa):
         reference = frame_change_einsum(field, kappa, sign)
         scale = max_norm(field.values) * (1.0 + normalized_kappa(kappa) * max_norm(grid.coords())) ** 2
         np.testing.assert_allclose(converted.values, reference, rtol=0.0, atol=1e-14 * scale)
+
+
+# The three grid kernels hand the upper half of the rows of axis 0 to a worker
+# thread when ``forking.can_fork`` allows.  The one-thread run is the
+# reference: arrays, residuals and errors must agree bit for bit, and no
+# thread may outlive a call, one that raised included.
+SPLIT_LENGTHS = (1, 2, 3, 5, 8, 9)
+
+
+def one_and_two_threads(monkeypatch, call):
+    """The outcomes of ``call()`` with the split off and on: its result, or the
+    type and text of the error it raised."""
+    outcomes = []
+    for allowed in (False, True):
+        monkeypatch.setattr(forking, "can_fork", lambda allowed=allowed: allowed)
+        try:
+            outcomes.append(call())
+        except (NotAntisymmetric, GridTooCoarse, FloatingPointError) as exc:
+            outcomes.append((type(exc), str(exc)))
+        assert threading.active_count() == 1
+    return outcomes
+
+
+@pytest.mark.parametrize("n0", SPLIT_LENGTHS)
+def test_split_rows_give_the_one_thread_bits(monkeypatch, n0):
+    grid = odd_grid((n0, 5, 6, 1))
+    theta, sigma = smooth_samples(grid, 80 + n0)
+
+    def kernels():
+        m = assemble_moment_field(theta, sigma, grid)
+        out = [m.values]
+        for kappa in (0.0, 0.5, 1.0, -1.0):
+            o = moment_to_orthonormal(m, kappa)
+            out += [o.values, moment_to_parallel(o, kappa).values]
+            for scheme in ("central2", "central4"):
+                for field in (m, o):
+                    try:
+                        report = conservation_report(field, kappa, scheme)
+                    except GridTooCoarse as exc:  # axis 0 of 2, 3 or 8 samples is too short for some scheme
+                        out.append(str(exc))
+                    else:
+                        out.append((report.momentum_residual, report.angular_residual))
+        return out
+
+    one, two = one_and_two_threads(monkeypatch, kernels)
+    assert len(one) == len(two)
+    for a, b in zip(one, two):
+        if isinstance(a, str):
+            assert a == b
+        else:
+            assert_same_bits(np.asarray(b), np.asarray(a))
+
+
+@pytest.mark.parametrize("n0", (2, 9))
+@pytest.mark.parametrize("bad_rows", ([-1], [0, -1]))
+def test_split_rows_raise_the_one_thread_error(monkeypatch, n0, bad_rows):
+    grid = odd_grid((n0, 5, 6, 1))
+    theta, sigma = smooth_samples(grid, 90)
+    sigma[bad_rows, 1, 2, 0, 3, 1, 2] += 1.0  # a symmetric part in the upper half, or in both
+    one, two = one_and_two_threads(monkeypatch, lambda: assemble_moment_field(theta, sigma, grid))
+    assert one == two == (NotAntisymmetric, "spin current must be antisymmetric in its lower indices")
+
+
+def test_split_rows_keep_the_callers_errstate(monkeypatch):
+    # A plain thread starts outside the caller's errstate; the worker runs in
+    # a copy of the caller's context, so an overflow of the upper half raises.
+    grid = odd_grid((9, 5, 6, 1))
+    theta, sigma = smooth_samples(grid, 91)
+    theta[-1] = np.finfo(float).max  # x_alpha Theta^mu_beta overflows at x^0 = 1.7
+
+    def assemble():
+        with np.errstate(over="raise"):
+            return assemble_moment_field(theta, sigma, grid)
+
+    one, two = one_and_two_threads(monkeypatch, assemble)
+    assert one[0] is two[0] is FloatingPointError
