@@ -11,7 +11,8 @@ header lines describing their sample grid, and any kind may carry a
 ``basis`` flag and a ``kappa`` line.
 
 Files are read and written a block of payload lines at a time, so neither
-direction holds the whole text, its lines or its words at once.
+direction holds the whole text, its lines or its words at once; a regular
+file is read only by byte ranges, cut after a line end, ``\n`` or ``\r``.
 ``read_record`` and ``write_record`` hand the second half of a payload of
 two blocks or more to a forked process when ``forking.can_fork`` allows:
 this one runs no other Python thread and may use a second CPU.  Each
@@ -26,9 +27,9 @@ import math
 import mmap
 import os
 import shutil
+import stat
 import tempfile
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -98,6 +99,8 @@ class Record:
             )
         if not np.all(np.isfinite(payload)):
             raise NotFinite(f"kind {self.kind!r} payload holds a non-finite value")
+        if self.kappa is not None and not math.isfinite(self.kappa):
+            raise NotFinite(f"kappa must be finite, got {self.kappa!r}")
         if self.basis is not None and self.basis not in BASIS_FLAGS:
             raise KindMismatch(f"basis flag must be one of {BASIS_FLAGS}, got {self.basis!r}")
         if payload.flags.writeable or not payload.flags.owndata:
@@ -110,14 +113,9 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def emit_record(record: Record, fh=None) -> str | None:
-    """The text of ``record``; or, given an open text file, write that text
-    to it a block of payload lines at a time and return None."""
-    pieces = _record_pieces(record, record.payload.ravel())
-    if fh is None:
-        return "".join(pieces)
-    fh.writelines(pieces)  # drops each piece before it formats the next
-    return None
+def emit_record(record: Record) -> str:
+    """The text of ``record``."""
+    return "".join(_record_pieces(record, record.payload.ravel()))
 
 
 def _record_pieces(record: Record, flat: np.ndarray):
@@ -155,12 +153,12 @@ def _block_text(values: np.ndarray) -> str:
 
 
 def write_record(path, record: Record) -> None:
-    """Write ``emit_record(record)`` to the file at ``path``, by two
-    processes if ``_two_processes`` allows."""
+    """Write ``emit_record(record)`` to the file at ``path`` a block of
+    payload lines at a time, by two processes if ``_two_processes`` allows."""
     flat = record.payload.ravel()
     with open(path, "w", encoding="utf-8") as fh:
         if not _two_processes(flat.size):
-            emit_record(record, fh)
+            fh.writelines(_record_pieces(record, flat))  # drops each piece before it formats the next
             return
         mid = flat.size // (2 * VALUES_PER_LINE) * VALUES_PER_LINE
         with tempfile.TemporaryFile() as tmp:
@@ -183,25 +181,16 @@ def _two_processes(count: int) -> bool:
     return count >= 2 * VALUES_PER_LINE * LINES_PER_BLOCK and forking.can_fork()
 
 
-def parse_record(source) -> Record:
-    """The record in ``source``: its text, or an open text file.
-
-    A file is read a block of payload lines at a time into an array
-    allocated from the header's count.  At any fault it is read again from
-    its start as one text, which raises the same ``ParseError``, line and
-    column included, as ``parse_record`` of that text; so the file must be
-    seekable, and bytes that are not UTF-8 raise ``UnicodeDecodeError``.
-    """
-    if isinstance(source, str):
-        return _parse_text(source)
-    return _parse_file(source)
+def parse_record(text: str) -> Record:
+    """The record in ``text``."""
+    return _parse_text(text)
 
 
 def _parse_header(lines) -> tuple:
     """(kind, basis, kappa, grid, payload shape, line number of ``data``).
 
-    ``lines`` iterates over the lines of a record, as ``str.splitlines``
-    splits its text, and is consumed through the ``data`` sentinel.
+    ``lines`` iterates over a record's lines, as ``str.splitlines`` splits
+    its text (line ends kept or not), and is consumed through ``data``.
     """
     first = next(lines, None)
     if first is None or first.strip() != MAGIC:
@@ -289,48 +278,23 @@ def _parse_text(text: str) -> Record:
         raise
 
 
-def _file_lines(fh, rest: list):
-    """The lines of ``fh`` as ``str.splitlines`` splits its text.
+def _read_blocks(fd: int, size: int) -> Record:
+    """The record in the ``size`` bytes of regular file ``fd``, read only
+    by byte ranges, into an array allocated from the header's count; by two
+    processes if ``_two_processes`` allows."""
+    header = []  # the lines of the header, through the data line
 
-    ``rest`` holds, last first, those of the current line of the file
-    (up to its ``\\n``) not yet yielded, for a reader that stops early.
-    """
-    while physical := fh.readline():
-        rest[:] = reversed(physical.splitlines())
-        while rest:
-            yield rest.pop()
+    def lines():
+        for text in _byte_blocks(fd, 0, size):
+            for line in text.splitlines(keepends=True):
+                header.append(line)
+                yield line
 
-
-def _file_blocks(fh, rest: list):
-    """The text of the lines left in ``rest`` by ``_file_lines``, then of
-    each block of lines of ``fh``."""
-    yield "".join(line + "\n" for line in reversed(rest))
-    while block := "".join(islice(fh, LINES_PER_BLOCK)):
-        yield block
-
-
-def _parse_file(fh, fd=None) -> Record:
-    """The record in the open text file ``fh``, read as ``parse_record``
-    describes; given its descriptor ``fd``, by two processes if
-    ``_two_processes`` allows."""
-    try:
-        rest: list = []
-        kind, basis, kappa, grid, shape, _ = _parse_header(_file_lines(fh, rest))
-        # One process reads payload that follows the data line's text after a
-        # break other than \n (rest), or a file whose position holds decoder
-        # state (tell() of 2**64 or more, as after a \r line end).
-        split = fd is not None and not rest and _two_processes(math.prod(shape))
-        start = fh.tell() if split else 1 << 64
-        payload = _read_payload(_file_blocks(fh, rest), shape, None if start >> 64 else (fd, start))
-        return Record(kind=kind, payload=payload, basis=basis, kappa=kappa, grid=grid)
-    # ValueError: a bad token, a wrong count, a count too large for an array,
-    # a non-finite value (NotFinite), a failed helper process or bytes that
-    # are not UTF-8 (UnicodeDecodeError, raised again by the read below);
-    # MemoryError: a count too large to allocate.
-    except (ParseError, ValueError, MemoryError):
-        pass
-    fh.seek(0)
-    return _parse_text(fh.read())
+    kind, basis, kappa, grid, shape, _ = _parse_header(lines())
+    start = len("".join(header).encode("utf-8"))
+    split = (fd, start, size) if _two_processes(math.prod(shape)) else None
+    payload = _read_payload(_byte_blocks(fd, start, size), shape, split)
+    return Record(kind=kind, payload=payload, basis=basis, kappa=kappa, grid=grid)
 
 
 def _read_payload(blocks, shape: tuple, split=None) -> np.ndarray:
@@ -347,14 +311,14 @@ def _read_payload(blocks, shape: tuple, split=None) -> np.ndarray:
     return payload
 
 
-def _fill_halves(flat: np.ndarray, fd: int, start: int) -> int:
-    """``_fill`` of file ``fd`` from byte ``start`` on; a forked process
-    converts the lines after the first \\n past the middle into shared
+def _fill_halves(flat: np.ndarray, fd: int, start: int, end: int) -> int:
+    """``_fill`` of bytes [start, end) of file ``fd``; a forked process
+    converts those after the last line end before the middle into shared
     memory.  Raises ValueError at a fault in either part."""
-    end = os.fstat(fd).st_size
     mid = (start + end) // 2
-    found = os.pread(fd, 1 << 16, mid).find(b"\n")
-    mid = mid + found + 1 if found >= 0 else end
+    low = max(start, mid - (1 << 16))
+    cut = _line_end(os.pread(fd, mid - low, low))
+    mid = low + cut if cut else start
     shared = np.frombuffer(mmap.mmap(-1, 8 * (flat.size + 1)))  # the child's values, then their count
 
     def child():
@@ -370,7 +334,7 @@ def _fill_halves(flat: np.ndarray, fd: int, start: int) -> int:
 
 def _byte_blocks(fd: int, start: int, end: int):
     """The text of bytes [start, end) of file ``fd`` in chunks cut after a
-    \\n, read without moving the file's offset.  Raises ValueError at
+    line end, read without moving the file's offset.  Raises ValueError at
     bytes that are not UTF-8 or at a file that ends early."""
     # Two bytes a value, the least a value and its separator take: a chunk
     # holds at most a block's count of words.
@@ -379,12 +343,17 @@ def _byte_blocks(fd: int, start: int, end: int):
         chunk = os.pread(fd, min(size, end - start), start)
         if not chunk:
             raise ValueError(f"file ends at byte {start}, not {end}")
-        cut = len(chunk) if start + len(chunk) == end else chunk.rfind(b"\n") + 1
+        cut = len(chunk) if start + len(chunk) == end else _line_end(chunk)
         if not cut:  # a line longer than the chunk
             size *= 2
             continue
         start, size = start + cut, 2 * VALUES_PER_LINE * LINES_PER_BLOCK
         yield chunk[:cut].decode("utf-8")
+
+
+def _line_end(chunk: bytes) -> int:
+    """The length of ``chunk`` through its last line end, \\n or \\r; 0 if it holds none."""
+    return max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
 
 
 def _fill(flat: np.ndarray, blocks) -> int:
@@ -439,16 +408,21 @@ def _scan_payload(data: list, data_line: int, kind: str, count: int) -> None:
 
 
 def read_record(path) -> Record:
-    """The record in the file at ``path``, read as ``parse_record`` reads a
-    file but by two processes if ``_two_processes`` allows."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return _parse_file(fh, fh.fileno())
-    except UnicodeDecodeError:
-        pass
-    # The decoder's error counts from its last buffer, not from the file's start.
+    """The record in the file at ``path``, read as ``_read_blocks`` reads a
+    regular file.  At any fault, and for any other file, its whole text is
+    parsed, which raises the ``ParseError`` of ``parse_record`` of that text,
+    line and column included; bytes that are not UTF-8 raise one at the first."""
     with open(path, "rb") as fh:
-        raw = fh.read()
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            try:
+                return _read_blocks(fh.fileno(), info.st_size)
+            # ValueError: a bad token or count, a non-finite value (NotFinite), a
+            # failed helper, bytes that are not UTF-8 (UnicodeDecodeError) or a
+            # file that shrank; MemoryError: a count too large to allocate.
+            except (ParseError, ValueError, MemoryError):
+                pass
+        raw = fh.read()  # from the start: os.pread moves no file offset
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -457,7 +431,7 @@ def read_record(path) -> Record:
         raise ParseError(
             f"byte 0x{raw[exc.start]:02x} is not UTF-8 text", line=len(before), column=len(before[-1])
         ) from None
-    return parse_record(text)
+    return _parse_text(text)
 
 
 def transform_to_payload(t: PoincareTransform) -> np.ndarray:

@@ -2,6 +2,7 @@ import math
 import os
 import re
 import signal
+import subprocess
 import sys
 import tracemalloc
 
@@ -11,7 +12,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from pentavec import fileio, forking
-from pentavec.errors import KindMismatch, ParseError
+from pentavec.errors import KindMismatch, NotFinite, ParseError
 from pentavec.fileio import (
     KINDS,
     LINES_PER_BLOCK,
@@ -87,6 +88,29 @@ def test_read_record_rejects_non_utf8(tmp_path):
     assert (info.value.line, info.value.column) == (5, 9)
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes need os.mkfifo")
+def test_read_record_reads_a_named_pipe_whole(tmp_path):
+    """A pipe has no byte ranges to read: it is read whole, and a fault in it
+    is located as in the text."""
+    good = emit_record(Record(kind="five_vector", payload=np.arange(5.0), kappa=0.5))
+    bad = good.replace("3 4", "3 x")
+    outcomes = []
+    for name, text in (("good", good), ("bad", bad)):
+        fifo = tmp_path / f"{name}.pvec"
+        os.mkfifo(fifo)
+        code = "import sys; open(sys.argv[1], 'w').write(sys.argv[2])"
+        writer = subprocess.Popen([sys.executable, "-c", code, str(fifo), text])
+        try:
+            outcomes.append(read_record(fifo))
+        except ParseError as err:
+            outcomes.append(err)
+        finally:
+            assert writer.wait(timeout=60) == 0
+    rec, err = outcomes
+    assert np.array_equal(rec.payload, np.arange(5.0)) and rec.kappa == 0.5
+    assert (str(err), err.line, err.column) == outcome(bad) == ("bad number 'x' at sample 4 (line 6, column 9)", 6, 9)
+
+
 def test_comments_and_blank_lines_ignored():
     rec = Record(kind="five_vector", payload=np.arange(5.0))
     lines = emit_record(rec).splitlines()
@@ -108,6 +132,13 @@ def test_record_validation():
         Record(kind="scalar_field", payload=np.zeros(4))  # grid missing
     with pytest.raises(KindMismatch):
         Record(kind="five_vector", payload=np.zeros(5), basis="Q")
+
+
+@pytest.mark.parametrize("kappa", [math.inf, -math.inf, math.nan])
+def test_record_rejects_a_non_finite_kappa(kappa):
+    """A record that its own file would refuse cannot be made."""
+    with pytest.raises(NotFinite, match="kappa must be finite"):
+        Record(kind="five_vector", payload=np.arange(5.0), kappa=kappa)
 
 
 def test_record_adopts_an_owned_read_only_payload():
@@ -154,6 +185,28 @@ def test_read_and_write_memory_is_bounded_by_a_block(tmp_path):
     # Formatting a block also holds the % format string and the spare room
     # of the string being built: about a fifth more than its text and floats.
     assert write_peak <= 1.5 * (sys.getsizeof(text) + floats_bytes)
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"])
+def test_read_memory_is_bounded_by_a_block_at_other_line_ends(tmp_path, ending):
+    """Chunks are cut after a \\r as after a \\n, so a file with either line end
+    is read a block at a time."""
+    grid = Grid(origin=(0.0,) * 4, spacing=(0.1,) * 4, shape=(13, 13, 13, 1))
+    rec = Record("moment_field", np.random.default_rng(84).standard_normal(grid.shape + (4, 5, 5)), basis="P", grid=grid)
+    lines = emit_record(rec).split("\n")
+    first = lines.index("data") + 1
+    text = ending.join(lines[first : first + LINES_PER_BLOCK]) + ending
+    path = tmp_path / "moment.pvec"
+    path.write_bytes(ending.join(lines).encode("utf-8"))
+    tracemalloc.start()
+    try:
+        back = read_record(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.payload.tobytes() == rec.payload.tobytes()
+    words = text.split()
+    assert read_peak <= 2 * rec.payload.nbytes + sys.getsizeof(text) + sys.getsizeof(words) + sum(map(sys.getsizeof, words))
 
 
 def parse_error_for(text):
@@ -586,10 +639,10 @@ def test_two_process_read_matches_the_whole_text_parse(tmp_path_factory, seed, f
         patch.setattr(fileio, "LINES_PER_BLOCK", 2)
         runs = counted_forks(patch)
         assert read_outcome(path) == whole_text_outcome(raw)
-    # After its data line, a file with \r line ends holds decoder state, so
-    # one process reads it.  A bad byte may be decoded with the header.
+    # Two processes read the payload whatever the line ends.  A bad byte may
+    # be decoded with the header.
     if fault != "bad byte":
-        assert len(runs) == (ending != "\r")
+        assert len(runs) == 1
     assert_no_helper_left()
 
 
