@@ -56,18 +56,33 @@ def grid_field(name: str, values) -> tuple:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform rectangular grid: origin, spacing, and sample counts per axis."""
+    """Uniform rectangular grid: origin, spacing, and sample counts per axis.
+
+    A slab of rows keeps its grid's origin and spacing and the index ``row`` of
+    its first row there, so its coordinates are that grid's to the bit, which
+    ``origin + row * spacing`` would not give for most spacings."""
 
     origin: tuple
     spacing: tuple
     shape: tuple
+    row: int = 0
 
     def __post_init__(self):
         for name in ("origin", "spacing", "shape"):
             object.__setattr__(self, name, grid_field(name, getattr(self, name)))
 
     def axis_coords(self, axis: int) -> np.ndarray:
-        return self.origin[axis] + self.spacing[axis] * np.arange(self.shape[axis])
+        start = self.row if axis == 0 else 0
+        return self.origin[axis] + self.spacing[axis] * np.arange(start, start + self.shape[axis])
+
+    def row_slabs(self, scheme: str, rows: int):
+        """Slabs of rows of axis 0 whose interiors at ``scheme_width(scheme)`` take this grid's
+        interior rows ``rows`` at a time, with halos of that width; a grid with no
+        interior rows along axis 0 is one slab, itself."""
+        n, width = self.shape[0], scheme_width(scheme)
+        bounds = [(lo, min(lo + rows, n - width)) for lo in range(width, n - width, rows)] or [(width, n - width)]
+        for lo, hi in bounds:
+            yield Grid(self.origin, self.spacing, (hi - lo + 2 * width,) + self.shape[1:], self.row + lo - width)
 
     def coords(self) -> np.ndarray:
         """Sample coordinates, shape ``shape + (4,)``."""

@@ -48,15 +48,18 @@ class SuiteReport:
         return all(c.passed for c in self.checks)
 
 
-# The finest conservation grid holds (2N - 1)^3 samples.  At N = 33,
-# `pentavec verify conservation --grid 33` peaks at 613 MB RSS in 1.3 s under
-# central2 and 639 MB in 1.4 s under central4 (2-vCPU x86_64, Python 3.11,
-# numpy 2.4): the P- and O-frame currents of 220 MB each are alive together
-# with the report's interior divergence and, per half of its rows, a derivative
-# buffer and one M^mu turned components first.  The process that runs
-# conservation holds it: the command's own when conservation runs alone or with
-# no second CPU, else the forked helper of ``run_suites``.
+# The finest conservation grid holds (2N - 1)^3 samples.  Its wave currents
+# are built SLAB_ROWS interior rows of grid axis 0 at a time, with halo rows
+# on each side: a slab's P current and its O change (47 MB each at N = 33) are
+# alive together.  `verify conservation --grid 33` peaks at 188 MB RSS in 1.4 s
+# under central2 and 181 MB in 1.6 s under central4 (613 and 639 MB with whole
+# currents), and `verify all` at 68 MB (113 MB).  Slabs of 10 rows save 3 MB
+# more, but made central4 1.16 times as slow as whole currents; 12 rows, 1.01
+# to 1.07 times.  Medians of 8-10 runs, 2-vCPU x86_64, Python 3.11, numpy 2.4.
+# The process that runs conservation holds the peak: the command's own when it
+# runs alone or with no second CPU, else the forked helper of ``run_suites``.
 MAX_GRID = 33
+SLAB_ROWS = 12
 
 
 @dataclass(frozen=True)
@@ -564,12 +567,19 @@ def poincare_suite(options: SuiteOptions, rng):
 
 # ----------------------------------------------------------- conservation
 
-def _wave_current(n: int) -> FieldOnGrid:
-    """The plane-wave moment current, in the P frame, on the n-point wave grid."""
-    grid = _wave_grid(n)
+def _wave_residuals(n: int, kappa: float, scheme: str) -> dict:
+    """The plane wave's worst conservation residual on the n-point wave grid in each
+    frame, built and checked one slab of rows at a time (``Grid.row_slabs``): the
+    max over the slabs' interiors is the whole grid's to the bit."""
     k = np.array([np.sqrt(8.0), 2.0, 2.0, 0.0])
-    theta, sigma = stress_energy.plane_wave_stress_samples(k, grid)
-    return stress_energy.assemble_moment_field(theta, sigma, grid)
+    worst = {"P": 0.0, "O": 0.0}
+    for slab in _wave_grid(n).row_slabs(scheme, SLAB_ROWS):
+        current = stress_energy.assemble_moment_field(*stress_energy.plane_wave_stress_samples(k, slab), slab)
+        for frame in worst:  # P, then O, which frees the P current
+            current = _in_frame(current, frame, kappa)
+            worst[frame] = max(worst[frame], stress_energy.conservation_report(current, kappa, scheme).worst())
+        del current  # freed before the next slab's samples are made
+    return worst
 
 
 def _in_frame(current: FieldOnGrid, frame: str, kappa: float) -> FieldOnGrid:
@@ -582,6 +592,8 @@ def _wave_grid(n: int) -> Grid:
 
 
 def conservation_suite(options: SuiteOptions, rng):
+    """The moment current's conservation in both frames: exact for a constant stress, and at
+    the scheme's order for a plane wave at N and 2N - 1 points, one slab of rows at a time."""
     kappa = options.kappa
     scheme = options.scheme
     frames = ("P", "O")
@@ -603,17 +615,11 @@ def conservation_suite(options: SuiteOptions, rng):
             yield CheckResult("constant-stress-spin-block-O", spin, EXACT)
 
     # one P-frame current per resolution; the O current is its frame change
-    residuals = {frame: [] for frame in frames}
-    for n in (options.grid_n, 2 * options.grid_n - 1):
-        current = _wave_current(n)
-        for frame in frames:
-            report = stress_energy.conservation_report(_in_frame(current, frame, kappa), kappa, scheme)
-            residuals[frame].append(report.worst())
-    for frame, pair in residuals.items():
-        yield _order(f"wave-convergence-order-{frame}", pair)
+    waves = [_wave_residuals(n, kappa, scheme) for n in (options.grid_n, 2 * options.grid_n - 1)]
+    for frame in frames:
+        yield _order(f"wave-convergence-order-{frame}", [wave[frame] for wave in waves])
 
-    r_p = residuals["P"][0]
-    r_o = residuals["O"][0]
+    r_p, r_o = waves[0]["P"], waves[0]["O"]
     yield CheckResult("frame-agreement-ratio", max(r_p / r_o, r_o / r_p), 2.0)
 
 

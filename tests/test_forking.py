@@ -14,7 +14,7 @@ from pentavec import forking, suites
 from pentavec.cli import main
 from pentavec.errors import PentavecError
 from pentavec.fileio import LINES_PER_BLOCK, VALUES_PER_LINE, Record, read_record, write_record
-from pentavec.grids import Grid
+from pentavec.grids import Grid, scheme_width
 
 needs_two_cpus = pytest.mark.skipif(not forking.can_fork(), reason="no second CPU for a forked helper")
 
@@ -233,7 +233,11 @@ def test_each_helper_peaks_within_its_share_of_the_work(tmp_path, monkeypatch):
     # splits one chunk of a block's lines at a time into words.
     assert read_rise <= rec.payload.nbytes / 2 + block
     # Conservation's finest grid holds (2N - 1)^3 samples of the moment
-    # current's 100 values.  Its P and O currents are alive together with the
-    # report's buffers, under four currents in all (78 MB of 115 MB at N = 17).
-    current = (2 * options.grid_n - 1) ** 3 * 100 * 8
-    assert suites_rise <= 4 * current
+    # current's 100 values, built one slab of SLAB_ROWS rows and their halos
+    # at a time.  A slab's P current and its O change are alive together, with
+    # the coordinates and the allocator's freed blocks, under three slab
+    # currents; the fork, the pickled report and the coarse checks take a few
+    # MB more (43 MB of 53 MB at N = 17, where the whole currents took 88 MB).
+    halo = 2 * scheme_width(options.scheme)
+    slab = (suites.SLAB_ROWS + halo) * (2 * options.grid_n - 1) ** 2 * 100 * 8
+    assert suites_rise <= 16 * 2**20 + 3 * slab

@@ -33,6 +33,36 @@ def test_grid_coordinates():
     assert np.array_equal(c[2, 0, 1, 0], [2.0, 0.0, 1.0, 0.0])
 
 
+@pytest.mark.parametrize("scheme", ["central2", "central4"])
+@pytest.mark.parametrize("n", [1, 3, 4, 10, 19, 20])
+def test_row_slabs_cover_the_interior_rows_with_their_halos(scheme, n):
+    h = 1.0 / 18.0  # the finer spacing of --grid 10, no power of two
+    g = Grid(origin=(0.0, 0.5, -0.25, 0.0), spacing=(h, h, h, 1.0), shape=(n, 3, 2, 1))
+    width = scheme_width(scheme)
+    slabs = list(g.row_slabs(scheme, 4))
+    if n <= 2 * width:
+        assert slabs == [g]  # no interior rows: the grid itself
+        return
+    covered = []
+    for slab in slabs:
+        assert slab.origin == g.origin and slab.spacing == g.spacing and slab.shape[1:] == g.shape[1:]
+        rows = range(slab.row, slab.row + slab.shape[0])
+        assert np.array_equal(slab.coords(), g.coords()[rows.start : rows.stop])  # bit for bit
+        assert 1 <= len(rows) - 2 * width <= 4
+        covered += rows[width:-width]
+    assert covered == list(range(width, n - width))
+
+
+def test_a_slab_takes_its_rows_from_the_full_axis():
+    h = 1.0 / 18.0
+    full = Grid(origin=(0.0,) * 4, spacing=(h, h, h, 1.0), shape=(8, 1, 1, 1))
+    slab = Grid(origin=(0.0,) * 4, spacing=(h, h, h, 1.0), shape=(3, 1, 1, 1), row=5)
+    assert np.array_equal(slab.axis_coords(0), full.axis_coords(0)[5:])
+    # a grid whose origin is row 5 would not be bit for bit the full one
+    moved = Grid(origin=(5 * h, 0.0, 0.0, 0.0), spacing=(h, h, h, 1.0), shape=(3, 1, 1, 1))
+    assert not np.array_equal(moved.axis_coords(0), full.axis_coords(0)[5:])
+
+
 def test_interior_slices():
     g = Grid(origin=(0.0,) * 4, spacing=(1.0,) * 4, shape=(7, 1, 5, 1))
     sl = g.interior(2)

@@ -1,3 +1,4 @@
+import functools
 import threading
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from pentavec import forking
+from pentavec import forking, suites
 from pentavec.algebra import ETA4, lower_array
 from pentavec.connection import flat_coefficients, normalized_kappa
 from pentavec.errors import BasisMismatch, GridMismatch, GridTooCoarse, NotAntisymmetric
@@ -533,3 +534,45 @@ def test_split_rows_keep_the_callers_errstate(monkeypatch):
 
     one, two = one_and_two_threads(monkeypatch, assemble)
     assert one[0] is two[0] is FloatingPointError
+
+
+# The conservation suite builds, frames and checks its plane-wave currents one
+# slab of rows of grid axis 0 at a time.  Every residual and every check value
+# must be the one that whole currents give through the same kernels, bit for
+# bit, with the row split off and on, which leaves the whole-grid values alone.
+@functools.lru_cache
+def whole_wave_residuals(n, kappa, scheme):
+    grid = wave_grid(n)
+    m = assemble_moment_field(*plane_wave_stress_samples(NULL_K, grid), grid)
+    fields = {"P": m, "O": moment_to_orthonormal(m, kappa)}
+    return {frame: conservation_report(field, kappa, scheme).worst() for frame, field in fields.items()}
+
+
+@pytest.mark.parametrize("allowed", [False, True])
+@pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0, -1.0])
+@pytest.mark.parametrize("scheme", ["central2", "central4"])
+@pytest.mark.parametrize("grid_n", [10, 17])
+def test_conservation_suite_in_slabs_gives_the_whole_grid_values(monkeypatch, grid_n, scheme, kappa, allowed):
+    monkeypatch.setattr(forking, "can_fork", lambda: allowed)
+    seen, in_slabs = [], suites._wave_residuals
+    monkeypatch.setattr(suites, "_wave_residuals", lambda *args: seen.append(in_slabs(*args)) or seen[-1])
+    options = suites.SuiteOptions(kappa=kappa, grid_n=grid_n, scheme=scheme)
+    checks = suites.run_suite("conservation", options).checks
+    whole = [whole_wave_residuals(n, kappa, scheme) for n in (grid_n, 2 * grid_n - 1)]
+    assert seen == whole  # the residuals themselves, which an order's logarithm may round away
+    r_p, r_o = whole[0]["P"], whole[0]["O"]
+    expected = [suites._order(f"wave-convergence-order-{frame}", [r[frame] for r in whole]) for frame in "PO"]
+    expected.append(suites.CheckResult("frame-agreement-ratio", max(r_p / r_o, r_o / r_p), 2.0))
+    assert [c for c in checks if c.name.startswith(("wave-", "frame-"))] == expected
+
+
+@pytest.mark.parametrize("rows", [1, 3, 5, 7])
+@pytest.mark.parametrize("scheme", ["central2", "central4"])
+def test_wave_residuals_at_other_slab_sizes(monkeypatch, scheme, rows):
+    # Slabs that start at other rows of the 1/18-spaced grid of --grid 10: a
+    # slab whose coordinates were origin + row * h, not the full axis' rows,
+    # moves a residual here, though with 12-row slabs it moves none at grids
+    # 10 and 17.
+    monkeypatch.setattr(suites, "SLAB_ROWS", rows)
+    for kappa in (0.0, 1.0):
+        assert suites._wave_residuals(19, kappa, scheme) == whole_wave_residuals(19, kappa, scheme)
