@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("suite", nargs="?", default="all", choices=("all",) + SUITE_NAMES)
     verify.add_argument("--seed", type=int, default=42)
     verify.add_argument("--kappa", type=float, default=1.0)
-    verify.add_argument("--grid", type=int, default=17, metavar="N", help="base grid resolution")
+    verify.add_argument("--grid", type=int, default=17, metavar="N", help="wave grid resolution")
     verify.add_argument("--scheme", choices=tuple(SCHEMES), default="central2")
     verify.add_argument("--format", choices=("human", "machine"), default="human")
 
@@ -72,11 +72,11 @@ def _format_gate(check) -> str:
 
 
 def _cmd_verify(args) -> int:
-    from .suites import SuiteOptions, run_suites
+    from .suites import SuiteOptions, run_suite
 
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     options = SuiteOptions(seed=args.seed, kappa=args.kappa, grid_n=args.grid, scheme=args.scheme)
-    reports = run_suites(names, options)
+    reports = [run_suite(name, options) for name in names]
     failed = False
     for report in reports:
         if args.format == "machine":

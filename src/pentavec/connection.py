@@ -123,7 +123,7 @@ def coordinates_from_parallel_metric(h: np.ndarray, kappa: float) -> np.ndarray:
 
 
 def transform_connection_field(
-    g: ConnectionCoeffs,
+    g,
     change_field: np.ndarray,
     lam,
     grid: Grid,
@@ -137,6 +137,7 @@ def transform_connection_field(
     the scheme's truncation error.  A non-finite or singular sample of L
     raises NotFinite or SingularMatrix.
     """
+    gv = _coefficients(g)
     lam = as_array(lam, shape=(4, 4))
     change_field = np.asarray(change_field, dtype=float)
     if change_field.shape != grid.shape + (5, 5):
@@ -154,7 +155,7 @@ def transform_connection_field(
     dl = grid_gradient(change_field, grid, scheme)  # (..., C, B, nu)
     # Contracted pairwise: the derivative index first, then L on the right,
     # then L^-1 on the left as one matrix product over the (B, m) columns.
-    inner = np.einsum("cdm,...db->...cbm", g.values @ lam, change_field)
+    inner = np.einsum("cdm,...db->...cbm", gv @ lam, change_field)
     inner += dl @ lam
     return (linv @ inner.reshape(inner.shape[:-3] + (5, 20))).reshape(inner.shape)
 

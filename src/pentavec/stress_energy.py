@@ -152,8 +152,9 @@ class ConservationReport:
         return max(self.momentum_residual, self.angular_residual)
 
 
-def conservation_report(m: FieldOnGrid, kappa: float = 1.0, scheme: str = "central2") -> ConservationReport:
-    """Covariant divergence residuals of a current field.
+def conservation_divergence(m: FieldOnGrid, kappa: float = 1.0, scheme: str = "central2") -> np.ndarray:
+    """Covariant divergence of a current field at the interior samples, components first:
+    ``(5, 5) + m.values[m.grid.interior(scheme_width(scheme))].shape[:4]``.
 
     In the parallel frame the transport coefficients vanish and the
     divergence is the plain derivative sum.  In the orthonormal frame the
@@ -203,6 +204,12 @@ def conservation_report(m: FieldOnGrid, kappa: float = 1.0, scheme: str = "centr
             del inner  # freed before the next mu's buffer is made
 
     split_rows(div.shape[2], rows)
+    return div
+
+
+def conservation_report(m: FieldOnGrid, kappa: float = 1.0, scheme: str = "central2") -> ConservationReport:
+    """The maxima of ``conservation_divergence`` over the momentum row and the four-block."""
+    div = conservation_divergence(m, kappa, scheme)
     return ConservationReport(
         momentum_residual=max_norm(div[4, :4]),
         angular_residual=max_norm(div[:4, :4]),
@@ -238,3 +245,45 @@ def plane_wave_stress_samples(k, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     theta = np.einsum("...,m,a->...ma", envelope, k, k_low)
     sigma = np.zeros(grid.shape + (4, 4, 4))
     return theta, sigma
+
+
+def plane_wave_divergence(k, grid: Grid, kappa: float = 1.0, scheme: str = "central2", basis: str = "P") -> np.ndarray:
+    """The exact value of ``conservation_divergence`` for the current of
+    ``plane_wave_stress_samples(k, grid)`` in frame ``basis``, from closed forms.
+
+    Along axis mu the phase phi steps by d = k_mu h.  A central difference of
+    sin(phi)^2 there is sin 2phi times the stencil's modified wavenumber
+    sigma_mu (Lele, J. Comput. Phys. 103, 16, 1992): sin(2d) / 2h under
+    central2, [8 sin(2d) - sin(4d)] / 12h under central4.  So the fifth row
+    reads k_alpha sin 2phi sum_mu k^mu sigma_mu in both frames, and the fifth
+    column its negative.  The P-frame orbital part x_alpha Theta^mu_beta
+    follows from the discrete product rule D_mu(x_mu f) = x_mu D_mu f +
+    eta_(mu mu) E_mu f, with E_mu the stencil's average, (f+ + f-)/2 or
+    [8(f+ + f-) - 2(f++ + f--)]/12, and sin(phi + d)^2 + sin(phi - d)^2 =
+    1 - cos 2phi cos 2d.  The O-frame four-block has no orbital part and is
+    zero, except at kappa = 0, where the frames coincide.  A wave that varies
+    along a singleton axis, which carries no derivative, raises GridMismatch.
+    """
+    sel = grid.interior(scheme_width(scheme))
+    k_low = lower_array(k)
+    if any(n == 1 and km != 0.0 for n, km in zip(grid.shape, k_low)):
+        raise GridMismatch("the wave varies along a singleton axis, which carries no derivative")
+    h = np.asarray(grid.spacing)
+    d = k_low * h
+    if scheme == "central2":
+        sigma, cos_avg = np.sin(2 * d) / (2 * h), np.cos(2 * d)
+    else:
+        sigma, cos_avg = (8 * np.sin(2 * d) - np.sin(4 * d)) / (12 * h), (8 * np.cos(2 * d) - 2 * np.cos(4 * d)) / 6
+    x_low = np.moveaxis(lower_array(grid.coords()[sel]), -1, 0)
+    phase = 2 * np.tensordot(k, x_low, 1)  # 2 phi at the interior samples
+    rate = np.sin(phase) * (k @ sigma)
+    column = (4,) + (1,) * rate.ndim  # a four-index over the grid axes
+    div = np.zeros((5, 5) + rate.shape)
+    div[4, :4] = k_low.reshape(column) * rate
+    div[:4, 4] = -div[4, :4]
+    if basis == "P" or normalized_kappa(kappa) == 0.0:
+        # [a, b] = x_a k_b rate + k_a k_b E_a sin^2, less its transpose
+        lever = x_low * rate + k_low.reshape(column) * (1 - cos_avg.reshape(column) * np.cos(phase)) / 2
+        moment = lever[:, None] * k_low.reshape(column)
+        div[:4, :4] = moment - np.swapaxes(moment, 0, 1)
+    return div

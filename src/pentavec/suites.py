@@ -8,6 +8,9 @@ pass when a max residual is at most the gate (mode "at-most").  Gates that
 follow a rule are named once: ``EXACT`` for indicator and exact checks, and
 ``ORDER_GATE`` for the convergence orders of ``_order`` (mode "at-least").
 Every other gate is a literal on the line that names its check.
+
+The conservation suite compares a plane wave's divergence on one N-point grid
+with its exact discrete value, ``stress_energy.plane_wave_divergence``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra, bases, clifford, connection, forking, poincare, stress_energy
+from . import algebra, bases, clifford, connection, poincare, stress_energy
 from .algebra import ETA4, ETA5, DirectionalClass, eta_dot
 from .errors import NotMaximalSpace, NotO32, PentavecError
 from .grids import FieldOnGrid, Grid, scheme_width
@@ -48,18 +51,11 @@ class SuiteReport:
         return all(c.passed for c in self.checks)
 
 
-# The finest conservation grid holds (2N - 1)^3 samples.  Its wave currents
-# are built SLAB_ROWS interior rows of grid axis 0 at a time, with halo rows
-# on each side: a slab's P current and its O change (47 MB each at N = 33) are
-# alive together.  `verify conservation --grid 33` peaks at 188 MB RSS in 1.4 s
-# under central2 and 181 MB in 1.6 s under central4 (613 and 639 MB with whole
-# currents), and `verify all` at 68 MB (113 MB).  Slabs of 10 rows save 3 MB
-# more, but made central4 1.16 times as slow as whole currents; 12 rows, 1.01
-# to 1.07 times.  Medians of 8-10 runs, 2-vCPU x86_64, Python 3.11, numpy 2.4.
-# The process that runs conservation holds the peak: the command's own when it
-# runs alone or with no second CPU, else the forked helper of ``run_suites``.
+# The wave grid holds N^3 samples; its P current and O change (29 MB each at
+# N = 33) are alive together.  `verify conservation --grid 33` peaks at 119 MB
+# RSS in 0.35 s under central2 and 118 MB in 0.31 s under central4, and `verify
+# all` at 51 MB.  Medians of 5 runs, 2-vCPU x86_64, Python 3.11, numpy 2.4.
 MAX_GRID = 33
-SLAB_ROWS = 12
 
 
 @dataclass(frozen=True)
@@ -272,7 +268,7 @@ def bases_suite(options: SuiteOptions, rng):
     wedges = _conjugated_wedges(rng, 50)
     plus = bases.orthonormal_basis_for(wedges)
     minus = bases.orthonormal_basis_for(wedges, negate_direction=True)
-    yield CheckResult("construction-sign-pair", max_norm(plus + minus), 1e-9)
+    yield CheckResult("construction-sign-pair", max_norm(plus + minus), EXACT)
 
     wedges = _conjugated_wedges(rng, 50)
     via_regular = bases.regular_basis_for(wedges)
@@ -297,10 +293,10 @@ def clifford_suite(options: SuiteOptions, rng):
     yield CheckResult("anticommutation-exact", clifford.anticommutation_residual(gs), EXACT)
 
     gammas = clifford.dirac_from_gamma_set(gs)
-    yield CheckResult("dirac-reduction", max_norm(np.abs(gammas - clifford.dirac_gammas())), 1e-12)
+    yield CheckResult("dirac-reduction", max_norm(np.abs(gammas - clifford.dirac_gammas())), EXACT)
 
     resid = clifford.anticommutators(gammas) - 2.0 * ETA4[:, :, None, None] * np.eye(4)
-    yield CheckResult("dirac-anticommutation", max_norm(resid), 1e-12)
+    yield CheckResult("dirac-anticommutation", max_norm(resid), EXACT)
 
     o = random_metric_preserving5(rng, (200,))
     closure = clifford.anticommutation_residual(clifford.apply_metric_preserving(gs, o))
@@ -567,21 +563,6 @@ def poincare_suite(options: SuiteOptions, rng):
 
 # ----------------------------------------------------------- conservation
 
-def _wave_residuals(n: int, kappa: float, scheme: str) -> dict:
-    """The plane wave's worst conservation residual on the n-point wave grid in each
-    frame, built and checked one slab of rows at a time (``Grid.row_slabs``): the
-    max over the slabs' interiors is the whole grid's to the bit."""
-    k = np.array([np.sqrt(8.0), 2.0, 2.0, 0.0])
-    worst = {"P": 0.0, "O": 0.0}
-    for slab in _wave_grid(n).row_slabs(scheme, SLAB_ROWS):
-        current = stress_energy.assemble_moment_field(*stress_energy.plane_wave_stress_samples(k, slab), slab)
-        for frame in worst:  # P, then O, which frees the P current
-            current = _in_frame(current, frame, kappa)
-            worst[frame] = max(worst[frame], stress_energy.conservation_report(current, kappa, scheme).worst())
-        del current  # freed before the next slab's samples are made
-    return worst
-
-
 def _in_frame(current: FieldOnGrid, frame: str, kappa: float) -> FieldOnGrid:
     return stress_energy.moment_to_orthonormal(current, kappa) if frame == "O" else current
 
@@ -592,8 +573,8 @@ def _wave_grid(n: int) -> Grid:
 
 
 def conservation_suite(options: SuiteOptions, rng):
-    """The moment current's conservation in both frames: exact for a constant stress, and at
-    the scheme's order for a plane wave at N and 2N - 1 points, one slab of rows at a time."""
+    """The moment current's conservation in both frames: exact for a constant stress, and
+    for a plane wave on the N-point grid the exact discrete divergence of the stencils."""
     kappa = options.kappa
     scheme = options.scheme
     frames = ("P", "O")
@@ -614,13 +595,19 @@ def conservation_suite(options: SuiteOptions, rng):
             spin = max_norm(framed.values[..., :4, :4] - sigma)
             yield CheckResult("constant-stress-spin-block-O", spin, EXACT)
 
-    # one P-frame current per resolution; the O current is its frame change
-    waves = [_wave_residuals(n, kappa, scheme) for n in (options.grid_n, 2 * options.grid_n - 1)]
-    for frame in frames:
-        yield _order(f"wave-convergence-order-{frame}", [wave[frame] for wave in waves])
-
-    r_p, r_o = waves[0]["P"], waves[0]["O"]
-    yield CheckResult("frame-agreement-ratio", max(r_p / r_o, r_o / r_p), 2.0)
+    # The wave's measured divergence against its closed form, in units of
+    # |k|^2 / h, the scale of one difference quotient of Theta: round-off
+    # alone reads at most 6e-16 at every grid, scheme and kappa.
+    k = np.array([np.sqrt(8.0), 2.0, 2.0, 0.0])  # null, and constant along the singleton axis
+    grid = _wave_grid(options.grid_n)
+    current = stress_energy.assemble_moment_field(*stress_energy.plane_wave_stress_samples(k, grid), grid)
+    scale = (k @ k) / grid.spacing[0]
+    for frame in frames:  # P, then O, which frees the P current
+        current = _in_frame(current, frame, kappa)
+        measured = stress_energy.conservation_divergence(current, kappa, scheme)
+        miss = np.abs(measured - stress_energy.plane_wave_divergence(k, grid, kappa, scheme, frame)) / scale
+        yield CheckResult(f"wave-momentum-exact-{frame}", max(max_norm(miss[4]), max_norm(miss[:, 4])), 1e-14)
+        yield CheckResult(f"wave-angular-exact-{frame}", max_norm(miss[:4, :4]), 1e-14)
 
 
 _SUITES = {
@@ -640,32 +627,3 @@ def run_suite(name: str, options: SuiteOptions) -> SuiteReport:
         raise PentavecError(f"unknown suite {name!r}, expected one of {sorted(_SUITES)}")
     rng = np.random.default_rng(options.seed + SUITE_NAMES.index(name))
     return SuiteReport(name, tuple(_SUITES[name](options, rng)))
-
-
-def run_suites(names, options: SuiteOptions) -> list[SuiteReport]:
-    """The reports of ``run_suite`` for ``names``, in their order.
-
-    With conservation and another suite asked for, and ``forking.can_fork``,
-    a forked helper runs conservation while this process runs the others in
-    order.  Every suite left without a report, because it or an earlier one
-    raised or the helper failed, then runs here in the order of ``names``.
-    So the reports and the first error raised are those of running each in
-    turn.
-    """
-    names = tuple(names)
-    if "conservation" not in names or len(set(names)) < 2 or not forking.can_fork():
-        return [run_suite(name, options) for name in names]
-    reports = {}
-
-    def others():
-        for name in names:
-            if name != "conservation":
-                reports[name] = run_suite(name, options)
-
-    try:
-        _, helper, done = forking.forked(lambda: run_suite("conservation", options), others)
-    except Exception:  # a suite raised here; it runs again below, in its turn, and raises there
-        done = False
-    if done:
-        reports["conservation"] = helper
-    return [reports[name] if name in reports else run_suite(name, options) for name in names]

@@ -62,7 +62,8 @@ def pinned_gates(scheme):
 
 @pytest.mark.parametrize("scheme", ["central2", "central4"])
 def test_verify_all_gates_are_pinned(scheme):
-    reports = suites.run_suites(suites.SUITE_NAMES, suites.SuiteOptions(scheme=scheme))
+    options = suites.SuiteOptions(scheme=scheme)
+    reports = [suites.run_suite(name, options) for name in suites.SUITE_NAMES]
     got = [(f"{report.name}.{check.name}", check.gate, check.mode) for report in reports for check in report.checks]
     assert got == pinned_gates(scheme)
 

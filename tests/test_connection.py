@@ -140,6 +140,16 @@ def test_transform_connection_field_guards():
         )
 
 
+def test_transform_connection_field_takes_bare_coefficients():
+    grid = cube_grid(5)
+    field = np.linalg.inv(o_to_p_field(grid, KAPPA))
+    wrapped = transform_connection_field(flat_coefficients(KAPPA), field, np.eye(4), grid)
+    bare = transform_connection_field(flat_coefficients(KAPPA).values, field, np.eye(4), grid)
+    assert bare.tobytes() == wrapped.tobytes()
+    with pytest.raises(ShapeMismatch):
+        transform_connection_field(np.zeros((5, 5, 3)), field, np.eye(4), grid)
+
+
 @pytest.mark.parametrize(
     "entry, error, fragment",
     [

@@ -1,20 +1,17 @@
-"""The shared fork helper and the two-process ``verify``: conservation runs in
-a forked helper beside the other suites, with the sequential run's reports,
-output and first error."""
+"""The shared fork helper and the row worker thread: results come back from
+the helper, a helper is always reaped, and the peak of each record helper
+stays within its share of the work."""
 
 import os
-import signal
 import sys
 import threading
 
 import numpy as np
 import pytest
 
-from pentavec import forking, suites
-from pentavec.cli import main
-from pentavec.errors import PentavecError
+from pentavec import forking
 from pentavec.fileio import LINES_PER_BLOCK, VALUES_PER_LINE, Record, read_record, write_record
-from pentavec.grids import Grid, scheme_width
+from pentavec.grids import Grid
 
 needs_two_cpus = pytest.mark.skipif(not forking.can_fork(), reason="no second CPU for a forked helper")
 
@@ -88,107 +85,6 @@ def test_split_rows_raises_the_lower_half_error_first(monkeypatch):
     assert threading.active_count() == 1
 
 
-def sequential(monkeypatch):
-    """Force the one-process path, as on a machine without ``fork``."""
-    monkeypatch.delattr(os, "fork")
-
-
-@needs_two_cpus
-@pytest.mark.parametrize("scheme", ["central2", "central4"])
-@pytest.mark.parametrize("seed", ["1", "42", "1234"])
-def test_two_process_verify_prints_the_sequential_lines(capsys, monkeypatch, forks, seed, scheme):
-    args = ["verify", "all", "--format", "machine", "--seed", seed, "--scheme", scheme]
-    assert main(args) == 0
-    two = capsys.readouterr()
-    assert len(forks) == 1
-    with monkeypatch.context() as patch:
-        sequential(patch)
-        assert main(args) == 0
-    assert capsys.readouterr() == two
-    assert len(forks) == 1
-
-
-def fake_suite(name):
-    """A cheap suite: one check drawn from the suite's generator."""
-    return lambda options, rng: [suites.CheckResult(f"{name}-draw", float(rng.normal()), 1.0)]
-
-
-@pytest.fixture
-def fake_suites(monkeypatch):
-    for name in suites.SUITE_NAMES:
-        monkeypatch.setitem(suites._SUITES, name, fake_suite(name))
-
-
-@pytest.mark.parametrize(
-    "names, split",
-    [
-        (suites.SUITE_NAMES, True),
-        (("conservation", "algebra"), True),
-        (("conservation",), False),
-        (("algebra", "bases"), False),
-        (("conservation", "conservation"), False),
-    ],
-)
-def test_only_conservation_beside_another_suite_is_forked(fake_suites, forks, names, split):
-    reports = suites.run_suites(names, suites.SuiteOptions())
-    assert [r.name for r in reports] == list(names)
-    assert reports == [suites.run_suite(name, suites.SuiteOptions()) for name in names]
-    assert len(forks) == (split and forking.can_fork())
-
-
-@needs_two_cpus
-@pytest.mark.parametrize("how", ["helper raises", "status lost"])
-def test_a_failed_suites_helper_gives_the_sequential_reports(fake_suites, forks, monkeypatch, how):
-    options = suites.SuiteOptions(seed=7)
-    expected = [suites.run_suite(name, options) for name in suites.SUITE_NAMES]
-    ran, conservation = [], suites._SUITES["conservation"]
-
-    def counted(options, rng):
-        ran.append(1)
-        return conservation(options, rng)
-
-    monkeypatch.setitem(suites._SUITES, "conservation", counted if how == "status lost" else in_helper_only(counted))
-    previous = signal.getsignal(signal.SIGCHLD)
-    if how == "status lost":  # the helper is reaped as it exits, so waitpid finds no child
-        signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-    try:
-        assert suites.run_suites(suites.SUITE_NAMES, options) == expected
-    finally:
-        signal.signal(signal.SIGCHLD, previous)
-    assert len(forks) == 1 and ran == [1]  # conservation ran here, after the helper
-
-
-def fork_fails():
-    raise BlockingIOError("no process to spare")
-
-
-def raises(message):
-    def suite(options, rng):
-        raise PentavecError(message)
-
-    return suite
-
-
-@pytest.mark.parametrize("fork", ["two processes", "fork fails", "absent"])
-@pytest.mark.parametrize(
-    "names, first",
-    [
-        (suites.SUITE_NAMES, "bases"),
-        (("conservation", "algebra", "bases"), "conservation"),
-        (("poincare", "conservation", "clifford"), "conservation"),
-    ],
-)
-def test_the_first_error_in_order_is_raised(fake_suites, forks, monkeypatch, names, first, fork):
-    monkeypatch.setitem(suites._SUITES, "bases", raises("bases fails"))
-    monkeypatch.setitem(suites._SUITES, "conservation", raises("conservation fails"))
-    if fork == "fork fails":
-        monkeypatch.setattr(os, "fork", fork_fails)
-    elif fork == "absent":
-        sequential(monkeypatch)
-    with pytest.raises(PentavecError, match=f"^{first} fails$"):
-        suites.run_suites(names, suites.SuiteOptions())
-
-
 def vm_kb(field: str) -> int:
     with open("/proc/self/status", encoding="ascii") as fh:
         for line in fh:
@@ -200,8 +96,9 @@ def vm_kb(field: str) -> int:
 @needs_two_cpus
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
 def test_each_helper_peaks_within_its_share_of_the_work(tmp_path, monkeypatch):
-    """Each helper sends back, with its result, how far its peak RSS (VmHWM)
-    rose above the RSS it began with, which the fork shares with this process."""
+    """Each record helper sends back, with its result, how far its peak RSS
+    (VmHWM) rose above the RSS it began with, which the fork shares with this
+    process."""
     rises, forked = [], forking.forked
 
     def measured(child, parent):
@@ -219,9 +116,7 @@ def test_each_helper_peaks_within_its_share_of_the_work(tmp_path, monkeypatch):
     rec = Record("moment_field", np.random.default_rng(21).normal(size=grid.shape + (4, 5, 5)), basis="P", grid=grid)
     write_record(tmp_path / "m.pvec", rec)
     assert read_record(tmp_path / "m.pvec").payload.tobytes() == rec.payload.tobytes()
-    options = suites.SuiteOptions()
-    suites.run_suites(suites.SUITE_NAMES, options)
-    write_rise, read_rise, suites_rise = rises
+    write_rise, read_rise = rises
 
     # A helper holds one block of payload lines at a time.  Formatting one
     # takes about 128 bytes a value: the text and its UTF-8 copy (25 bytes a
@@ -232,12 +127,3 @@ def test_each_helper_peaks_within_its_share_of_the_work(tmp_path, monkeypatch):
     # The reader's helper fills its half of the payload in shared memory and
     # splits one chunk of a block's lines at a time into words.
     assert read_rise <= rec.payload.nbytes / 2 + block
-    # Conservation's finest grid holds (2N - 1)^3 samples of the moment
-    # current's 100 values, built one slab of SLAB_ROWS rows and their halos
-    # at a time.  A slab's P current and its O change are alive together, with
-    # the coordinates and the allocator's freed blocks, under three slab
-    # currents; the fork, the pickled report and the coarse checks take a few
-    # MB more (43 MB of 53 MB at N = 17, where the whole currents took 88 MB).
-    halo = 2 * scheme_width(options.scheme)
-    slab = (suites.SLAB_ROWS + halo) * (2 * options.grid_n - 1) ** 2 * 100 * 8
-    assert suites_rise <= 16 * 2**20 + 3 * slab

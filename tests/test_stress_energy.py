@@ -1,4 +1,3 @@
-import functools
 import threading
 
 import numpy as np
@@ -7,19 +6,21 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from pentavec import forking, suites
+from pentavec import forking, stress_energy, suites
 from pentavec.algebra import ETA4, lower_array
 from pentavec.connection import flat_coefficients, normalized_kappa
-from pentavec.errors import BasisMismatch, GridMismatch, GridTooCoarse, NotAntisymmetric
+from pentavec.errors import BasisMismatch, GridMismatch, GridTooCoarse, NotAntisymmetric, PentavecError
 from pentavec.grids import FieldOnGrid, Grid, partial_derivative, scheme_width
 from pentavec.numerics import INPUT_TOL, input_bound, max_norm
 from pentavec.poincare import PoincareTransform
 from pentavec.stress_energy import (
     assemble_moment_field,
+    conservation_divergence,
     conservation_report,
     constant_stress_samples,
     moment_to_orthonormal,
     moment_to_parallel,
+    plane_wave_divergence,
     plane_wave_stress_samples,
     transform_moment_field,
 )
@@ -536,43 +537,55 @@ def test_split_rows_keep_the_callers_errstate(monkeypatch):
     assert one[0] is two[0] is FloatingPointError
 
 
-# The conservation suite builds, frames and checks its plane-wave currents one
-# slab of rows of grid axis 0 at a time.  Every residual and every check value
-# must be the one that whole currents give through the same kernels, bit for
-# bit, with the row split off and on, which leaves the whole-grid values alone.
-@functools.lru_cache
-def whole_wave_residuals(n, kappa, scheme):
+# The conservation suite compares the plane wave's measured divergence with
+# its closed form.  The closed form matches the kernels to round-off at every
+# grid, scheme and frame, and a fault in the derivative sum shows.
+@pytest.mark.parametrize("scheme, n", [("central2", 3), ("central2", 10), ("central4", 5), ("central4", 17)])
+@pytest.mark.parametrize("kappa", [0.0, 1.0, -0.5])
+def test_plane_wave_divergence_is_the_kernels_to_round_off(scheme, n, kappa):
     grid = wave_grid(n)
     m = assemble_moment_field(*plane_wave_stress_samples(NULL_K, grid), grid)
-    fields = {"P": m, "O": moment_to_orthonormal(m, kappa)}
-    return {frame: conservation_report(field, kappa, scheme).worst() for frame, field in fields.items()}
+    for field in (m, moment_to_orthonormal(m, kappa)):
+        measured = conservation_divergence(field, kappa, scheme)
+        exact = plane_wave_divergence(NULL_K, grid, kappa, scheme, field.basis)
+        assert exact.shape == measured.shape
+        assert max_norm(measured - exact) <= 1e-15 * (NULL_K @ NULL_K) / grid.spacing[0]
+    report = conservation_report(m, kappa, scheme)  # the report's maxima are the field's
+    measured = conservation_divergence(m, kappa, scheme)
+    assert (report.momentum_residual, report.angular_residual) == (max_norm(measured[4, :4]), max_norm(measured[:4, :4]))
 
 
-@pytest.mark.parametrize("allowed", [False, True])
-@pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0, -1.0])
+def test_plane_wave_divergence_rejects_a_wave_along_a_singleton_axis():
+    grid = wave_grid(5)
+    with pytest.raises(GridMismatch, match="singleton axis"):
+        plane_wave_divergence([np.sqrt(2.0), 1.0, 0.0, 1.0], grid)
+
+
 @pytest.mark.parametrize("scheme", ["central2", "central4"])
-@pytest.mark.parametrize("grid_n", [10, 17])
-def test_conservation_suite_in_slabs_gives_the_whole_grid_values(monkeypatch, grid_n, scheme, kappa, allowed):
-    monkeypatch.setattr(forking, "can_fork", lambda: allowed)
-    seen, in_slabs = [], suites._wave_residuals
-    monkeypatch.setattr(suites, "_wave_residuals", lambda *args: seen.append(in_slabs(*args)) or seen[-1])
-    options = suites.SuiteOptions(kappa=kappa, grid_n=grid_n, scheme=scheme)
-    checks = suites.run_suite("conservation", options).checks
-    whole = [whole_wave_residuals(n, kappa, scheme) for n in (grid_n, 2 * grid_n - 1)]
-    assert seen == whole  # the residuals themselves, which an order's logarithm may round away
-    r_p, r_o = whole[0]["P"], whole[0]["O"]
-    expected = [suites._order(f"wave-convergence-order-{frame}", [r[frame] for r in whole]) for frame in "PO"]
-    expected.append(suites.CheckResult("frame-agreement-ratio", max(r_p / r_o, r_o / r_p), 2.0))
-    assert [c for c in checks if c.name.startswith(("wave-", "frame-"))] == expected
+def test_a_scaled_derivative_sum_fails_a_wave_check(monkeypatch, scheme):
+    # A uniform scale keeps every residual's order of convergence, so only
+    # the exact discrete value can see it.
+    options = suites.SuiteOptions(scheme=scheme)
+    assert suites.run_suite("conservation", options).passed
+    central = stress_energy._central_difference
+
+    def scaled(v, h, name, out):
+        central(v, h, name, out)
+        out *= 1.01
+
+    monkeypatch.setattr(stress_energy, "_central_difference", scaled)
+    failed = [c.name for c in suites.run_suite("conservation", options).checks if not c.passed]
+    assert "wave-momentum-exact-P" in failed and "wave-angular-exact-P" in failed
 
 
-@pytest.mark.parametrize("rows", [1, 3, 5, 7])
 @pytest.mark.parametrize("scheme", ["central2", "central4"])
-def test_wave_residuals_at_other_slab_sizes(monkeypatch, scheme, rows):
-    # Slabs that start at other rows of the 1/18-spaced grid of --grid 10: a
-    # slab whose coordinates were origin + row * h, not the full axis' rows,
-    # moves a residual here, though with 12-row slabs it moves none at grids
-    # 10 and 17.
-    monkeypatch.setattr(suites, "SLAB_ROWS", rows)
-    for kappa in (0.0, 1.0):
-        assert suites._wave_residuals(19, kappa, scheme) == whole_wave_residuals(19, kappa, scheme)
+@pytest.mark.parametrize("grid_n", [2, 3, 4, 5, 6, 9, 17, 33])
+def test_the_conservation_suite_passes_or_says_why_at_every_grid(scheme, grid_n):
+    for seed in (1, 42, 1234):
+        options = suites.SuiteOptions(seed=seed, grid_n=grid_n, scheme=scheme)
+        try:
+            report = suites.run_suite("conservation", options)
+        except PentavecError:
+            assert grid_n < 2 * scheme_width(scheme) + 1  # an axis too short for the stencil
+        else:
+            assert report.passed, [c for c in report.checks if not c.passed]
