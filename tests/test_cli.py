@@ -1,3 +1,4 @@
+import os
 import re
 import subprocess
 import sys
@@ -6,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pentavec import suites
-from pentavec import cli
+from pentavec import cli, forking, suites
 from pentavec.algebra import wedge
 from pentavec.cli import main
+from pentavec.errors import PentavecError
 from pentavec.fileio import Record, emit_record, read_record, transform_to_payload, write_record
 from pentavec.grids import Grid
 from pentavec.poincare import (
@@ -48,6 +49,73 @@ def test_verify_failing_check_exits_1(capsys, monkeypatch):
     assert main(["verify", "algebra"]) == 1
     out = capsys.readouterr().out
     assert "overall: FAIL" in out
+
+
+def fake_suite(name):
+    """A cheap suite: one check drawn from the suite's own generator."""
+    return lambda options, rng: [suites.CheckResult(f"{name}-draw", float(rng.normal()), 1.0)]
+
+
+@pytest.fixture
+def fake_suites(monkeypatch):
+    for name in suites.SUITE_NAMES:
+        monkeypatch.setitem(suites._SUITES, name, fake_suite(name))
+
+
+@pytest.mark.parametrize("name", suites.SUITE_NAMES)
+def test_verify_one_suite_prints_its_lines_of_verify_all(capsys, fake_suites, name):
+    # each suite draws from its own generator, seeded by its place in
+    # SUITE_NAMES, so it reads the same alone as after the suites before it
+    args = ["--format", "machine", "--seed", "7"]
+    main(["verify", "all", *args])
+    every = capsys.readouterr().out.splitlines()
+    assert [line.split(".")[0] for line in every] == list(suites.SUITE_NAMES)
+    main(["verify", name, *args])
+    assert capsys.readouterr().out.splitlines() == [every[suites.SUITE_NAMES.index(name)]]
+
+
+def raises(message):
+    def suite(options, rng):
+        raise PentavecError(message)
+
+    return suite
+
+
+@pytest.mark.parametrize(
+    "failing, first",
+    [(("bases", "conservation"), "bases"), (("conservation",), "conservation"), (("poincare", "algebra"), "algebra")],
+)
+def test_verify_stops_at_the_first_suite_error_in_order(capsys, fake_suites, monkeypatch, failing, first):
+    ran = []
+
+    def counted(name, suite):
+        return lambda options, rng: ran.append(name) or suite(options, rng)
+
+    for name in suites.SUITE_NAMES:
+        suite = raises(f"{name} fails") if name in failing else suites._SUITES[name]
+        monkeypatch.setitem(suites._SUITES, name, counted(name, suite))
+    assert main(["verify", "all"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {first} fails\n")  # no report of the suites before it
+    assert ran == list(suites.SUITE_NAMES[: suites.SUITE_NAMES.index(first) + 1])
+
+
+@pytest.mark.parametrize("scheme", ["central2", "central4"])
+@pytest.mark.parametrize("seed", ["1", "42", "1234"])
+def test_verify_forks_no_helper_and_prints_the_same_lines_on_one_cpu(capsys, monkeypatch, seed, scheme):
+    # The suites run in turn in this process; without fork, the grid kernels
+    # also keep their rows in one thread, and every value is the same.
+    forks, forked = [], forking.forked
+    monkeypatch.setattr(forking, "forked", lambda child, parent: forks.append(1) or forked(child, parent))
+    args = ["verify", "all", "--format", "machine", "--seed", seed, "--scheme", scheme]
+    assert main(args) == 0
+    two = capsys.readouterr()
+    with monkeypatch.context() as patch:
+        patch.delattr(os, "fork")
+        assert not forking.can_fork()
+        assert main(args) == 0
+    assert capsys.readouterr() == two
+    assert forks == []
 
 
 def pinned_gates(scheme):

@@ -578,14 +578,14 @@ def test_a_scaled_derivative_sum_fails_a_wave_check(monkeypatch, scheme):
     assert "wave-momentum-exact-P" in failed and "wave-angular-exact-P" in failed
 
 
+@pytest.mark.parametrize("seed", [1, 42, 1234])
 @pytest.mark.parametrize("scheme", ["central2", "central4"])
 @pytest.mark.parametrize("grid_n", [2, 3, 4, 5, 6, 9, 17, 33])
-def test_the_conservation_suite_passes_or_says_why_at_every_grid(scheme, grid_n):
-    for seed in (1, 42, 1234):
-        options = suites.SuiteOptions(seed=seed, grid_n=grid_n, scheme=scheme)
-        try:
-            report = suites.run_suite("conservation", options)
-        except PentavecError:
-            assert grid_n < 2 * scheme_width(scheme) + 1  # an axis too short for the stencil
-        else:
-            assert report.passed, [c for c in report.checks if not c.passed]
+def test_the_conservation_suite_passes_or_says_why_at_every_grid(scheme, grid_n, seed):
+    options = suites.SuiteOptions(seed=seed, grid_n=grid_n, scheme=scheme)
+    try:
+        report = suites.run_suite("conservation", options)
+    except PentavecError:
+        assert grid_n < 2 * scheme_width(scheme) + 1  # an axis too short for the stencil
+    else:
+        assert report.passed, [c for c in report.checks if not c.passed]
