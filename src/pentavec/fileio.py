@@ -18,7 +18,8 @@ two blocks or more to a forked process when ``forking.can_fork`` allows:
 this one runs no other Python thread and may use a second CPU.  Each
 process holds a block of its half at a time; the reader's helper parses
 into shared memory, the writer's formats into a temporary file copied in
-after the first half.  Outputs and errors are those of one process.
+after the first half.  A helper that fails has its half done again in this
+process, so outputs and errors are those of one process.
 """
 
 from __future__ import annotations
@@ -163,14 +164,13 @@ def write_record(path, record: Record) -> None:
         mid = flat.size // (2 * VALUES_PER_LINE) * VALUES_PER_LINE
         with tempfile.TemporaryFile() as tmp:
 
-            def child():
+            def child():  # from the start, over what a failed run left
+                tmp.seek(0)
+                tmp.truncate()
                 tmp.writelines(text.encode("utf-8") for text in _block_texts(flat[mid:]))
                 tmp.flush()
 
-            _, _, done = forking.forked(child, lambda: fh.writelines(_record_pieces(record, flat[:mid])))
-            if not done:  # format the second half here, as one process does
-                fh.writelines(_block_texts(flat[mid:]))
-                return
+            forking.forked(child, lambda: fh.writelines(_record_pieces(record, flat[:mid])))
             fh.flush()
             tmp.seek(0)
             shutil.copyfileobj(tmp, fh.buffer)
@@ -179,11 +179,6 @@ def write_record(path, record: Record) -> None:
 def _two_processes(count: int) -> bool:
     """Whether a payload of ``count`` values is read or written by two processes."""
     return count >= 2 * VALUES_PER_LINE * LINES_PER_BLOCK and forking.can_fork()
-
-
-def parse_record(text: str) -> Record:
-    """The record in ``text``."""
-    return _parse_text(text)
 
 
 def _parse_header(lines) -> tuple:
@@ -266,7 +261,8 @@ def _parse_header(lines) -> tuple:
     return kind, basis, kappa, grid, (grid.shape + shape) if needs_grid else shape, data_line
 
 
-def _parse_text(text: str) -> Record:
+def parse_record(text: str) -> Record:
+    """The record in ``text``."""
     lines = text.splitlines()
     kind, basis, kappa, grid, shape, data_line = _parse_header(iter(lines))
     data = lines[data_line:]
@@ -324,9 +320,9 @@ def _fill_halves(flat: np.ndarray, fd: int, start: int, end: int) -> int:
     def child():
         shared[-1] = _fill(shared[:-1], _byte_blocks(fd, mid, end))
 
-    filled, _, done = forking.forked(child, lambda: _fill(flat, _byte_blocks(fd, start, mid)))
+    filled = forking.forked(child, lambda: _fill(flat, _byte_blocks(fd, start, mid)))
     got = int(shared[-1])
-    if not done or filled + got != flat.size:
+    if filled + got != flat.size:
         raise ValueError(f"{filled} + {got} values for {flat.size}")
     flat[filled:] = shared[:got]
     return flat.size
@@ -417,9 +413,9 @@ def read_record(path) -> Record:
         if stat.S_ISREG(info.st_mode):
             try:
                 return _read_blocks(fh.fileno(), info.st_size)
-            # ValueError: a bad token or count, a non-finite value (NotFinite), a
-            # failed helper, bytes that are not UTF-8 (UnicodeDecodeError) or a
-            # file that shrank; MemoryError: a count too large to allocate.
+            # ValueError: a bad token or count, a non-finite value (NotFinite),
+            # bytes that are not UTF-8 (UnicodeDecodeError) or a file that
+            # shrank; MemoryError: a count too large to allocate.
             except (ParseError, ValueError, MemoryError):
                 pass
         raw = fh.read()  # from the start: os.pread moves no file offset
@@ -431,7 +427,7 @@ def read_record(path) -> Record:
         raise ParseError(
             f"byte 0x{raw[exc.start]:02x} is not UTF-8 text", line=len(before), column=len(before[-1])
         ) from None
-    return _parse_text(text)
+    return parse_record(text)
 
 
 def transform_to_payload(t: PoincareTransform) -> np.ndarray:

@@ -3,10 +3,9 @@
 ``can_fork`` says whether a helper may run: the platform forks, this
 process may use a second CPU, and it runs no other Python thread, whose
 locks a forked copy could find held.  ``forked`` runs one function in a
-helper while this process runs another, and hands back the helper's result,
-pickled through a pipe, with whether the helper succeeded.  Its callers do
-the helper's work themselves when it did not, so their outputs and errors
-are those of one process.
+helper while this process runs another, and runs the helper's function
+again here when the helper did not succeed, so its callers' outputs and
+errors are those of one process.
 
 ``split_rows`` runs the upper half of a grid kernel's rows of axis 0 in a
 worker thread under the same condition: numpy releases the interpreter lock
@@ -17,11 +16,8 @@ from __future__ import annotations
 
 import contextvars
 import os
-import pickle
 import threading
 import warnings
-
-_LOST = object()  # stands for a result the child never sent whole
 
 
 def can_fork() -> bool:
@@ -34,37 +30,43 @@ def can_fork() -> bool:
     )
 
 
-def forked(child, parent) -> tuple:
-    """``(parent(), child(), done)``: ``parent()`` runs here while ``child()``
-    runs in a forked process, whose result comes back pickled through a pipe.
+def forked(child, parent):
+    """``parent()``, run here while ``child()`` runs in a forked process; the
+    work of ``child()``, whose result is dropped, is done when this returns.
 
-    ``done`` is whether that process exited with status 0 and its result was
-    read; when it is false, the child's result is None.  The child ends in
-    ``os._exit``, so it flushes none of this process's buffers and runs none
-    of its clean-up; it is reaped even when ``parent()`` raises.  With no
-    process or pipe to spare, both run here, ``parent()`` first.
+    ``child()`` runs again here, after ``parent()``, when that process did
+    not exit with status 0, when its status was lost (as when SIGCHLD is
+    ignored) or when no process could be had, so it must give the same
+    result when run twice.  The helper ends in ``os._exit``, so it flushes
+    none of this process's buffers and runs none of its clean-up.  When
+    ``parent()`` raises, the helper is reaped, ``child()`` does not run
+    again, and the error propagates.
     """
-    started = _start(child)
-    if started is None:
-        result = parent()
-        return result, child(), True
-    pid, read_end = started
-    got, status = _LOST, None
-    channel = open(read_end, "rb")
+    try:
+        with warnings.catch_warnings():  # 3.12 warns of native (BLAS) threads, which the child never calls
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        pid = None
+    if pid == 0:
+        status = 1
+        try:
+            child()
+            status = 0
+        finally:
+            os._exit(status)
+    status = None
     try:
         result = parent()
-        try:
-            got = pickle.load(channel)
-        except (EOFError, pickle.UnpicklingError):  # the child ended before its result was whole
-            pass
     finally:
-        channel.close()  # a child still writing stops at a broken pipe
-        try:
-            status = os.waitpid(pid, 0)[1]
-        except ChildProcessError:  # reaped on exit, as when SIGCHLD is ignored: its status is lost
-            pass
-    done = status == 0 and got is not _LOST
-    return result, got if done else None, done
+        if pid is not None:
+            try:
+                status = os.waitpid(pid, 0)[1]
+            except ChildProcessError:  # reaped on exit, as when SIGCHLD is ignored: its status is lost
+                pass
+    if status != 0:
+        child()
+    return result
 
 
 def split_rows(n: int, rows) -> None:
@@ -91,31 +93,3 @@ def split_rows(n: int, rows) -> None:
         worker.join()
     if failed:
         raise failed[0]
-
-
-def _start(child):
-    """``(pid, read end)`` of a forked process that runs ``child()`` and
-    pickles its result into a pipe; None when no pipe or process can be had."""
-    try:
-        read_end, write_end = os.pipe()
-    except OSError:
-        return None
-    try:
-        with warnings.catch_warnings():  # 3.12 warns of native (BLAS) threads, which the child never calls
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_end)
-            with open(write_end, "wb") as out:
-                pickle.dump(child(), out, pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    return pid, read_end

@@ -541,10 +541,10 @@ def test_streamed_read_matches_the_whole_text_parse(tmp_path_factory, rec, chang
     path = tmp_path_factory.getbasetemp() / "streamed.pvec"
     path.write_bytes(data)
     whole_text_reads = []
-    parse_text = fileio._parse_text
+    parse = fileio.parse_record
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fileio, "LINES_PER_BLOCK", lines_per_block)
-        patch.setattr(fileio, "_parse_text", lambda text: whole_text_reads.append(1) or parse_text(text))
+        patch.setattr(fileio, "parse_record", lambda text: whole_text_reads.append(1) or parse(text))
         try:
             rec = read_record(path)
         except ParseError as err:
@@ -651,15 +651,15 @@ def test_a_failing_helper_gives_the_one_process_result(tmp_path, forks, monkeypa
     rec = Record("theta_field", np.random.default_rng(91).standard_normal(grid.shape + (4, 4)), grid=grid)
     text = emit_record(rec)
     whole_text_reads = []
-    parse_text = fileio._parse_text
-    monkeypatch.setattr(fileio, "_parse_text", lambda text: whole_text_reads.append(1) or parse_text(text))
+    parse = fileio.parse_record
+    monkeypatch.setattr(fileio, "parse_record", lambda text: whole_text_reads.append(1) or parse(text))
     helper_fails(monkeypatch, fileio, "_block_text")
     helper_fails(monkeypatch, os, "pread")
 
     write_record(tmp_path / "theta.pvec", rec)
     assert (tmp_path / "theta.pvec").read_text(encoding="utf-8") == text
     assert read_record(tmp_path / "theta.pvec").payload.tobytes() == rec.payload.tobytes()
-    assert len(forks) == 2 and whole_text_reads == [1]  # the read fell back to the whole text
+    assert len(forks) == 2 and whole_text_reads == []  # the helper's half was read again here
     assert_no_helper_left()
 
     # a fault in the first half while the helper runs: the located error of the whole text
@@ -668,6 +668,28 @@ def test_a_failing_helper_gives_the_one_process_result(tmp_path, forks, monkeypa
     err = pytest.raises(ParseError, read_record, tmp_path / "bad.pvec").value
     assert (str(err), err.line, err.column) == outcome(bad)
     assert len(forks) == 3
+
+
+def test_a_write_helper_that_fails_midway_gives_the_emitted_bytes(tmp_path, forks, monkeypatch):
+    """The helper formats its first block, then fails at its second.  A failed
+    run leaves a prefix of the half's text, which the run here writes over;
+    so that bytes past the half's end show, this helper's first block also
+    carries more stale text than the buffer holds, which reaches the file."""
+    parent, real, blocks = os.getpid(), fileio._block_text, []
+
+    def block_text(values):
+        if os.getpid() == parent:
+            return real(values)
+        blocks.append(1)  # in the helper's copy of this list
+        if len(blocks) > 1:
+            raise RuntimeError("the helper fails")
+        return real(values) + " " * (1 << 16)
+
+    monkeypatch.setattr(fileio, "_block_text", block_text)
+    rec = record_for("theta_field", np.random.default_rng(94))
+    write_record(tmp_path / "theta.pvec", rec)
+    assert (tmp_path / "theta.pvec").read_text(encoding="utf-8") == emit_record(rec)
+    assert len(forks) == 1
 
 
 def test_a_helper_whose_status_is_lost_gives_the_one_process_result(tmp_path, forks):

@@ -1,8 +1,10 @@
-"""The shared fork helper and the row worker thread: results come back from
-the helper, a helper is always reaped, and the peak of each record helper
-stays within its share of the work."""
+"""The shared fork helper and the row worker thread: a helper's work is done
+once, by the helper or else again here, a helper is always reaped, and the
+peak of each record helper stays within its share of the work."""
 
+import mmap
 import os
+import signal
 import sys
 import threading
 
@@ -30,32 +32,66 @@ def forks(monkeypatch):
     assert_no_helper_left()
 
 
-def in_helper_only(function):
-    """``function``, but raising when called in a forked helper."""
-    parent = os.getpid()
+def run_counter():
+    """A child for ``forked`` and the counts of its runs, in shared memory:
+    in a helper, then in this process.  Run in a helper, it then does what
+    ``fails_there`` does."""
+    counts = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)
+    here = os.getpid()
 
-    def patched(*args):
-        if os.getpid() != parent:
-            raise RuntimeError("the helper fails")
-        return function(*args)
+    def child(fails_there=lambda: None):
+        counts[int(os.getpid() == here)] += 1
+        if os.getpid() != here:
+            fails_there()
 
-    return patched
+    return child, counts
 
 
-def test_forked_sends_back_the_helpers_result(forks):
-    result, helper_pid, done = forking.forked(os.getpid, lambda: "here")
-    assert (result, done) == ("here", True) and helper_pid not in (None, os.getpid())
-    # a result that cannot be pickled, and a helper that raises, arrive as None
-    assert forking.forked(lambda: lambda: None, lambda: "here") == ("here", None, False)
-    assert forking.forked(in_helper_only(lambda: 1), lambda: "here") == ("here", None, False)
+def raises():
+    raise RuntimeError("the helper fails")
+
+
+def fork_fails():
+    raise OSError("no process to spare")
+
+
+def test_forked_does_the_childs_work_in_the_helper_or_again_here(forks, monkeypatch):
+    child, counts = run_counter()
+    assert forking.forked(child, lambda: "here") == "here"
+    assert counts.tolist() == [1, 0]  # a helper that succeeds: not run here
+
+    failures = {
+        "raises": raises,
+        "exits with status 3": lambda: os._exit(3),
+        "is killed": lambda: os.kill(os.getpid(), signal.SIGKILL),
+    }
+    for how, fails_there in failures.items():
+        child, counts = run_counter()
+        assert forking.forked(lambda: child(fails_there), lambda: "here") == "here"
+        assert counts.tolist() == [1, 1], how
+
+    child, counts = run_counter()
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)  # the helper is reaped on exit
+    try:
+        assert forking.forked(child, lambda: "here") == "here"
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert counts.tolist() == [1, 1]  # its status was lost
+
+    monkeypatch.setattr(os, "fork", fork_fails)
+    child, counts = run_counter()
+    assert forking.forked(child, lambda: "here") == "here"
+    assert counts.tolist() == [0, 1]  # no process could be had
 
 
 def test_forked_reaps_the_helper_when_the_parent_raises(forks):
     def fails():
         raise RuntimeError("the parent fails")
 
+    child, counts = run_counter()
     with pytest.raises(RuntimeError, match="the parent fails"):
-        forking.forked(lambda: bytes(1 << 20), fails)  # more than a pipe holds unread
+        forking.forked(lambda: child(lambda: os._exit(3)), fails)
+    assert counts.tolist() == [1, 0]  # the failed helper's work is not done again here
 
 
 @pytest.mark.parametrize(
@@ -96,20 +132,23 @@ def vm_kb(field: str) -> int:
 @needs_two_cpus
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
 def test_each_helper_peaks_within_its_share_of_the_work(tmp_path, monkeypatch):
-    """Each record helper sends back, with its result, how far its peak RSS
-    (VmHWM) rose above the RSS it began with, which the fork shares with this
-    process."""
+    """Each record helper writes its pid and how far its peak RSS (VmHWM)
+    rose above the RSS it began with, which the fork shares with this
+    process, into a shared slot of its own."""
     rises, forked = [], forking.forked
 
     def measured(child, parent):
+        slot = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)
+
         def child_and_rise():
             start = vm_kb("VmRSS")
-            return child(), (vm_kb("VmHWM") - start) * 1024
+            child()
+            slot[:] = os.getpid(), (vm_kb("VmHWM") - start) * 1024
 
-        result, got, done = forked(child_and_rise, parent)
-        assert done
-        rises.append(got[1])
-        return result, got[0], done
+        result = forked(child_and_rise, parent)
+        assert slot[0] not in (0, os.getpid())  # measured in a helper that succeeded
+        rises.append(int(slot[1]))
+        return result
 
     monkeypatch.setattr(forking, "forked", measured)
     grid = Grid(origin=(0.0,) * 4, spacing=(0.05, 0.05, 0.05, 1.0), shape=(21, 21, 21, 1))

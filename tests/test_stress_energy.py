@@ -230,17 +230,6 @@ def test_plane_wave_conservation_converges():
     assert order >= 1.9
 
 
-def test_plane_wave_frames_agree():
-    grid = wave_grid(9)
-    theta, sigma = plane_wave_stress_samples(NULL_K, grid)
-    current = assemble_moment_field(theta, sigma, grid)
-    p_resid = conservation_report(current, 1.0, "central2").worst()
-    o_resid = conservation_report(moment_to_orthonormal(current, 1.0), 1.0, "central2").worst()
-    assert p_resid > 0.0 and o_resid > 0.0
-    ratio = max(p_resid, o_resid) / min(p_resid, o_resid)
-    assert ratio <= 2.0
-
-
 def test_non_null_wave_vector_rejected():
     with pytest.raises(ValueError):
         plane_wave_stress_samples([1.0, 0.0, 0.0, 0.0], wave_grid(5))
