@@ -152,12 +152,15 @@ def transform_connection_field(
         # inv and det factor alike, so a sample that inv finds singular has det exactly 0
         raise_where(np.linalg.det(change_field) == 0.0, SingularMatrix, "change field holds a singular sample")
         raise
-    dl = grid_gradient(change_field, grid, scheme)  # (..., C, B, nu)
-    # Contracted pairwise: the derivative index first, then L on the right,
-    # then L^-1 on the left as one matrix product over the (B, m) columns.
-    inner = np.einsum("cdm,...db->...cbm", gv @ lam, change_field)
-    inner += dl @ lam
-    return (linv @ inner.reshape(inner.shape[:-3] + (5, 20))).reshape(inner.shape)
+    # (dL) Lambda as one matrix product over the (sample, C, B) triples, with
+    # dL^C_(B nu) the gradient.  (G Lambda)^C_(D m) as a D x (C m) block: its
+    # contraction with L is one matrix product over the (sample, B) pairs.
+    # Then L^-1 on the left over the (B, m) columns.
+    shape = grid.shape + (5, 5, 4)
+    inner = (grid_gradient(change_field, grid, scheme).reshape(-1, 4) @ lam).reshape(shape)
+    gl = np.moveaxis(gv @ lam, 1, 0).reshape(5, 20)
+    inner += np.swapaxes((np.swapaxes(change_field, -1, -2).reshape(-1, 5) @ gl).reshape(shape), -3, -2)
+    return (linv @ inner.reshape(grid.shape + (5, 20))).reshape(shape)
 
 
 def transport(components, from_x, to_x, kappa: float) -> np.ndarray:

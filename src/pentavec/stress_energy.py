@@ -63,17 +63,19 @@ def assemble_moment_field(theta: np.ndarray, sigma: np.ndarray, grid: Grid) -> F
 
     def rows(lo, hi):
         v = np.zeros((4, 5, 5) + grid.shape[1:])  # one slab, components first; M^mu_(5 5) stays 0
+        four, th = v[:, :4, :4], v[:, 4, :4]
+        outer, part = np.empty((2, 4, 4, 4) + grid.shape[1:])
         for i in range(lo, hi):
-            anti = sigma[i] + np.swapaxes(sigma[i], -1, -2)
-            if np.abs(anti, out=anti).max() > limit:
+            four[...] = np.moveaxis(sigma[i], (-3, -2, -1), (0, 1, 2))
+            np.add(four, np.swapaxes(four, 1, 2), out=part)
+            if np.abs(part, out=part).max() > limit:
                 raise NotAntisymmetric("spin current must be antisymmetric in its lower indices")
-            th = np.ascontiguousarray(np.moveaxis(theta[i], (-2, -1), (0, 1)))
-            for b in range(4):  # orbital x_alpha Theta^mu_beta - x_beta Theta^mu_alpha, column beta
-                np.multiply(x[:, i], th[:, b, None], out=v[:, :4, b])
-                v[:, :4, b] -= x[b, i] * th
-            v[:, :4, :4] += np.moveaxis(sigma[i], (-3, -2, -1), (0, 1, 2))
-            v[:, 4, :4] = th
+            th[...] = np.moveaxis(theta[i], (-2, -1), (0, 1))
             np.negative(th, out=v[:, :4, 4])
+            # orbital x_alpha Theta^mu_beta - x_beta Theta^mu_alpha: one outer product less its transpose
+            np.multiply(x[None, :, None, i], th[:, None], out=outer)
+            np.subtract(outer, np.swapaxes(outer, 1, 2), out=part)
+            four += part
             values[i] = np.moveaxis(v, (0, 1, 2), (-3, -2, -1))
 
     split_rows(grid.shape[0], rows)

@@ -6,7 +6,8 @@ random draws of ``rng`` and yields one gated ``CheckResult`` per check.
 ``SUITE_NAMES`` and collects the checks into a ``SuiteReport``.  Most checks
 pass when a max residual is at most the gate (mode "at-most").  Gates that
 follow a rule are named once: ``EXACT`` for indicator and exact checks, and
-``ORDER_GATE`` for the convergence orders of ``_order`` (mode "at-least").
+``ORDER_SHARE`` of the scheme's nominal order for the convergence orders of
+``_order`` (mode "at-least").
 Every other gate is a literal on the line that names its check.
 
 The conservation suite compares a plane wave's divergence on one N-point grid
@@ -112,7 +113,9 @@ def random_poincare(rng, size: tuple = ()) -> poincare.PoincareTransform:
 
 
 EXACT = 0.0
-ORDER_GATE = 1.9
+# An observed order passes at this share of the scheme's nominal order
+# 2 * scheme_width(scheme): 1.9 under central2 and 3.8 under central4.
+ORDER_SHARE = 0.95
 
 
 def _indicator(ok: bool) -> float:
@@ -128,9 +131,10 @@ def _rejects(error, call, *args) -> float:
     return 1.0
 
 
-def _order(name: str, residuals) -> CheckResult:
+def _order(name: str, residuals, scheme: str) -> CheckResult:
     """Observed order log2(r_N / r_2N-1) from the residuals at resolutions N and 2N - 1."""
-    return CheckResult(name, math.log2(residuals[0] / residuals[1]), ORDER_GATE, mode="at-least")
+    gate = ORDER_SHARE * 2 * scheme_width(scheme)
+    return CheckResult(name, math.log2(residuals[0] / residuals[1]), gate, mode="at-least")
 
 
 def _relative(a, b, ndim: int) -> float:
@@ -148,7 +152,7 @@ def _relative(a, b, ndim: int) -> float:
 def algebra_suite(options: SuiteOptions, rng):
     pairs = rng.normal(size=(200, 2, 5))
     b = algebra.wedge(pairs[:, 0], pairs[:, 1])
-    yield CheckResult("wedge-antisymmetry", max_norm(b + np.swapaxes(b, -1, -2)), 1e-15)
+    yield CheckResult("wedge-antisymmetry", max_norm(b + np.swapaxes(b, -1, -2)), EXACT)
 
     pairs = rng.normal(size=(500, 2, 5))
     b = algebra.wedge(pairs[:, 0], pairs[:, 1])
@@ -199,7 +203,7 @@ def algebra_suite(options: SuiteOptions, rng):
     u4 = rng.normal(size=(200, 4))
     b = algebra.bivector_from_four(u4)
     back = algebra.four_from_bivector(b)
-    yield CheckResult("four-embedding-roundtrip", max_norm(back - u4), 1e-12)
+    yield CheckResult("four-embedding-roundtrip", max_norm(back - u4), EXACT)
 
 
 # ------------------------------------------------------------------ bases
@@ -237,7 +241,7 @@ def bases_suite(options: SuiteOptions, rng):
     # the reference basis is the identity, so the changed frame's columns are L's
     b = algebra.wedge(np.swapaxes(l[:, :, :4], 1, 2), l[:, None, :, 4])
     coeffs = algebra.four_from_bivector(b)
-    yield CheckResult("induced-map-vs-wedges", max_norm(coeffs - np.swapaxes(lam, 1, 2)), 1e-9)
+    yield CheckResult("induced-map-vs-wedges", max_norm(coeffs - np.swapaxes(lam, 1, 2)), EXACT)
 
     l = _standard_changes(rng, 500)
     linv = invert(l)
@@ -354,7 +358,7 @@ def _nonlinear_change_field(grid: Grid, kappa: float):
     n_y = connection.parallel_frame_change(coords * [1.0, 1.0, 0.0, 0.0], kappa)
     change = n_y @ bases.m_transformation(exp_sk)
 
-    d_exp = np.einsum("...ik,kj,...m->...ijm", exp_sk, k_gen, ds)
+    d_exp = np.einsum("...ik,kj,...m->...ijm", exp_sk, k_gen, ds, optimize=True)
     d_change = np.zeros(grid.shape + (5, 5, 4))
     d_change[..., :4, :4, :] = d_exp
     d_change[..., 4, :4, :] = kappa * (
@@ -394,9 +398,11 @@ def connection_suite(options: SuiteOptions, rng):
     sel = grid.interior(scheme_width(scheme))
     yield CheckResult("parallel-coefficients-vanish", max_norm(transformed[sel]), 1e-12)
 
-    n = options.grid_n
+    # The order is read between two fixed grids, not --grid, which sets the
+    # conservation suite's wave grid: a coarser pair is not yet in the
+    # scheme's asymptotic range.
     orders = []
-    for resolution in (n, 2 * n - 1):
+    for resolution in (17, 33):
         g = Grid(
             origin=(0.0, 0.0, 0.0, 0.0),
             spacing=(1.0 / (resolution - 1),) * 2 + (1.0, 1.0),
@@ -405,11 +411,11 @@ def connection_suite(options: SuiteOptions, rng):
         change, d_change = _nonlinear_change_field(g, kappa)
         fd = connection.transform_connection_field(flat, change, np.eye(4), g, scheme)
         linv = np.linalg.inv(change)
-        exact = np.einsum("...ac,cdn,...db->...abn", linv, flat.values, change)
+        exact = np.einsum("...ac,cdn,...db->...abn", linv, flat.values, change, optimize=True)
         exact = exact + np.einsum("...ac,...cbn->...abn", linv, d_change)
         sel = g.interior(scheme_width(scheme))
         orders.append(max_norm((fd - exact)[sel]))
-    yield _order("transform-convergence-order", orders)
+    yield _order("transform-convergence-order", orders, scheme)
 
     # Reference: RK4 of du/dt = -G(u, dx) along each straight path, all
     # samples advanced together as one (100, 5) state.

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from pentavec import grids, suites
 from pentavec.algebra import ETA4, ETA5, lower_array
 from pentavec.bases import classify_basis
 from pentavec.connection import (
@@ -334,3 +335,23 @@ def test_metric_identity_input_guards():
         metric_transport_identity_residual(
             [1.0, 0.0, 0.0, 0.0], v, other, np.eye(5)[:, 4], flat_coefficients(KAPPA), KAPPA
         )
+
+
+def convergence_order(options):
+    report = suites.run_suite("connection", options)
+    return next(c for c in report.checks if c.name == "transform-convergence-order")
+
+
+def test_the_connection_suite_does_not_read_the_grid_option():
+    # --grid sets the conservation suite's wave grid; the order is read on two fixed grids
+    coarse = suites.run_suite("connection", suites.SuiteOptions(grid_n=2))
+    assert coarse == suites.run_suite("connection", suites.SuiteOptions())
+
+
+def test_a_second_order_central4_stencil_fails_the_convergence_order(monkeypatch):
+    options = suites.SuiteOptions(scheme="central4")
+    assert convergence_order(options).passed
+    _, _, sided = grids.SCHEMES["central4"]
+    monkeypatch.setitem(grids.SCHEMES, "central4", (12.0, (0, -6, 0, 6, 0), sided))
+    order = convergence_order(options)
+    assert 1.9 < order.value < 2.1 and not order.passed
