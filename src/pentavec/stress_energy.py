@@ -17,10 +17,13 @@ of the spin current balances the antisymmetric part of Theta.
 
 Samples carry grid axes first: Theta is ``(..., 4, 4)`` indexed [mu][alpha]
 (upper index first), Sigma ``(..., 4, 4, 4)`` indexed [mu][alpha][beta], and
-the current ``(..., 4, 5, 5)``.  The kernels turn one slab of the first grid
-axis at a time components first, so that each update is a plane of samples.
-Each slab writes rows of its own, so ``forking.split_rows`` may run the upper
-half of them in a worker thread, with the one-thread results to the bit.
+the current ``(..., 4, 5, 5)``.  The kernels read a current only on its 10
+pairs A < B and write each one they hand out from them, the lower triangle
+the exact negative and the diagonal +0; any other current is checked once
+against ``numerics.input_bound`` (NotAntisymmetric).  They turn one slab of
+the first grid axis at a time components first, so that each update is a
+plane of samples.  Each slab writes rows of its own, so ``forking.split_rows``
+may run the upper half of them in a worker thread, to the bit.
 
 The transport constant enters only through the rescaled frame: every kappa
 becomes ``connection.normalized_kappa(kappa)``, 1 for any nonzero kappa.
@@ -34,13 +37,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import lower_array
+from .algebra import _PAIR_COLS, _PAIR_ROWS, _PAIRS, lower_array
 from .connection import flat_coefficients, normalized_kappa
 from .errors import BasisMismatch, GridMismatch, NotAntisymmetric, NotNull
 from .forking import split_rows
 from .grids import FieldOnGrid, Grid, _central_difference, _differentiated, scheme_width
 from .numerics import NULL_TOL, input_bound, max_norm
 from .poincare import PoincareTransform, homogeneous_rep
+
+
+# Each M^mu is antisymmetric in (A, B), so its 10 pairs A < B (algebra's order) hold all of it.
+MOMENTUM_PAIRS = [k for k, (_, b) in enumerate(_PAIRS) if b == 4]
+ANGULAR_PAIRS = [k for k, (_, b) in enumerate(_PAIRS) if b < 4]
+
+
+class _Current(FieldOnGrid):
+    """A current written here from its pairs, exactly antisymmetric, so never checked again."""
+
+
+def _check_current(m: FieldOnGrid, frames) -> None:
+    """Raise unless ``m`` is a current in one of ``frames``, antisymmetric within ``input_bound``."""
+    if m.basis not in frames:
+        raise BasisMismatch(f"expected a {' or '.join(frames)}-frame current, got {m.basis!r}")
+    if m.values.shape[4:] != (4, 5, 5):
+        raise GridMismatch(f"expected current samples (4, 5, 5), got {m.values.shape[4:]}")
+    if not isinstance(m, _Current):
+        limit = input_bound(m.values)
+        worst = max(max_norm(row + np.swapaxes(row, -1, -2)) for row in m.values)  # no whole-field temporary
+        if worst > limit:
+            raise NotAntisymmetric(f"moment current must be antisymmetric in its lower index pair: residual {worst:.3g}"
+                                   f" exceeds {limit:.3g}")
+
+
+def _mirror(v: np.ndarray) -> None:
+    """v[:, B, A] = 0 - v[:, A, B] for A < B, over the axes 1 and 2 of v: +0 where v[:, A, B] is 0."""
+    for a in range(v.shape[1] - 1):
+        np.subtract(0.0, v[:, a, a + 1 :], out=v[:, a + 1 :, a])
 
 
 def assemble_moment_field(theta: np.ndarray, sigma: np.ndarray, grid: Grid) -> FieldOnGrid:
@@ -76,11 +108,13 @@ def assemble_moment_field(theta: np.ndarray, sigma: np.ndarray, grid: Grid) -> F
             np.multiply(x[None, :, None, i], th[:, None], out=outer)
             np.subtract(outer, np.swapaxes(outer, 1, 2), out=part)
             four += part
+            _mirror(four)
+            v.reshape((4, 25) + grid.shape[1:])[:, ::6] = 0.0  # the diagonal
             values[i] = np.moveaxis(v, (0, 1, 2), (-3, -2, -1))
 
     split_rows(grid.shape[0], rows)
     values.setflags(write=False)
-    return FieldOnGrid(grid=grid, values=values, basis="P")
+    return _Current(grid=grid, values=values, basis="P")
 
 
 def moment_to_orthonormal(m: FieldOnGrid, kappa: float = 1.0) -> FieldOnGrid:
@@ -98,27 +132,32 @@ def moment_to_parallel(m: FieldOnGrid, kappa: float = 1.0) -> FieldOnGrid:
 
 
 def _convert(m: FieldOnGrid, kappa: float, src: str, dst: str) -> FieldOnGrid:
-    if m.basis != src:
-        raise BasisMismatch(f"expected a {src}-frame current, got {m.basis!r}")
-    if m.values.shape[4:] != (4, 5, 5):
-        raise GridMismatch(f"expected current samples (4, 5, 5), got {m.values.shape[4:]}")
-    # The change C is the identity plus the bottom row s x_alpha, so C^T M C
-    # is M with s x_f M^mu_(C 5) added to each four-space column f, then
-    # s x_e times the updated fifth row added to each four-space row e.
+    _check_current(m, (src,))
+    # The change C is the identity plus the bottom row s x_alpha.  On the pairs,
+    # C^T M C takes each m_a = M^mu_(a 5) to m_a + s_a M^mu_(5 5), a change of at
+    # most a zero's sign, and each four-block pair p_ab to (p_ab + s_b m_a) - s_a m_b.
     x = np.ascontiguousarray(np.moveaxis(lower_array(m.grid.coords()), -1, 0))
     shift = (-1.0 if dst == "O" else 1.0) * normalized_kappa(kappa) * x
     out = np.empty(m.values.shape)
 
     def rows(lo, hi):
-        for i, s in enumerate(np.moveaxis(shift, 1, 0)[lo:hi], lo):  # slab by slab, components first
-            v = np.moveaxis(m.values[i], (-3, -2, -1), (0, 1, 2)).copy()
-            v[:, :, :4] += s * v[:, :, 4, None]
-            v[:, :4] += s[:, None] * v[:, None, 4]
+        v = np.zeros((4, 5, 5) + m.grid.shape[1:])  # one slab, components first; the diagonal stays +0
+        mixed, term = v[:, :4, 4], np.empty((4, 3) + m.grid.shape[1:])
+        for i, s in enumerate(np.moveaxis(shift, 1, 0)[lo:hi], lo):
+            slab = np.moveaxis(m.values[i], (-3, -2, -1), (0, 1, 2))
+            mixed[...] = slab[:, :4, 4]
+            for a in range(3):  # the pairs (a, b > a) of the four-block, one row at a time
+                pair, t = v[:, a, a + 1 : 4], term[:, : 3 - a]
+                np.multiply(s[a + 1 :], mixed[:, a, None], out=pair)
+                pair += slab[:, a, a + 1 : 4]
+                pair -= np.multiply(s[a], mixed[:, a + 1 :], out=t)
+            mixed += 0.0 * s  # + s_a M^mu_(5 5), once the pairs have read m_a
+            _mirror(v)
             out[i] = np.moveaxis(v, (0, 1, 2), (-3, -2, -1))
 
     split_rows(m.grid.shape[0], rows)
     out.setflags(write=False)
-    return FieldOnGrid(grid=m.grid, values=out, basis=dst)
+    return _Current(grid=m.grid, values=out, basis=dst)
 
 
 def transform_moment_field(m: FieldOnGrid, t: PoincareTransform, kappa: float = 1.0) -> FieldOnGrid:
@@ -129,22 +168,28 @@ def transform_moment_field(m: FieldOnGrid, t: PoincareTransform, kappa: float = 
     a_alpha Theta'_beta - a_beta Theta'_alpha on top of its Lambda
     conjugation.  Samples stay at the same physical points; their
     coordinates in the new chart are t applied to the old grid coordinates.
+    On the pairs the law is Lambda times the 10 x 10 matrix rep ^ rep,
+    (rep ^ rep)_((AB), (CD)) = rep_CA rep_DB - rep_DA rep_CB.
     """
-    if m.basis != "P":
-        raise BasisMismatch(f"expected a P-frame current, got {m.basis!r}")
+    _check_current(m, ("P",))
     rep = homogeneous_rep(t, normalized_kappa(kappa))
-    values = np.einsum("mn,...nab->...mab", t.lam, np.swapaxes(rep, -1, -2) @ m.values @ rep)
+    a, b, c, d = _PAIR_ROWS[:, None], _PAIR_COLS[:, None], _PAIR_ROWS, _PAIR_COLS
+    law = np.kron(t.lam, rep[c, a] * rep[d, b] - rep[d, a] * rep[c, b])  # [(mu, AB), (nu, CD)]
+    pairs = m.values[..., _PAIR_ROWS, _PAIR_COLS].reshape(-1, 40) @ law.T
+    values = np.zeros(m.values.shape)  # the diagonal stays +0
+    values[..., _PAIR_ROWS, _PAIR_COLS] = pairs.reshape(m.values.shape[:-2] + (10,))
+    _mirror(np.moveaxis(values, (-2, -1), (1, 2)))
     values.setflags(write=False)
-    return FieldOnGrid(grid=m.grid, values=values, basis="P")
+    return _Current(grid=m.grid, values=values, basis="P")
 
 
 @dataclass(frozen=True)
 class ConservationReport:
     """Interior residuals of the five-tensor conservation law.
 
-    ``momentum_residual`` covers the mixed (fifth-index) block, whose
-    vanishing is stress-energy conservation; ``angular_residual`` covers
-    the four-block, whose vanishing is angular-momentum conservation.
+    ``momentum_residual`` covers the mixed pairs (a, 5), whose vanishing
+    is stress-energy conservation; ``angular_residual`` covers the
+    four-block pairs, whose vanishing is angular-momentum conservation.
     """
 
     momentum_residual: float
@@ -155,8 +200,8 @@ class ConservationReport:
 
 
 def conservation_divergence(m: FieldOnGrid, kappa: float = 1.0, scheme: str = "central2") -> np.ndarray:
-    """Covariant divergence of a current field at the interior samples, components first:
-    ``(5, 5) + m.values[m.grid.interior(scheme_width(scheme))].shape[:4]``.
+    """Covariant divergence of a current field at the interior samples, on the pairs A < B:
+    ``(10,) + m.values[m.grid.interior(scheme_width(scheme))].shape[:4]``.
 
     In the parallel frame the transport coefficients vanish and the
     divergence is the plain derivative sum.  In the orthonormal frame the
@@ -164,10 +209,7 @@ def conservation_divergence(m: FieldOnGrid, kappa: float = 1.0, scheme: str = "c
     that trade the orbital moment for the stress-energy blocks; at kappa = 0
     they vanish and both frames reduce to the plain divergence.
     """
-    if m.basis not in ("O", "P"):
-        raise BasisMismatch(f"current must be in the 'O' or 'P' frame, got {m.basis!r}")
-    if m.values.shape[4:] != (4, 5, 5):
-        raise GridMismatch(f"expected current samples (4, 5, 5), got {m.values.shape[4:]}")
+    _check_current(m, ("O", "P"))
 
     # Each partial is taken with the central row alone, on the interior
     # samples the residuals read; singleton axes contribute nothing.  Each
@@ -176,45 +218,49 @@ def conservation_divergence(m: FieldOnGrid, kappa: float = 1.0, scheme: str = "c
     axes = [mu for mu in range(4) if _differentiated(grid, mu, scheme)]
     width = scheme_width(scheme)
     sel = grid.interior(width)
-    div = np.zeros((5, 5) + m.values[sel].shape[:4])
+    div = np.zeros((10,) + m.values[sel].shape[:4])
     g = flat_coefficients(normalized_kappa(kappa)).values
     first = sel[0].start or 0  # the grid row of interior row 0, at a singleton axis 0 too
 
     def rows(lo, hi):
-        part = div[:, :, lo:hi]
-        derivative = np.empty_like(part)
+        part = div[:, lo:hi]
+        derivative, term = np.empty_like(part), np.empty_like(part[0])
         for mu in (range(4) if m.basis == "O" else axes):
             along = [slice(first + lo, first + hi), *sel[1:]]
             if mu in axes:  # the whole axis, or along axis 0 the rows and their halo
                 along[mu] = slice(lo, hi + 2 * width) if mu == 0 else slice(None)
             block = m.values[tuple(along) + (mu,)]
-            inner = np.empty((5, 5) + block.shape[:4])  # M^mu components first, slab by slab
+            inner = np.empty((10,) + block.shape[:4])  # the pairs of M^mu first, slab by slab
             for i, slab in enumerate(block):
-                inner[:, :, i] = np.moveaxis(slab, (-2, -1), (0, 1))
+                inner[:, i] = np.moveaxis(slab[..., _PAIR_ROWS, _PAIR_COLS], -1, 0)
             if mu in axes:
                 _central_difference(
-                    np.moveaxis(inner, 2 + mu, 0), grid.spacing[mu], scheme, np.moveaxis(derivative, 2 + mu, 0)
+                    np.moveaxis(inner, 1 + mu, 0), grid.spacing[mu], scheme, np.moveaxis(derivative, 1 + mu, 0)
                 )
                 part += derivative
-                inner = inner[(slice(None),) * (2 + mu) + (slice(width, inner.shape[2 + mu] - width),)]
+                inner = inner[(slice(None),) * (1 + mu) + (slice(width, inner.shape[1 + mu] - width),)]
             if m.basis == "O":
-                # - G^C_(A mu) M^mu_(C B) - G^C_(B mu) M^mu_(A C), whose one
-                # nonzero coefficient is G^5_(mu mu) = -normalized_kappa(kappa) eta_(mu mu)
+                # - G^C_(A mu) M^mu_(C B) - G^C_(B mu) M^mu_(A C), whose one nonzero coefficient
+                # is G^5_(mu mu) = -normalized_kappa(kappa) eta_(mu mu): with m_a = M^mu_(a 5), the
+                # row term c M^mu_(5 b) = -c m_b on each pair (mu, b) and the column term c m_a on (a, mu)
                 c = -g[4, mu, mu]
-                part[mu] += c * inner[4]
-                part[:, mu] += c * inner[:, 4]
+                for k, (a, b) in enumerate(_PAIRS):
+                    if a == mu and b < 4:
+                        part[k] -= np.multiply(inner[MOMENTUM_PAIRS[b]], c, out=term)
+                    elif b == mu:
+                        part[k] += np.multiply(inner[MOMENTUM_PAIRS[a]], c, out=term)
             del inner  # freed before the next mu's buffer is made
 
-    split_rows(div.shape[2], rows)
+    split_rows(div.shape[1], rows)
     return div
 
 
 def conservation_report(m: FieldOnGrid, kappa: float = 1.0, scheme: str = "central2") -> ConservationReport:
-    """The maxima of ``conservation_divergence`` over the momentum row and the four-block."""
+    """The maxima of ``conservation_divergence`` over the momentum and the angular pairs."""
     div = conservation_divergence(m, kappa, scheme)
     return ConservationReport(
-        momentum_residual=max_norm(div[4, :4]),
-        angular_residual=max_norm(div[:4, :4]),
+        momentum_residual=max_norm(div[MOMENTUM_PAIRS]),
+        angular_residual=max_norm(div[ANGULAR_PAIRS]),
     )
 
 
@@ -257,8 +303,8 @@ def plane_wave_divergence(k, grid: Grid, kappa: float = 1.0, scheme: str = "cent
     sin(phi)^2 there is sin 2phi times the stencil's modified wavenumber
     sigma_mu (Lele, J. Comput. Phys. 103, 16, 1992): sin(2d) / 2h under
     central2, [8 sin(2d) - sin(4d)] / 12h under central4.  So the fifth row
-    reads k_alpha sin 2phi sum_mu k^mu sigma_mu in both frames, and the fifth
-    column its negative.  The P-frame orbital part x_alpha Theta^mu_beta
+    reads k_alpha sin 2phi sum_mu k^mu sigma_mu in both frames, and the
+    momentum pairs (alpha, 5) its negative.  The P-frame orbital part x_alpha Theta^mu_beta
     follows from the discrete product rule D_mu(x_mu f) = x_mu D_mu f +
     eta_(mu mu) E_mu f, with E_mu the stencil's average, (f+ + f-)/2 or
     [8(f+ + f-) - 2(f++ + f--)]/12, and sin(phi + d)^2 + sin(phi - d)^2 =
@@ -280,12 +326,12 @@ def plane_wave_divergence(k, grid: Grid, kappa: float = 1.0, scheme: str = "cent
     phase = 2 * np.tensordot(k, x_low, 1)  # 2 phi at the interior samples
     rate = np.sin(phase) * (k @ sigma)
     column = (4,) + (1,) * rate.ndim  # a four-index over the grid axes
-    div = np.zeros((5, 5) + rate.shape)
-    div[4, :4] = k_low.reshape(column) * rate
-    div[:4, 4] = -div[4, :4]
+    div = np.zeros((10,) + rate.shape)
+    div[MOMENTUM_PAIRS] = -(k_low.reshape(column) * rate)
     if basis == "P" or normalized_kappa(kappa) == 0.0:
         # [a, b] = x_a k_b rate + k_a k_b E_a sin^2, less its transpose
         lever = x_low * rate + k_low.reshape(column) * (1 - cos_avg.reshape(column) * np.cos(phase)) / 2
         moment = lever[:, None] * k_low.reshape(column)
-        div[:4, :4] = moment - np.swapaxes(moment, 0, 1)
+        rows, cols = _PAIR_ROWS[ANGULAR_PAIRS], _PAIR_COLS[ANGULAR_PAIRS]
+        div[ANGULAR_PAIRS] = moment[rows, cols] - moment[cols, rows]
     return div

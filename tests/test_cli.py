@@ -472,7 +472,8 @@ def test_transform_moment_field(tmp_path, capsys):
 
 def test_transform_moment_field_reads_only_whether_kappa_is_zero(tmp_path, capsys):
     grid = Grid(origin=(0.0,) * 4, spacing=(0.5,) * 4, shape=(2, 1, 1, 1))
-    payload = np.random.default_rng(3).normal(size=grid.shape + (4, 5, 5))
+    s = np.random.default_rng(3).normal(size=grid.shape + (4, 5, 5))
+    payload = s - np.swapaxes(s, -1, -2)
     write_record(tmp_path / "in.pvec", Record("moment_field", payload, basis="P", grid=grid))
     write_transform(tmp_path / "t.pvec", boost_transform())
     outputs = set()
@@ -484,6 +485,20 @@ def test_transform_moment_field_reads_only_whether_kappa_is_zero(tmp_path, capsy
         if word == "nonzero":
             outputs.add(out.read_bytes())
     assert len(outputs) == 1
+
+
+def test_transform_of_a_non_antisymmetric_moment_field_exits_2(tmp_path, capsys):
+    grid = Grid(origin=(0.0,) * 4, spacing=(0.5,) * 4, shape=(2, 1, 1, 1))
+    s = np.random.default_rng(4).normal(size=grid.shape + (4, 5, 5))
+    payload = s - np.swapaxes(s, -1, -2)
+    payload[1, 0, 0, 0, 2, 1, 3] += 1e-6  # M^2_(13) no longer the exact negative of M^2_(31)
+    write_record(tmp_path / "in.pvec", Record("moment_field", payload, basis="P", grid=grid))
+    write_transform(tmp_path / "t.pvec", boost_transform())
+    out = tmp_path / "out.pvec"
+    assert main(["transform", str(tmp_path / "in.pvec"), str(tmp_path / "t.pvec"), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: moment current must be antisymmetric in its lower index pair: residual 1e-06 exceeds")
+    assert not out.exists()
 
 
 def malformed_records():

@@ -420,6 +420,29 @@ def test_moment_field_law_is_a_group_action(seed, kappa):
     assert relative(once, twice) <= 1e-12
 
 
+@PROPERTY
+@given(SEEDS, st.sampled_from([0.0, 0.5, 1.0, -1.0]))
+def test_moment_kernels_hand_out_exactly_antisymmetric_currents(seed, kappa):
+    # Each kernel writes the pairs A < B and mirrors them, so every current it
+    # hands out has M == -M^T exactly and a +0 diagonal; the pair law is the
+    # full congruence Lambda rep^T M rep to round-off.
+    assembled = wave_current(seed)
+    rng = np.random.default_rng(seed)
+    s = rng.normal(size=assembled.values.shape) * 10.0 ** rng.integers(-3, 4, size=assembled.values.shape)
+    given_current = FieldOnGrid(assembled.grid, s - np.swapaxes(s, -1, -2), basis="P")
+    t = suites.random_poincare(rng)
+    for m in (assembled, given_current):
+        o = moment_to_orthonormal(m, kappa)
+        moved = transform_moment_field(m, t, kappa)
+        for out in (m, o, moment_to_parallel(o, kappa), moved):
+            assert_array_equal(out.values, -np.swapaxes(out.values, -1, -2))
+            diagonal = out.values[..., range(5), range(5)]
+            assert np.all(diagonal == 0.0) and not np.any(np.signbit(diagonal))
+        rep = homogeneous_rep(t, 0.0 if kappa == 0.0 else 1.0)
+        full = np.einsum("mn,...nab->...mab", t.lam, rep.T @ m.values @ rep)
+        assert np.max(np.abs(moved.values - full)) <= 1e-13 * np.max(np.abs(full))
+
+
 @pytest.mark.parametrize("seed", [19, 248019633, 257])
 def test_poincare_suite_passes_at_former_round_off_seeds(seed):
     # these seeds crossed former absolute 1e-12 gates: the group laws, then the tensor routes

@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from pentavec import forking, stress_energy, suites
-from pentavec.algebra import ETA4, lower_array
+from pentavec.algebra import _PAIR_COLS, _PAIR_ROWS, ETA4, lower_array
 from pentavec.connection import flat_coefficients, normalized_kappa
 from pentavec.errors import BasisMismatch, GridMismatch, GridTooCoarse, NotAntisymmetric, PentavecError
 from pentavec.grids import FieldOnGrid, Grid, partial_derivative, scheme_width
 from pentavec.numerics import INPUT_TOL, input_bound, max_norm
 from pentavec.poincare import PoincareTransform
 from pentavec.stress_energy import (
+    ANGULAR_PAIRS,
+    MOMENTUM_PAIRS,
     assemble_moment_field,
     conservation_divergence,
     conservation_report,
@@ -274,16 +276,23 @@ def reference_convert(m, kappa, dst):
     return out
 
 
-def reference_report(m, kappa, scheme):
-    """Full-grid partials plus two 5x5 matmuls per mu, cut to the interior at the end."""
+def reference_report(m, kappa, scheme, terms_last=False):
+    """Full-grid partials plus two 5x5 matmuls per mu, cut to the interior at the end;
+    ``terms_last`` adds every partial before the first connection term instead."""
     g = flat_coefficients(normalized_kappa(kappa)).values
+
+    def connection_terms(div, mu):
+        if m.basis == "O":
+            div -= g[:, :, mu].T @ m.values[..., mu, :, :]
+            div -= m.values[..., mu, :, :] @ g[:, :, mu]
+
     div = np.zeros(m.grid.shape + (5, 5))
     for mu in range(4):
-        block = m.values[..., mu, :, :]
-        div += partial_derivative(block, m.grid, mu, scheme)
-        if m.basis == "O":
-            div -= g[:, :, mu].T @ block
-            div -= block @ g[:, :, mu]
+        div += partial_derivative(m.values[..., mu, :, :], m.grid, mu, scheme)
+        if not terms_last:
+            connection_terms(div, mu)
+    for mu in range(4) if terms_last else ():
+        connection_terms(div, mu)
     interior = div[m.grid.interior(scheme_width(scheme))]
     return max_norm(interior[..., 4, :4]), max_norm(interior[..., :4, :4])
 
@@ -308,6 +317,23 @@ def mixed_magnitudes(rng, shape):
     return v
 
 
+def antisymmetric_current(rng, shape):
+    """A current (..., 4, 5, 5) of mixed magnitudes, exactly antisymmetric in its lower pair;
+    as in an assembled current, some zeros M^mu_(a 5) are -0 against a +0 M^mu_(5 a)."""
+    s = mixed_magnitudes(rng, shape + (4, 5, 5))
+    v = s - np.swapaxes(s, -1, -2)
+    mixed = v[..., :4, 4]
+    mixed[(mixed == 0.0) & (rng.random(mixed.shape) < 0.5)] = -0.0
+    return v
+
+
+def assert_pairs_mirrored(values):
+    """Each lower triangle is 0 minus the upper one, bit for bit, and the diagonal +0."""
+    upper = values[..., _PAIR_ROWS, _PAIR_COLS]
+    assert_same_bits(values[..., _PAIR_COLS, _PAIR_ROWS], 0.0 - upper)
+    assert_same_bits(values[..., range(5), range(5)], np.zeros(values.shape[:-1]))
+
+
 @pytest.mark.parametrize("shape", ODD_GRIDS)
 def test_assemble_matches_reference_bits(shape):
     grid = odd_grid(shape)
@@ -321,12 +347,15 @@ def test_assemble_matches_reference_bits(shape):
 @pytest.mark.parametrize("shape", ODD_GRIDS)
 @pytest.mark.parametrize("kappa", KAPPAS)
 def test_frame_changes_match_reference_bits(shape, kappa):
-    # arbitrary currents, not antisymmetric in their five-indices
+    # the upper pairs keep the full change's bits, and the lower triangle mirrors them
     grid = odd_grid(shape)
-    values = mixed_magnitudes(np.random.default_rng(sum(shape) + KAPPAS.index(kappa)), shape + (4, 5, 5))
+    values = antisymmetric_current(np.random.default_rng(sum(shape) + KAPPAS.index(kappa)), shape)
     for src, dst, convert in (("P", "O", moment_to_orthonormal), ("O", "P", moment_to_parallel)):
         m = FieldOnGrid(grid, values, basis=src)
-        assert_same_bits(convert(m, kappa).values, reference_convert(m, kappa, dst))
+        got = convert(m, kappa).values
+        want = reference_convert(m, kappa, dst)
+        assert_same_bits(got[..., _PAIR_ROWS, _PAIR_COLS], want[..., _PAIR_ROWS, _PAIR_COLS])
+        assert_pairs_mirrored(got)
 
 
 @pytest.mark.parametrize("shape", ODD_GRIDS)
@@ -336,7 +365,7 @@ def test_conservation_report_matches_reference_bits(shape, scheme, kappa):
     grid = odd_grid(shape)
     rng = np.random.default_rng(7 * sum(shape) + len(scheme))
     for basis in ("P", "O"):
-        m = FieldOnGrid(grid, mixed_magnitudes(rng, shape + (4, 5, 5)), basis=basis)
+        m = FieldOnGrid(grid, antisymmetric_current(rng, shape), basis=basis)
         report = conservation_report(m, kappa, scheme)
         assert (report.momentum_residual, report.angular_residual) == reference_report(m, kappa, scheme)
     # and on a smooth current, where the residuals are small differences
@@ -350,21 +379,61 @@ def test_conservation_report_matches_reference_bits(shape, scheme, kappa):
 @pytest.mark.parametrize("scheme", ("central2", "central4"))
 @pytest.mark.parametrize("kappa", (0.5, 1e4))
 def test_conservation_report_keeps_the_order_of_additions(scheme, kappa):
-    # A current whose four-block divergence sits on the diagonal alone, where
-    # the derivative, the row term and the column term of each mu meet; the
-    # residual is the largest of these three-term sums, so a change in their
-    # order shows in its last bits.
+    # A current whose four-block divergence sits on the pair (1, 3) alone. Its
+    # sum takes each mu's derivative in turn, the row term at mu = 1 and the
+    # column term at mu = 3, all of one size, so a change in their order shows
+    # in the last bits of the residual, the largest of these sums.
     grid = odd_grid((9, 7, 6, 5))
     rng = np.random.default_rng(75)
+    moved = 0
     for _ in range(10):
         values = np.zeros(grid.shape + (4, 5, 5))
-        for mu in range(4):
-            values[..., mu, mu, mu] = rng.normal(size=grid.shape)
-            values[..., mu, 4, mu] = rng.normal(size=grid.shape) * 1e3
-            values[..., mu, mu, 4] = rng.normal(size=grid.shape) * 1e3
+        values[..., 1, 3] = rng.normal(size=grid.shape + (4,))  # M^mu_(13) for every mu
+        values[..., 1, 3, 4] = rng.normal(size=grid.shape) * 4.0  # the row term's M^1_(35)
+        values[..., 3, 1, 4] = rng.normal(size=grid.shape) * 4.0  # the column term's M^3_(15)
+        values -= np.swapaxes(values, -1, -2)
         m = FieldOnGrid(grid, values, basis="O")
         report = conservation_report(m, kappa, scheme)
-        assert (report.momentum_residual, report.angular_residual) == reference_report(m, kappa, scheme)
+        got = (report.momentum_residual, report.angular_residual)
+        assert got == reference_report(m, kappa, scheme)
+        moved += got != reference_report(m, kappa, scheme, terms_last=True)
+    assert moved  # the test sees the order
+
+
+CURRENT_KERNELS = {
+    "moment_to_orthonormal": ("P", lambda m: moment_to_orthonormal(m, 1.0).values),
+    "moment_to_parallel": ("O", lambda m: moment_to_parallel(m, 1.0).values),
+    "conservation_divergence": ("O", lambda m: conservation_divergence(m, 1.0)),
+    "conservation_report": ("P", lambda m: conservation_report(m, 1.0, "central4")),
+    "transform_moment_field": ("P", lambda m: transform_moment_field(m, random_boost(np.random.default_rng(77)), 1.0).values),
+}
+
+
+@pytest.mark.parametrize("name", CURRENT_KERNELS)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_current_that_is_not_antisymmetric_is_refused(name, sign):
+    # A caller's current is checked once, against input_bound of the whole field:
+    # a diagonal entry of half the bound passes, and since the kernels read only
+    # the pairs A < B, it changes no bit; the next float above it raises.
+    basis, kernel = CURRENT_KERNELS[name]
+    grid = odd_grid((5, 5, 5, 1))
+    values = antisymmetric_current(np.random.default_rng(76), grid.shape)
+    limit = input_bound(values)
+    exact = kernel(FieldOnGrid(grid, values, basis=basis))
+    near = values.copy()
+    near[-1, 2, 0, 0, 3, 2, 2] = sign * limit / 2
+    got = kernel(FieldOnGrid(grid, near, basis=basis))
+    if isinstance(exact, np.ndarray):
+        assert_same_bits(got, exact)
+    else:
+        assert got == exact
+    near[-1, 2, 0, 0, 3, 2, 2] = sign * np.nextafter(limit / 2, 1.0)
+    with pytest.raises(NotAntisymmetric, match="must be antisymmetric in its lower index pair: residual"):
+        kernel(FieldOnGrid(grid, near, basis=basis))
+    off = values.copy()
+    off[0, 1, 2, 0, 1, 0, 4] += sign  # M^1_(05) no longer the negative of M^1_(50)
+    with pytest.raises(NotAntisymmetric):
+        kernel(FieldOnGrid(grid, off, basis=basis))
 
 
 @pytest.mark.parametrize(
@@ -541,7 +610,9 @@ def test_plane_wave_divergence_is_the_kernels_to_round_off(scheme, n, kappa):
         assert max_norm(measured - exact) <= 1e-15 * (NULL_K @ NULL_K) / grid.spacing[0]
     report = conservation_report(m, kappa, scheme)  # the report's maxima are the field's
     measured = conservation_divergence(m, kappa, scheme)
-    assert (report.momentum_residual, report.angular_residual) == (max_norm(measured[4, :4]), max_norm(measured[:4, :4]))
+    assert (report.momentum_residual, report.angular_residual) == (
+        max_norm(measured[MOMENTUM_PAIRS]), max_norm(measured[ANGULAR_PAIRS])
+    )
 
 
 def test_plane_wave_divergence_rejects_a_wave_along_a_singleton_axis():
