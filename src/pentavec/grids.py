@@ -103,12 +103,16 @@ class FieldOnGrid:
     already read-only is adopted as it is: that is how a kernel hands over
     an array it has just made.  Any other input, a writable array or a view
     included, is copied, so a later write by the caller cannot reach the
-    field.  Every field is checked for non-finite samples either way.
+    field.  Every field is checked for non-finite samples either way, except
+    the moment currents of ``stress_energy``: its kernels check each slab as
+    they write it, and hand over a subclass that skips the whole-array scan.
     """
 
     grid: Grid
     values: np.ndarray
     basis: str | None = None
+
+    _scan_finite = True  # a class attribute, not a field
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -116,7 +120,7 @@ class FieldOnGrid:
             raise GridMismatch(
                 f"value axes {v.shape[:4]} do not match grid shape {self.grid.shape}"
             )
-        if not np.all(np.isfinite(v)):
+        if self._scan_finite and not np.all(np.isfinite(v)):
             raise NotFinite("field contains non-finite samples")
         if v.flags.writeable or not v.flags.owndata:
             v = v.copy()

@@ -23,7 +23,10 @@ the exact negative and the diagonal +0; any other current is checked once
 against ``numerics.input_bound`` (NotAntisymmetric).  They turn one slab of
 the first grid axis at a time components first, so that each update is a
 plane of samples.  Each slab writes rows of its own, so ``forking.split_rows``
-may run the upper half of them in a worker thread, to the bit.
+may run the upper half of them in a worker thread, to the bit.  Finiteness
+is checked where a current is written (NotFinite): the assembly and the frame
+changes check each slab before they write it, the law its pairs, and the
+field they hand over skips ``FieldOnGrid``'s whole-array scan.
 
 The transport constant enters only through the rescaled frame: every kappa
 becomes ``connection.normalized_kappa(kappa)``, 1 for any nonzero kappa.
@@ -39,7 +42,7 @@ import numpy as np
 
 from .algebra import _PAIR_COLS, _PAIR_ROWS, _PAIRS, lower_array
 from .connection import flat_coefficients, normalized_kappa
-from .errors import BasisMismatch, GridMismatch, NotAntisymmetric, NotNull
+from .errors import BasisMismatch, GridMismatch, NotAntisymmetric, NotFinite, NotNull
 from .forking import split_rows
 from .grids import FieldOnGrid, Grid, _central_difference, _differentiated, scheme_width
 from .numerics import NULL_TOL, input_bound, max_norm
@@ -52,7 +55,29 @@ ANGULAR_PAIRS = [k for k, (_, b) in enumerate(_PAIRS) if b < 4]
 
 
 class _Current(FieldOnGrid):
-    """A current written here from its pairs, exactly antisymmetric, so never checked again."""
+    """A current written here from its pairs, exactly antisymmetric and finite, so never checked again."""
+
+    _scan_finite = False
+
+
+def _check_finite(top) -> None:
+    """Raise NotFinite unless ``top`` is finite: the max |value| of an array, or the max of an exactly
+    antisymmetric slab with a +0 diagonal, which a NaN or an infinity of either sign makes NaN or +inf."""
+    if not top < np.inf:
+        raise NotFinite("field contains non-finite samples")
+
+
+def _row_coords(grid: Grid, lo: int, hi: int, scale: float = 1.0):
+    """``(i, x)`` for the rows i = lo .. hi - 1 of grid axis 0: x is scale times the bits of the lowered
+    x_alpha of row i in ``lower_array(grid.coords())``, ``(4,) + grid.shape[1:]``; one buffer, as only x_0 varies."""
+    eta = lower_array(np.ones(4))  # lowering's +-1 factors
+    x = np.empty((4,) + grid.shape[1:])
+    for a in range(1, 4):
+        x[a] = scale * (grid.axis_coords(a) * eta[a]).reshape([-1 if b == a else 1 for b in range(1, 4)])
+    time = grid.axis_coords(0) * eta[0]
+    for i in range(lo, hi):
+        x[0] = scale * time[i]
+        yield i, x
 
 
 def _check_current(m: FieldOnGrid, frames) -> None:
@@ -88,31 +113,35 @@ def assemble_moment_field(theta: np.ndarray, sigma: np.ndarray, grid: Grid) -> F
         raise GridMismatch(f"theta shape {theta.shape} does not match grid {grid.shape} + (4, 4)")
     if sigma.shape != grid.shape + (4, 4, 4):
         raise GridMismatch(f"sigma shape {sigma.shape} does not match grid {grid.shape} + (4, 4, 4)")
-    limit = input_bound(sigma)  # one bound for the whole field, checked slab by slab
-
-    x = np.ascontiguousarray(np.moveaxis(lower_array(grid.coords()), -1, 0))
     values = np.empty(grid.shape + (4, 5, 5))
+    # Per row of axis 0: max Sigma, min Sigma, max |Sigma + Sigma^T| and the max of its slab of M,
+    # so that the spin check meets the bound of the whole field and runs before the finiteness check.
+    seen = np.empty((4, grid.shape[0]))
 
     def rows(lo, hi):
         v = np.zeros((4, 5, 5) + grid.shape[1:])  # one slab, components first; M^mu_(5 5) stays 0
         four, th = v[:, :4, :4], v[:, 4, :4]
-        outer, part = np.empty((2, 4, 4, 4) + grid.shape[1:])
-        for i in range(lo, hi):
+        part, term = np.empty((4, 4, 4) + grid.shape[1:]), np.empty((2, 4, 3) + grid.shape[1:])
+        for i, x in _row_coords(grid, lo, hi):
             four[...] = np.moveaxis(sigma[i], (-3, -2, -1), (0, 1, 2))
             np.add(four, np.swapaxes(four, 1, 2), out=part)
-            if np.abs(part, out=part).max() > limit:
-                raise NotAntisymmetric("spin current must be antisymmetric in its lower indices")
+            seen[:3, i] = four.max(), four.min(), np.abs(part, out=part).max()
             th[...] = np.moveaxis(theta[i], (-2, -1), (0, 1))
             np.negative(th, out=v[:, :4, 4])
-            # orbital x_alpha Theta^mu_beta - x_beta Theta^mu_alpha: one outer product less its transpose
-            np.multiply(x[None, :, None, i], th[:, None], out=outer)
-            np.subtract(outer, np.swapaxes(outer, 1, 2), out=part)
-            four += part
+            for a in range(3):  # the pairs (a, b > a): (x_a Theta^mu_b - x_b Theta^mu_a) + Sigma^mu_(ab)
+                t, u = term[:, :, : 3 - a]
+                np.multiply(x[a], th[:, a + 1 :], out=t)
+                t -= np.multiply(x[a + 1 :], th[:, a, None], out=u)
+                four[:, a, a + 1 :] += t
             _mirror(four)
             v.reshape((4, 25) + grid.shape[1:])[:, ::6] = 0.0  # the diagonal
+            seen[3, i] = v.max()
             values[i] = np.moveaxis(v, (0, 1, 2), (-3, -2, -1))
 
     split_rows(grid.shape[0], rows)
+    if seen[2].max() > input_bound(seen[:2]):  # input_bound(sigma), from each slab's max and min
+        raise NotAntisymmetric("spin current must be antisymmetric in its lower indices")
+    _check_finite(seen[3].max())
     values.setflags(write=False)
     return _Current(grid=grid, values=values, basis="P")
 
@@ -136,14 +165,13 @@ def _convert(m: FieldOnGrid, kappa: float, src: str, dst: str) -> FieldOnGrid:
     # The change C is the identity plus the bottom row s x_alpha.  On the pairs,
     # C^T M C takes each m_a = M^mu_(a 5) to m_a + s_a M^mu_(5 5), a change of at
     # most a zero's sign, and each four-block pair p_ab to (p_ab + s_b m_a) - s_a m_b.
-    x = np.ascontiguousarray(np.moveaxis(lower_array(m.grid.coords()), -1, 0))
-    shift = (-1.0 if dst == "O" else 1.0) * normalized_kappa(kappa) * x
+    c = (-1.0 if dst == "O" else 1.0) * normalized_kappa(kappa)
     out = np.empty(m.values.shape)
 
     def rows(lo, hi):
         v = np.zeros((4, 5, 5) + m.grid.shape[1:])  # one slab, components first; the diagonal stays +0
         mixed, term = v[:, :4, 4], np.empty((4, 3) + m.grid.shape[1:])
-        for i, s in enumerate(np.moveaxis(shift, 1, 0)[lo:hi], lo):
+        for i, s in _row_coords(m.grid, lo, hi, c):  # the shift s_alpha = c x_alpha
             slab = np.moveaxis(m.values[i], (-3, -2, -1), (0, 1, 2))
             mixed[...] = slab[:, :4, 4]
             for a in range(3):  # the pairs (a, b > a) of the four-block, one row at a time
@@ -153,6 +181,7 @@ def _convert(m: FieldOnGrid, kappa: float, src: str, dst: str) -> FieldOnGrid:
                 pair -= np.multiply(s[a], mixed[:, a + 1 :], out=t)
             mixed += 0.0 * s  # + s_a M^mu_(5 5), once the pairs have read m_a
             _mirror(v)
+            _check_finite(v.max())
             out[i] = np.moveaxis(v, (0, 1, 2), (-3, -2, -1))
 
     split_rows(m.grid.shape[0], rows)
@@ -176,6 +205,7 @@ def transform_moment_field(m: FieldOnGrid, t: PoincareTransform, kappa: float = 
     a, b, c, d = _PAIR_ROWS[:, None], _PAIR_COLS[:, None], _PAIR_ROWS, _PAIR_COLS
     law = np.kron(t.lam, rep[c, a] * rep[d, b] - rep[d, a] * rep[c, b])  # [(mu, AB), (nu, CD)]
     pairs = m.values[..., _PAIR_ROWS, _PAIR_COLS].reshape(-1, 40) @ law.T
+    _check_finite(max(pairs.max(), -pairs.min()))
     values = np.zeros(m.values.shape)  # the diagonal stays +0
     values[..., _PAIR_ROWS, _PAIR_COLS] = pairs.reshape(m.values.shape[:-2] + (10,))
     _mirror(np.moveaxis(values, (-2, -1), (1, 2)))
@@ -197,6 +227,13 @@ class ConservationReport:
 
     def worst(self) -> float:
         return max(self.momentum_residual, self.angular_residual)
+
+    @classmethod
+    def from_divergence(cls, div: np.ndarray) -> ConservationReport:
+        """``max_norm`` of ``div[MOMENTUM_PAIRS]`` and of ``div[ANGULAR_PAIRS]``, read pair by pair as
+        max(max, -min) with no copy; the + 0.0 makes an all-zero residual +0, as max |div| is."""
+        return cls(*(float(np.max([np.maximum(div[k].max(), -div[k].min()) for k in pairs])) + 0.0
+                     for pairs in (MOMENTUM_PAIRS, ANGULAR_PAIRS)))
 
 
 def conservation_divergence(m: FieldOnGrid, kappa: float = 1.0, scheme: str = "central2") -> np.ndarray:
@@ -230,9 +267,9 @@ def conservation_divergence(m: FieldOnGrid, kappa: float = 1.0, scheme: str = "c
             if mu in axes:  # the whole axis, or along axis 0 the rows and their halo
                 along[mu] = slice(lo, hi + 2 * width) if mu == 0 else slice(None)
             block = m.values[tuple(along) + (mu,)]
-            inner = np.empty((10,) + block.shape[:4])  # the pairs of M^mu first, slab by slab
-            for i, slab in enumerate(block):
-                inner[:, i] = np.moveaxis(slab[..., _PAIR_ROWS, _PAIR_COLS], -1, 0)
+            inner = np.empty((10,) + block.shape[:4])  # the pairs of M^mu first, each over the whole run
+            for k, (a, b) in enumerate(_PAIRS):
+                inner[k] = block[..., a, b]
             if mu in axes:
                 _central_difference(
                     np.moveaxis(inner, 1 + mu, 0), grid.spacing[mu], scheme, np.moveaxis(derivative, 1 + mu, 0)
@@ -257,11 +294,7 @@ def conservation_divergence(m: FieldOnGrid, kappa: float = 1.0, scheme: str = "c
 
 def conservation_report(m: FieldOnGrid, kappa: float = 1.0, scheme: str = "central2") -> ConservationReport:
     """The maxima of ``conservation_divergence`` over the momentum and the angular pairs."""
-    div = conservation_divergence(m, kappa, scheme)
-    return ConservationReport(
-        momentum_residual=max_norm(div[MOMENTUM_PAIRS]),
-        angular_residual=max_norm(div[ANGULAR_PAIRS]),
-    )
+    return ConservationReport.from_divergence(conservation_divergence(m, kappa, scheme))
 
 
 def constant_stress_samples(theta0, grid: Grid) -> tuple[np.ndarray, np.ndarray]:

@@ -9,13 +9,14 @@ from scipy.linalg import expm
 from pentavec import forking, stress_energy, suites
 from pentavec.algebra import _PAIR_COLS, _PAIR_ROWS, ETA4, lower_array
 from pentavec.connection import flat_coefficients, normalized_kappa
-from pentavec.errors import BasisMismatch, GridMismatch, GridTooCoarse, NotAntisymmetric, PentavecError
+from pentavec.errors import BasisMismatch, GridMismatch, GridTooCoarse, NotAntisymmetric, NotFinite, PentavecError
 from pentavec.grids import FieldOnGrid, Grid, partial_derivative, scheme_width
 from pentavec.numerics import INPUT_TOL, input_bound, max_norm
 from pentavec.poincare import PoincareTransform
 from pentavec.stress_energy import (
     ANGULAR_PAIRS,
     MOMENTUM_PAIRS,
+    ConservationReport,
     assemble_moment_field,
     conservation_divergence,
     conservation_report,
@@ -400,6 +401,35 @@ def test_conservation_report_keeps_the_order_of_additions(scheme, kappa):
     assert moved  # the test sees the order
 
 
+# The report reads each pair's max and min in place of max |div| over a copy
+# of the momentum or the angular pairs; the two must agree bit for bit, and
+# an all-zero residual must read +0 even where the pairs hold -0.
+SPECIAL = st.sampled_from([0.0, -0.0, 0.0, -0.0, 1.5, -1.5, 2.5, -7.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan])
+ZERO_PAIRS = {"+0": (0.0, 0.0), "-0": (-0.0, -0.0), "both": (0.0, -0.0)}
+
+
+def same_float(got, want):
+    return type(got) is float and (np.isnan(got) and np.isnan(want) or got == want and np.signbit(got) == np.signbit(want))
+
+
+@settings(max_examples=200, deadline=None, phases=[p for p in Phase if p is not Phase.explain])
+@given(
+    st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 2), st.integers(1, 2)).flatmap(
+        lambda shape: st.lists(SPECIAL, min_size=10 * int(np.prod(shape)), max_size=10 * int(np.prod(shape))).map(
+            lambda v: np.reshape(v, (10,) + shape)
+        )
+    ),
+    st.lists(st.sampled_from([None, *ZERO_PAIRS]), min_size=10, max_size=10),
+)
+def test_report_maxima_are_the_max_norm_of_the_pairs(div, zeroed):
+    for k, zeros in enumerate(zeroed):  # some pairs all zero, of one sign or of both
+        if zeros is not None:
+            div[k] = np.where(np.arange(div[k].size).reshape(div[k].shape) % 2, *ZERO_PAIRS[zeros])
+    report = ConservationReport.from_divergence(div)
+    assert same_float(report.momentum_residual, max_norm(div[MOMENTUM_PAIRS]))
+    assert same_float(report.angular_residual, max_norm(div[ANGULAR_PAIRS]))
+
+
 CURRENT_KERNELS = {
     "moment_to_orthonormal": ("P", lambda m: moment_to_orthonormal(m, 1.0).values),
     "moment_to_parallel": ("O", lambda m: moment_to_parallel(m, 1.0).values),
@@ -534,7 +564,7 @@ def one_and_two_threads(monkeypatch, call):
         monkeypatch.setattr(forking, "can_fork", lambda allowed=allowed: allowed)
         try:
             outcomes.append(call())
-        except (NotAntisymmetric, GridTooCoarse, FloatingPointError) as exc:
+        except (PentavecError, FloatingPointError) as exc:
             outcomes.append((type(exc), str(exc)))
         assert threading.active_count() == 1
     return outcomes
@@ -593,6 +623,67 @@ def test_split_rows_keep_the_callers_errstate(monkeypatch):
 
     one, two = one_and_two_threads(monkeypatch, assemble)
     assert one[0] is two[0] is FloatingPointError
+
+
+# Finiteness is checked where a current is written: the assembly and both
+# frame changes check each slab before they write it, the law checks its
+# pairs product, and the field they hand over is not scanned again.  Finite
+# inputs whose output overflows, and a NaN, raise NotFinite in either half of
+# the rows, with and without the worker thread; a spin current that is not
+# antisymmetric is still reported first.
+HUGE = 1.7e308  # finite, and past the float range once scaled by 1.1
+NOT_FINITE = (NotFinite, "field contains non-finite samples")
+PRODUCERS = ("assemble_moment_field", "moment_to_orthonormal", "moment_to_parallel", "transform_moment_field")
+
+
+def producer_call(name, row, fill):
+    """A call of producer ``name`` with ``fill`` at a sample of ``row``: HUGE, a finite input
+    that overflows there (the law's HUGE is its translation, which overflows at every sample),
+    NaN, or a finite value that does not overflow.  On odd_grid((9, 5, 6, 1)) the samples
+    [:, :, 0] have x_2 = 1.1."""
+    grid = odd_grid((9, 5, 6, 1))
+    if name == "assemble_moment_field":
+        theta, sigma = smooth_samples(grid, 92)
+        theta[row, 2, 0, 0, 0, 0] = fill  # Theta^0_0 meets x_2 in the pair (0, 2)
+        return lambda: assemble_moment_field(theta, sigma, grid)
+    values = antisymmetric_current(np.random.default_rng(93), grid.shape)
+    t = random_boost(np.random.default_rng(94))
+    if name == "transform_moment_field" and fill == HUGE:
+        t = PoincareTransform(t.lam, [HUGE, 0.0, 0.0, 0.0])  # a_0 meets the mixed pairs in the four-block
+    else:  # M^1_(15) meets s_2 = -/+ x_2 in the pair (1, 2)
+        values[row, 2, 0, 0, 1, 1, 4], values[row, 2, 0, 0, 1, 4, 1] = fill, -fill
+    # A NaN current cannot pass FieldOnGrid's scan; it reaches a kernel only as a current whose scan was skipped.
+    current = (FieldOnGrid if np.isfinite(fill) else stress_energy._Current)(grid, values, basis="O" if name == "moment_to_parallel" else "P")
+    kernels = {"moment_to_orthonormal": moment_to_orthonormal, "moment_to_parallel": moment_to_parallel,
+               "transform_moment_field": lambda m, kappa: transform_moment_field(m, t, kappa)}
+    return lambda: kernels[name](current, 1.0)
+
+
+@pytest.mark.parametrize("name", PRODUCERS)
+@pytest.mark.parametrize("row", [0, -1])
+@pytest.mark.parametrize("fill", [HUGE, np.nan])
+def test_a_producer_raises_not_finite_where_it_writes(monkeypatch, name, row, fill):
+    call = producer_call(name, row, fill)
+    with np.errstate(over="ignore", invalid="ignore"):
+        one, two = one_and_two_threads(monkeypatch, call)
+    assert one == two == NOT_FINITE
+    fine = producer_call(name, row, 1.0)()  # the same call with a finite sample: no check fires
+    assert np.isfinite(fine.values).all() and not fine.values.flags.writeable
+
+
+@pytest.mark.parametrize("bad_row, huge_row", [(-1, 0), (0, -1)])
+def test_a_spin_current_that_is_not_antisymmetric_is_reported_before_an_overflow(monkeypatch, bad_row, huge_row):
+    grid = odd_grid((9, 5, 6, 1))
+    theta, sigma = smooth_samples(grid, 95)
+    sigma[bad_row, 1, 2, 0, 3, 1, 2] = sigma[bad_row, 1, 2, 0, 3, 2, 1] = HUGE  # |Sigma + Sigma^T| overflows
+    theta[huge_row, 2, 0, 0, 0, 0] = HUGE  # and so does the orbital moment, in the other half of the rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        one, two = one_and_two_threads(monkeypatch, lambda: assemble_moment_field(theta, sigma, grid))
+    assert one == two == (NotAntisymmetric, "spin current must be antisymmetric in its lower indices")
+    sigma[..., 0, 1], sigma[..., 1, 0] = np.nan, -np.nan  # a NaN makes input_bound NaN, which no residual exceeds
+    with np.errstate(over="ignore", invalid="ignore"):
+        one, two = one_and_two_threads(monkeypatch, lambda: assemble_moment_field(theta, sigma, grid))
+    assert one == two == NOT_FINITE
 
 
 # The conservation suite compares the plane wave's measured divergence with
