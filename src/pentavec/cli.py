@@ -226,10 +226,7 @@ def main(argv=None) -> int:
     handlers = {"verify": _cmd_verify, "transform": _cmd_transform, "basis": _cmd_basis}
     try:
         return handlers[args.command](args)
-    except PentavecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PentavecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

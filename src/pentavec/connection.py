@@ -26,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ETA4, ETA5, DirectionalClass, classify_directional, eta_dot, lower_array
+from .algebra import (
+    ETA4, ETA5, DirectionalClass, bivector_from_four, bivector_inner, classify_directional, eta_dot, lower_array, wedge,
+)
 from .bases import p_transformation
 from .errors import (
     DegenerateKappa, GridMismatch, NotDirectional, NotFinite, ShapeMismatch, SingularMatrix,
@@ -256,11 +258,12 @@ def metric_transport_identity_residual(u_four, v, w, e, g, kappa: float) -> floa
 
     where h is the five-metric ETA5, nabla h is its tensor covariant
     derivative and g pairs wedge four-vectors through the bivector inner
-    product.  The two sides share no code: the left contracts connection
-    coefficients into the metric, the right is built from wedge pairings.
-    ``v`` and ``w`` are samples (..., 5) of one shape; a shape mismatch
-    raises ShapeMismatch.  Returns the max deviation over all samples.
-    Scales quadratically in e, so e need not be normalized.
+    product.  The two sides share no connection code: the left contracts
+    connection coefficients into the metric, the right is the algebra's
+    wedge and bivector pairing.  ``v`` and ``w`` are samples (..., 5) of
+    one shape; a shape mismatch raises ShapeMismatch.  Returns the max
+    deviation over all samples.  Scales quadratically in e, so e need not
+    be normalized.
     """
     u_four = as_array(u_four, shape=(4,))
     e = as_array(e, shape=(5,))
@@ -279,17 +282,7 @@ def metric_transport_identity_residual(u_four, v, w, e, g, kappa: float) -> floa
     contracted = np.einsum("ab,...a,...b->...", along_u, v, w)
     lhs = eta_dot(e, e) * contracted
 
-    # g(U, v ^ e): embed U as a wedge against the reference frame and pair.
-    u_biv = np.zeros((5, 5))
-    u_biv[:4, 4] = u_four
-    u_biv[4, :4] = -u_four
-    hh = np.einsum("ac,bd->abcd", ETA5, ETA5)
-
-    def wedge_pairing(samples):
-        wedges = np.einsum("...a,b->...ab", samples, e) - np.einsum("a,...b->...ab", e, samples)
-        return 0.5 * np.einsum("abcd,ab,...cd->...", hh, u_biv, wedges)
-
-    h_we = np.einsum("ab,...a,b->...", ETA5, w, e)
-    h_ve = np.einsum("ab,...a,b->...", ETA5, v, e)
-    rhs = kappa * (wedge_pairing(v) * h_we + wedge_pairing(w) * h_ve)
+    # g(U, v ^ e): U embedded as the wedge sum_mu U^mu e_mu ^ e_5, paired by the bivector inner product.
+    u = bivector_from_four(u_four)
+    rhs = kappa * (bivector_inner(u, wedge(v, e)) * eta_dot(w, e) + bivector_inner(u, wedge(w, e)) * eta_dot(v, e))
     return max_norm(lhs - rhs)

@@ -226,7 +226,7 @@ class ConservationReport:
     angular_residual: float
 
     def worst(self) -> float:
-        return max(self.momentum_residual, self.angular_residual)
+        return float(np.maximum(self.momentum_residual, self.angular_residual))
 
     @classmethod
     def from_divergence(cls, div: np.ndarray) -> ConservationReport:

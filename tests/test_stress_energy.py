@@ -248,6 +248,17 @@ def test_conservation_report_guards():
     assert conservation_report(current, 1.0).worst() == 0.0  # a P-frame current passes the guard
 
 
+@pytest.mark.parametrize("residuals", [(0.0, np.nan), (np.nan, 0.0)])
+def test_worst_keeps_a_nan_in_either_place(residuals):
+    assert np.isnan(ConservationReport(*residuals).worst())
+
+
+def test_a_nan_angular_residual_fails_the_exact_constant_stress_check(monkeypatch):
+    monkeypatch.setattr(stress_energy, "conservation_report", lambda *args: ConservationReport(0.0, np.nan))
+    checks = {c.name: c for c in suites.run_suite("conservation", suites.SuiteOptions()).checks}
+    assert not checks["constant-stress-exact-P"].passed
+
+
 # The kernels below were rewritten without copies and full-grid temporaries.
 # Their former loops stay here as references: the rewrite performs the same
 # floating-point operations in the same order, so results must agree bit
