@@ -28,6 +28,7 @@ from pentavec.errors import (
     NotStandard,
     SingularBlock,
 )
+from pentavec.suites import random_invertible
 
 E = np.eye(5)
 
@@ -76,8 +77,8 @@ def test_block_changes_act_as_documented():
 def test_induced_four_map_on_blocks():
     assert np.array_equal(induced_four_map(u_transformation(3.0)), np.eye(4))
     assert np.array_equal(induced_four_map(p_transformation([1.0, 1.0, 1.0, 1.0])), np.eye(4))
-    t = np.diag([2.0, 3.0, 4.0, 5.0])
-    assert np.array_equal(induced_four_map(m_transformation(t)), t)
+    for t in (np.diag([2.0, 3.0, 4.0, 5.0]), random_invertible(np.random.default_rng(12), 4)):
+        assert np.array_equal(induced_four_map(m_transformation(t)), t)
     bad = np.eye(5)
     bad[2, 4] = 1.0
     with pytest.raises(NotStandard):

@@ -165,7 +165,7 @@ def test_verify_connection_reports_every_check_at_large_kappa(capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert [line.split()[0] for line in captured.out.splitlines()] == names
-    assert len(names) == 11
+    assert len(names) == 8
 
 
 def write_transform(path, t):
@@ -421,6 +421,25 @@ def test_non_finite_kappa_is_one_error_for_transform_and_verify(tmp_path, capsys
     for command in commands:
         assert main([*command, "--kappa", kappa]) == 2
         assert capsys.readouterr() == ("", f"error: kappa must be finite, got {kappa}\n")
+
+
+@pytest.mark.parametrize("kappa", ["5.5e-309", "-1e-320", "4.9e-324", repr(1.0 / sys.float_info.max)])
+def test_verify_rejects_a_kappa_whose_reciprocal_overflows(tmp_path, capsys, kappa):
+    # verify takes 1/kappa; transform takes no reciprocal and accepts the same kappa
+    assert main(["verify", "all", f"--kappa={kappa}"]) == 2
+    bound = "kappa must be 0 or above 5.562684646268003e-309 in magnitude, since verify takes 1/kappa"
+    assert capsys.readouterr() == ("", f"error: {bound}; got {float(kappa)!r}\n")
+    write_record(tmp_path / "in.pvec", kappa_record("five_vector_field"))
+    write_transform(tmp_path / "t.pvec", boost_transform())
+    out = tmp_path / "out.pvec"
+    assert main(["transform", str(tmp_path / "in.pvec"), str(tmp_path / "t.pvec"), "-o", str(out), f"--kappa={kappa}"]) == 0
+    assert out.exists()
+
+
+def test_verify_passes_at_the_smallest_kappa_with_a_finite_reciprocal(capsys):
+    kappa = float(np.nextafter(1.0 / sys.float_info.max, 1.0))
+    assert main(["verify", "all", "--format", "machine", f"--kappa={kappa!r}"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("kappa", ["-1e3", "-1", "-.5", "2", "-0"])

@@ -24,6 +24,8 @@ from pentavec.grids import FieldOnGrid, Grid
 from pentavec.numerics import bound
 
 KAPPA = 0.7
+# KAPPA and the transport constants that CI runs `verify all` at
+KAPPAS = (KAPPA, 0.0, 0.3, 0.5, 1.0, 2.0, -1.0, 1000.0)
 
 
 def cube_grid(n=5, h=0.25):
@@ -42,8 +44,9 @@ def test_flat_coefficients_structure():
     assert np.array_equal(flat_coefficients(0.0).values, np.zeros((5, 5, 4)))
 
 
-def test_flat_coefficients_are_standard_compatible():
-    assert transport_compatibility(flat_coefficients(KAPPA), np.zeros((4, 4, 4))) == (0.0, 0.0)
+@pytest.mark.parametrize("kappa", KAPPAS)
+def test_flat_coefficients_are_standard_compatible(kappa):
+    assert transport_compatibility(flat_coefficients(kappa), np.zeros((4, 4, 4))) == (0.0, 0.0)
     bad = np.zeros((5, 5, 4))
     bad[0, 4, 0] = 1.0  # transport tips the fifth vector into the four-space
     standard, _ = transport_compatibility(ConnectionCoeffs(bad), np.zeros((4, 4, 4)))
@@ -194,9 +197,10 @@ def test_transport_matches_integrated_equation():
         assert np.allclose(got, rk4_transport(u, a, b, KAPPA), atol=1e-9)
 
 
-def test_transport_time_axis_tips_into_fifth():
-    got = transport([1.0, 0.0, 0.0, 0.0, 0.0], np.zeros(4), [2.0, 0.0, 0.0, 0.0], 0.5)
-    assert np.array_equal(got, [1.0, 0.0, 0.0, 0.0, 1.0])
+@pytest.mark.parametrize("kappa", KAPPAS)
+def test_transport_time_axis_tips_into_fifth(kappa):
+    got = transport([1.0, 0.0, 0.0, 0.0, 0.0], np.zeros(4), [2.0, 0.0, 0.0, 0.0], kappa)
+    assert np.array_equal(got, [1.0, 0.0, 0.0, 0.0, 2.0 * kappa])
 
 
 def test_transport_path_independence_and_inverse():
@@ -264,9 +268,11 @@ def test_covariant_derivative_linear_field():
         covariant_derivative(FieldOnGrid(grid, np.zeros(grid.shape + (4,))), flat_coefficients(KAPPA))
 
 
-def test_metric_derivative_report_orthonormal():
+@pytest.mark.parametrize("scheme", ["central2", "central4"])
+@pytest.mark.parametrize("kappa", KAPPAS)
+def test_metric_derivative_report_orthonormal(kappa, scheme):
     grid = cube_grid(5)
-    assert metric_derivative_report(flat_coefficients(KAPPA), ETA5, KAPPA, grid) == 0.0
+    assert metric_derivative_report(flat_coefficients(kappa), ETA5, kappa, grid, scheme) == 0.0
 
 
 def test_metric_derivative_report_parallel():

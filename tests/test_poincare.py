@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from pentavec.algebra import ETA4
-from pentavec.connection import flat_coefficients
+from pentavec.connection import flat_coefficients, normalized_kappa
 from pentavec.errors import NotAntisymmetric, ShapeMismatch
 from pentavec.poincare import (
     PoincareTransform,
@@ -185,6 +185,13 @@ def test_coordinate_form_derivative_two_routes():
     flat = flat_coefficients(1.0).values
     for mu in range(4):
         assert np.array_equal(d[mu], -flat[4, :, mu])
+    # coordinate-form route: rows mu of w_(A;mu) = d_mu o_A - G^C_(A mu) o_C
+    # at the origin; o is affine in x, so d_mu o = o(e_mu) - o(0) exactly,
+    # and eye(5, 4) lists e_0 .. e_3, then the origin
+    for kappa in (KAPPA, 0.0, 0.3, 0.5, 1.0, 2.0, -1.0, 1000.0):
+        _, o = coordinate_form(np.eye(5, 4), kappa)
+        flat = flat_coefficients(normalized_kappa(kappa)).values
+        assert np.array_equal(o[:4] - o[4] - np.einsum("cam,c->ma", flat, o[4]), d)
 
 
 def test_param_tensor_structure():
